@@ -14,6 +14,7 @@ infidelity.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Iterable, NamedTuple, Sequence
@@ -21,11 +22,11 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from . import pauli as pl
-from .circuits import Circuit, Cycle, Gate, propagate_through_cycles
+from .circuits import Circuit, Cycle, Gate, cycle_frame_table
 from .engine import Executor
 from .noise import NoiseModel
 from .pauli import PauliString
-from .sim import readout_distribution, rng_from
+from .sim import MAX_QUBITS, readout_distribution, rng_from
 
 TWIRL_GROUPS = ("pauli", "c1")
 
@@ -102,14 +103,20 @@ class CbCollection:
 # ---------------------------------------------------------------------------
 # Collection generation
 
-def _twirl_cycle(n: int, register: tuple[int, ...], twirl: str, rng) -> Cycle:
+@functools.lru_cache(maxsize=None)
+def _twirl_alphabet(twirl: str) -> tuple[tuple[tuple[str, int | None], ...], np.ndarray, np.ndarray]:
+    """Twirl gates as (name, param) per drawn index, with their one-qubit
+    frame tables stacked as read-only (index, letter) -> letter / sign arrays."""
     if twirl == "pauli":
-        names = [pl.LETTERS[i] for i in rng.integers(0, 4, size=n)]
-        gates = tuple(Gate(name, (register[i],)) for i, name in enumerate(names))
+        alphabet = tuple((c, None) for c in pl.LETTERS)
     else:
-        idx = rng.integers(0, pl.c1_count(), size=n)
-        gates = tuple(Gate("C1", (register[i],), int(k)) for i, k in enumerate(idx))
-    return Cycle("easy", gates)
+        alphabet = tuple(("C1", k) for k in range(pl.c1_count()))
+    tables = [pl.gate_table(name, (0,), 1, param) for name, param in alphabet]
+    image = np.stack([t.image for t in tables])
+    sign = np.stack([t.sign for t in tables])
+    image.setflags(write=False)
+    sign.setflags(write=False)
+    return alphabet, image, sign
 
 
 def _prep_cycle(pauli: PauliString, register: tuple[int, ...]) -> Cycle:
@@ -120,12 +127,21 @@ def _prep_cycle(pauli: PauliString, register: tuple[int, ...]) -> Cycle:
     return Cycle("easy", gates)
 
 
-def _inversion_cycle(frame: PauliString, register: tuple[int, ...]) -> Cycle:
+def _inversion_cycle(letters: str, register: tuple[int, ...]) -> Cycle:
     gates = tuple(
         Gate("C1", (register[i],), pl.c1_measuring(c))
-        for i, c in enumerate(frame.letters)
+        for i, c in enumerate(letters)
     )
     return Cycle("easy", gates)
+
+
+def _check_lengths(m_list: Sequence[int], n_random: int) -> None:
+    if len(set(m_list)) < 3:
+        raise ProtocolError("need at least three distinct sequence lengths")
+    if min(m_list) < 0:
+        raise ProtocolError(f"sequence lengths must be >= 0, got {min(m_list)}")
+    if n_random < 1:
+        raise ProtocolError(f"n_random must be >= 1, got {n_random}")
 
 
 def sample_decay_terms(n: int, n_decays: int, rng) -> list[PauliString]:
@@ -154,53 +170,90 @@ def make_cb(
     Each circuit is: preparation basis change, then m repetitions of
     (random twirl cycle, target cycle), then one easy inversion cycle that
     maps the propagated frame onto a signed Z/I string.  Generation is
-    deterministic in ``seed``.
+    deterministic in ``seed``: stream ``(seed, "twirl", d, m, j)`` feeds
+    circuit j of decay term d at length m.  The frames of all streams of one
+    (d, m) group advance together as integer Pauli indices.
     """
     if twirl not in TWIRL_GROUPS:
         raise ProtocolError(f"twirl must be one of {TWIRL_GROUPS}")
-    if len(set(m_list)) < 3:
-        raise ProtocolError("need at least three distinct sequence lengths")
+    _check_lengths(m_list, n_random)
+    if n_decays < 1:
+        raise ProtocolError(f"n_decays must be >= 1, got {n_decays}")
     if register is None:
         register = cycle.qubits
+    register = tuple(register)
     n = len(register)
+    if n > MAX_QUBITS:
+        raise ProtocolError(f"registers are limited to {MAX_QUBITS} qubits, got {n}")
     try:
-        test = PauliString("I" * n)
-        propagate_through_cycles([cycle], test, register)
+        hard = cycle_frame_table(cycle, register)
     except pl.NonCliffordGateError as exc:
         raise ProtocolError(f"target cycle is not Clifford: {exc}") from exc
 
+    alphabet, twirl_image, twirl_sign = _twirl_alphabet(twirl)
+    codes = pl.index_letters(n)
+    place = pl.letter_place_values(n)
+    draw_place = len(alphabet) ** np.arange(n - 1, -1, -1)
+    # interned per call: one Gate per (qubit, twirl index), one Cycle per
+    # distinct twirl draw and per distinct final frame
+    twirl_gates = [[Gate(name, (q,), param) for name, param in alphabet] for q in register]
+    twirl_cycles: dict[int, Cycle] = {}
+    inversions: dict[int, Cycle] = {}
+    observables: dict[tuple[int, int], PauliString] = {}
+
     decays = sample_decay_terms(n, n_decays, rng_from(seed, "decays"))
     circuits: list[CbCircuit] = []
-    index = 0
     for d_idx, prepared in enumerate(decays):
         prep = _prep_cycle(prepared, register)
         for m in m_list:
-            for j in range(n_random):
-                rng = rng_from(seed, "twirl", d_idx, m, j)
+            # one (m, n) draw per stream yields the same values as m draws of n
+            draws = np.array(
+                [
+                    rng_from(seed, "twirl", d_idx, m, j).integers(0, len(alphabet), size=(m, n))
+                    for j in range(n_random)
+                ]
+            ).reshape(n_random, m, n)
+            # advance all n_random frames through (twirl, cycle) m times
+            frame = np.full(n_random, pl.pauli_index(prepared.letters))
+            sign = np.ones(n_random, dtype=np.int64)
+            for t in range(m):
+                letters = codes[frame]
+                drawn = draws[:, t]
+                sign *= twirl_sign[drawn, letters].prod(axis=1)
+                frame = twirl_image[drawn, letters] @ place
+                sign *= hard.sign[frame]
+                frame = hard.image[frame]
+
+            keys = (draws @ draw_place).tolist()
+            for j, (f, s) in enumerate(zip(frame.tolist(), sign.tolist())):
                 body: list[Cycle] = []
-                for _ in range(m):
-                    body.append(_twirl_cycle(n, register, twirl, rng))
-                    body.append(cycle)
-                frame = propagate_through_cycles(body, prepared, register)
-                inv = _inversion_cycle(frame, register)
-                frame = propagate_through_cycles([inv], frame, register)
-                measured = PauliString(
-                    "".join("Z" if c != "I" else "I" for c in frame.letters),
-                    frame.sign,
-                )
+                for t, key in enumerate(keys[j]):
+                    twirl_cycle = twirl_cycles.get(key)
+                    if twirl_cycle is None:
+                        row = draws[j, t].tolist()
+                        twirl_cycle = twirl_cycles[key] = Cycle(
+                            "easy", tuple(twirl_gates[i][k] for i, k in enumerate(row))
+                        )
+                    body += (twirl_cycle, cycle)
+                if f not in inversions:
+                    inversions[f] = _inversion_cycle(pl.pauli_letters(f, n), register)
+                # the inversion cycle maps each non-identity letter to +Z
+                if (f, s) not in observables:
+                    observables[(f, s)] = PauliString(
+                        "".join("I" if c == "I" else "Z" for c in pl.pauli_letters(f, n)), s
+                    )
                 circuits.append(
                     CbCircuit(
-                        circuit=Circuit(register, tuple([prep] + body + [inv])),
+                        circuit=Circuit(register, (prep, *body, inversions[f])),
                         prepared=prepared,
-                        measured=measured,
+                        measured=observables[(f, s)],
                         m=m,
-                        index=index,
+                        index=len(circuits),
                     )
                 )
-                index += 1
     return CbCollection(
         cycle=cycle,
-        register=tuple(register),
+        register=register,
         twirl=twirl,
         m_list=tuple(m_list),
         n_random=n_random,
@@ -449,20 +502,6 @@ class RbResult:
     error_rate_std: float
 
 
-def _clifford_gates_on(word, register: tuple[int, ...]) -> list[Gate]:
-    gates = []
-    for name, *pos in word:
-        if name == "CNOT":
-            gates.append(Gate("CNOT", (register[pos[0]], register[pos[1]])))
-        else:
-            gates.append(Gate(name, (register[pos[0]],)))
-    return gates
-
-
-def _gates_to_cycles(gates: Sequence[Gate]) -> list[Cycle]:
-    return [Cycle("hard" if g.name == "CNOT" else "easy", (g,)) for g in gates]
-
-
 def run_rb(
     qubits: Sequence[int],
     m_list: Sequence[int],
@@ -485,36 +524,39 @@ def run_rb(
     n = len(register)
     if n not in (1, 2):
         raise ProtocolError("randomized benchmarking supports 1 or 2 qubits only")
-    if len(set(m_list)) < 3:
-        raise ProtocolError("need at least three distinct sequence lengths")
+    _check_lengths(m_list, n_random)
     group_size = pl.clifford_count(n)
     executor = Executor(register, noise)
     floor = 1.0 / 2**n
+    # one-gate cycles, interned per (name, local positions, param)
+    cycles: dict[tuple, Cycle] = {}
+
+    def one_gate_cycle(spec: tuple) -> Cycle:
+        if spec not in cycles:
+            name, pos, param = spec
+            gate = Gate(name, tuple(register[p] for p in pos), param)
+            cycles[spec] = Cycle("hard" if name == "CNOT" else "easy", (gate,))
+        return cycles[spec]
+
     points: list[DecayPoint] = []
     index = 0
     for m in sorted(set(int(v) for v in m_list)):
         for j in range(n_random):
             rng = rng_from(seed, "rb", m, j)
-            gates: list[Gate] = []
-            logical: list[tuple[str, tuple[int, ...], int | float | None]] = []
+            logical: list[tuple[str, tuple[int, ...], int | None]] = []
             for _ in range(m):
+                k = int(rng.integers(0, group_size))
                 if n == 1:
-                    k = int(rng.integers(0, group_size))
-                    gates.append(Gate("C1", (register[0],), k))
                     logical.append(("C1", (0,), k))
                 else:
-                    word = pl.clifford_word(n, int(rng.integers(0, group_size)))
-                    for g in _clifford_gates_on(word, register):
-                        gates.append(g)
-                        pos = tuple(register.index(q) for q in g.qubits)
-                        logical.append((g.name, pos, g.param))
+                    logical.extend((name, tuple(pos), None) for name, *pos in pl.clifford_word(n, k))
             inverse_word = pl.clifford_inverse_word(n, logical)
             if n == 1:
                 # the inverse of a C1 sequence is itself one C1 element
-                gates.append(Gate("C1", (register[0],), pl.c1_index_for_word(inverse_word)))
+                logical.append(("C1", (0,), pl.c1_index_for_word(inverse_word)))
             else:
-                gates.extend(_clifford_gates_on(inverse_word, register))
-            circuit = Circuit(register, tuple(_gates_to_cycles(gates)))
+                logical.extend((name, tuple(pos), None) for name, *pos in inverse_word)
+            circuit = Circuit(register, tuple(one_gate_cycle(spec) for spec in logical))
             state = executor.run(circuit)
             counts_seed = rng_from(seed, "rb-exec", index)
             if shots is None:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -57,6 +57,7 @@ class Cycle:
 
     kind: str  # "easy" | "hard"
     gates: tuple[Gate, ...]
+    qubits: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "gates", tuple(self.gates))
@@ -67,14 +68,11 @@ class Cycle:
             if used & set(g.qubits):
                 raise CircuitError(f"overlapping qubits in cycle: {g}")
             used.update(g.qubits)
+        object.__setattr__(self, "qubits", tuple(sorted(used)))
         if self.kind == "hard" and any(g.name != "CNOT" for g in self.gates):
             raise CircuitError("hard cycles may contain only CNOT gates")
         if self.kind == "easy" and any(g.name == "CNOT" for g in self.gates):
             raise CircuitError("easy cycles may not contain CNOT gates")
-
-    @property
-    def qubits(self) -> tuple[int, ...]:
-        return tuple(sorted(q for g in self.gates for q in g.qubits))
 
     def cnot_pairs(self) -> tuple[tuple[int, int], ...]:
         return tuple(g.qubits for g in self.gates if g.name == "CNOT")
@@ -331,6 +329,15 @@ def propagate_pauli(
         pos = tuple(register.index(q) for q in g.qubits)
         out = pl.conjugate_gate(out, g.name, pos, g.param)
     return out
+
+
+def cycle_frame_table(cycle: Cycle, register: tuple[int, ...]) -> pl.FrameTable:
+    """Integer frame table of a Clifford cycle on ``register``; raises
+    :class:`NonCliffordGateError` otherwise."""
+    return pl.frame_table(
+        [(g.name, tuple(register.index(q) for q in g.qubits), g.param) for g in cycle.gates],
+        len(register),
+    )
 
 
 def propagate_through_cycles(

@@ -81,8 +81,10 @@ class BenchParams:
     def __post_init__(self):
         if len(set(self.m_list)) < 3:
             raise ConfigError("m_list needs at least three distinct lengths")
-        if self.n_random < 1 or self.shots < 1:
-            raise ConfigError("n_random and shots must be positive")
+        if min(self.m_list) < 0:
+            raise ConfigError(f"m_list lengths must be >= 0, got {min(self.m_list)}")
+        if self.n_random < 1 or self.shots < 1 or self.n_decays < 1:
+            raise ConfigError("n_random, shots and n_decays must be positive")
 
 
 @dataclass(frozen=True)

@@ -194,11 +194,11 @@ class NoiseModel:
 
     def _validate(self):
         for q, t in self.t1.items():
-            if t <= 0:
-                raise NoiseModelError(f"T1({q}) = {t} must be positive")
+            if not (math.isfinite(t) and t > 0):
+                raise NoiseModelError(f"T1({q}) = {t} must be positive and finite")
         for q, t in self.t2.items():
-            if t <= 0:
-                raise NoiseModelError(f"T2({q}) = {t} must be positive")
+            if not (math.isfinite(t) and t > 0):
+                raise NoiseModelError(f"T2({q}) = {t} must be positive and finite")
             limit = 2 * self.t1.get(q, math.inf)
             if t > limit + 1e-9:
                 raise NoiseModelError(f"T2({q}) = {t} exceeds 2*T1 = {limit}")
@@ -211,12 +211,17 @@ class NoiseModel:
         for cls, probs in self.pauli_errors.items():
             total = 0.0
             for letters, p in probs.items():
-                if p < 0:
-                    raise NoiseModelError(f"negative Pauli probability in {cls}")
+                if not (math.isfinite(p) and p >= 0):
+                    raise NoiseModelError(
+                        f"Pauli probability {letters} = {p} in {cls} must be finite and >= 0"
+                    )
                 PauliString.parse(letters)
                 total += p
             if total > 1 + 1e-12:
                 raise NoiseModelError(f"Pauli probabilities in {cls} sum to {total} > 1")
+        for cls, t in self.durations.items():
+            if not (math.isfinite(t) and t >= 0):
+                raise NoiseModelError(f"duration({cls}) = {t} must be finite and >= 0")
         for q, p in self.prep_flip.items():
             if not 0 <= p <= 1:
                 raise NoiseModelError(f"prep flip({q}) = {p} outside [0, 1]")

@@ -3,8 +3,9 @@
 Operator propagation through Clifford circuits is done entirely with lookup
 tables (letter maps for single-qubit Cliffords, a 16-entry signed table for
 CNOT), never with dense matrices, so frames stay exact through arbitrarily
-deep circuits.  Dense matrices are only materialised on demand for
-linear-algebra work such as channel construction.
+deep circuits.  Hot paths use the same rules as integer signed-permutation
+tables over Pauli indices.  Dense matrices are only materialised on demand
+for linear-algebra work such as channel construction.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import functools
 import itertools
 from collections import deque
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -86,10 +88,6 @@ class PauliString:
         elif text.startswith("+"):
             text = text[1:]
         return cls(text, sign)
-
-
-def identity_string(n: int) -> PauliString:
-    return PauliString("I" * n)
 
 
 def all_pauli_letters(n: int, include_identity: bool = False) -> list[str]:
@@ -286,32 +284,99 @@ def c1_measuring(letter: str) -> int:
     return _find_c1(lambda e: e.conj[letter] == ("Z", 1))
 
 
+
+
+# ---------------------------------------------------------------------------
+# Integer Pauli frames.
+#
+# A Pauli string on n qubits is an index in [0, 4^n) plus a sign.  Letter
+# codes are I=0, X=1, Y=2, Z=3 with qubit 0 most significant, so indices
+# follow ``all_pauli_letters`` order.  A Clifford acts on the indices as a
+# signed permutation.  Tables are built lazily from ``conjugate_gate``, which
+# stays the one source of every conjugation rule.
+
+class FrameTable(NamedTuple):
+    """C P_i C^dagger = sign[i] * P_image[i] for every Pauli index i."""
+
+    image: np.ndarray
+    sign: np.ndarray
+
+    def then(self, other: "FrameTable") -> "FrameTable":
+        """Table of ``other`` applied after this one."""
+        return FrameTable(other.image[self.image], self.sign * other.sign[self.image])
+
+
+def pauli_index(letters: str) -> int:
+    index = 0
+    for c in letters:
+        index = 4 * index + LETTERS.index(c)
+    return index
+
+
+@functools.lru_cache(maxsize=None)
+def index_letters(n: int) -> np.ndarray:
+    """Read-only (4^n, n) letter codes of every Pauli index."""
+    codes = np.array(list(itertools.product(range(4), repeat=n)), dtype=np.intp)
+    codes = codes.reshape(4**n, n)
+    codes.setflags(write=False)
+    return codes
+
+
+def pauli_letters(index: int, n: int) -> str:
+    return "".join(LETTERS[c] for c in index_letters(n)[index])
+
+
+def letter_place_values(n: int) -> np.ndarray:
+    """Weights mapping (..., n) letter codes to Pauli indices by a dot product."""
+    return 4 ** np.arange(n - 1, -1, -1)
+
+
+@functools.lru_cache(maxsize=1024)
+def gate_table(
+    name: str, positions: tuple[int, ...], n: int, param: int | float | None = None
+) -> FrameTable:
+    """Read-only table of one primitive gate on an n-qubit frame."""
+    k = len(positions)
+    local = [
+        conjugate_gate(PauliString(s), name, tuple(range(k)), param)
+        for s in all_pauli_letters(k, include_identity=True)
+    ]
+    local_image = np.array([pauli_index(p.letters) for p in local])
+    local_sign = np.array([p.sign for p in local], dtype=np.int8)
+    codes = index_letters(n)
+    cols = list(positions)
+    sub = codes[:, cols] @ letter_place_values(k)
+    moved = codes.copy()
+    moved[:, cols] = index_letters(k)[local_image[sub]]
+    table = FrameTable(moved @ letter_place_values(n), local_sign[sub])
+    for array in table:
+        array.setflags(write=False)
+    return table
+
+
+def frame_table(gates, n: int) -> FrameTable:
+    """Table of a (name, positions, param) gate sequence applied in order.
+
+    Raises :class:`NonCliffordGateError` for a non-Clifford gate.
+    """
+    table = FrameTable(np.arange(4**n), np.ones(4**n, dtype=np.int8))
+    for name, pos, param in gates:
+        table = table.then(gate_table(name, tuple(pos), n, param))
+    return table
+
+
 # ---------------------------------------------------------------------------
 # Clifford groups on one and two qubits, enumerated as canonical gate words.
-# Elements are keyed by their tableau (images of the X_i / Z_i generators),
-# which lets sequences be composed and inverted without any matrix algebra.
+# Elements are keyed by their tableau: the signed indices (sign * index) of
+# the images of X_0..X_{n-1}, Z_0..Z_{n-1}.  Images are never the identity,
+# so the sign is unambiguous, and sequences compose and invert without any
+# matrix algebra.
 
 GateSpec = tuple  # (name, positions...) with positions local to the group
 
 
-def _generator_paulis(n: int) -> list[PauliString]:
-    gens = []
-    for kind in "XZ":
-        for q in range(n):
-            letters = ["I"] * n
-            letters[q] = kind
-            gens.append(PauliString("".join(letters)))
-    return gens
-
-
-def _apply_word(pauli: PauliString, word: tuple[GateSpec, ...]) -> PauliString:
-    for name, *pos in word:
-        pauli = conjugate_gate(pauli, name, tuple(pos))
-    return pauli
-
-
-def _tableau_key(images: tuple[PauliString, ...]) -> tuple:
-    return tuple((p.letters, p.sign) for p in images)
+def _generator_indices(n: int) -> list[int]:
+    return [code * 4 ** (n - 1 - q) for code in (1, 3) for q in range(n)]
 
 
 @functools.lru_cache(maxsize=4)
@@ -319,7 +384,7 @@ def clifford_group(n: int) -> tuple[tuple[tuple[GateSpec, ...], ...], dict]:
     """Enumerate the n-qubit Clifford group (n <= 2).
 
     Returns (words, index) where ``words[i]`` is a canonical gate word and
-    ``index`` maps a tableau key to i.  BFS order is deterministic, so the
+    ``index`` maps a tableau to i.  BFS order is deterministic, so the
     enumeration is stable across runs.
     """
     if n == 1:
@@ -328,23 +393,29 @@ def clifford_group(n: int) -> tuple[tuple[tuple[GateSpec, ...], ...], dict]:
         generators = [("H", 0), ("H", 1), ("S", 0), ("S", 1), ("CNOT", 0, 1)]
     else:
         raise ValueError("Clifford group enumeration supports n <= 2 only")
-    start = tuple(_generator_paulis(n))
-    index: dict[tuple, int] = {_tableau_key(start): 0}
+    size = 4**n
+    # per generator, signed index v -> signed image, stored at v + size
+    lookups = []
+    for name, *pos in generators:
+        table = gate_table(name, tuple(pos), n)
+        signed = (table.sign * table.image).tolist()
+        lut = [0] * (2 * size)
+        for i, v in enumerate(signed):
+            lut[size + i], lut[size - i] = v, -v
+        lookups.append(lut)
+    start = tuple(_generator_indices(n))
+    index: dict[tuple, int] = {start: 0}
     words: list[tuple[GateSpec, ...]] = [()]
-    tableaus: list[tuple[PauliString, ...]] = [start]
+    tableaus: list[tuple[int, ...]] = [start]
     queue = deque([0])
     while queue:
         i = queue.popleft()
-        for gen in generators:
-            name, *pos = gen
-            images = tuple(
-                conjugate_gate(p, name, tuple(pos)) for p in tableaus[i]
-            )
-            key = _tableau_key(images)
+        for gen, lut in zip(generators, lookups):
+            key = tuple([lut[size + v] for v in tableaus[i]])
             if key not in index:
                 index[key] = len(words)
                 words.append(words[i] + (gen,))
-                tableaus.append(images)
+                tableaus.append(key)
                 queue.append(index[key])
     return tuple(words), index
 
@@ -357,35 +428,18 @@ def clifford_word(n: int, idx: int) -> tuple[GateSpec, ...]:
     return clifford_group(n)[0][idx]
 
 
-_INVERSE_GATE = {"H": "H", "S": "SDG", "SDG": "S", "X": "X", "Y": "Y", "Z": "Z", "I": "I", "CNOT": "CNOT"}
-
-
-def _inverted_gates(gates: list[tuple[str, tuple[int, ...], int | float | None]]):
-    """Reversed gate list implementing the inverse unitary, gate by gate."""
-    out = []
-    for name, pos, param in reversed(gates):
-        if name == "C1":
-            out.append(("C1", pos, c1_element(int(param)).inverse))
-        else:
-            out.append((_INVERSE_GATE[name], pos, param))
-    return out
-
-
-def clifford_inverse_word(
-    n: int, gates: list[tuple[str, tuple[int, ...], int | float | None]]
-) -> tuple[GateSpec, ...]:
+def clifford_inverse_word(n: int, gates) -> tuple[GateSpec, ...]:
     """Canonical word for the inverse of a Clifford gate sequence.
 
-    The inverse tableau is obtained by pushing the X_i/Z_i generators through
-    the reversed, gate-inverted sequence; the canonical word is then a direct
-    dictionary lookup in the enumerated group.
+    ``gates`` holds (name, positions, param) triples.  If the sequence C maps
+    P to s * Q, its inverse maps Q back to s * P, so the inverse tableau is
+    read off the composed frame table at the generators' preimages; the
+    canonical word is then a direct dictionary lookup in the enumerated group.
     """
-    inv_gates = _inverted_gates(gates)
-    images = []
-    for gen in _generator_paulis(n):
-        p = gen
-        for name, pos, param in inv_gates:
-            p = conjugate_gate(p, name, pos, param)
-        images.append(p)
+    table = frame_table(gates, n)
+    preimage = np.empty_like(table.image)
+    preimage[table.image] = np.arange(4**n)
+    pre = preimage[_generator_indices(n)]
+    key = tuple((table.sign[pre] * pre).tolist())
     words, index = clifford_group(n)
-    return words[index[_tableau_key(tuple(images))]]
+    return words[index[key]]

@@ -137,3 +137,136 @@ def occupation_from_vector(vec: np.ndarray, site: int, sites: int) -> float:
     ops[site - 1] = "Z"
     z = pauli_matrix("".join(ops))
     return float((1.0 - np.vdot(vec, z @ vec).real) / 2.0)
+
+
+# ---------------------------------------------------------------------------
+# String-based Pauli-frame references.  These are the loops the integer frame
+# kernel replaced: one validated PauliString pushed through every gate.  They
+# share the conjugation tables with the package, not its frame kernel.
+
+def reference_generator_paulis(n: int):
+    from cyclebench.pauli import PauliString
+
+    gens = []
+    for kind in "XZ":
+        for q in range(n):
+            letters = ["I"] * n
+            letters[q] = kind
+            gens.append(PauliString("".join(letters)))
+    return gens
+
+
+def _reference_tableau_key(images) -> tuple:
+    return tuple((p.letters, p.sign) for p in images)
+
+
+def reference_clifford_group(n: int):
+    """(words, index by string tableau) from a BFS over PauliString tableaus."""
+    from collections import deque
+
+    from cyclebench.pauli import conjugate_gate
+
+    if n == 1:
+        generators = [("H", 0), ("S", 0)]
+    elif n == 2:
+        generators = [("H", 0), ("H", 1), ("S", 0), ("S", 1), ("CNOT", 0, 1)]
+    else:
+        raise ValueError("Clifford group enumeration supports n <= 2 only")
+    start = tuple(reference_generator_paulis(n))
+    index = {_reference_tableau_key(start): 0}
+    words = [()]
+    tableaus = [start]
+    queue = deque([0])
+    while queue:
+        i = queue.popleft()
+        for gen in generators:
+            name, *pos = gen
+            images = tuple(conjugate_gate(p, name, tuple(pos)) for p in tableaus[i])
+            key = _reference_tableau_key(images)
+            if key not in index:
+                index[key] = len(words)
+                words.append(words[i] + (gen,))
+                tableaus.append(images)
+                queue.append(index[key])
+    return tuple(words), index
+
+
+_INVERSE_GATE = {"H": "H", "S": "SDG", "SDG": "S", "X": "X", "Y": "Y", "Z": "Z",
+                 "I": "I", "CNOT": "CNOT"}
+
+
+def reference_clifford_inverse_word(n: int, gates, group=None):
+    """Push the generators through the reversed, gate-inverted sequence and
+    look the resulting tableau up in the string-keyed group."""
+    from cyclebench.pauli import c1_element, conjugate_gate
+
+    inverted = []
+    for name, pos, param in reversed(gates):
+        if name == "C1":
+            inverted.append(("C1", pos, c1_element(int(param)).inverse))
+        else:
+            inverted.append((_INVERSE_GATE[name], pos, param))
+    images = []
+    for p in reference_generator_paulis(n):
+        for name, pos, param in inverted:
+            p = conjugate_gate(p, name, pos, param)
+        images.append(p)
+    words, index = group if group is not None else reference_clifford_group(n)
+    return words[index[_reference_tableau_key(images)]]
+
+
+def reference_make_cb(cycle, m_list, n_random, n_decays, twirl="pauli", seed=0,
+                      register=None):
+    """CB collection built cycle by cycle, with m draws of n twirl indices
+    per stream and the frame pushed through propagate_through_cycles."""
+    from cyclebench import pauli as pl
+    from cyclebench.bench import CbCircuit, CbCollection, sample_decay_terms
+    from cyclebench.circuits import Circuit, Cycle, Gate, propagate_through_cycles
+    from cyclebench.pauli import PauliString
+    from cyclebench.sim import rng_from
+
+    if register is None:
+        register = cycle.qubits
+    n = len(register)
+
+    def twirl_cycle(rng):
+        if twirl == "pauli":
+            names = [pl.LETTERS[i] for i in rng.integers(0, 4, size=n)]
+            gates = tuple(Gate(name, (register[i],)) for i, name in enumerate(names))
+        else:
+            idx = rng.integers(0, pl.c1_count(), size=n)
+            gates = tuple(Gate("C1", (register[i],), int(k)) for i, k in enumerate(idx))
+        return Cycle("easy", gates)
+
+    def basis_cycle(letters, choose):
+        return Cycle("easy", tuple(
+            Gate("C1", (register[i],), choose(c)) for i, c in enumerate(letters)
+        ))
+
+    decays = sample_decay_terms(n, n_decays, rng_from(seed, "decays"))
+    circuits = []
+    index = 0
+    for d_idx, prepared in enumerate(decays):
+        prep = basis_cycle(prepared.letters, pl.c1_preparing)
+        for m in m_list:
+            for j in range(n_random):
+                rng = rng_from(seed, "twirl", d_idx, m, j)
+                body = []
+                for _ in range(m):
+                    body.append(twirl_cycle(rng))
+                    body.append(cycle)
+                frame = propagate_through_cycles(body, prepared, register)
+                inv = basis_cycle(frame.letters, pl.c1_measuring)
+                frame = propagate_through_cycles([inv], frame, register)
+                measured = PauliString(
+                    "".join("Z" if c != "I" else "I" for c in frame.letters), frame.sign
+                )
+                circuits.append(CbCircuit(
+                    circuit=Circuit(register, tuple([prep] + body + [inv])),
+                    prepared=prepared, measured=measured, m=m, index=index,
+                ))
+                index += 1
+    return CbCollection(
+        cycle=cycle, register=tuple(register), twirl=twirl, m_list=tuple(m_list),
+        n_random=n_random, n_decays=len(decays), seed=seed, circuits=tuple(circuits),
+    )

@@ -19,6 +19,7 @@ from cyclebench.bench import (
 from cyclebench.circuits import Cycle, Gate, layout_cycles, propagate_pauli
 from cyclebench.noise import NoiseModel, depolarizing_pauli_probs
 from cyclebench.pauli import PauliString
+from cyclebench.sim import rng_from
 
 import oracles
 
@@ -90,6 +91,51 @@ class TestMakeCb:
     def test_twirl_group_name_checked(self):
         with pytest.raises(ProtocolError):
             make_cb(CNOT01, (2, 4, 6), 4, 4, twirl="clifford2")
+
+    @pytest.mark.parametrize(
+        "m_list, n_random, n_decays",
+        [((2, 10, -3), 4, 4), ((2, 4, 6), 0, 4), ((2, 4, 6), 4, 0)],
+    )
+    def test_rejects_negative_length_and_empty_counts(self, m_list, n_random, n_decays):
+        with pytest.raises(ProtocolError):
+            make_cb(CNOT01, m_list, n_random, n_decays)
+
+    def test_rejects_register_above_max_qubits(self):
+        with pytest.raises(ProtocolError):
+            make_cb(CNOT01, (2, 4, 6), 4, 4, register=tuple(range(6)))
+
+    @pytest.mark.parametrize("twirl", ["pauli", "c1"])
+    @pytest.mark.parametrize(
+        "cycle, register",
+        [
+            (CNOT01, None),
+            (Cycle("hard", (Gate("CNOT", (1, 0)),)), (0, 1, 2)),
+            (layout_cycles(2, 1), None),
+            (layout_cycles(2, 3), (6, 7, 12, 11)),
+            (Cycle("hard", (Gate("CNOT", (0, 1)), Gate("CNOT", (4, 3)))), (0, 1, 2, 3, 4)),
+            (Cycle("easy", (Gate("H", (2,)), Gate("S", (0,)))), (0, 1, 2)),
+        ],
+    )
+    def test_matches_string_reference(self, cycle, register, twirl):
+        """Circuit for circuit equal to the PauliString loop it replaced, on
+        registers of 2-5 qubits with and without spectators."""
+        for seed in (0, 1, 2):
+            args = (cycle, (0, 1, 3, 5), 3, 4)
+            got = make_cb(*args, twirl=twirl, seed=seed, register=register)
+            ref = oracles.reference_make_cb(*args, twirl=twirl, seed=seed, register=register)
+            assert got == ref
+
+    @pytest.mark.parametrize("alphabet", [4, 24])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_one_draw_per_stream_equals_per_cycle_draws(self, alphabet, n):
+        """make_cb draws a stream's twirls as one (m, n) array; the string
+        loop drew m arrays of n.  Both must read the same values."""
+        for j in range(40):
+            m = 1 + j % 23
+            whole = rng_from(j, "twirl", n, alphabet).integers(0, alphabet, size=(m, n))
+            rng = rng_from(j, "twirl", n, alphabet)
+            rows = [rng.integers(0, alphabet, size=n) for _ in range(m)]
+            assert np.array_equal(whole, np.array(rows))
 
 
 class TestExecuteCollection:
@@ -373,6 +419,12 @@ class TestRunRb:
     def test_rejects_short_m_list(self):
         with pytest.raises(ProtocolError):
             run_rb((0,), (2, 4), 4, None, shots=10)
+
+    def test_rejects_negative_length_and_no_sequences(self):
+        with pytest.raises(ProtocolError):
+            run_rb((0,), (2, 4, -1), 4, None, shots=10)
+        with pytest.raises(ProtocolError):
+            run_rb((0,), (2, 4, 8), 0, None, shots=10)
 
     def test_deterministic(self):
         noise = NoiseModel(pauli_errors={"single_qubit": {"X": 0.005}})

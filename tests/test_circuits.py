@@ -35,6 +35,9 @@ class TestTypes:
             Cycle("easy", (Gate("H", (0,)), Gate("S", (0,))))
         with pytest.raises(CircuitError):
             Cycle("soft", (Gate("H", (0,)),))
+        cyc = Cycle("hard", (Gate("CNOT", (7, 2)), Gate("CNOT", (0, 5))))
+        assert cyc.qubits == (0, 2, 5, 7)
+        assert cyc == Cycle("hard", cyc.gates)
 
     def test_circuit_register_check(self):
         cyc = Cycle("hard", (Gate("CNOT", (6, 7)),))

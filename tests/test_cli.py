@@ -67,6 +67,18 @@ class TestConfig:
         assert cfg.qcap.m_list == (2, 4, 16)
         assert cfg.schedule.epochs[0].key == (1, "morning")
 
+    @pytest.mark.parametrize(
+        "section, params",
+        [
+            ("cb", {"m_list": [2, 10, -3], "n_random": 4, "shots": 8}),
+            ("qcap", {"m_list": [2, 4, 8], "n_random": 4, "shots": 8, "n_decays": 0}),
+            ("rb", {"m_list": [2, 4, 8], "n_random": 0, "shots": 8}),
+        ],
+    )
+    def test_bad_lengths_and_counts(self, section, params):
+        with pytest.raises(ConfigError):
+            config_from_dict({"seed": 1, section: params})
+
     def test_load_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(tmp_path / "nope.yaml")
@@ -84,6 +96,18 @@ class TestCliExitCodes:
 
     def test_report_without_estimates_returns_one(self, tmp_path):
         assert main(["report", "--out", str(tmp_path)]) == 1
+
+    def test_nan_t1_returns_one(self, tmp_path, capsys):
+        cfg = base_config(str(tmp_path / "out"))
+        cfg["noise"]["t1"] = {0: float("nan")}
+        assert main(["cb", "--config", str(write_config(tmp_path, cfg))]) == 1
+        assert "T1(0)" in capsys.readouterr().err
+
+    def test_negative_length_returns_one(self, tmp_path, capsys):
+        cfg = base_config(str(tmp_path / "out"))
+        cfg["cb"]["m_list"] = [2, 10, -3]
+        assert main(["cb", "--config", str(write_config(tmp_path, cfg))]) == 1
+        assert "m_list" in capsys.readouterr().err
 
     def test_ingest_round(self, tmp_path, capsys):
         snap = tmp_path / "snap.txt"

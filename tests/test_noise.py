@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -200,6 +201,22 @@ class TestNoiseModel:
             NoiseModel(prep_flip={0: 1.5})
         with pytest.raises(NoiseModelError):
             NoiseModel(crosstalk=(CrosstalkTerm((0, 1), 1, 0.1),))
+
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [
+            ({"t1": {0: math.nan}}, "T1(0)"),
+            ({"t1": {0: math.inf}}, "T1(0)"),
+            ({"t2": {0: math.nan}}, "T2(0)"),
+            ({"pauli_errors": {"cnot": {"XX": math.nan}}}, "XX"),
+            ({"pauli_errors": {"cnot": {"XX": math.inf}}}, "XX"),
+            ({"durations": {"cnot": -300.0}}, "duration(cnot)"),
+            ({"durations": {"single_qubit": math.nan}}, "duration(single_qubit)"),
+        ],
+    )
+    def test_rejects_non_finite_and_negative_duration(self, kwargs, field):
+        with pytest.raises(NoiseModelError, match=re.escape(field)):
+            NoiseModel(**kwargs)
 
     def test_pair_specific_class_wins(self):
         model = NoiseModel(

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cyclebench import pauli as pl
+from cyclebench.circuits import Cycle, Gate, cycle_frame_table, propagate_pauli
 from cyclebench.pauli import NonCliffordGateError, PauliString, conjugate_gate
 
 import oracles
@@ -187,8 +190,114 @@ def test_clifford_inverse_word_composes_to_identity():
                     gates.append((name, tuple(pos), None))
             inv = pl.clifford_inverse_word(n, gates)
             total = gates + [(name, tuple(pos), None) for name, *pos in inv]
-            for gen in pl._generator_paulis(n):
+            for gen in oracles.reference_generator_paulis(n):
                 out = gen
                 for name, pos, param in total:
                     out = conjugate_gate(out, name, pos, param)
                 assert out == gen
+
+
+def test_clifford_group_words_match_string_reference():
+    for n in (1, 2):
+        words, _ = pl.clifford_group(n)
+        ref_words, _ = oracles.reference_clifford_group(n)
+        assert words == ref_words
+
+
+def test_clifford_inverse_word_matches_string_reference():
+    """Random sequences mixing group words with C1, SDG and Pauli gates."""
+    rng = np.random.default_rng(29)
+    extras = ("SDG", "X", "Y", "Z", "I", "H", "S")
+    for n in (1, 2):
+        group = oracles.reference_clifford_group(n)
+        size = pl.clifford_count(n)
+        for _ in range(40):
+            gates = []
+            for _ in range(int(rng.integers(0, 7))):
+                roll = rng.random()
+                q = int(rng.integers(0, n))
+                if roll < 0.3:
+                    gates.append(("C1", (q,), int(rng.integers(0, 24))))
+                elif roll < 0.6:
+                    gates.append((str(rng.choice(extras)), (q,), None))
+                else:
+                    word = pl.clifford_word(n, int(rng.integers(0, size)))
+                    gates.extend((name, tuple(pos), None) for name, *pos in word)
+            assert pl.clifford_inverse_word(n, gates) == oracles.reference_clifford_inverse_word(
+                n, gates, group
+            )
+
+
+def test_pauli_index_follows_letter_order():
+    for n in (1, 2, 3):
+        letters = pl.all_pauli_letters(n, include_identity=True)
+        assert [pl.pauli_index(s) for s in letters] == list(range(4**n))
+        assert [pl.pauli_letters(i, n) for i in range(4**n)] == letters
+    assert not pl.index_letters(2).flags.writeable
+    assert not pl.gate_table("CNOT", (0, 1), 2).image.flags.writeable
+
+
+def test_gate_table_rejects_non_clifford():
+    with pytest.raises(NonCliffordGateError):
+        pl.gate_table("RZ", (0,), 1, 0.3)
+
+
+_SINGLES = ("I", "X", "Y", "Z", "H", "S", "SDG", "C1")
+
+
+@st.composite
+def clifford_cycles(draw):
+    """A register of 2-5 labels and a few random hard (CNOT pairing) and
+    easy (C1/H/S/SDG/Pauli) cycles on it."""
+    n = draw(st.integers(2, 5))
+    register = tuple(draw(st.permutations(range(10, 10 + n))))
+    cycles = []
+    for _ in range(draw(st.integers(1, 4))):
+        order = draw(st.permutations(register))
+        if draw(st.booleans()):
+            pairs = draw(st.integers(1, n // 2))
+            gates = tuple(Gate("CNOT", (order[2 * i], order[2 * i + 1])) for i in range(pairs))
+            cycles.append(Cycle("hard", gates))
+        else:
+            gates = []
+            for q in order[: draw(st.integers(1, n))]:
+                name = draw(st.sampled_from(_SINGLES))
+                param = draw(st.integers(0, 23)) if name == "C1" else None
+                gates.append(Gate(name, (q,), param))
+            cycles.append(Cycle("easy", tuple(gates)))
+    return register, cycles
+
+
+@settings(max_examples=40, deadline=None)
+@given(clifford_cycles())
+def test_frame_tables_match_propagation(case):
+    """Per cycle and composed: every index's image and sign equals
+    propagate_pauli, and for n <= 3 the dense U P U^dagger."""
+    register, cycles = case
+    n = len(register)
+    tables = [cycle_frame_table(c, register) for c in cycles]
+    total = tables[0]
+    for t in tables[1:]:
+        total = total.then(t)
+    dense = None
+    if n <= 3:
+        dense = np.eye(2**n, dtype=complex)
+        for cyc in cycles:
+            for g in cyc.gates:
+                pos = tuple(register.index(q) for q in g.qubits)
+                dense = dense_gate(g.name, pos, n, g.param) @ dense
+    for i, letters in enumerate(pl.all_pauli_letters(n, include_identity=True)):
+        p = PauliString(letters)
+        for cyc, table in zip(cycles, tables):
+            out = propagate_pauli(cyc, p, register)
+            assert (pl.pauli_letters(int(table.image[i]), n), int(table.sign[i])) == (
+                out.letters, out.sign
+            )
+        out = p
+        for cyc in cycles:
+            out = propagate_pauli(cyc, out, register)
+        got = PauliString(pl.pauli_letters(int(total.image[i]), n), int(total.sign[i]))
+        assert got == out
+        if dense is not None:
+            expected = dense @ p.to_matrix() @ dense.conj().T
+            assert np.allclose(got.to_matrix(), expected, atol=1e-12)
