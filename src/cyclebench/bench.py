@@ -277,13 +277,13 @@ def execute_collection(
     if shots is not None and shots < 1:
         raise ProtocolError("shots must be >= 1")
     executor = Executor(coll.register, noise)
-    points = []
-    for cc in coll.circuits:
-        state = executor.run(cc.circuit)
+    points = [None] * len(coll.circuits)
+    for i, state in executor.run_many([cc.circuit for cc in coll.circuits]):
+        cc = coll.circuits[i]
         x, err = executor.measured_expectation(
             state, cc.measured, shots, rng_from(coll.seed, "exec", cc.index)
         )
-        points.append(DecayPoint(cc.prepared.letters, cc.m, cc.index, x, err))
+        points[i] = DecayPoint(cc.prepared.letters, cc.m, cc.index, x, err)
     return points
 
 

@@ -141,13 +141,26 @@ def gate_matrix(gate: Gate) -> np.ndarray:
     return _FIXED_MATS[gate.name]
 
 
-@functools.lru_cache(maxsize=8192)
+@functools.lru_cache(maxsize=1024)
+def _embedded_gate(gate: Gate, positions: tuple[int, ...], n: int) -> np.ndarray:
+    """One gate embedded into the 2^n space; shared, never modified."""
+    return embed_operator(gate_matrix(gate), positions, n)
+
+
+@functools.lru_cache(maxsize=None)
+def _identity(n: int) -> np.ndarray:
+    eye = np.eye(2**n, dtype=complex)
+    eye.setflags(write=False)
+    return eye
+
+
+@functools.lru_cache(maxsize=1024)
 def _cycle_unitary_cached(gates: tuple[Gate, ...], register: tuple[int, ...]) -> np.ndarray:
     n = len(register)
-    full = np.eye(2**n, dtype=complex)
+    full = _identity(n)
     for g in gates:
         pos = tuple(register.index(q) for q in g.qubits)
-        full = embed_operator(gate_matrix(g), pos, n) @ full
+        full = _embedded_gate(g, pos, n) @ full
     return full
 
 
@@ -218,6 +231,10 @@ class TfimParams:
     def __post_init__(self):
         if self.sites < 2:
             raise CircuitError("need at least two sites")
+        for name in ("coupling", "field", "dt"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise CircuitError(f"tfim {name} = {value} must be finite")
         if self.dt < 0:
             raise CircuitError("dt must be non-negative")
         if self.steps < 0:

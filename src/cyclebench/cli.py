@@ -51,7 +51,7 @@ from .ingest import (
     write_fits,
 )
 from .noise import (
-    EPOCH_LABELS,
+    LABEL_ORDER,
     DriftEpoch,
     DriftSchedule,
     DriftScheduleError,
@@ -65,9 +65,6 @@ from .sim import rng_from
 
 class ConfigError(ValueError):
     pass
-
-
-_LABEL_ORDER = {label: i for i, label in enumerate(EPOCH_LABELS)}
 
 
 @dataclass(frozen=True)
@@ -524,7 +521,7 @@ def cmd_report(out: Path, k: float) -> int:
         if not sub.is_dir() or not sub.name.startswith("day"):
             continue
         day_part, _, label = sub.name.partition("_")
-        if label not in _LABEL_ORDER:
+        if label not in LABEL_ORDER:
             continue
         est_path = sub / "estimates.csv"
         if est_path.exists():
@@ -532,7 +529,7 @@ def cmd_report(out: Path, k: float) -> int:
     if not found:
         print(f"no epoch estimate files under {out}", file=sys.stderr)
         return 1
-    found.sort(key=lambda item: (item[0][0], _LABEL_ORDER[item[0][1]]))
+    found.sort(key=lambda item: (item[0][0], LABEL_ORDER[item[0][1]]))
     rows = drift_verdicts(found, k=k)
     for line in _verdict_lines(rows):
         print(line)

@@ -10,12 +10,16 @@ statevector path.
 Per cycle the engine applies: the ideal cycle unitary, then coherent CNOT
 rotations, then crosstalk rotations (hard cycles only), then the stochastic
 Pauli channel of each gate, then damping (gate qubits for the gate's
-duration, idle qubits for the cycle duration).
+duration, idle qubits for the cycle duration).  Everything after the ideal
+unitary is one op list per cycle structure (``Executor._tail``), read both by
+``Executor.run`` and by ``Executor.run_many``, which advances stacks of
+equally long circuits together with bit-identical results.
 """
 
 from __future__ import annotations
 
 import functools
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -34,6 +38,10 @@ from .sim import (
     rng_from,
     sample_counts,
 )
+
+# Circuits per stack in ``Executor.run_many``.  It bounds the transient
+# memory: a stack of 256 five-qubit density matrices is 4 MiB.
+CHUNK = 256
 
 
 class Executor:
@@ -54,6 +62,7 @@ class Executor:
             noise is not None and noise.introduces_channels(self.register)
         )
         self._superops: dict = {}
+        self._tails: dict = {}
         self._embedded_unitary: dict = {}
         self._damping: dict = {}
         self._pauli_chans: dict = {}
@@ -162,15 +171,39 @@ class Executor:
         return tuple(self.register.index(q) for q in qubits)
 
     def _run_cycle(self, state, cyc: Cycle):
-        noise = self.noise
         ideal = cycle_unitary(cyc, self.register)
         if state.ndim == 1:
             state = ideal @ state
         else:
             state = ideal @ state @ ideal.conj().T
-        if noise is None:
-            return state
+        for kind, key, op, positions in self._tail(cyc):
+            if kind == "kraus":
+                state = self._apply_kraus(self._as_density(state), key, op, positions)
+            else:
+                state = self._apply_unitary(state, key, op, positions)
+        return state
 
+    def _tail(self, cyc: Cycle) -> tuple:
+        """The noise ops that follow ``cyc``'s ideal unitary, in order.
+
+        Each op is ``(kind, key, matrix or channel, positions)`` with kind
+        ``"unitary"`` or ``"kraus"``.  The tail depends only on the cycle kind
+        and on each gate's (is-CNOT, qubits); the kind fixes is-CNOT (hard
+        cycles hold only CNOTs, easy ones none), so tails are interned by
+        kind and gate qubits: twirl draws that differ only in their
+        single-qubit gates share one tail.
+        """
+        if self.noise is None:
+            return ()
+        key = (cyc.kind, tuple(g.qubits for g in cyc.gates))
+        tail = self._tails.get(key)
+        if tail is None:
+            tail = self._tails[key] = self._build_tail(cyc)
+        return tail
+
+    def _build_tail(self, cyc: Cycle) -> tuple:
+        noise = self.noise
+        ops = []
         # coherent over-rotation riding on each CNOT
         for g in cyc.gates:
             if g.name != "CNOT":
@@ -178,31 +211,29 @@ class Executor:
             rot = noise.rotation_for_pair(g.qubits)
             if rot is not None and rot[1] != 0.0:
                 axis, angle = rot
-                state = self._apply_unitary(
-                    state,
-                    ("rot", axis, angle),
-                    self._rotation(axis, angle),
+                ops.append((
+                    "unitary", ("rot", axis, angle), self._rotation(axis, angle),
                     self._positions(g.qubits),
-                )
+                ))
 
         # spectator crosstalk during hard cycles
         if cyc.kind == "hard":
             fired = {frozenset(p) for p in cyc.cnot_pairs()}
             for term in noise.crosstalk:
                 if frozenset(term.pair) in fired and term.spectator in self.register:
-                    pos = self._positions((term.pair[0], term.spectator))
-                    state = self._apply_unitary(
-                        state, ("xt", term.angle), self._rotation("ZZ", term.angle), pos
-                    )
+                    ops.append((
+                        "unitary", ("xt", term.angle), self._rotation("ZZ", term.angle),
+                        self._positions((term.pair[0], term.spectator)),
+                    ))
 
         # stochastic Pauli errors per gate
         for g in cyc.gates:
             pair = g.qubits if g.name == "CNOT" else None
             chan = self._pauli_channel_for(g.gate_class, pair)
             if chan is not None:
-                key = ("pauli", g.gate_class, pair)
-                state = self._as_density(state)
-                state = self._apply_kraus(state, key, chan, self._positions(g.qubits))
+                ops.append((
+                    "kraus", ("pauli", g.gate_class, pair), chan, self._positions(g.qubits)
+                ))
 
         # damping: gate qubits for the gate duration, idle for the cycle
         cycle_dur = max((noise.duration(g.gate_class) for g in cyc.gates), default=0.0)
@@ -214,8 +245,85 @@ class Executor:
             dur = busy.get(q, cycle_dur)
             chan = self._damping_channel(q, dur)
             if chan is not None:
-                state = self._as_density(state)
-                state = self._apply_kraus(state, ("damp", q, dur), chan, (i,))
+                ops.append(("kraus", ("damp", q, dur), chan, (i,)))
+        return tuple(ops)
+
+    # -- batched execution -------------------------------------------------
+
+    def run_many(self, circuits: Sequence[Circuit]) -> Iterator[tuple[int, State]]:
+        """Run many circuits from |0...0>, yielding ``(index, final state)``.
+
+        Circuits with the same cycle count advance together, at most
+        ``CHUNK`` at a time, as one stack per layer.  Every op of ``run`` is
+        applied in the same order, and every circuit still gets its own BLAS
+        call of the same shape (numpy's stacked ``matmul``), so each state is
+        bit-identical to ``run(circuits[index])`` whatever the chunk size.
+        Pairs come grouped by cycle count, not in index order.
+        """
+        groups: dict[int, list[int]] = {}
+        for i, circuit in enumerate(circuits):
+            if tuple(circuit.qubits) != self.register:
+                raise SimulationError(
+                    f"circuit register {circuit.qubits} does not match executor register"
+                )
+            groups.setdefault(len(circuit.cycles), []).append(i)
+        wrap = DensityMatrix if self.use_density else StateVector
+        for members in groups.values():
+            for lo in range(0, len(members), CHUNK):
+                part = members[lo:lo + CHUNK]
+                stack = self._run_stack([circuits[i] for i in part])
+                for i, state in zip(part, stack):
+                    yield i, wrap(state)
+
+    def _run_stack(self, circuits: list[Circuit]) -> np.ndarray:
+        """Final states of equally long circuits: (b, d, d) densities, or
+        (b, d) amplitudes when the model introduces no channel (then no tail
+        holds a Kraus op, so the stack never needs promoting)."""
+        dim = 2**self.n
+        state = np.zeros((len(circuits), dim, dim if self.use_density else 1), dtype=complex)
+        state[:, 0, 0] = 1.0
+        prep = tuple(("kraus", ("prep", pos), chan, (pos,)) for pos, chan in self._prep_flips)
+        state = self._apply_tail(state, prep)
+        for layer in zip(*(c.cycles for c in circuits)):
+            state = self._apply_layer(state, layer)
+        return state if self.use_density else state[..., 0]
+
+    def _apply_layer(self, state: np.ndarray, layer: tuple[Cycle, ...]) -> np.ndarray:
+        """One cycle per circuit: ideal unitaries, then each circuit's tail."""
+        # distinct cycle objects, first seen first (CB collections intern them)
+        index: dict[int, int] = {}
+        slot = [index.setdefault(id(c), len(index)) for c in layer]
+        cycles = list({id(c): c for c in layer}.values())
+        if len(cycles) == 1:
+            u = cycle_unitary(cycles[0], self.register)
+        else:
+            u = np.stack([cycle_unitary(c, self.register) for c in cycles])[slot]
+        state = np.matmul(u, state)
+        if self.use_density:
+            state = np.matmul(state, u.conj().swapaxes(-1, -2))
+
+        tails = [self._tail(c) for c in cycles]
+        if all(t is tails[0] for t in tails):
+            return self._apply_tail(state, tails[0])
+        owner = np.array([id(tails[k]) for k in slot])
+        for tail in {id(t): t for t in tails}.values():
+            if tail:
+                sel = np.flatnonzero(owner == id(tail))
+                state[sel] = self._apply_tail(state[sel], tail)
+        return state
+
+    def _apply_tail(self, state: np.ndarray, tail: tuple) -> np.ndarray:
+        """A tail's ops on a stack, with the shared embedded matrices."""
+        for kind, key, op, positions in tail:
+            if kind == "kraus":
+                b, dim = state.shape[:2]
+                s = self._superop(key, op, positions)
+                state = np.matmul(s, state.reshape(b, dim * dim, 1)).reshape(b, dim, dim)
+            else:
+                full = self._unitary_full(key, op, positions)
+                state = np.matmul(full, state)
+                if self.use_density:
+                    state = np.matmul(state, full.conj().T)
         return state
 
     def _as_density(self, state):

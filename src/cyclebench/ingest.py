@@ -309,46 +309,3 @@ def read_estimates(path):
             )
         )
     return out
-
-
-_WRITERS = {
-    tuple(DECAY_HEADER): write_decays,
-    tuple(FIT_HEADER): write_fits,
-    tuple(CURVE_HEADER): write_curves,
-}
-
-
-def write_results(path, records) -> None:
-    """Persist a homogeneous record list, dispatching on the record type."""
-    records = list(records)
-    if not records:
-        raise SchemaError("write_results needs at least one record; "
-                          "use the typed writers for empty tables")
-    first = records[0]
-    if isinstance(first, DecayPoint):
-        write_decays(path, records)
-    elif isinstance(first, DecayFit):
-        write_fits(path, records)
-    elif isinstance(first, QcapCurve):
-        write_curves(path, records)
-    else:
-        raise SchemaError(f"unsupported record type {type(first).__name__}")
-
-
-def read_results(path):
-    """Load a result CSV, dispatching on its header."""
-    with open(path, newline="") as fh:
-        try:
-            header = next(csv.reader(fh))
-        except StopIteration:
-            raise SchemaError(f"{path}: empty file") from None
-    key = tuple(header)
-    if key == tuple(DECAY_HEADER):
-        return read_decays(path)
-    if key == tuple(FIT_HEADER):
-        return read_fits(path)
-    if key == tuple(CURVE_HEADER):
-        return read_curves(path)
-    if key == tuple(ESTIMATE_HEADER):
-        return read_estimates(path)
-    raise SchemaError(f"{path}: unrecognised header {header}")

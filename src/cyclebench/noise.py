@@ -29,6 +29,8 @@ CNOT = "cnot"
 DEFAULT_DURATIONS = {SINGLE_QUBIT: 50.0, CNOT: 300.0}  # ns; not hardware-derived
 
 EPOCH_LABELS = ("morning", "afternoon", "night")
+# position of each label within a day, for ordering epochs
+LABEL_ORDER = {label: i for i, label in enumerate(EPOCH_LABELS)}
 
 
 class NoiseModelError(ValueError):
@@ -204,7 +206,7 @@ class NoiseModel:
                 raise NoiseModelError(f"T2({q}) = {t} exceeds 2*T1 = {limit}")
         for q, mat in self.readout.items():
             m = np.asarray(mat, dtype=float)
-            if m.shape != (2, 2) or np.any(m < 0):
+            if m.shape != (2, 2) or not np.all(m >= 0):  # NaN fails m >= 0
                 raise NoiseModelError(f"readout({q}) is not a 2x2 stochastic matrix")
             if np.any(np.abs(m.sum(axis=1) - 1.0) > 1e-12):
                 raise NoiseModelError(f"readout({q}) rows do not sum to 1")
@@ -225,9 +227,16 @@ class NoiseModel:
         for q, p in self.prep_flip.items():
             if not 0 <= p <= 1:
                 raise NoiseModelError(f"prep flip({q}) = {p} outside [0, 1]")
+        for key, (_, angle) in self.cnot_rotation.items():
+            if not math.isfinite(angle):
+                raise NoiseModelError(f"cnot_rotation({key}) angle = {angle} must be finite")
         for term in self.crosstalk:
             if term.spectator in term.pair:
                 raise NoiseModelError("crosstalk spectator coincides with active pair")
+            if not math.isfinite(term.angle):
+                raise NoiseModelError(
+                    f"crosstalk({term.pair}, {term.spectator}) angle = {term.angle} must be finite"
+                )
 
     # -- lookups used by the engine -------------------------------------
 
@@ -321,8 +330,6 @@ class NoiseModel:
 # ---------------------------------------------------------------------------
 # Drift schedule
 
-_LABEL_ORDER = {label: i for i, label in enumerate(EPOCH_LABELS)}
-
 # Walk scales: multiplicative log-normal for times, additive for the rest,
 # clipped back to physical ranges afterwards.
 _LOG_WALK_PARAMS = ("t1", "t2")
@@ -340,7 +347,7 @@ class DriftEpoch:
     overrides: Mapping = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.label not in _LABEL_ORDER:
+        if self.label not in LABEL_ORDER:
             raise DriftScheduleError(f"unknown epoch label {self.label!r}")
         object.__setattr__(self, "overrides", dict(self.overrides))
 
@@ -360,7 +367,7 @@ class DriftSchedule:
     def __post_init__(self):
         object.__setattr__(self, "epochs", tuple(self.epochs))
         object.__setattr__(self, "walk", _freeze(self.walk))
-        order = [(e.day, _LABEL_ORDER[e.label]) for e in self.epochs]
+        order = [(e.day, LABEL_ORDER[e.label]) for e in self.epochs]
         if any(b <= a for a, b in zip(order, order[1:])):
             raise DriftScheduleError("epochs must be strictly time ordered")
         for name in self.walk:

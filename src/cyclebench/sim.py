@@ -255,7 +255,9 @@ def expectation_pauli(state: State, pauli: PauliString) -> float:
 
 def _validate_confusion(mat: np.ndarray) -> np.ndarray:
     mat = np.asarray(mat, dtype=float)
-    if mat.shape != (2, 2) or np.any(mat < 0) or np.any(np.abs(mat.sum(axis=1) - 1) > 1e-12):
+    # written so that NaN entries fail every test
+    if (mat.shape != (2, 2) or not np.all(mat >= 0)
+            or not np.all(np.abs(mat.sum(axis=1) - 1) <= 1e-12)):
         raise SimulationError("confusion matrix rows must be probability distributions")
     return mat
 

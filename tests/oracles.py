@@ -270,3 +270,21 @@ def reference_make_cb(cycle, m_list, n_random, n_decays, twirl="pauli", seed=0,
         cycle=cycle, register=tuple(register), twirl=twirl, m_list=tuple(m_list),
         n_random=n_random, n_decays=len(decays), seed=seed, circuits=tuple(circuits),
     )
+
+
+def reference_execute_collection(coll, noise, shots):
+    """CB collection executed one circuit at a time through Executor.run,
+    each measured with its own (seed, "exec", index) stream."""
+    from cyclebench.bench import DecayPoint
+    from cyclebench.engine import Executor
+    from cyclebench.sim import rng_from
+
+    executor = Executor(coll.register, noise)
+    points = []
+    for cc in coll.circuits:
+        state = executor.run(cc.circuit)
+        x, err = executor.measured_expectation(
+            state, cc.measured, shots, rng_from(coll.seed, "exec", cc.index)
+        )
+        points.append(DecayPoint(cc.prepared.letters, cc.m, cc.index, x, err))
+    return points

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -82,6 +84,14 @@ PAPER_PARAMS = dict(sites=4, coupling=0.02, field=1.0, dt=10.0)
 
 
 class TestTfimStep:
+    @pytest.mark.parametrize(
+        "name, value",
+        [("coupling", math.inf), ("field", math.nan), ("dt", math.nan), ("dt", math.inf)],
+    )
+    def test_rejects_non_finite_params(self, name, value):
+        with pytest.raises(CircuitError, match=f"tfim {name}"):
+            TfimParams(**{name: value})
+
     def test_zero_dt_is_identity_up_to_phase(self):
         step = build_tfim_step("circuit1", TfimParams(**{**PAPER_PARAMS, "dt": 0.0}, steps=0))
         assert equal_up_to_phase(circuit_unitary(step), np.eye(16), 1e-9)

@@ -103,6 +103,12 @@ class TestCliExitCodes:
         assert main(["cb", "--config", str(write_config(tmp_path, cfg))]) == 1
         assert "T1(0)" in capsys.readouterr().err
 
+    def test_nan_rotation_angle_returns_one(self, tmp_path, capsys):
+        cfg = base_config(str(tmp_path / "out"))
+        cfg["noise"]["cnot_rotation"] = {"*": ["ZZ", float("nan")]}
+        assert main(["cb", "--config", str(write_config(tmp_path, cfg))]) == 1
+        assert "cnot_rotation(*)" in capsys.readouterr().err
+
     def test_negative_length_returns_one(self, tmp_path, capsys):
         cfg = base_config(str(tmp_path / "out"))
         cfg["cb"]["m_list"] = [2, 10, -3]

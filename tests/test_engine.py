@@ -1,9 +1,18 @@
+import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cyclebench.bench import TWIRL_GROUPS, execute_collection, make_cb
 from cyclebench.circuits import Circuit, Cycle, Gate
+from cyclebench import engine
 from cyclebench.engine import Executor, run_circuit
 from cyclebench.noise import CrosstalkTerm, NoiseModel, confusion_from_scalar
 from cyclebench.pauli import PauliString
@@ -252,3 +261,242 @@ class TestInitialStates:
         out = Executor((0, 1)).run(cnot_circuit(), initial=init)
         assert isinstance(out, DensityMatrix)
         assert out.entries[0b11, 0b11].real == pytest.approx(1.0)
+
+
+# ---------------------------------------------------------------------------
+# Batched execution: every state bit-identical to Executor.run
+
+PAIR_LETTERS = ("XX", "IZ", "ZZ", "XY", "YI", "ZX")
+
+
+def _final(state):
+    return state.entries if isinstance(state, DensityMatrix) else state.amplitudes
+
+
+@st.composite
+def cb_cases(draw):
+    """A random CB collection (1-5 qubits, spectators, m = 0 allowed) and a
+    random noise model on its register, or no model at all."""
+    n = draw(st.integers(1, 5))
+    register = tuple(draw(st.permutations(range(n + 2)))[:n])
+    order = draw(st.permutations(register))
+    n_cnots = draw(st.integers(min(1, n // 2), n // 2))
+    pairs = [(order[2 * i], order[2 * i + 1]) for i in range(n_cnots)]
+    cycle = Cycle("hard", tuple(Gate("CNOT", p) for p in pairs))
+    m_list = tuple(sorted(draw(st.sets(st.integers(0, 4), min_size=3, max_size=3))))
+    coll = make_cb(
+        cycle, m_list,
+        n_random=draw(st.integers(1, 3)),
+        n_decays=draw(st.integers(1, 3)),
+        twirl=draw(st.sampled_from(TWIRL_GROUPS)),
+        seed=draw(st.integers(0, 2**16)),
+        register=register,
+    )
+    if draw(st.booleans()):
+        return coll, None
+
+    # density runs stay at <= 4 qubits: a 5-qubit superop is 16 MiB
+    dense = n <= 4
+    prob = st.floats(0.0, 0.05)
+    kw: dict = {}
+    if draw(st.booleans()):
+        errors: dict = {}
+        if dense and pairs and draw(st.booleans()):
+            errors["cnot"] = {draw(st.sampled_from(PAIR_LETTERS)): draw(prob)}
+        if dense and pairs and draw(st.booleans()):
+            a, b = draw(st.sampled_from(pairs))
+            errors[f"cnot:{a}-{b}"] = {draw(st.sampled_from(PAIR_LETTERS)): draw(prob)}
+        if dense and draw(st.booleans()):
+            errors["single_qubit"] = {draw(st.sampled_from("XYZ")): draw(prob)}
+        kw["pauli_errors"] = errors
+    if dense and draw(st.booleans()):
+        qubits = draw(st.lists(st.sampled_from(register), unique=True))
+        kw["t1"] = {q: draw(st.floats(20.0, 200.0)) for q in qubits}
+        kw["t2"] = {
+            q: draw(st.floats(10.0, 2 * kw["t1"][q]))
+            for q in qubits if draw(st.booleans())
+        }
+        kw["durations"] = {
+            "single_qubit": draw(st.floats(0.0, 100.0)),
+            "cnot": draw(st.floats(0.0, 500.0)),
+        }
+    if draw(st.booleans()):
+        kw["readout"] = {
+            q: confusion_from_scalar(draw(st.floats(0.0, 0.1)))
+            for q in draw(st.lists(st.sampled_from(register), unique=True))
+        }
+    if dense and draw(st.booleans()):
+        kw["prep_flip"] = {draw(st.sampled_from(register)): draw(prob)}
+    if pairs and draw(st.booleans()):
+        kw["cnot_rotation"] = {
+            "*": (draw(st.sampled_from(("ZZ", "XI", "XY"))), draw(st.floats(-0.3, 0.3)))
+        }
+    if pairs and n >= 3 and draw(st.booleans()):
+        a, b = pairs[0]
+        spectator = draw(st.sampled_from([q for q in register if q not in (a, b)]))
+        kw["crosstalk"] = (CrosstalkTerm((a, b), spectator, draw(st.floats(-0.5, 0.5))),)
+    return coll, NoiseModel(**kw)
+
+
+class TestBatchedExecution:
+    @settings(max_examples=40, deadline=None)
+    @given(cb_cases())
+    def test_states_and_points_match_reference(self, case):
+        coll, noise = case
+        circuits = [cc.circuit for cc in coll.circuits]
+        ex = Executor(coll.register, noise)
+        reference = [ex.run(c) for c in circuits]
+        for chunk in (1, 7, engine.CHUNK):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(engine, "CHUNK", chunk)
+                seen = []
+                for i, state in ex.run_many(circuits):
+                    assert type(state) is type(reference[i])
+                    assert np.array_equal(_final(state), _final(reference[i]))
+                    seen.append(i)
+            assert sorted(seen) == list(range(len(circuits)))
+        for shots in (None, 64):
+            assert execute_collection(coll, noise, shots) == (
+                oracles.reference_execute_collection(coll, noise, shots)
+            )
+
+    def test_uninterned_cycles_and_mixed_lengths(self, monkeypatch):
+        """Cycles that are equal but distinct objects, and circuits of
+        different lengths in one call."""
+        noise = NoiseModel(
+            t1={6: 50.0, 7: 70.0}, t2={6: 60.0},
+            pauli_errors={"cnot": {"XZ": 0.03}, "single_qubit": {"Y": 0.01}},
+            cnot_rotation={"*": ("ZZ", 0.1)},
+            crosstalk=(CrosstalkTerm((6, 7), 11, 0.2),),
+            prep_flip={7: 0.02},
+        )
+        coll = oracles.reference_make_cb(
+            Cycle("hard", (Gate("CNOT", (6, 7)),)), (0, 1, 3), 3, 3, "c1", seed=4,
+            register=(11, 6, 7),
+        )
+        circuits = [cc.circuit for cc in coll.circuits]
+        ex = Executor(coll.register, noise)
+        monkeypatch.setattr(engine, "CHUNK", 5)
+        got = dict(ex.run_many(circuits))
+        for i, c in enumerate(circuits):
+            assert np.array_equal(got[i].entries, ex.run(c).entries)
+
+    @pytest.mark.parametrize(
+        "noise",
+        [
+            # easy cycles get an empty tail here
+            NoiseModel(
+                pauli_errors={"cnot": {"XX": 0.04}, "cnot:1-2": {"ZI": 0.02}},
+                cnot_rotation={"*": ("ZZ", 0.2)},
+                crosstalk=(CrosstalkTerm((0, 1), 2, 0.3),),
+            ),
+            NoiseModel(
+                t1={0: 40.0, 2: 80.0}, t2={0: 50.0},
+                pauli_errors={"single_qubit": {"X": 0.01}, "cnot": {"IY": 0.03}},
+                readout={1: confusion_from_scalar(0.03)},
+            ),
+        ],
+    )
+    def test_different_tails_in_one_layer(self, noise, monkeypatch):
+        """Equally long circuits whose cycles at one layer differ in kind
+        and gate qubits, so one stack splits across several tails."""
+        pool = [
+            Cycle("easy", (Gate("H", (0,)),)),
+            Cycle("easy", (Gate("X", (1,)), Gate("S", (2,)))),
+            Cycle("easy", tuple(Gate("C1", (q,), 3 * q + 1) for q in (0, 1, 2))),
+            Cycle("hard", (Gate("CNOT", (0, 1)),)),
+            Cycle("hard", (Gate("CNOT", (1, 2)),)),
+            Cycle("hard", (Gate("CNOT", (2, 0)),)),
+        ]
+        rng = np.random.default_rng(5)
+        circuits = [
+            Circuit((0, 1, 2), tuple(pool[k] for k in rng.integers(0, len(pool), 5)))
+            for _ in range(40)
+        ]
+        ex = Executor((0, 1, 2), noise)
+        monkeypatch.setattr(engine, "CHUNK", 16)
+        got = dict(ex.run_many(circuits))
+        for i, c in enumerate(circuits):
+            assert np.array_equal(_final(got[i]), _final(ex.run(c)))
+
+    def test_run_cycle_and_batched_path_read_the_same_tail(self, monkeypatch):
+        """Changing the one tail list changes both paths alike."""
+        noise = NoiseModel(pauli_errors={"cnot": {"XX": 0.05}}, t1={0: 40.0})
+        coll = make_cb(Cycle("hard", (Gate("CNOT", (0, 1)),)), (0, 1, 2), 2, 2, seed=1)
+        circuits = [cc.circuit for cc in coll.circuits]
+        before = [Executor((0, 1), noise).run(c).entries for c in circuits]
+
+        ry = np.array([[math.cos(0.3), -math.sin(0.3)], [math.sin(0.3), math.cos(0.3)]])
+        extra = ("unitary", ("test-extra",), ry.astype(complex), (1,))
+        original = Executor._tail
+        monkeypatch.setattr(Executor, "_tail", lambda self, cyc: original(self, cyc) + (extra,))
+        ex = Executor((0, 1), noise)
+        batched = dict(ex.run_many(circuits))
+        changed = 0
+        for i, c in enumerate(circuits):
+            ref = ex.run(c).entries
+            assert np.array_equal(batched[i].entries, ref)
+            changed += not np.allclose(ref, before[i])
+        assert changed >= len(circuits) // 2
+
+    def test_tails_are_interned_by_structure(self):
+        noise = NoiseModel(pauli_errors={"cnot": {"XX": 0.05}, "single_qubit": {"Z": 0.01}})
+        ex = Executor((0, 1), noise)
+        a = Cycle("easy", (Gate("X", (0,)), Gate("H", (1,))))
+        b = Cycle("easy", (Gate("C1", (0,), 5), Gate("S", (1,))))
+        assert ex._tail(a) is ex._tail(b)
+        assert ex._tail(Cycle("hard", (Gate("CNOT", (0, 1)),))) is not ex._tail(a)
+
+
+_THREAD_SCRIPT = """
+import hashlib, sys
+from cyclebench.bench import execute_collection
+import test_engine
+for coll, noise in test_engine.thread_probe_cases():
+    print(hashlib.sha256(repr(execute_collection(coll, noise, 128)).encode()).hexdigest())
+"""
+
+
+def thread_probe_cases():
+    """A 2-qubit depolarizing and a 4-qubit README-noise collection."""
+    from cyclebench.circuits import layout_cycles
+    from cyclebench.noise import depolarizing_pauli_probs
+
+    readme = NoiseModel(
+        t1={6: 67.1, 7: 94.8, 12: 97.5, 11: 95.1},
+        t2={6: 99.9, 7: 86.8, 12: 88.5, 11: 71.6},
+        readout={q: confusion_from_scalar(e) for q, e in {6: 0.0254, 11: 0.0355}.items()},
+        pauli_errors={
+            "cnot": {"IX": 0.003, "XI": 0.003, "ZZ": 0.004},
+            "cnot:7-12": {"ZZ": 0.02},
+            "single_qubit": {"X": 0.0002},
+        },
+        cnot_rotation={"*": ("ZZ", 0.05)},
+        crosstalk=(CrosstalkTerm((6, 7), 12, 0.08),),
+        prep_flip={6: 0.01},
+    )
+    return [
+        (make_cb(layout_cycles(1, 2), (2, 10, 22), 8, 16, seed=3),
+         NoiseModel(pauli_errors={"cnot": depolarizing_pauli_probs(0.02, 2)})),
+        (make_cb(layout_cycles(2, 1), (0, 2, 6), 4, 4, seed=5), readme),
+    ]
+
+
+def test_batched_points_do_not_depend_on_blas_threads():
+    expected = [
+        hashlib.sha256(
+            repr(oracles.reference_execute_collection(coll, noise, 128)).encode()
+        ).hexdigest()
+        for coll, noise in thread_probe_cases()
+    ]
+    here = Path(__file__).parent
+    env = {
+        **os.environ,
+        "OPENBLAS_NUM_THREADS": "1",
+        "PYTHONPATH": os.pathsep.join([str(here.parent / "src"), str(here)]),
+    }
+    out = subprocess.run(
+        [sys.executable, "-c", _THREAD_SCRIPT], env=env, capture_output=True, text=True,
+        check=True,
+    )
+    assert out.stdout.split() == expected

@@ -9,12 +9,10 @@ from cyclebench.ingest import (
     read_decays,
     read_estimates,
     read_fits,
-    read_results,
     write_curves,
     write_decays,
     write_estimates,
     write_fits,
-    write_results,
 )
 from cyclebench.qcap import QcapCurve
 
@@ -149,20 +147,11 @@ class TestRoundTrips:
 
 
 class TestDispatch:
-    def test_write_read_results(self, tmp_path):
-        path = tmp_path / "table.csv"
-        points = [DecayPoint("XX", 2, 0, 0.9, 0.01)]
-        write_results(path, points)
-        assert read_results(path) == points
-        fits = [DecayFit("XX", 1.0, 0.97, 0.001)]
-        write_results(path, fits)
-        assert read_results(path) == fits
-
     def test_header_mismatch(self, tmp_path):
         path = tmp_path / "table.csv"
         path.write_text("alpha,beta\n1,2\n")
         with pytest.raises(SchemaError):
-            read_results(path)
+            read_decays(path)
         with pytest.raises(SchemaError):
             read_fits(path)
 
@@ -170,10 +159,4 @@ class TestDispatch:
         path = tmp_path / "table.csv"
         path.write_text("")
         with pytest.raises(SchemaError):
-            read_results(path)
-
-    def test_write_results_needs_known_type(self, tmp_path):
-        with pytest.raises(SchemaError):
-            write_results(tmp_path / "x.csv", [object()])
-        with pytest.raises(SchemaError):
-            write_results(tmp_path / "x.csv", [])
+            read_decays(path)

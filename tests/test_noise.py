@@ -218,6 +218,22 @@ class TestNoiseModel:
         with pytest.raises(NoiseModelError, match=re.escape(field)):
             NoiseModel(**kwargs)
 
+    def test_rejects_nan_rotation_angle(self):
+        with pytest.raises(NoiseModelError, match=re.escape("cnot_rotation(*)")):
+            NoiseModel(cnot_rotation={"*": ("ZZ", math.nan)})
+
+    def test_rejects_infinite_rotation_angle(self):
+        with pytest.raises(NoiseModelError, match=re.escape("cnot_rotation(0-1)")):
+            NoiseModel(cnot_rotation={"0-1": ("ZZ", math.inf)})
+
+    def test_rejects_infinite_crosstalk_angle(self):
+        with pytest.raises(NoiseModelError, match="crosstalk"):
+            NoiseModel(crosstalk=(CrosstalkTerm((0, 1), 2, math.inf),))
+
+    def test_rejects_nan_readout_entry(self):
+        with pytest.raises(NoiseModelError, match=re.escape("readout(0)")):
+            NoiseModel(readout={0: np.array([[math.nan, 0.1], [0.1, 0.9]])})
+
     def test_pair_specific_class_wins(self):
         model = NoiseModel(
             pauli_errors={"cnot": {"XX": 0.01}, "cnot:1-2": {"XX": 0.05}}

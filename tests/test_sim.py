@@ -154,6 +154,11 @@ class TestSampling:
         with pytest.raises(SimulationError):
             sample_counts(StateVector.zero(1), bad, 10, 0)
 
+    def test_rejects_nan_confusion(self):
+        bad = {0: np.array([[np.nan, 0.1], [0.1, 0.9]])}
+        with pytest.raises(SimulationError):
+            sample_counts(StateVector.zero(1), bad, 10, 0)
+
     def test_rejects_zero_shots(self):
         with pytest.raises(SimulationError):
             sample_counts(StateVector.zero(1), None, 0, 0)
