@@ -26,7 +26,7 @@ from .circuits import Circuit, Cycle, Gate, cycle_frame_table
 from .engine import Executor
 from .noise import NoiseModel
 from .pauli import PauliString
-from .sim import MAX_QUBITS, readout_distribution, rng_from
+from .sim import MAX_QUBITS, Streams, readout_distribution, rng_from
 
 TWIRL_GROUPS = ("pauli", "c1")
 
@@ -72,6 +72,10 @@ class InfidelityEstimate:
     epoch: str | None = None
 
     def __post_init__(self):
+        if not (math.isfinite(self.infidelity) and math.isfinite(self.sigma)):
+            raise ProtocolError(
+                f"infidelity {self.infidelity} and sigma {self.sigma} must be finite"
+            )
         if self.sigma < 0:
             raise ProtocolError("sigma must be non-negative")
 
@@ -171,8 +175,9 @@ def make_cb(
     (random twirl cycle, target cycle), then one easy inversion cycle that
     maps the propagated frame onto a signed Z/I string.  Generation is
     deterministic in ``seed``: stream ``(seed, "twirl", d, m, j)`` feeds
-    circuit j of decay term d at length m.  The frames of all streams of one
-    (d, m) group advance together as integer Pauli indices.
+    circuit j of decay term d at length m; the keys of all streams come from
+    one ``Streams`` pass.  The frames of all streams of one (d, m) group
+    advance together as integer Pauli indices.
     """
     if twirl not in TWIRL_GROUPS:
         raise ProtocolError(f"twirl must be one of {TWIRL_GROUPS}")
@@ -202,6 +207,10 @@ def make_cb(
     observables: dict[tuple[int, int], PauliString] = {}
 
     decays = sample_decay_terms(n, n_decays, rng_from(seed, "decays"))
+    streams = iter(Streams(seed, (
+        ("twirl", d_idx, m, j)
+        for d_idx in range(len(decays)) for m in m_list for j in range(n_random)
+    )))
     circuits: list[CbCircuit] = []
     for d_idx, prepared in enumerate(decays):
         prep = _prep_cycle(prepared, register)
@@ -209,8 +218,8 @@ def make_cb(
             # one (m, n) draw per stream yields the same values as m draws of n
             draws = np.array(
                 [
-                    rng_from(seed, "twirl", d_idx, m, j).integers(0, len(alphabet), size=(m, n))
-                    for j in range(n_random)
+                    next(streams).integers(0, len(alphabet), size=(m, n))
+                    for _ in range(n_random)
                 ]
             ).reshape(n_random, m, n)
             # advance all n_random frames through (twirl, cycle) m times
@@ -277,12 +286,13 @@ def execute_collection(
     if shots is not None and shots < 1:
         raise ProtocolError("shots must be >= 1")
     executor = Executor(coll.register, noise)
+    if shots is not None:
+        streams = Streams(coll.seed, (("exec", cc.index) for cc in coll.circuits))
     points = [None] * len(coll.circuits)
     for i, state in executor.run_many([cc.circuit for cc in coll.circuits]):
         cc = coll.circuits[i]
-        x, err = executor.measured_expectation(
-            state, cc.measured, shots, rng_from(coll.seed, "exec", cc.index)
-        )
+        rng = None if shots is None else streams[i]
+        x, err = executor.measured_expectation(state, cc.measured, shots, rng)
         points[i] = DecayPoint(cc.prepared.letters, cc.m, cc.index, x, err)
     return points
 
@@ -371,6 +381,8 @@ def fit_decay(
     Gauss-Newton pass refines (A, p) on all points.  ``decay_std`` comes from
     a nonparametric bootstrap that resamples circuits within each length.
     """
+    if resamples == 1 or resamples < 0:
+        raise FitError(f"resamples must be 0 (no bootstrap) or at least 2, got {resamples}")
     pts = [DecayPoint(*p) for p in points]
     if not pts:
         raise FitError("no points to fit")
@@ -538,11 +550,15 @@ def run_rb(
             cycles[spec] = Cycle("hard" if name == "CNOT" else "easy", (gate,))
         return cycles[spec]
 
+    lengths = sorted(set(int(v) for v in m_list))
+    streams = iter(Streams(seed, (("rb", m, j) for m in lengths for j in range(n_random))))
+    if shots is not None:
+        count_streams = Streams(seed, (("rb-exec", i) for i in range(len(lengths) * n_random)))
     points: list[DecayPoint] = []
     index = 0
-    for m in sorted(set(int(v) for v in m_list)):
-        for j in range(n_random):
-            rng = rng_from(seed, "rb", m, j)
+    for m in lengths:
+        for _ in range(n_random):
+            rng = next(streams)
             logical: list[tuple[str, tuple[int, ...], int | None]] = []
             for _ in range(m):
                 k = int(rng.integers(0, group_size))
@@ -558,14 +574,13 @@ def run_rb(
                 logical.extend((name, tuple(pos), None) for name, *pos in inverse_word)
             circuit = Circuit(register, tuple(one_gate_cycle(spec) for spec in logical))
             state = executor.run(circuit)
-            counts_seed = rng_from(seed, "rb-exec", index)
             if shots is None:
                 probs = state.probabilities()
                 probs = readout_distribution(probs / probs.sum(), executor._readout, n)
                 survival = float(probs[0])
                 err = 0.0
             else:
-                counts = executor.sample(state, shots, counts_seed)
+                counts = executor.sample(state, shots, count_streams[index])
                 survival = counts.get("0" * n, 0) / shots
                 err = math.sqrt(max(0.0, survival * (1 - survival)) / shots)
             points.append(DecayPoint("survival", m, index, survival - floor, err))

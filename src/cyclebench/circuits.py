@@ -168,6 +168,53 @@ def cycle_unitary(cycle: Cycle, register: tuple[int, ...]) -> np.ndarray:
     return _cycle_unitary_cached(cycle.gates, tuple(register))
 
 
+# Gates whose matrix has one nonzero entry per row, each in {1, -1, 1j, -1j}
+# exactly; C1 elements qualify by their computed matrix (I, S, Z and SDG do,
+# the X-like ones carry rounding from their H/S words and do not).
+_MONOMIAL_GATES = frozenset({"I", "X", "Y", "Z", "S", "SDG", "CNOT"})
+_UNIT_PHASES = np.array([1, -1, 1j, -1j])
+
+
+def _unit_monomial(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """``(perm, phase)`` with ``mat[i, perm[i]] = phase[i]`` the only nonzero
+    entry of row i and every phase a unit in {1, -1, 1j, -1j}; else None."""
+    perm = np.abs(mat).argmax(axis=1)
+    phase = mat[np.arange(len(mat)), perm]
+    if np.count_nonzero(mat) != len(mat) or not np.isin(phase, _UNIT_PHASES).all():
+        return None
+    perm.setflags(write=False)
+    phase.setflags(write=False)
+    return perm, phase
+
+
+@functools.lru_cache(maxsize=None)
+def _monomial_c1() -> frozenset[int]:
+    return frozenset(e.index for e in pl._c1_table() if _unit_monomial(e.matrix) is not None)
+
+
+def is_monomial(gate: Gate) -> bool:
+    return gate.name in _MONOMIAL_GATES or (gate.name == "C1" and gate.param in _monomial_c1())
+
+
+@functools.lru_cache(maxsize=1024)
+def _cycle_permutation_cached(gates: tuple[Gate, ...], register: tuple[int, ...]):
+    return _unit_monomial(_cycle_unitary_cached(gates, register))
+
+
+def cycle_permutation(
+    cycle: Cycle, register: tuple[int, ...]
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """The cycle unitary as ``(perm, phase)``, ``U[i, perm[i]] = phase[i]``,
+    when every gate is monomial; None at the first gate that is not.
+
+    Products of monomial gates with unit phases are exact, so the pair
+    describes ``cycle_unitary`` entry for entry.
+    """
+    if not all(is_monomial(g) for g in cycle.gates):
+        return None
+    return _cycle_permutation_cached(cycle.gates, tuple(register))
+
+
 def circuit_unitary(circuit: Circuit) -> np.ndarray:
     """Dense unitary of the whole circuit, cycles composed in time order."""
     if circuit.n_qubits > MAX_QUBITS:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -42,6 +43,7 @@ from .circuits import (
 )
 from .engine import Executor
 from .ingest import (
+    SchemaError,
     SnapshotError,
     parse_backend_snapshot,
     read_estimates,
@@ -103,6 +105,17 @@ class ExperimentConfig:
         if self.variant not in VARIANTS:
             raise ConfigError(f"variant must be one of {VARIANTS}")
         layout_qubits(self.layout)
+        if self.resamples == 1 or self.resamples < 0:
+            raise ConfigError(
+                f"resamples must be 0 (no bootstrap) or at least 2, got {self.resamples}"
+            )
+        _check_drift_k(self.drift_k, "drift_k")
+
+
+def _check_drift_k(k: float, name: str) -> None:
+    # written so that NaN fails too
+    if not 0 <= k < math.inf:
+        raise ConfigError(f"{name} must be finite and non-negative, got {k}")
 
 
 def _bench_params(data: Mapping, defaults: Mapping) -> BenchParams:
@@ -516,6 +529,7 @@ def cmd_qcap(config: ExperimentConfig, out: Path) -> int:
 
 
 def cmd_report(out: Path, k: float) -> int:
+    _check_drift_k(k, "--k")
     found = []
     for sub in out.iterdir() if out.is_dir() else []:
         if not sub.is_dir() or not sub.name.startswith("day"):
@@ -605,7 +619,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "qcap":
             return cmd_qcap(config, out)
         raise ConfigError(f"unknown command {args.command!r}")
-    except (ConfigError, NoiseModelError, DriftScheduleError, CircuitError, SnapshotError) as exc:
+    except (ConfigError, NoiseModelError, DriftScheduleError, CircuitError, SnapshotError,
+            SchemaError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except FileNotFoundError as exc:

@@ -13,7 +13,9 @@ Pauli channel of each gate, then damping (gate qubits for the gate's
 duration, idle qubits for the cycle duration).  Everything after the ideal
 unitary is one op list per cycle structure (``Executor._tail``), read both by
 ``Executor.run`` and by ``Executor.run_many``, which advances stacks of
-equally long circuits together with bit-identical results.
+equally long circuits together with bit-identical results.  ``run_many``
+applies layers of monomial cycles (Pauli twirls, CNOTs) as signed
+permutations instead of matrix products.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .circuits import Circuit, Cycle, cycle_unitary
+from .circuits import Circuit, Cycle, cycle_permutation, cycle_unitary
 from .noise import NoiseModel, coherent_overrotation, damping_channel, pauli_channel
 from .pauli import PauliString
 from .sim import (
@@ -290,27 +292,60 @@ class Executor:
 
     def _apply_layer(self, state: np.ndarray, layer: tuple[Cycle, ...]) -> np.ndarray:
         """One cycle per circuit: ideal unitaries, then each circuit's tail."""
-        # distinct cycle objects, first seen first (CB collections intern them)
-        index: dict[int, int] = {}
-        slot = [index.setdefault(id(c), len(index)) for c in layer]
-        cycles = list({id(c): c for c in layer}.values())
-        if len(cycles) == 1:
-            u = cycle_unitary(cycles[0], self.register)
+        # distinct cycle objects (CB collections intern them) and each
+        # circuit's slot among them
+        ids = np.fromiter(map(id, layer), dtype=np.uint64, count=len(layer))
+        _, first, slot = np.unique(ids, return_index=True, return_inverse=True)
+        cycles = [layer[i] for i in first.tolist()]
+        signed = []
+        for c in cycles:
+            found = cycle_permutation(c, self.register)
+            if found is None:
+                break
+            signed.append(found)
+        if len(signed) == len(cycles):
+            state = self._permute(state, signed, slot)
         else:
-            u = np.stack([cycle_unitary(c, self.register) for c in cycles])[slot]
-        state = np.matmul(u, state)
-        if self.use_density:
-            state = np.matmul(state, u.conj().swapaxes(-1, -2))
+            if len(cycles) == 1:
+                u = cycle_unitary(cycles[0], self.register)
+            else:
+                u = np.stack([cycle_unitary(c, self.register) for c in cycles])[slot]
+            state = np.matmul(u, state)
+            if self.use_density:
+                state = np.matmul(state, u.conj().swapaxes(-1, -2))
 
         tails = [self._tail(c) for c in cycles]
         if all(t is tails[0] for t in tails):
             return self._apply_tail(state, tails[0])
-        owner = np.array([id(tails[k]) for k in slot])
+        owner = np.array([id(t) for t in tails], dtype=np.uint64)[slot]
         for tail in {id(t): t for t in tails}.values():
             if tail:
                 sel = np.flatnonzero(owner == id(tail))
                 state[sel] = self._apply_tail(state[sel], tail)
         return state
+
+    def _permute(self, state: np.ndarray, signed: list, slot: np.ndarray) -> np.ndarray:
+        """Monomial cycle unitaries as a gather and a phase multiply.
+
+        With ``U[i, perm[i]] = phase[i]`` the only nonzero of row i,
+        ``(U rho U^H)[i, j] = phase[i] rho[perm[i], perm[j]] conj(phase[j])``
+        and ``(U psi)[i] = phase[i] psi[perm[i]]``.  Each BLAS dot product of
+        the matmul path has a single nonzero term and unit-phase products are
+        exact, so every nonzero entry is bit-identical to it; only the sign
+        of an exact zero may differ.
+        """
+        b, dim = state.shape[:2]
+        perm = np.stack([p for p, _ in signed])
+        phase = np.stack([f for _, f in signed])
+        if self.use_density:
+            perm = (perm[:, :, None] * dim + perm[:, None, :]).reshape(len(signed), -1)
+            phase = (phase[:, :, None] * phase.conj()[:, None, :]).reshape(len(signed), -1)
+        flat = state.reshape(b, -1)
+        if len(signed) == 1:
+            out = flat[:, perm[0]] * phase[0]
+        else:
+            out = np.take_along_axis(flat, perm[slot], axis=1) * phase[slot]
+        return out.reshape(state.shape)
 
     def _apply_tail(self, state: np.ndarray, tail: tuple) -> np.ndarray:
         """A tail's ops on a stack, with the shared embedded matrices."""

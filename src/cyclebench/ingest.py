@@ -18,11 +18,12 @@ write/read cycle reproduces every value exactly.
 from __future__ import annotations
 
 import csv
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .bench import DecayFit, DecayPoint
+from .bench import DecayFit, DecayPoint, InfidelityEstimate, ProtocolError
 from .qcap import QcapCurve
 
 PAIR_CONVENTIONS = ("raw-r", "process-infidelity")
@@ -92,8 +93,9 @@ def _positive(value: str, name: str, lineno: int) -> float:
         x = float(value)
     except ValueError:
         raise SnapshotError(f"line {lineno}: {name} is not a number: {value!r}") from None
-    if x <= 0:
-        raise SnapshotError(f"line {lineno}: {name}={x} must be positive")
+    # written so that NaN fails too
+    if not 0 < x < math.inf:
+        raise SnapshotError(f"line {lineno}: {name}={x} must be positive and finite")
     return x
 
 
@@ -204,7 +206,16 @@ def _write_csv(path, header: list[str], rows: Iterable[Sequence]) -> None:
             writer.writerow([_fmt(v) for v in row])
 
 
-def _read_csv(path, expected_header: list[str]) -> list[list[str]]:
+def _optional_int(text: str) -> int | None:
+    return int(text) if text else None
+
+
+def _read_csv(path, expected_header: list[str], kinds: Sequence) -> list[list]:
+    """Rows of a result CSV, each cell converted by its column's kind.
+
+    A short or long row, a cell the kind cannot parse, or a non-finite float
+    raises :class:`SchemaError` naming the path, the row and the column.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -213,7 +224,27 @@ def _read_csv(path, expected_header: list[str]) -> list[list[str]]:
             raise SchemaError(f"{path}: empty file") from None
         if header != expected_header:
             raise SchemaError(f"{path}: header {header} != expected {expected_header}")
-        return [row for row in reader]
+        rows = []
+        for number, row in enumerate(reader, start=1):
+            if len(row) != len(header):
+                raise SchemaError(
+                    f"{path}: row {number} has {len(row)} cells, expected {len(header)}"
+                )
+            cells = []
+            for column, kind, text in zip(header, kinds, row):
+                try:
+                    value = kind(text)
+                except ValueError:
+                    raise SchemaError(
+                        f"{path}: row {number}, column {column}: cannot read {text!r}"
+                    ) from None
+                if isinstance(value, float) and not math.isfinite(value):
+                    raise SchemaError(
+                        f"{path}: row {number}, column {column}: {text!r} is not finite"
+                    )
+                cells.append(value)
+            rows.append(cells)
+        return rows
 
 
 def write_decays(path, points: Sequence[DecayPoint]) -> None:
@@ -225,10 +256,8 @@ def write_decays(path, points: Sequence[DecayPoint]) -> None:
 
 
 def read_decays(path) -> list[DecayPoint]:
-    return [
-        DecayPoint(row[0], int(row[1]), int(row[2]), float(row[3]), float(row[4]))
-        for row in _read_csv(path, DECAY_HEADER)
-    ]
+    kinds = (str, int, int, float, float)
+    return [DecayPoint(*row) for row in _read_csv(path, DECAY_HEADER, kinds)]
 
 
 def write_fits(path, fits: Sequence[DecayFit]) -> None:
@@ -240,10 +269,7 @@ def write_fits(path, fits: Sequence[DecayFit]) -> None:
 
 
 def read_fits(path) -> list[DecayFit]:
-    return [
-        DecayFit(row[0], float(row[1]), float(row[2]), float(row[3]))
-        for row in _read_csv(path, FIT_HEADER)
-    ]
+    return [DecayFit(*row) for row in _read_csv(path, FIT_HEADER, (str, float, float, float))]
 
 
 def write_curves(path, curves: Sequence[QcapCurve]) -> None:
@@ -257,12 +283,11 @@ def write_curves(path, curves: Sequence[QcapCurve]) -> None:
 def read_curves(path) -> list[QcapCurve]:
     grouped: dict[str, list[tuple[int, float, float]]] = {}
     order: list[str] = []
-    for row in _read_csv(path, CURVE_HEADER):
-        src = row[0]
+    for src, steps, bound, sigma in _read_csv(path, CURVE_HEADER, (str, int, float, float)):
         if src not in grouped:
             grouped[src] = []
             order.append(src)
-        grouped[src].append((int(row[1]), float(row[2]), float(row[3])))
+        grouped[src].append((steps, bound, sigma))
     curves = []
     for src in order:
         pts = grouped[src]
@@ -293,19 +318,23 @@ def write_estimates(path, estimates) -> None:
     _write_csv(path, ESTIMATE_HEADER, rows)
 
 
-def read_estimates(path):
-    from .bench import InfidelityEstimate
-
+def read_estimates(path) -> list[InfidelityEstimate]:
+    kinds = (str, str, _optional_int, str, float, float)
     out = []
-    for row in _read_csv(path, ESTIMATE_HEADER):
-        out.append(
-            InfidelityEstimate(
-                source=row[0],
-                label=row[1],
-                day=int(row[2]) if row[2] else None,
-                epoch=row[3] or None,
-                infidelity=float(row[4]),
-                sigma=float(row[5]),
+    for number, (source, label, day, epoch, infidelity, sigma) in enumerate(
+        _read_csv(path, ESTIMATE_HEADER, kinds), start=1
+    ):
+        try:
+            out.append(
+                InfidelityEstimate(
+                    source=source,
+                    label=label,
+                    day=day,
+                    epoch=epoch or None,
+                    infidelity=infidelity,
+                    sigma=sigma,
+                )
             )
-        )
+        except ProtocolError as exc:
+            raise SchemaError(f"{path}: row {number}: {exc}") from None
     return out

@@ -13,12 +13,15 @@ Conventions, asserted throughout the test suite:
 Randomness uses a single splittable counter-based generator (Philox keyed
 through ``SeedSequence``); independent streams are derived from a master seed
 plus an integer/string path, which makes parallel fan-out deterministic.
+``rng_from`` builds one such stream; ``stream_keys`` computes the keys of many
+in one vectorised pass, and ``Streams`` serves them from one rekeyed generator.
 """
 
 from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -42,6 +45,114 @@ def rng_from(seed: int, *path: int | str) -> np.random.Generator:
     )
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=key)
     return np.random.Generator(np.random.Philox(ss))
+
+
+# SeedSequence's pool size and hash constants (numpy.random.bit_generator).
+_POOL_SIZE = 4
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def stream_keys(seed: int, paths: Iterable[Sequence[int | str]]) -> np.ndarray:
+    """Philox keys of ``rng_from(seed, *path)`` for equally long paths, shape
+    (rows, 2).
+
+    Reimplements ``SeedSequence``'s uint32 entropy mixing and
+    ``generate_state(2, np.uint64)`` on whole columns at once, so key ``i``
+    equals the key of ``rng_from(seed, *paths[i])`` bit for bit.
+    """
+    seed = int(seed)
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    run = [seed & _MASK32]
+    while seed >> 32:
+        seed >>= 32
+        run.append(seed & _MASK32)
+    rows = [
+        [zlib.crc32(p.encode()) if isinstance(p, str) else int(p) & _MASK32 for p in path]
+        for path in paths
+    ]
+    if not rows:
+        return np.empty((0, 2), dtype=np.uint64)
+    length = len(rows[0])
+    if any(len(row) != length for row in rows):
+        raise ValueError("paths must be equally long")
+    # a spawn key pads the run entropy with zeros to the pool size
+    head = run + [0] * (_POOL_SIZE - len(run)) if length else run
+    entropy = np.empty((len(rows), len(head) + length), dtype=np.uint32)
+    entropy[:, :len(head)] = head
+    entropy[:, len(head):] = rows
+    return _mix_entropy(entropy)
+
+
+def _mix_entropy(entropy: np.ndarray) -> np.ndarray:
+    """Per row: SeedSequence's pool from an entropy row, then two uint64 words."""
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = (const * _MULT_A) & _MASK32
+        value = value * np.uint32(const)
+        return value ^ (value >> np.uint32(16))
+
+    def mix(x, y):
+        out = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return out ^ (out >> np.uint32(16))
+
+    width = entropy.shape[1]
+    zero = np.zeros(len(entropy), dtype=np.uint32)
+    pool = [hashmix(entropy[:, i] if i < width else zero) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(_POOL_SIZE, width):
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(entropy[:, src]))
+
+    const = _INIT_B
+    words = []
+    for i in range(4):
+        value = pool[i % _POOL_SIZE] ^ np.uint32(const)
+        const = (const * _MULT_B) & _MASK32
+        value = value * np.uint32(const)
+        words.append((value ^ (value >> np.uint32(16))).astype(np.uint64))
+    # little-endian pairs of uint32 words make one uint64
+    high = np.uint64(32)
+    return np.stack([words[0] | words[1] << high, words[2] | words[3] << high], axis=1)
+
+
+class Streams:
+    """The streams ``rng_from(seed, *path)`` of many paths, from one generator.
+
+    ``streams[i]`` rekeys a single Philox generator to path ``i`` (counter 0,
+    empty buffer, no cached 32-bit half) and returns it, so its draws equal
+    those of a fresh ``rng_from(seed, *paths[i])``.  The returned generator is
+    shared: indexing again rekeys it, so use each stream before the next.
+    """
+
+    _EMPTY = np.zeros(4, dtype=np.uint64)
+
+    def __init__(self, seed: int, paths: Iterable[Sequence[int | str]]):
+        self._keys = stream_keys(seed, paths)
+        self._rng = np.random.Generator(np.random.Philox(key=0))
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+    def __getitem__(self, i: int) -> np.random.Generator:
+        self._rng.bit_generator.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": self._EMPTY, "key": self._keys[i]},
+            "buffer": self._EMPTY,
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        return self._rng
 
 
 @dataclass(frozen=True)

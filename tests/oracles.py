@@ -288,3 +288,18 @@ def reference_execute_collection(coll, noise, shots):
         )
         points.append(DecayPoint(cc.prepared.letters, cc.m, cc.index, x, err))
     return points
+
+
+class RngFromStreams:
+    """``sim.Streams`` built the slow way: a fresh ``rng_from`` per path."""
+
+    def __init__(self, seed, paths):
+        self.seed, self.paths = seed, list(paths)
+
+    def __len__(self):
+        return len(self.paths)
+
+    def __getitem__(self, i):
+        from cyclebench.sim import rng_from
+
+        return rng_from(self.seed, *self.paths[i])

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from cyclebench import bench
 from cyclebench.bench import (
     DecayFit,
     DecayPoint,
@@ -206,6 +207,14 @@ class TestFitDecay:
         pts = [DecayPoint("X", m, 0, 0.9, 0.01) for m in (2, 4)]
         with pytest.raises(FitError):
             fit_decay(pts)
+
+    @pytest.mark.parametrize("resamples", [1, -1, -200])
+    def test_degenerate_bootstrap_size_rejected(self, resamples):
+        pts = [DecayPoint("X", m, i, 0.9**m, 0.01) for m in (2, 4, 6) for i in range(3)]
+        with pytest.raises(FitError, match="resamples"):
+            fit_decay(pts, resamples=resamples)
+        assert fit_decay(pts, resamples=0).decay_std == 0.0
+        assert math.isfinite(fit_decay(pts, resamples=2).decay_std)
 
     def test_decay_clipped_to_unit_interval(self):
         pts = [
@@ -425,6 +434,24 @@ class TestRunRb:
             run_rb((0,), (2, 4, -1), 4, None, shots=10)
         with pytest.raises(ProtocolError):
             run_rb((0,), (2, 4, 8), 0, None, shots=10)
+
+    @pytest.mark.parametrize("qubits, shots", [((0,), 64), ((0,), None), ((3, 5), 64)])
+    def test_streams_feed_the_same_sequences(self, monkeypatch, qubits, shots):
+        """Collection-wide streams give the result of one rng_from per
+        stream, and no count streams are keyed when shots is None."""
+        noise = NoiseModel(pauli_errors={"single_qubit": {"X": 0.01}, "cnot": {"XZ": 0.02}})
+        fast = run_rb(qubits, (1, 3, 5), 4, noise, shots=shots, seed=21)
+        built = []
+
+        class Recording(oracles.RngFromStreams):
+            def __init__(self, seed, paths):
+                super().__init__(seed, paths)
+                built.extend(p[0] for p in self.paths)
+
+        monkeypatch.setattr(bench, "Streams", Recording)
+        assert run_rb(qubits, (1, 3, 5), 4, noise, shots=shots, seed=21) == fast
+        assert built.count("rb") == 12
+        assert built.count("rb-exec") == (0 if shots is None else 12)
 
     def test_deterministic(self):
         noise = NoiseModel(pauli_errors={"single_qubit": {"X": 0.005}})

@@ -14,13 +14,17 @@ from cyclebench.circuits import (
     circuit_from_text,
     circuit_to_text,
     circuit_unitary,
+    cycle_permutation,
+    cycle_unitary,
     hard_cycle_ids_per_step,
+    is_monomial,
     layout_cycles,
     layout_qubits,
     occupation,
     propagate_pauli,
 )
 from cyclebench.engine import run_circuit
+from cyclebench import pauli as pl
 from cyclebench.pauli import NonCliffordGateError, PauliString
 from cyclebench.sim import StateVector, equal_up_to_phase
 
@@ -262,3 +266,45 @@ class TestSerialization:
     def test_bad_text(self):
         with pytest.raises(CircuitError):
             circuit_from_text("easy H 0")
+
+
+class TestCyclePermutation:
+    def test_monomial_c1_elements_are_the_exact_ones(self):
+        """A C1 element is monomial exactly when its computed matrix has one
+        nonzero per row, each in {1, -1, 1j, -1j}: the identity, S, Z, SDG."""
+        exact = {
+            e.index for e in pl._c1_table()
+            if np.count_nonzero(e.matrix) == 2
+            and set(e.matrix[e.matrix != 0].tolist()) <= {1, -1, 1j, -1j}
+        }
+        assert exact == {0, 2, 5, 10}
+        assert {k for k in range(pl.c1_count()) if is_monomial(Gate("C1", (0,), k))} == exact
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_describes_the_cycle_unitary_exactly(self, seed):
+        rng = np.random.default_rng(seed)
+        register = (4, 1, 7)
+        names = [("I", None), ("X", None), ("Y", None), ("Z", None), ("S", None),
+                 ("SDG", None), ("C1", 2), ("C1", 10)]
+        for _ in range(20):
+            order = [int(q) for q in rng.permutation(register)]
+            if rng.integers(2):
+                cycle = Cycle("hard", (Gate("CNOT", tuple(order[:2])),))
+            else:
+                picks = rng.integers(0, len(names), size=3)
+                cycle = Cycle("easy", tuple(
+                    Gate(names[k][0], (q,), names[k][1]) for q, k in zip(order, picks)
+                ))
+            perm, phase = cycle_permutation(cycle, register)
+            u = cycle_unitary(cycle, register)
+            expected = np.zeros_like(u)
+            expected[np.arange(8), perm] = phase
+            assert np.array_equal(u, expected)
+            assert sorted(perm.tolist()) == list(range(8))
+
+    @pytest.mark.parametrize(
+        "gate", [Gate("H", (1,)), Gate("RZ", (1,), 0.5), Gate("C1", (1,), 12), Gate("C1", (1,), 1)]
+    )
+    def test_none_for_other_gates(self, gate):
+        cycle = Cycle("easy", (Gate("X", (0,)), gate))
+        assert cycle_permutation(cycle, (0, 1)) is None

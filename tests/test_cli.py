@@ -79,6 +79,24 @@ class TestConfig:
         with pytest.raises(ConfigError):
             config_from_dict({"seed": 1, section: params})
 
+    @pytest.mark.parametrize(
+        "extra, field",
+        [
+            ({"resamples": 1}, "resamples"),
+            ({"resamples": -3}, "resamples"),
+            ({"drift_k": float("nan")}, "drift_k"),
+            ({"drift_k": float("inf")}, "drift_k"),
+            ({"drift_k": -1.0}, "drift_k"),
+        ],
+    )
+    def test_bad_bootstrap_and_drift_settings(self, extra, field):
+        with pytest.raises(ConfigError, match=field):
+            config_from_dict({"seed": 1, **extra})
+
+    def test_zero_resamples_and_zero_k_allowed(self):
+        cfg = config_from_dict({"seed": 1, "resamples": 0, "drift_k": 0.0})
+        assert (cfg.resamples, cfg.drift_k) == (0, 0.0)
+
     def test_load_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(tmp_path / "nope.yaml")
@@ -115,6 +133,37 @@ class TestCliExitCodes:
         assert main(["cb", "--config", str(write_config(tmp_path, cfg))]) == 1
         assert "m_list" in capsys.readouterr().err
 
+    def test_bad_resamples_returns_one(self, tmp_path, capsys):
+        cfg = base_config(str(tmp_path / "out"), resamples=1)
+        assert main(["cb", "--config", str(write_config(tmp_path, cfg))]) == 1
+        assert "resamples" in capsys.readouterr().err
+
+    def test_report_with_nan_sigma_returns_one(self, tmp_path, capsys):
+        for label in ("morning", "night"):
+            epoch = tmp_path / f"day1_{label}"
+            epoch.mkdir()
+            (epoch / "estimates.csv").write_text(
+                "source,label,day,epoch,infidelity,sigma\n"
+                f"CB,cycle1,1,{label},0.02,{'nan' if label == 'night' else '0.001'}\n"
+            )
+        assert main(["report", "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "day1_night" in err and "column sigma" in err
+
+    def test_report_with_non_numeric_cell_returns_one(self, tmp_path, capsys):
+        epoch = tmp_path / "day1_morning"
+        epoch.mkdir()
+        (epoch / "estimates.csv").write_text(
+            "source,label,day,epoch,infidelity,sigma\nCB,cycle1,1,morning,high,0.001\n"
+        )
+        assert main(["report", "--out", str(tmp_path)]) == 1
+        assert "column infidelity" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("k", ["nan", "-1"])
+    def test_report_with_bad_k_returns_one(self, tmp_path, capsys, k):
+        assert main(["report", "--out", str(tmp_path), "--k", k]) == 1
+        assert "--k" in capsys.readouterr().err
+
     def test_ingest_round(self, tmp_path, capsys):
         snap = tmp_path / "snap.txt"
         snap.write_text(
@@ -130,6 +179,12 @@ class TestCliExitCodes:
         snap = tmp_path / "snap.txt"
         snap.write_text("pair 6 seven err=0.1\n")
         assert main(["ingest", str(snap)]) == 1
+
+    def test_ingest_non_finite_lifetime_returns_one(self, tmp_path, capsys):
+        snap = tmp_path / "snap.txt"
+        snap.write_text("qubit 0 t1=nan t2=inf ro=0.01 u2=0.001 u3=0.001\n")
+        assert main(["ingest", str(snap)]) == 1
+        assert "line 1: t1=nan" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")

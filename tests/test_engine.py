@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclebench.bench import TWIRL_GROUPS, execute_collection, make_cb
-from cyclebench.circuits import Circuit, Cycle, Gate
+from cyclebench.circuits import Circuit, Cycle, Gate, cycle_unitary
 from cyclebench import engine
 from cyclebench.engine import Executor, run_circuit
 from cyclebench.noise import CrosstalkTerm, NoiseModel, confusion_from_scalar
@@ -446,6 +446,158 @@ class TestBatchedExecution:
         b = Cycle("easy", (Gate("C1", (0,), 5), Gate("S", (1,))))
         assert ex._tail(a) is ex._tail(b)
         assert ex._tail(Cycle("hard", (Gate("CNOT", (0, 1)),))) is not ex._tail(a)
+
+
+# ---------------------------------------------------------------------------
+# Monomial layers: signed permutations instead of matrix products
+
+MONOMIAL_1Q = (("I", None), ("X", None), ("Y", None), ("Z", None), ("S", None),
+               ("SDG", None), ("C1", 0), ("C1", 2), ("C1", 5), ("C1", 10))
+OTHER_1Q = (("H", None), ("RZ", 0.7), ("C1", 1), ("C1", 12), ("C1", 17), ("C1", 21))
+
+
+@st.composite
+def layer_cycles(draw, register, monomial_only):
+    if len(register) >= 2 and draw(st.booleans()):
+        order = draw(st.permutations(register))
+        pairs = [order[2 * i:2 * i + 2] for i in range(draw(st.integers(1, len(order) // 2)))]
+        return Cycle("hard", tuple(Gate("CNOT", tuple(p)) for p in pairs))
+    alphabet = MONOMIAL_1Q if monomial_only else MONOMIAL_1Q + OTHER_1Q
+    qubits = draw(st.lists(st.sampled_from(register), unique=True, min_size=1))
+    gates = []
+    for q in qubits:
+        name, param = draw(st.sampled_from(alphabet))
+        gates.append(Gate(name, (q,), param))
+    return Cycle("easy", tuple(gates))
+
+
+@st.composite
+def layered_cases(draw, dense_only=False):
+    """Equally long random circuits on 1-3 qubits whose layers draw their
+    cycles from a small pool: only monomial cycles, or monomial and other
+    cycles mixed; with no model, a coherent-only model or a density model."""
+    n = draw(st.integers(1, 3))
+    register = tuple(draw(st.permutations(range(n + 1)))[:n])
+    pools = [
+        draw(st.lists(layer_cycles(register, draw(st.booleans())), min_size=1, max_size=3))
+        for _ in range(draw(st.integers(1, 6)))
+    ]
+    circuits = [
+        Circuit(register, tuple(draw(st.sampled_from(pool)) for pool in pools))
+        for _ in range(draw(st.integers(1, 12)))
+    ]
+    kind = "density" if dense_only else draw(st.sampled_from(("none", "coherent", "density")))
+    kw: dict = {}
+    if kind == "coherent":
+        axis = draw(st.sampled_from(("ZZ", "XI", "XY")))
+        kw["cnot_rotation"] = {"*": (axis, draw(st.floats(-0.3, 0.3)))}
+    elif kind == "density":
+        prob = st.floats(0.0, 0.05)
+        kw["pauli_errors"] = {
+            "cnot": {draw(st.sampled_from(PAIR_LETTERS)): draw(prob)},
+            "single_qubit": {draw(st.sampled_from("XYZ")): draw(prob)},
+        }
+        qubits = draw(st.lists(st.sampled_from(register), unique=True))
+        kw["t1"] = {q: draw(st.floats(20.0, 200.0)) for q in qubits}
+        kw["t2"] = {
+            q: draw(st.floats(10.0, 2 * kw["t1"][q])) for q in qubits if draw(st.booleans())
+        }
+        kw["durations"] = {"single_qubit": draw(st.floats(0.0, 100.0)),
+                           "cnot": draw(st.floats(0.0, 500.0))}
+        flipped = draw(st.lists(st.sampled_from(register), unique=True))
+        kw["prep_flip"] = {q: draw(prob) for q in flipped}
+    if kind != "none" and draw(st.booleans()):
+        kw["readout"] = {
+            q: confusion_from_scalar(draw(st.floats(0.0, 0.1)))
+            for q in draw(st.lists(st.sampled_from(register), unique=True, min_size=1))
+        }
+    return register, circuits, None if kind == "none" else NoiseModel(**kw)
+
+
+class TestMonomialLayers:
+    @settings(max_examples=60, deadline=None)
+    @given(layered_cases())
+    def test_states_and_readout_match_reference(self, case):
+        register, circuits, noise = case
+        ex = Executor(register, noise)
+        reference = [ex.run(c) for c in circuits]
+        observable = PauliString("Z" * len(register), -1)
+        for chunk in (1, 5, engine.CHUNK):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(engine, "CHUNK", chunk)
+                got = dict(ex.run_many(circuits))
+            assert sorted(got) == list(range(len(circuits)))
+            for i, ref in enumerate(reference):
+                assert type(got[i]) is type(ref)
+                assert np.array_equal(_final(got[i]), _final(ref))
+                for shots in (None, 50):
+                    assert ex.measured_expectation(got[i], observable, shots, seed=i) == (
+                        ex.measured_expectation(ref, observable, shots, seed=i)
+                    )
+
+    @pytest.mark.parametrize("twirl", TWIRL_GROUPS)
+    def test_monomial_layers_skip_the_matmul(self, twirl, monkeypatch):
+        """Pauli-twirl and CNOT layers never look up a cycle unitary; C1-twirl
+        layers keep the matmul path."""
+        noise = NoiseModel(pauli_errors={"cnot": {"XZ": 0.03}}, t1={0: 50.0},
+                           durations={"cnot": 100.0})
+        coll = make_cb(Cycle("hard", (Gate("CNOT", (0, 1)),)), (1, 2, 4), 4, 3,
+                       twirl=twirl, seed=2)
+        circuits = [cc.circuit for cc in coll.circuits]
+        ex = Executor(coll.register, noise)
+        reference = [ex.run(c).entries for c in circuits]
+        looked_up = []
+        monkeypatch.setattr(
+            engine, "cycle_unitary", lambda c, r: looked_up.append(c) or cycle_unitary(c, r)
+        )
+        for i, state in ex.run_many(circuits):
+            assert np.array_equal(state.entries, reference[i])
+        names = {g.name for c in looked_up for g in c.gates}
+        assert "CNOT" not in names
+        if twirl == "pauli":
+            assert names <= {"C1"}  # preparation and inversion layers only
+        else:
+            twirl_cycles = {c.circuit.cycles[1] for c in coll.circuits if c.m}
+            assert twirl_cycles <= set(looked_up)
+
+
+def _choi(superop: np.ndarray) -> np.ndarray:
+    """Reshuffle a row-major superoperator, S[(i, j), (k, l)], into its Choi
+    matrix J[(i, k), (j, l)]."""
+    d = int(round(superop.shape[0] ** 0.5))
+    return superop.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+
+
+def _assert_cptp(superop: np.ndarray, atol: float = 1e-9) -> None:
+    d = int(round(superop.shape[0] ** 0.5))
+    vec_identity = np.eye(d).reshape(-1)
+    assert np.max(np.abs(vec_identity @ superop - vec_identity)) <= atol
+    choi = _choi(superop)
+    assert np.max(np.abs(choi - choi.conj().T)) <= atol
+    assert np.linalg.eigvalsh(choi)[0] >= -atol
+
+
+def test_cptp_check_rejects_transpose():
+    """The transpose map preserves trace but is not CP: its Choi matrix is
+    the swap, with eigenvalue -1."""
+    d = 2
+    transpose = np.zeros((d * d, d * d))
+    for i in range(d):
+        for j in range(d):
+            transpose[i * d + j, j * d + i] = 1.0
+    with pytest.raises(AssertionError):
+        _assert_cptp(transpose)
+
+
+@settings(max_examples=30, deadline=None)
+@given(layered_cases(dense_only=True))
+def test_every_compiled_superop_is_cptp(case):
+    register, circuits, noise = case
+    ex = Executor(register, noise)
+    dict(ex.run_many(circuits))
+    ex.run(circuits[0])
+    for superop in ex._superops.values():
+        _assert_cptp(superop)
 
 
 _THREAD_SCRIPT = """

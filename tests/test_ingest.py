@@ -1,6 +1,8 @@
+import re
+
 import pytest
 
-from cyclebench.bench import DecayFit, DecayPoint, InfidelityEstimate
+from cyclebench.bench import DecayFit, DecayPoint, InfidelityEstimate, ProtocolError
 from cyclebench.ingest import (
     SchemaError,
     SnapshotError,
@@ -72,6 +74,14 @@ class TestSnapshotParsing:
             parse_backend_snapshot("qubit 6 t1=-4 t2=90 ro=0.1 u2=0 u3=0")
         with pytest.raises(SnapshotError, match="err"):
             parse_backend_snapshot("pair 6 7 err=2.0")
+
+    @pytest.mark.parametrize("field", ["t1", "t2"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_lifetime_rejected(self, field, value):
+        row = {"t1": "67.1", "t2": "99.9", field: value}
+        text = SNAPSHOT + f"qubit 8 t1={row['t1']} t2={row['t2']} ro=0.01 u2=0.001 u3=0.001\n"
+        with pytest.raises(SnapshotError, match=f"line 6: {field}="):
+            parse_backend_snapshot(text)
 
     def test_unknown_row_kind(self):
         with pytest.raises(SnapshotError, match="line 1"):
@@ -160,3 +170,57 @@ class TestDispatch:
         path.write_text("")
         with pytest.raises(SchemaError):
             read_decays(path)
+
+
+# a valid header and row per reader
+GOOD_TABLES = {
+    read_decays: ("pauli,m,circuit_index,expectation,shot_error", "XZ,2,0,0.9,0.01"),
+    read_fits: ("pauli,A,p,sigma_p", "XZ,0.95,0.98,0.003"),
+    read_curves: ("source,steps,bound,sigma", "CB,1,0.1,0.01"),
+    read_estimates: ("source,label,day,epoch,infidelity,sigma", "CB,cycle1,1,morning,0.02,0.001"),
+}
+BAD_CELLS = [
+    (read_decays, "expectation"),
+    (read_decays, "m"),
+    (read_fits, "sigma_p"),
+    (read_curves, "bound"),
+    (read_estimates, "sigma"),
+    (read_estimates, "day"),
+]
+
+
+class TestCsvCells:
+    @pytest.mark.parametrize("reader, name", BAD_CELLS)
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "abc", ""])
+    def test_bad_cell_names_path_row_and_column(self, tmp_path, reader, name, text):
+        header, row = GOOD_TABLES[reader]
+        bad = row.split(",")
+        bad[header.split(",").index(name)] = text
+        path = tmp_path / "table.csv"
+        path.write_text(f"{header}\n{row}\n{','.join(bad)}\n")
+        if name == "day" and text == "":
+            assert len(reader(path)) == 2  # an empty day means "no day"
+            return
+        with pytest.raises(SchemaError, match=re.escape(f"{path}: row 2, column {name}")):
+            reader(path)
+
+    def test_short_row(self, tmp_path):
+        path = tmp_path / "fits.csv"
+        path.write_text("pauli,A,p,sigma_p\nXZ,0.95,0.98\n")
+        with pytest.raises(SchemaError, match="row 1 has 3 cells"):
+            read_fits(path)
+
+    def test_negative_sigma_estimate(self, tmp_path):
+        path = tmp_path / "est.csv"
+        path.write_text("source,label,day,epoch,infidelity,sigma\nCB,cycle1,1,morning,0.02,-0.1\n")
+        with pytest.raises(SchemaError, match="row 1"):
+            read_estimates(path)
+
+
+@pytest.mark.parametrize(
+    "infidelity, sigma",
+    [(float("nan"), 0.001), (float("inf"), 0.001), (0.02, float("nan")), (0.02, float("inf"))],
+)
+def test_estimate_rejects_non_finite(infidelity, sigma):
+    with pytest.raises(ProtocolError, match="finite"):
+        InfidelityEstimate(infidelity, sigma, "CB", "cycle1")

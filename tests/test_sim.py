@@ -1,3 +1,5 @@
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,9 +16,11 @@ from cyclebench.sim import (
     embed_operator,
     equal_up_to_phase,
     expectation_pauli,
+    Streams,
     identity_channel,
     rng_from,
     sample_counts,
+    stream_keys,
 )
 
 import oracles
@@ -235,3 +239,73 @@ def test_rng_streams_are_independent_and_stable():
     c = rng_from(1, "x", 1).integers(0, 2**32, size=4)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+# ---------------------------------------------------------------------------
+# Collection-wide streams: every key and draw equals rng_from's
+
+path_elements = st.one_of(
+    st.text(max_size=8),
+    st.integers(-(2**70), 2**70),
+)
+
+
+def spawn_key(path):
+    return tuple(zlib.crc32(p.encode()) if isinstance(p, str) else p & 0xFFFFFFFF for p in path)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 2**200 - 1),
+    st.integers(0, 5).flatmap(
+        lambda k: st.lists(st.tuples(*[path_elements] * k), min_size=1, max_size=6)
+    ),
+)
+def test_stream_keys_equal_seed_sequence_state(seed, paths):
+    keys = stream_keys(seed, iter(paths))
+    assert keys.shape == (len(paths), 2) and keys.dtype == np.uint64
+    for key, path in zip(keys, paths):
+        ss = np.random.SeedSequence(seed, spawn_key=spawn_key(path))
+        assert np.array_equal(key, ss.generate_state(2, np.uint64))
+        assert np.array_equal(key, rng_from(seed, *path).bit_generator.state["state"]["key"])
+
+
+def test_stream_keys_reject_what_rng_from_rejects():
+    with pytest.raises(ValueError) as ours:
+        stream_keys(-1, [("x", 0)])
+    with pytest.raises(ValueError) as reference:
+        rng_from(-1, "x", 0)
+    assert str(ours.value) == str(reference.value)
+    with pytest.raises(ValueError, match="equally long"):
+        stream_keys(3, [("x", 0), ("x",)])
+    assert stream_keys(3, []).shape == (0, 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**64),
+    st.lists(st.tuples(st.sampled_from(["twirl", "exec"]), st.integers(-5, 2**40)),
+             min_size=2, max_size=8),
+    st.integers(1, 7),
+)
+def test_rekeyed_draws_equal_fresh_streams(seed, paths, odd_words):
+    streams = Streams(seed, paths)
+    assert len(streams) == len(paths)
+    for i, path in enumerate(paths):
+        rng = streams[i]
+        fresh = rng_from(seed, *path)
+        assert np.array_equal(rng.integers(0, 4, size=(3, 2)), fresh.integers(0, 4, size=(3, 2)))
+        assert np.array_equal(rng.integers(0, 24, size=5), fresh.integers(0, 24, size=5))
+        probs = np.array([0.5, 0.25, 0.125, 0.125])
+        assert np.array_equal(rng.multinomial(97, probs), fresh.multinomial(97, probs))
+        # leave half a 64-bit word cached (each draw below takes one 32-bit
+        # word): the next stream must not see it
+        rng.integers(0, 4, size=2 * odd_words - 1)
+        if rng.bit_generator.state["has_uint32"] == 0:
+            rng.integers(0, 4)
+        assert rng.bit_generator.state["has_uint32"] == 1
+    # a second pass over the same streams repeats them
+    for i, path in enumerate(paths):
+        assert np.array_equal(
+            streams[i].integers(0, 24, size=9), rng_from(seed, *path).integers(0, 24, size=9)
+        )
