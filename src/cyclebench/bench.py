@@ -190,6 +190,9 @@ def make_cb(
     n = len(register)
     if n > MAX_QUBITS:
         raise ProtocolError(f"registers are limited to {MAX_QUBITS} qubits, got {n}")
+    # the one register check; every cycle built below sits on its labels, so
+    # twirl cycles and circuits skip their own checks
+    Circuit(register, (cycle,))
     try:
         hard = cycle_frame_table(cycle, register)
     except pl.NonCliffordGateError as exc:
@@ -202,6 +205,7 @@ def make_cb(
     # interned per call: one Gate per (qubit, twirl index), one Cycle per
     # distinct twirl draw and per distinct final frame
     twirl_gates = [[Gate(name, (q,), param) for name, param in alphabet] for q in register]
+    labels = tuple(sorted(register))
     twirl_cycles: dict[int, Cycle] = {}
     inversions: dict[int, Cycle] = {}
     observables: dict[tuple[int, int], PauliString] = {}
@@ -240,8 +244,8 @@ def make_cb(
                     twirl_cycle = twirl_cycles.get(key)
                     if twirl_cycle is None:
                         row = draws[j, t].tolist()
-                        twirl_cycle = twirl_cycles[key] = Cycle(
-                            "easy", tuple(twirl_gates[i][k] for i, k in enumerate(row))
+                        twirl_cycle = twirl_cycles[key] = Cycle._unchecked(
+                            "easy", tuple(twirl_gates[i][k] for i, k in enumerate(row)), labels
                         )
                     body += (twirl_cycle, cycle)
                 if f not in inversions:
@@ -253,7 +257,7 @@ def make_cb(
                     )
                 circuits.append(
                     CbCircuit(
-                        circuit=Circuit(register, (prep, *body, inversions[f])),
+                        circuit=Circuit._unchecked(register, (prep, *body, inversions[f])),
                         prepared=prepared,
                         measured=observables[(f, s)],
                         m=m,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -58,6 +59,9 @@ class Cycle:
     kind: str  # "easy" | "hard"
     gates: tuple[Gate, ...]
     qubits: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    # (kind, each gate's qubits): what the noise tail and the batched
+    # unitary build depend on besides the gate names
+    structure: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "gates", tuple(self.gates))
@@ -69,6 +73,7 @@ class Cycle:
                 raise CircuitError(f"overlapping qubits in cycle: {g}")
             used.update(g.qubits)
         object.__setattr__(self, "qubits", tuple(sorted(used)))
+        object.__setattr__(self, "structure", (self.kind, tuple(g.qubits for g in self.gates)))
         if self.kind == "hard" and any(g.name != "CNOT" for g in self.gates):
             raise CircuitError("hard cycles may contain only CNOT gates")
         if self.kind == "easy" and any(g.name == "CNOT" for g in self.gates):
@@ -76,6 +81,17 @@ class Cycle:
 
     def cnot_pairs(self) -> tuple[tuple[int, int], ...]:
         return tuple(g.qubits for g in self.gates if g.name == "CNOT")
+
+    @classmethod
+    def _unchecked(cls, kind: str, gates: tuple[Gate, ...], qubits: tuple[int, ...]) -> "Cycle":
+        """``Cycle(kind, gates)`` without its checks, for callers that place
+        gates of the right kind on the distinct, sorted labels ``qubits``."""
+        cyc = object.__new__(cls)
+        object.__setattr__(cyc, "kind", kind)
+        object.__setattr__(cyc, "gates", gates)
+        object.__setattr__(cyc, "qubits", qubits)
+        object.__setattr__(cyc, "structure", (kind, tuple(g.qubits for g in gates)))
+        return cyc
 
 
 @dataclass(frozen=True)
@@ -99,6 +115,15 @@ class Circuit:
     @property
     def n_qubits(self) -> int:
         return len(self.qubits)
+
+    @classmethod
+    def _unchecked(cls, qubits: tuple[int, ...], cycles: tuple[Cycle, ...]) -> "Circuit":
+        """``Circuit(qubits, cycles)`` without its checks, for callers that
+        checked the register and every distinct cycle against it once."""
+        circuit = object.__new__(cls)
+        object.__setattr__(circuit, "qubits", qubits)
+        object.__setattr__(circuit, "cycles", cycles)
+        return circuit
 
     def position(self, label: int) -> int:
         return self.qubits.index(label)
@@ -156,6 +181,8 @@ def _identity(n: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=1024)
 def _cycle_unitary_cached(gates: tuple[Gate, ...], register: tuple[int, ...]) -> np.ndarray:
+    if all(len(g.qubits) == 1 for g in gates):
+        return _easy_unitaries([gates], register)[0]
     n = len(register)
     full = _identity(n)
     for g in gates:
@@ -164,8 +191,94 @@ def _cycle_unitary_cached(gates: tuple[Gate, ...], register: tuple[int, ...]) ->
     return full
 
 
+@functools.lru_cache(maxsize=256)
+def _easy_scatter(positions: tuple[int, ...], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Where the entries of a one-qubit-gate product over ``positions`` land
+    in the flat 2^n x 2^n matrix.
+
+    The product is stored as ``T[sum_t (2 a_t + b_t) 4^t]`` for row bit a_t
+    and column bit b_t of gate t (the first gate least significant).  Returns
+    ``(dest, src)`` with ``U.flat[dest] = T[src]`` for every entry whose
+    idle-qubit bits agree; all other entries are 0.
+    """
+    bits = (np.arange(2**n)[:, None] >> (n - 1 - np.arange(n))) & 1
+    idle = [p for p in range(n) if p not in positions]
+    spectator = bits[:, idle] @ (1 << np.arange(len(idle)))
+    rows, cols = np.nonzero(spectator[:, None] == spectator[None, :])
+    pairs = 2 * bits[rows][:, list(positions)] + bits[cols][:, list(positions)]
+    dest = rows * 2**n + cols
+    src = pairs @ (4 ** np.arange(len(positions)))
+    dest.setflags(write=False)
+    src.setflags(write=False)
+    return dest, src
+
+
+def _easy_unitaries(gate_rows: Sequence[tuple[Gate, ...]], register: tuple[int, ...]) -> np.ndarray:
+    """Unitaries of one-qubit-gate cycles that share one structure (the same
+    gate qubits in the same order), as a ``(k, 2^n, 2^n)`` stack.
+
+    Every entry is a single product of gate entries, taken in gate order;
+    a chain of embedded-gate matmuls (kept for hard cycles) sums that one
+    product with exact zeros.  BLAS rounds the two products of each complex
+    multiply separately, so the build uses real arithmetic in separate ufunc
+    calls, ``re = mr*re - mi*im`` and ``im = mr*im + mi*re``, and matches
+    the chain bit for bit (numpy's complex multiply and ``np.kron`` may fuse
+    them and differ in the last bit).
+    """
+    k, m = len(gate_rows), len(gate_rows[0])
+    n = len(register)
+    if m == 0:
+        return np.repeat(_identity(n)[None], k, axis=0)
+    positions = tuple(register.index(g.qubits[0]) for g in gate_rows[0])
+    # (m, k) codes of the distinct gate objects; their flat 2x2 matrices as
+    # (4, codes) columns
+    flat = [g for gates in gate_rows for g in gates]
+    ids = np.fromiter(map(id, flat), dtype=np.uintp, count=k * m)
+    _, first, code = np.unique(ids, return_index=True, return_inverse=True)
+    code = code.reshape(k, m).T
+    mats = np.stack([gate_matrix(flat[i]).reshape(4) for i in first.tolist()], axis=1)
+    mr, mi = np.ascontiguousarray(mats.real), np.ascontiguousarray(mats.imag)
+    # (4^t, k) partial products, cycles along the fast axis; gate t's entry
+    # index goes in front
+    re, im = mr[:, code[0]], mi[:, code[0]]
+    for t in range(1, m):
+        gr, gi = mr[:, None, code[t]], mi[:, None, code[t]]
+        re, im = re[None], im[None]
+        re, im = gr * re - gi * im, gr * im + gi * re
+        re, im = re.reshape(-1, k), im.reshape(-1, k)
+    dest, src = _easy_scatter(positions, n)
+    full = np.zeros((4**n, k), dtype=complex)
+    full.real[dest] = re[src]
+    full.imag[dest] = im[src]
+    return np.ascontiguousarray(full.T).reshape(k, 2**n, 2**n)
+
+
 def cycle_unitary(cycle: Cycle, register: tuple[int, ...]) -> np.ndarray:
     return _cycle_unitary_cached(cycle.gates, tuple(register))
+
+
+def cycle_unitaries(cycles: Sequence[Cycle], register: tuple[int, ...]) -> np.ndarray:
+    """``cycle_unitary`` of every cycle as one ``(len(cycles), 2^n, 2^n)``
+    stack, equal entry for entry.
+
+    Easy cycles are built together per structure, from one gather of their
+    gate matrices; hard cycles keep the cached embedded-CNOT chain.
+    """
+    register = tuple(register)
+    dim = 2 ** len(register)
+    groups: dict[tuple, list[int]] = {}
+    for i, c in enumerate(cycles):
+        groups.setdefault(c.structure, []).append(i)
+    if len(groups) == 1 and cycles[0].kind == "easy":
+        return _easy_unitaries([c.gates for c in cycles], register)
+    out = np.empty((len(cycles), dim, dim), dtype=complex)
+    for (kind, _), members in groups.items():
+        if kind == "easy":
+            out[members] = _easy_unitaries([cycles[i].gates for i in members], register)
+        else:
+            for i in members:
+                out[i] = _cycle_unitary_cached(cycles[i].gates, register)
+    return out
 
 
 # Gates whose matrix has one nonzero entry per row, each in {1, -1, 1j, -1j}

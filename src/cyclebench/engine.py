@@ -25,7 +25,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .circuits import Circuit, Cycle, cycle_permutation, cycle_unitary
+from .circuits import Circuit, Cycle, cycle_permutation, cycle_unitaries, cycle_unitary
 from .noise import NoiseModel, coherent_overrotation, damping_channel, pauli_channel
 from .pauli import PauliString
 from .sim import (
@@ -141,17 +141,11 @@ class Executor:
     # -- execution ---------------------------------------------------------
 
     def run(self, circuit: Circuit, initial: State | None = None) -> State:
-        if tuple(circuit.qubits) != self.register:
-            raise SimulationError(
-                f"circuit register {circuit.qubits} does not match executor register"
-            )
-        noise = self.noise
+        """Prepare ``initial`` (default |0...0>), with this model's
+        preparation flips, and apply every cycle of ``circuit``."""
+        self._check_register(circuit)
         if initial is not None:
-            state = initial.entries.copy() if isinstance(initial, DensityMatrix) else (
-                np.outer(initial.amplitudes, initial.amplitudes.conj())
-                if self.use_density
-                else initial.amplitudes.copy()
-            )
+            state = self._array(initial)
         elif self.use_density:
             state = np.zeros((2**self.n, 2**self.n), dtype=complex)
             state[0, 0] = 1.0
@@ -161,10 +155,30 @@ class Executor:
 
         for pos, chan in self._prep_flips:
             state = self._apply_kraus(state, ("prep", pos), chan, (pos,))
+        return self._run_cycles(state, circuit)
 
+    def advance(self, state: State, circuit: Circuit) -> State:
+        """Apply ``circuit``'s cycles to ``state``, without preparation:
+        ``advance(run(a), b)`` equals ``run`` of a followed by b bit for bit."""
+        self._check_register(circuit)
+        return self._run_cycles(self._array(state), circuit)
+
+    def _check_register(self, circuit: Circuit) -> None:
+        if tuple(circuit.qubits) != self.register:
+            raise SimulationError(
+                f"circuit register {circuit.qubits} does not match executor register"
+            )
+
+    def _array(self, state: State) -> np.ndarray:
+        if isinstance(state, DensityMatrix):
+            return state.entries.copy()
+        if self.use_density:
+            return np.outer(state.amplitudes, state.amplitudes.conj())
+        return state.amplitudes.copy()
+
+    def _run_cycles(self, state: np.ndarray, circuit: Circuit) -> State:
         for cyc in circuit.cycles:
             state = self._run_cycle(state, cyc)
-
         if self.use_density or state.ndim == 2:
             return DensityMatrix(state)
         return StateVector(state)
@@ -197,10 +211,9 @@ class Executor:
         """
         if self.noise is None:
             return ()
-        key = (cyc.kind, tuple(g.qubits for g in cyc.gates))
-        tail = self._tails.get(key)
+        tail = self._tails.get(cyc.structure)
         if tail is None:
-            tail = self._tails[key] = self._build_tail(cyc)
+            tail = self._tails[cyc.structure] = self._build_tail(cyc)
         return tail
 
     def _build_tail(self, cyc: Cycle) -> tuple:
@@ -306,21 +319,26 @@ class Executor:
         if len(signed) == len(cycles):
             state = self._permute(state, signed, slot)
         else:
-            if len(cycles) == 1:
-                u = cycle_unitary(cycles[0], self.register)
-            else:
-                u = np.stack([cycle_unitary(c, self.register) for c in cycles])[slot]
+            u = cycle_unitaries(cycles, self.register)
+            u = u[0] if len(cycles) == 1 else u[slot]
             state = np.matmul(u, state)
             if self.use_density:
                 state = np.matmul(state, u.conj().swapaxes(-1, -2))
 
-        tails = [self._tail(c) for c in cycles]
-        if all(t is tails[0] for t in tails):
-            return self._apply_tail(state, tails[0])
-        owner = np.array([id(t) for t in tails], dtype=np.uint64)[slot]
-        for tail in {id(t): t for t in tails}.values():
+        # one tail per structure, looked up once
+        groups: dict[tuple, list[int]] = {}
+        for k, c in enumerate(cycles):
+            groups.setdefault(c.structure, []).append(k)
+        if len(groups) == 1:
+            return self._apply_tail(state, self._tail(cycles[0]))
+        owner = np.empty(len(cycles), dtype=np.intp)
+        for g, members in enumerate(groups.values()):
+            owner[members] = g
+        owner = owner[slot]
+        for g, members in enumerate(groups.values()):
+            tail = self._tail(cycles[members[0]])
             if tail:
-                sel = np.flatnonzero(owner == id(tail))
+                sel = np.flatnonzero(owner == g)
                 state[sel] = self._apply_tail(state[sel], tail)
         return state
 

@@ -303,3 +303,44 @@ class RngFromStreams:
         from cyclebench.sim import rng_from
 
         return rng_from(self.seed, *self.paths[i])
+
+
+def reference_cycle_unitary(cycle, register) -> np.ndarray:
+    """Cycle unitary as the chained product of embedded gate matrices,
+    ``E_k @ ... @ E_1 @ I``, one BLAS matmul per gate."""
+    from cyclebench.circuits import gate_matrix
+
+    n = len(register)
+    full = np.eye(2**n, dtype=complex)
+    for g in cycle.gates:
+        full = embed(gate_matrix(g), [register.index(q) for q in g.qubits], n) @ full
+    return full
+
+
+def reference_simulate_occupations(config, model):
+    """Occupation rows with the step-N circuit rebuilt and run from the
+    initial state for every N."""
+    from cyclebench.circuits import (
+        TfimParams, build_tfim_circuit, layout_qubits, occupation,
+    )
+    from cyclebench.engine import Executor
+    from cyclebench.sim import StateVector
+
+    register = layout_qubits(config.layout)
+    ideal_exec = Executor(register, None)
+    noisy_exec = Executor(register, model)
+    n = config.tfim.sites
+    start = StateVector.from_bits("1" + "0" * (n - 1))
+    rows = []
+    for step in range(config.tfim.steps + 1):
+        params = TfimParams(
+            sites=n, coupling=config.tfim.coupling, field=config.tfim.field,
+            dt=config.tfim.dt, steps=step,
+        )
+        circuit = build_tfim_circuit(config.variant, params, config.layout)
+        noisy = noisy_exec.run(circuit, initial=start)
+        ideal = ideal_exec.run(circuit, initial=start)
+        for site in range(1, n + 1):
+            rows.append((step, step * config.tfim.dt, site,
+                         occupation(noisy, site), occupation(ideal, site)))
+    return rows

@@ -17,7 +17,9 @@ from cyclebench.bench import (
     rb_to_process_infidelity,
     run_rb,
 )
-from cyclebench.circuits import Cycle, Gate, layout_cycles, propagate_pauli
+from cyclebench.circuits import (
+    Circuit, CircuitError, Cycle, Gate, layout_cycles, propagate_pauli,
+)
 from cyclebench.noise import NoiseModel, depolarizing_pauli_probs
 from cyclebench.pauli import PauliString
 from cyclebench.sim import rng_from
@@ -104,6 +106,24 @@ class TestMakeCb:
     def test_rejects_register_above_max_qubits(self):
         with pytest.raises(ProtocolError):
             make_cb(CNOT01, (2, 4, 6), 4, 4, register=tuple(range(6)))
+
+    def test_rejects_cycle_outside_register(self):
+        with pytest.raises(CircuitError, match=r"cycle uses qubits \[3\] outside register"):
+            make_cb(Cycle("hard", (Gate("CNOT", (1, 3)),)), (2, 4, 6), 4, 4, register=(0, 1, 2))
+        with pytest.raises(CircuitError, match="register labels must be distinct"):
+            make_cb(CNOT01, (2, 4, 6), 4, 4, register=(0, 1, 1))
+
+    @pytest.mark.parametrize("twirl", ["pauli", "c1"])
+    def test_unchecked_cycles_and_circuits_match_checked_ones(self, twirl):
+        """make_cb skips the per-object checks; what they derive must agree."""
+        coll = make_cb(layout_cycles(2, 3), (0, 2, 5), 3, 4, twirl=twirl, seed=4,
+                       register=(6, 7, 12, 11))
+        for cc in coll.circuits:
+            checked = Circuit(cc.circuit.qubits, cc.circuit.cycles)
+            assert checked == cc.circuit
+            for cyc in cc.circuit.cycles:
+                rebuilt = Cycle(cyc.kind, cyc.gates)
+                assert (cyc.qubits, cyc.structure) == (rebuilt.qubits, rebuilt.structure)
 
     @pytest.mark.parametrize("twirl", ["pauli", "c1"])
     @pytest.mark.parametrize(

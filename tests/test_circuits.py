@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cyclebench.circuits import (
     Circuit,
@@ -15,6 +17,7 @@ from cyclebench.circuits import (
     circuit_to_text,
     circuit_unitary,
     cycle_permutation,
+    cycle_unitaries,
     cycle_unitary,
     hard_cycle_ids_per_step,
     is_monomial,
@@ -50,6 +53,11 @@ class TestTypes:
         Circuit((6, 7, 12, 11), (cyc,))
         with pytest.raises(CircuitError):
             Circuit((0, 1), (cyc,))
+
+    def test_structure_is_kind_and_gate_qubits(self):
+        cyc = Cycle("easy", (Gate("H", (3,)), Gate("C1", (1,), 4)))
+        assert cyc.structure == ("easy", ((3,), (1,)))
+        assert Cycle("hard", (Gate("CNOT", (1, 0)),)).structure == ("hard", ((1, 0),))
 
     def test_gate_arity(self):
         with pytest.raises(CircuitError):
@@ -308,3 +316,77 @@ class TestCyclePermutation:
     def test_none_for_other_gates(self, gate):
         cycle = Cycle("easy", (Gate("X", (0,)), gate))
         assert cycle_permutation(cycle, (0, 1)) is None
+
+
+# every one-qubit gate the package builds: the 24 C1 elements, the fixed
+# gates and RZ at two angles
+ONE_QUBIT_GATES = (
+    [("C1", k) for k in range(24)]
+    + [(name, None) for name in ("I", "X", "Y", "Z", "H", "S", "SDG")]
+    + [("RZ", 0.3), ("RZ", -1.7)]
+)
+
+
+@st.composite
+def easy_cycles(draw, max_qubits=5):
+    """An easy cycle on a permuted register of 1-5 labels, with its gates on
+    a random subset in random order (the rest idle)."""
+    n = draw(st.integers(1, max_qubits))
+    register = tuple(draw(st.permutations(range(2 * max_qubits)))[:n])
+    busy = draw(st.permutations(register))[:draw(st.integers(0, n))]
+    picks = draw(st.lists(st.sampled_from(ONE_QUBIT_GATES), min_size=len(busy),
+                          max_size=len(busy)))
+    gates = tuple(Gate(name, (q,), param) for q, (name, param) in zip(busy, picks))
+    return Cycle("easy", gates), register
+
+
+class TestEasyCycleUnitaries:
+    """Easy-cycle unitaries are built as tensor products; they must equal the
+    embedded matmul chain bit for bit, never only within a tolerance."""
+
+    def test_every_ordered_pair(self):
+        register = (0, 1)
+        cycles = [
+            Cycle("easy", (Gate(a, (0,), pa), Gate(b, (1,), pb)))
+            for a, pa in ONE_QUBIT_GATES for b, pb in ONE_QUBIT_GATES
+        ]
+        batched = cycle_unitaries(cycles, register)
+        for cyc, u in zip(cycles, batched):
+            expected = oracles.reference_cycle_unitary(cyc, register)
+            assert np.array_equal(u, expected), cyc
+            assert np.array_equal(cycle_unitary(cyc, register), expected), cyc
+
+    @settings(max_examples=80, deadline=None)
+    @given(easy_cycles())
+    def test_matches_the_chain(self, case):
+        cyc, register = case
+        expected = oracles.reference_cycle_unitary(cyc, register)
+        assert np.array_equal(cycle_unitary(cyc, register), expected)
+        assert np.array_equal(cycle_unitaries([cyc], register)[0], expected)
+
+    @pytest.mark.parametrize("size", [1, 7, 256])
+    def test_batched_equals_per_cycle(self, size):
+        rng = np.random.default_rng(size)
+        register = (5, 2, 9, 4)
+        gates = [[Gate(name, (q,), param) for name, param in ONE_QUBIT_GATES]
+                 for q in register]
+        layouts = [(0, 1, 2, 3), (3, 1, 0), (2,)]
+        hard = Cycle("hard", (Gate("CNOT", (9, 5)),))
+        cycles = []
+        for _ in range(size):
+            order = layouts[rng.integers(len(layouts))]
+            picks = rng.integers(len(ONE_QUBIT_GATES), size=len(order))
+            cycles.append(Cycle("easy", tuple(gates[i][k] for i, k in zip(order, picks))))
+        one_structure = [Cycle("easy", tuple(gates[i][k] for i, k in enumerate(picks)))
+                         for picks in rng.integers(len(ONE_QUBIT_GATES), size=(size, 4))]
+        for batch in (cycles, one_structure, cycles[: size // 2] + [hard]):
+            stack = cycle_unitaries(batch, register)
+            assert stack.shape == (len(batch), 16, 16)
+            for cyc, u in zip(batch, stack):
+                assert np.array_equal(u, cycle_unitary(cyc, register))
+                assert np.array_equal(u, oracles.reference_cycle_unitary(cyc, register))
+
+    def test_empty_cycle_is_identity(self):
+        cyc = Cycle("easy", ())
+        assert np.array_equal(cycle_unitary(cyc, (3, 1)), np.eye(4))
+        assert np.array_equal(cycle_unitaries([cyc, cyc], (3, 1)), np.stack([np.eye(4)] * 2))

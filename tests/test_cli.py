@@ -6,12 +6,18 @@ import yaml
 
 from cyclebench.cli import (
     ConfigError,
+    VerdictRow,
+    _verdict_lines,
+    _write_occupations,
     config_from_dict,
     drift_verdicts,
     load_config,
     main,
+    simulate_occupations,
 )
 from cyclebench.ingest import read_curves, read_decays, read_estimates
+
+import oracles
 
 
 def base_config(out: str, **extra) -> dict:
@@ -327,6 +333,64 @@ class TestZeroNoiseEpoch:
         for row in rows:
             _, _, _, occ, ideal = row.split(",")
             assert float(occ) == pytest.approx(float(ideal), abs=1e-9)
+
+
+class TestZeroWidthVerdicts:
+    def test_noiseless_schedule_marks_every_row(self, tmp_path, capsys):
+        cfg = base_config(str(tmp_path / "out"))
+        cfg["noise"] = {}
+        cfg["cb"] = {"m_list": [2, 4, 8], "n_random": 2, "n_decays": 3, "shots": 64}
+        cfg["rb"] = {"m_list": [2, 4, 8], "n_random": 2, "shots": 64}
+        cfg["tfim"]["steps"] = 1
+        cfg["schedule"] = {"epochs": [{"day": 1, "label": "morning"},
+                                      {"day": 2, "label": "morning"}]}
+        path = write_config(tmp_path, cfg)
+        assert main(["schedule", "--config", str(path)]) == 0
+        out = tmp_path / "out"
+        lines = [ln for ln in (out / "summary.txt").read_text().splitlines() if " | " in ln]
+        assert len(lines) == 7  # four CB cycles and three RB pairs
+        for ln in lines:
+            parts = [p.strip() for p in ln.split("|")]
+            assert parts[2] == "consistent"
+            assert parts[3].endswith("threshold=0.0 zero-width")
+        capsys.readouterr()
+        assert main(["report", "--out", str(out)]) == 0
+        printed = [ln for ln in capsys.readouterr().out.splitlines() if ln.strip()]
+        assert printed == lines
+
+    def test_only_zero_thresholds_are_marked(self):
+        rows = [VerdictRow("day1:morning", "day2:morning", "CB:cycle1", "drift-detected",
+                           1e-15, 0.0),
+                VerdictRow("day1:morning", "day2:morning", "RB:pair0-1", "consistent",
+                           0.001, 0.004)]
+        assert _verdict_lines(rows) == [
+            "day1:morning -> day2:morning | CB:cycle1 | drift-detected | "
+            "delta=1e-15 threshold=0.0 zero-width",
+            "day1:morning -> day2:morning | RB:pair0-1 | consistent | "
+            "delta=0.001 threshold=0.004",
+        ]
+
+
+class TestOccupations:
+    @pytest.mark.parametrize("variant", ["circuit1", "circuit2"])
+    def test_step_by_step_equals_per_step_rebuild(self, tmp_path, variant):
+        cfg = base_config(str(tmp_path), variant=variant, layout=2)
+        cfg["tfim"]["steps"] = 3
+        cfg["noise"] = {
+            "pauli_errors": {"cnot": {"IX": 0.004, "ZZ": 0.004}},
+            "t1": {6: 80.0, 7: 60.0, 12: 90.0},
+            "t2": {6: 70.0, 11: 50.0},
+            "durations": {"cnot": 0.3, "single_qubit": 0.05},
+            "readout_error": {7: 0.03, 11: 0.02},
+            "prep_flip": {6: 0.02, 12: 0.01},
+        }
+        config = config_from_dict(cfg)
+        rows = simulate_occupations(config, config.noise)
+        expected = oracles.reference_simulate_occupations(config, config.noise)
+        assert rows == expected
+        _write_occupations(tmp_path / "fast.csv", rows)
+        _write_occupations(tmp_path / "slow.csv", expected)
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "slow.csv").read_bytes()
 
 
 class TestEpochFilter:

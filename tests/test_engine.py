@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclebench.bench import TWIRL_GROUPS, execute_collection, make_cb
-from cyclebench.circuits import Circuit, Cycle, Gate, cycle_unitary
+from cyclebench.circuits import Circuit, Cycle, Gate, cycle_unitaries
 from cyclebench import engine
 from cyclebench.engine import Executor, run_circuit
 from cyclebench.noise import CrosstalkTerm, NoiseModel, confusion_from_scalar
@@ -262,6 +262,24 @@ class TestInitialStates:
         assert isinstance(out, DensityMatrix)
         assert out.entries[0b11, 0b11].real == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("noise", [
+        None,
+        NoiseModel(cnot_rotation={"*": ("ZZ", 0.1)}),
+        NoiseModel(pauli_errors={"cnot": {"XX": 0.02}}, t1={0: 40.0}, t2={1: 30.0},
+                   durations={"cnot": 0.5}, prep_flip={0: 0.03, 1: 0.01}),
+    ])
+    def test_advance_continues_a_run(self, noise):
+        """``advance`` applies cycles only: no second round of prep flips."""
+        a = Circuit((0, 1), (Cycle("easy", (Gate("H", (0,)), Gate("RZ", (1,), 0.4))),
+                             Cycle("hard", (Gate("CNOT", (0, 1)),))))
+        b = Circuit((0, 1), (Cycle("easy", (Gate("C1", (1,), 7),)),) + a.cycles)
+        ex = Executor((0, 1), noise)
+        init = StateVector.from_bits("10")
+        whole = ex.run(Circuit((0, 1), a.cycles + b.cycles), initial=init)
+        stepped = ex.advance(ex.run(a, initial=init), b)
+        assert type(stepped) is type(whole)
+        assert np.array_equal(_final(stepped), _final(whole))
+
 
 # ---------------------------------------------------------------------------
 # Batched execution: every state bit-identical to Executor.run
@@ -439,6 +457,23 @@ class TestBatchedExecution:
             changed += not np.allclose(ref, before[i])
         assert changed >= len(circuits) // 2
 
+    def test_each_structure_tail_is_looked_up_once_per_layer(self, monkeypatch):
+        """A C1-twirl collection has one structure per layer: one tail lookup
+        per layer and stack, however many distinct twirl cycles it holds."""
+        noise = NoiseModel(pauli_errors={"cnot": {"XX": 0.05}}, t1={0: 40.0})
+        coll = make_cb(Cycle("hard", (Gate("CNOT", (0, 1)),)), (1, 3, 5), 6, 3,
+                       twirl="c1", seed=3)
+        circuits = [cc.circuit for cc in coll.circuits]
+        calls = []
+        original = Executor._tail
+        monkeypatch.setattr(Executor, "_tail",
+                            lambda self, cyc: calls.append(cyc) or original(self, cyc))
+        monkeypatch.setattr(engine, "CHUNK", 8)
+        dict(Executor((0, 1), noise).run_many(circuits))
+        lengths = [len(c.cycles) for c in circuits]
+        stacks = {n: -(-lengths.count(n) // 8) for n in set(lengths)}
+        assert len(calls) == sum(n * k for n, k in stacks.items())
+
     def test_tails_are_interned_by_structure(self):
         noise = NoiseModel(pauli_errors={"cnot": {"XX": 0.05}, "single_qubit": {"Z": 0.01}})
         ex = Executor((0, 1), noise)
@@ -548,7 +583,7 @@ class TestMonomialLayers:
         reference = [ex.run(c).entries for c in circuits]
         looked_up = []
         monkeypatch.setattr(
-            engine, "cycle_unitary", lambda c, r: looked_up.append(c) or cycle_unitary(c, r)
+            engine, "cycle_unitaries", lambda cs, r: looked_up.extend(cs) or cycle_unitaries(cs, r)
         )
         for i, state in ex.run_many(circuits):
             assert np.array_equal(state.entries, reference[i])
