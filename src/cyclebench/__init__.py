@@ -29,7 +29,7 @@ from .circuits import (
     occupation,
     propagate_pauli,
 )
-from .engine import Executor, run_circuit
+from .engine import Executor
 from .noise import (
     CrosstalkTerm,
     DriftEpoch,
@@ -47,8 +47,6 @@ from .sim import (
     DensityMatrix,
     KrausChannel,
     StateVector,
-    apply_channel,
-    apply_unitary,
     equal_up_to_phase,
     expectation_pauli,
     sample_counts,

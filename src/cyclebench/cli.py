@@ -217,12 +217,6 @@ def _layout_pairs(layout: int) -> list[tuple[int, int]]:
     return [(a, b), (b, c), (c, d)]
 
 
-def _cycle_for_pairs(layout: int) -> dict[tuple[int, int], int]:
-    """Cycle id measuring each adjacent pair alone."""
-    pairs = _layout_pairs(layout)
-    return {pairs[0]: 2, pairs[1]: 3, pairs[2]: 4}
-
-
 def run_cb_all_cycles(
     config: ExperimentConfig,
     model: NoiseModel,
@@ -230,9 +224,10 @@ def run_cb_all_cycles(
     seed_tag: str,
     day: int,
     label: str,
+    cycle_ids: Sequence[int] = CYCLE_IDS,
 ) -> tuple[dict[int, InfidelityEstimate], dict[int, list], dict[int, list]]:
     estimates, fits_by_cycle, points_by_cycle = {}, {}, {}
-    for cid in CYCLE_IDS:
+    for cid in cycle_ids:
         cycle = layout_cycles(config.layout, cid)
         est, fits, points = cb_process_infidelity(
             cycle,
@@ -462,10 +457,15 @@ def cmd_schedule(config: ExperimentConfig, out: Path, epochs_filter: str | None)
     return 0
 
 
-def cmd_simulate(config: ExperimentConfig, out: Path) -> int:
+def _first_epoch(config: ExperimentConfig, out: Path):
+    """Create ``out``; return the schedule's first epoch and its model."""
     out.mkdir(parents=True, exist_ok=True)
     epoch = config.schedule.epochs[0]
-    model = drift_params_at(config.schedule, epoch.day, epoch.label, config.seed)
+    return epoch, drift_params_at(config.schedule, epoch.day, epoch.label, config.seed)
+
+
+def cmd_simulate(config: ExperimentConfig, out: Path) -> int:
+    _, model = _first_epoch(config, out)
     rows = simulate_occupations(config, model)
     _write_occupations(out / "occupations.csv", rows)
     print(f"wrote {out / 'occupations.csv'}")
@@ -473,9 +473,7 @@ def cmd_simulate(config: ExperimentConfig, out: Path) -> int:
 
 
 def cmd_cb(config: ExperimentConfig, out: Path) -> int:
-    out.mkdir(parents=True, exist_ok=True)
-    epoch = config.schedule.epochs[0]
-    model = drift_params_at(config.schedule, epoch.day, epoch.label, config.seed)
+    epoch, model = _first_epoch(config, out)
     ests, fits_by_cycle, points_by_cycle = run_cb_all_cycles(
         config, model, config.cb, "cb", epoch.day, epoch.label
     )
@@ -488,9 +486,7 @@ def cmd_cb(config: ExperimentConfig, out: Path) -> int:
 
 
 def cmd_rb(config: ExperimentConfig, out: Path) -> int:
-    out.mkdir(parents=True, exist_ok=True)
-    epoch = config.schedule.epochs[0]
-    model = drift_params_at(config.schedule, epoch.day, epoch.label, config.seed)
+    epoch, model = _first_epoch(config, out)
     results = run_rb_all_pairs(config, model, epoch.day, epoch.label)
     write_estimates(
         out / "estimates.csv",
@@ -501,26 +497,11 @@ def cmd_rb(config: ExperimentConfig, out: Path) -> int:
 
 
 def cmd_qcap(config: ExperimentConfig, out: Path) -> int:
-    out.mkdir(parents=True, exist_ok=True)
-    epoch = config.schedule.epochs[0]
-    model = drift_params_at(config.schedule, epoch.day, epoch.label, config.seed)
+    epoch, model = _first_epoch(config, out)
     needed = sorted(set(hard_cycle_ids_per_step(config.variant)))
-    cb_ests = {}
-    for cid in needed:
-        cycle = layout_cycles(config.layout, cid)
-        est, _, _ = cb_process_infidelity(
-            cycle,
-            model,
-            m_list=config.qcap.m_list,
-            n_random=config.qcap.n_random,
-            n_decays=config.qcap.n_decays,
-            shots=config.qcap.shots,
-            twirl=config.qcap.twirl,
-            seed=_child_seed(config.seed, "qcap", epoch.day, epoch.label, cid),
-            resamples=config.resamples,
-            label=f"cycle{cid}",
-        )
-        cb_ests[cid] = est.tagged(epoch.day, epoch.label)
+    cb_ests, _, _ = run_cb_all_cycles(
+        config, model, config.qcap, "qcap", epoch.day, epoch.label, needed
+    )
     rb_results = run_rb_all_pairs(config, model, epoch.day, epoch.label)
     cb_curve, rb_curve = build_curves(config, cb_ests, rb_results)
     write_curves(out / "qcap.csv", [cb_curve, rb_curve])

@@ -11,11 +11,13 @@ Per cycle the engine applies: the ideal cycle unitary, then coherent CNOT
 rotations, then crosstalk rotations (hard cycles only), then the stochastic
 Pauli channel of each gate, then damping (gate qubits for the gate's
 duration, idle qubits for the cycle duration).  Everything after the ideal
-unitary is one op list per cycle structure (``Executor._tail``), read both by
-``Executor.run`` and by ``Executor.run_many``, which advances stacks of
-equally long circuits together with bit-identical results.  ``run_many``
-applies layers of monomial cycles (Pauli twirls, CNOTs) as signed
-permutations instead of matrix products.
+unitary is one op list per cycle structure (``Executor._tail``).  There is
+one execution kernel, ``Executor._run_stack``, which advances a stack of
+equally long circuits layer by layer: ``run_many`` feeds it stacks of up to
+``CHUNK`` circuits, ``run`` and ``advance`` a stack of one.  A stack of one
+takes the cached cycle unitary; larger stacks apply layers of monomial
+cycles (Pauli twirls, CNOTs) as signed permutations instead of matrix
+products.
 """
 
 from __future__ import annotations
@@ -125,43 +127,45 @@ class Executor:
             self._damping[key] = damping_channel(t1, t2, duration)
         return self._damping[key]
 
-    # -- state transforms -------------------------------------------------
-
-    def _apply_unitary(self, state, key, mat, positions):
-        full = self._unitary_full(key, mat, positions)
-        if isinstance(state, np.ndarray) and state.ndim == 1:
-            return full @ state
-        return full @ state @ full.conj().T
-
-    def _apply_kraus(self, rho, key, channel, positions):
-        dim = rho.shape[0]
-        s = self._superop(key, channel, positions)
-        return (s @ rho.reshape(-1)).reshape(dim, dim)
-
     # -- execution ---------------------------------------------------------
 
     def run(self, circuit: Circuit, initial: State | None = None) -> State:
         """Prepare ``initial`` (default |0...0>), with this model's
         preparation flips, and apply every cycle of ``circuit``."""
         self._check_register(circuit)
-        if initial is not None:
-            state = self._array(initial)
-        elif self.use_density:
-            state = np.zeros((2**self.n, 2**self.n), dtype=complex)
-            state[0, 0] = 1.0
-        else:
-            state = np.zeros(2**self.n, dtype=complex)
-            state[0] = 1.0
-
-        for pos, chan in self._prep_flips:
-            state = self._apply_kraus(state, ("prep", pos), chan, (pos,))
-        return self._run_cycles(state, circuit)
+        state = self._zero_stack(1) if initial is None else self._stack_of(initial)
+        return _wrap(self._run_stack([circuit], self._prepare(state))[0])
 
     def advance(self, state: State, circuit: Circuit) -> State:
         """Apply ``circuit``'s cycles to ``state``, without preparation:
         ``advance(run(a), b)`` equals ``run`` of a followed by b bit for bit."""
         self._check_register(circuit)
-        return self._run_cycles(self._array(state), circuit)
+        return _wrap(self._run_stack([circuit], self._stack_of(state))[0])
+
+    def run_many(self, circuits: Sequence[Circuit]) -> Iterator[tuple[int, State]]:
+        """Run many circuits from |0...0>, yielding ``(index, final state)``.
+
+        Circuits with the same cycle count advance together, at most
+        ``CHUNK`` at a time, as one stack per layer.  Every circuit still
+        gets its own BLAS call of the same shape (numpy's stacked
+        ``matmul``), so each state is bit-identical whatever the chunk size,
+        and to ``run(circuits[index])``.  Pairs come grouped by cycle count,
+        not in index order.
+        """
+        groups: dict[int, list[int]] = {}
+        for i, circuit in enumerate(circuits):
+            self._check_register(circuit)
+            groups.setdefault(len(circuit.cycles), []).append(i)
+        wrap = DensityMatrix if self.use_density else StateVector
+        for members in groups.values():
+            for lo in range(0, len(members), CHUNK):
+                part = members[lo:lo + CHUNK]
+                stack = self._run_stack([circuits[i] for i in part],
+                                        self._prepare(self._zero_stack(len(part))))
+                if not self.use_density:
+                    stack = stack[..., 0]
+                for i, state in zip(part, stack):
+                    yield i, wrap(state)
 
     def _check_register(self, circuit: Circuit) -> None:
         if tuple(circuit.qubits) != self.register:
@@ -169,35 +173,33 @@ class Executor:
                 f"circuit register {circuit.qubits} does not match executor register"
             )
 
-    def _array(self, state: State) -> np.ndarray:
-        if isinstance(state, DensityMatrix):
-            return state.entries.copy()
-        if self.use_density:
-            return np.outer(state.amplitudes, state.amplitudes.conj())
-        return state.amplitudes.copy()
+    def _prepare(self, state: np.ndarray) -> np.ndarray:
+        """The preparation flips on a stack."""
+        prep = tuple(("kraus", ("prep", pos), chan, (pos,)) for pos, chan in self._prep_flips)
+        return self._apply_tail(state, prep)
 
-    def _run_cycles(self, state: np.ndarray, circuit: Circuit) -> State:
-        for cyc in circuit.cycles:
-            state = self._run_cycle(state, cyc)
-        if self.use_density or state.ndim == 2:
-            return DensityMatrix(state)
-        return StateVector(state)
+    def _zero_stack(self, b: int) -> np.ndarray:
+        """``b`` copies of |0...0>."""
+        dim = 2**self.n
+        state = np.zeros((b, dim, dim if self.use_density else 1), dtype=complex)
+        state[:, 0, 0] = 1.0
+        return state
+
+    def _stack_of(self, state: State) -> np.ndarray:
+        """A stack of one: ``state``'s density matrix, or its amplitudes as a
+        column when this model introduces no channel."""
+        if state.n_qubits != self.n:
+            raise SimulationError(
+                f"state has {state.n_qubits} qubits but the executor register has {self.n}"
+            )
+        if isinstance(state, DensityMatrix):
+            return state.entries[None].copy()
+        if self.use_density:
+            return np.outer(state.amplitudes, state.amplitudes.conj())[None]
+        return state.amplitudes.reshape(1, -1, 1).copy()
 
     def _positions(self, qubits: tuple[int, ...]) -> tuple[int, ...]:
         return tuple(self.register.index(q) for q in qubits)
-
-    def _run_cycle(self, state, cyc: Cycle):
-        ideal = cycle_unitary(cyc, self.register)
-        if state.ndim == 1:
-            state = ideal @ state
-        else:
-            state = ideal @ state @ ideal.conj().T
-        for kind, key, op, positions in self._tail(cyc):
-            if kind == "kraus":
-                state = self._apply_kraus(self._as_density(state), key, op, positions)
-            else:
-                state = self._apply_unitary(state, key, op, positions)
-        return state
 
     def _tail(self, cyc: Cycle) -> tuple:
         """The noise ops that follow ``cyc``'s ideal unitary, in order.
@@ -263,48 +265,34 @@ class Executor:
                 ops.append(("kraus", ("damp", q, dur), chan, (i,)))
         return tuple(ops)
 
-    # -- batched execution -------------------------------------------------
+    # -- the kernel ----------------------------------------------------------
 
-    def run_many(self, circuits: Sequence[Circuit]) -> Iterator[tuple[int, State]]:
-        """Run many circuits from |0...0>, yielding ``(index, final state)``.
+    def _run_stack(self, circuits: list[Circuit], state: np.ndarray) -> np.ndarray:
+        """Apply equally long circuits' cycles to a stack of initial states,
+        (b, d, d) densities or (b, d, 1) amplitudes, one circuit per state.
 
-        Circuits with the same cycle count advance together, at most
-        ``CHUNK`` at a time, as one stack per layer.  Every op of ``run`` is
-        applied in the same order, and every circuit still gets its own BLAS
-        call of the same shape (numpy's stacked ``matmul``), so each state is
-        bit-identical to ``run(circuits[index])`` whatever the chunk size.
-        Pairs come grouped by cycle count, not in index order.
-        """
-        groups: dict[int, list[int]] = {}
-        for i, circuit in enumerate(circuits):
-            if tuple(circuit.qubits) != self.register:
-                raise SimulationError(
-                    f"circuit register {circuit.qubits} does not match executor register"
-                )
-            groups.setdefault(len(circuit.cycles), []).append(i)
-        wrap = DensityMatrix if self.use_density else StateVector
-        for members in groups.values():
-            for lo in range(0, len(members), CHUNK):
-                part = members[lo:lo + CHUNK]
-                stack = self._run_stack([circuits[i] for i in part])
-                for i, state in zip(part, stack):
-                    yield i, wrap(state)
-
-    def _run_stack(self, circuits: list[Circuit]) -> np.ndarray:
-        """Final states of equally long circuits: (b, d, d) densities, or
-        (b, d) amplitudes when the model introduces no channel (then no tail
-        holds a Kraus op, so the stack never needs promoting)."""
-        dim = 2**self.n
-        state = np.zeros((len(circuits), dim, dim if self.use_density else 1), dtype=complex)
-        state[:, 0, 0] = 1.0
-        prep = tuple(("kraus", ("prep", pos), chan, (pos,)) for pos, chan in self._prep_flips)
-        state = self._apply_tail(state, prep)
+        Every op reads density from the stack's last axis: a pure stack stays
+        pure, since only a model that introduces channels has Kraus ops."""
+        if len(circuits) == 1:
+            # a stack of one (an RB sequence, a Trotter step): the cached cycle
+            # unitary and a plain matmul, without per-cycle helper calls
+            dense = state.shape[-1] != 1
+            for cyc in circuits[0].cycles:
+                u = cycle_unitary(cyc, self.register)
+                state = u @ state
+                if dense:
+                    state = state @ u.conj().T
+                tail = self._tail(cyc)
+                if tail:
+                    state = self._apply_tail(state, tail)
+            return state
         for layer in zip(*(c.cycles for c in circuits)):
             state = self._apply_layer(state, layer)
-        return state if self.use_density else state[..., 0]
+        return state
 
     def _apply_layer(self, state: np.ndarray, layer: tuple[Cycle, ...]) -> np.ndarray:
-        """One cycle per circuit: ideal unitaries, then each circuit's tail."""
+        """One cycle per circuit of a stack of two or more: ideal unitaries,
+        then each circuit's tail."""
         # distinct cycle objects (CB collections intern them) and each
         # circuit's slot among them
         ids = np.fromiter(map(id, layer), dtype=np.uint64, count=len(layer))
@@ -320,10 +308,7 @@ class Executor:
             state = self._permute(state, signed, slot)
         else:
             u = cycle_unitaries(cycles, self.register)
-            u = u[0] if len(cycles) == 1 else u[slot]
-            state = np.matmul(u, state)
-            if self.use_density:
-                state = np.matmul(state, u.conj().swapaxes(-1, -2))
+            state = _conjugate(state, u[0] if len(cycles) == 1 else u[slot])
 
         # one tail per structure, looked up once
         groups: dict[tuple, list[int]] = {}
@@ -355,7 +340,7 @@ class Executor:
         b, dim = state.shape[:2]
         perm = np.stack([p for p, _ in signed])
         phase = np.stack([f for _, f in signed])
-        if self.use_density:
+        if state.shape[-1] != 1:
             perm = (perm[:, :, None] * dim + perm[:, None, :]).reshape(len(signed), -1)
             phase = (phase[:, :, None] * phase.conj()[:, None, :]).reshape(len(signed), -1)
         flat = state.reshape(b, -1)
@@ -369,20 +354,18 @@ class Executor:
         """A tail's ops on a stack, with the shared embedded matrices."""
         for kind, key, op, positions in tail:
             if kind == "kraus":
-                b, dim = state.shape[:2]
-                s = self._superop(key, op, positions)
-                state = np.matmul(s, state.reshape(b, dim * dim, 1)).reshape(b, dim, dim)
+                state = self._apply_kraus(state, key, op, positions)
             else:
-                full = self._unitary_full(key, op, positions)
-                state = np.matmul(full, state)
-                if self.use_density:
-                    state = np.matmul(state, full.conj().T)
+                state = self._apply_unitary(state, key, op, positions)
         return state
 
-    def _as_density(self, state):
-        if state.ndim == 1:
-            return np.outer(state, state.conj())
-        return state
+    def _apply_unitary(self, state: np.ndarray, key, mat, positions) -> np.ndarray:
+        return _conjugate(state, self._unitary_full(key, mat, positions))
+
+    def _apply_kraus(self, state: np.ndarray, key, channel, positions) -> np.ndarray:
+        b, dim = state.shape[:2]
+        s = self._superop(key, channel, positions)
+        return np.matmul(s, state.reshape(b, dim * dim, 1)).reshape(b, dim, dim)
 
     @staticmethod
     @functools.lru_cache(maxsize=512)
@@ -429,10 +412,15 @@ def _parity_vector(n: int, support: tuple[int, ...]) -> np.ndarray:
     return 1.0 - 2.0 * acc
 
 
-def run_circuit(
-    circuit: Circuit,
-    noise: NoiseModel | None = None,
-    force_density: bool = False,
-) -> State:
-    """One-shot convenience wrapper around :class:`Executor`."""
-    return Executor(circuit.qubits, noise, force_density=force_density).run(circuit)
+def _conjugate(state: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``U rho U^H`` on a density stack, ``U psi`` on an amplitude stack; ``u``
+    is one matrix for the whole stack or one per state."""
+    state = np.matmul(u, state)
+    if state.shape[-1] == 1:
+        return state
+    return np.matmul(state, u.conj().swapaxes(-1, -2))
+
+
+def _wrap(state: np.ndarray) -> State:
+    """One state of a stack as a :class:`DensityMatrix` or a :class:`StateVector`."""
+    return DensityMatrix(state) if state.shape[-1] != 1 else StateVector(state[:, 0])

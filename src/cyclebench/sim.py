@@ -274,23 +274,9 @@ class KrausChannel:
             raise SimulationError(f"Choi matrix has eigenvalue {lo} < 0")
         return self
 
-def identity_channel(arity: int = 1) -> KrausChannel:
-    return KrausChannel((np.eye(2**arity, dtype=complex),))
-
 
 # ---------------------------------------------------------------------------
 # Operator embedding
-
-def _check_targets(targets: tuple[int, ...], n: int, arity: int) -> None:
-    if len(set(targets)) != len(targets):
-        raise SimulationError(f"duplicate targets {targets}")
-    if any(t < 0 or t >= n for t in targets):
-        raise SimulationError(f"targets {targets} out of range for {n} qubits")
-    if len(targets) != arity:
-        raise SimulationError(
-            f"operator arity {arity} does not match {len(targets)} targets"
-        )
-
 
 def embed_operator(op: np.ndarray, targets: tuple[int, ...], n: int) -> np.ndarray:
     """Embed a k-qubit operator on ``targets`` into the full 2^n space."""
@@ -304,45 +290,6 @@ def embed_operator(op: np.ndarray, targets: tuple[int, ...], n: int) -> np.ndarr
     tensor = big.reshape([2] * (2 * n))
     perm = list(inv) + [n + i for i in inv]
     return tensor.transpose(perm).reshape(2**n, 2**n)
-
-
-def is_unitary(mat: np.ndarray, atol: float = _ATOL_NORM) -> bool:
-    dim = mat.shape[0]
-    return np.max(np.abs(mat.conj().T @ mat - np.eye(dim))) <= atol
-
-
-def apply_unitary(state: State, gate: np.ndarray, targets: tuple[int, ...]) -> State:
-    """Apply a unitary on the given target qubits.
-
-    Returns the same representation as the input.  The gate must be unitary
-    within 1e-10 and act on as many qubits as there are targets.
-    """
-    gate = np.asarray(gate, dtype=complex)
-    arity = int(np.log2(gate.shape[0]))
-    n = state.n_qubits
-    _check_targets(tuple(targets), n, arity)
-    if not is_unitary(gate):
-        raise SimulationError("gate is not unitary within 1e-10")
-    full = embed_operator(gate, tuple(targets), n)
-    if isinstance(state, StateVector):
-        return StateVector(full @ state.amplitudes)
-    return DensityMatrix(full @ state.entries @ full.conj().T)
-
-
-def apply_channel(
-    rho: DensityMatrix, channel: KrausChannel, targets: tuple[int, ...]
-) -> DensityMatrix:
-    """Apply a Kraus channel to a density matrix on the given targets."""
-    if not isinstance(rho, DensityMatrix):
-        raise SimulationError("channels act on density matrices")
-    channel.validate()
-    n = rho.n_qubits
-    _check_targets(tuple(targets), n, channel.arity)
-    ops = [embed_operator(k, tuple(targets), n) for k in channel.operators]
-    out = np.zeros_like(rho.entries)
-    for k in ops:
-        out += k @ rho.entries @ k.conj().T
-    return DensityMatrix(out)
 
 
 def expectation_pauli(state: State, pauli: PauliString) -> float:

@@ -63,6 +63,57 @@ def apply_kraus_dense(rho: np.ndarray, kraus) -> np.ndarray:
     return out
 
 
+def _check_targets(targets: tuple[int, ...], n: int, arity: int) -> None:
+    from cyclebench.sim import SimulationError
+
+    if len(set(targets)) != len(targets):
+        raise SimulationError(f"duplicate targets {targets}")
+    if any(t < 0 or t >= n for t in targets):
+        raise SimulationError(f"targets {targets} out of range for {n} qubits")
+    if len(targets) != arity:
+        raise SimulationError(
+            f"operator arity {arity} does not match {len(targets)} targets"
+        )
+
+
+def apply_unitary(state, gate: np.ndarray, targets):
+    """Apply a unitary on the given target qubits of a ``StateVector`` or
+    ``DensityMatrix``, returning the same representation.  The gate must be
+    unitary within 1e-10 and act on as many qubits as there are targets."""
+    from cyclebench.sim import DensityMatrix, SimulationError, StateVector, embed_operator
+
+    gate = np.asarray(gate, dtype=complex)
+    arity = int(np.log2(gate.shape[0]))
+    n = state.n_qubits
+    _check_targets(tuple(targets), n, arity)
+    if np.max(np.abs(gate.conj().T @ gate - np.eye(gate.shape[0]))) > 1e-10:
+        raise SimulationError("gate is not unitary within 1e-10")
+    full = embed_operator(gate, tuple(targets), n)
+    if isinstance(state, StateVector):
+        return StateVector(full @ state.amplitudes)
+    return DensityMatrix(full @ state.entries @ full.conj().T)
+
+
+def identity_channel(arity: int = 1):
+    from cyclebench.sim import KrausChannel
+
+    return KrausChannel((np.eye(2**arity, dtype=complex),))
+
+
+def apply_channel(rho, channel, targets):
+    """Apply a validated Kraus channel to a ``DensityMatrix`` on the given
+    targets, as an explicit Kraus sum."""
+    from cyclebench.sim import DensityMatrix, SimulationError, embed_operator
+
+    if not isinstance(rho, DensityMatrix):
+        raise SimulationError("channels act on density matrices")
+    channel.validate()
+    n = rho.n_qubits
+    _check_targets(tuple(targets), n, channel.arity)
+    ops = [embed_operator(k, tuple(targets), n) for k in channel.operators]
+    return DensityMatrix(apply_kraus_dense(rho.entries, ops))
+
+
 def all_letters(n: int, include_identity: bool = True):
     import itertools
 
@@ -272,8 +323,51 @@ def reference_make_cb(cycle, m_list, n_random, n_decays, twirl="pauli", seed=0,
     )
 
 
+def reference_run(executor, circuit, initial=None, prepare=True):
+    """``executor.run(circuit, initial)`` one circuit and one op at a time:
+    each cycle's unitary as a dense ``U rho U^H`` (or ``U psi``), then each op
+    of the executor's tail as its own matrix product, Kraus ops as one
+    superoperator matvec on vec(rho).  ``prepare=False`` skips the
+    preparation flips, as ``executor.advance`` does."""
+    from cyclebench.circuits import cycle_unitary
+    from cyclebench.sim import DensityMatrix, StateVector
+
+    dim = 2**executor.n
+    if isinstance(initial, DensityMatrix):
+        state = initial.entries.copy()
+    elif initial is not None and executor.use_density:
+        state = np.outer(initial.amplitudes, initial.amplitudes.conj())
+    elif initial is not None:
+        state = initial.amplitudes.copy()
+    elif executor.use_density:
+        state = np.zeros((dim, dim), dtype=complex)
+        state[0, 0] = 1.0
+    else:
+        state = np.zeros(dim, dtype=complex)
+        state[0] = 1.0
+
+    def superop(rho, key, channel, positions):
+        s = executor._superop(key, channel, positions)
+        return (s @ rho.reshape(-1)).reshape(dim, dim)
+
+    def conjugate(state, u):
+        return u @ state if state.ndim == 1 else u @ state @ u.conj().T
+
+    if prepare:
+        for pos, chan in executor._prep_flips:
+            state = superop(state, ("prep", pos), chan, (pos,))
+    for cyc in circuit.cycles:
+        state = conjugate(state, cycle_unitary(cyc, executor.register))
+        for kind, key, op, positions in executor._tail(cyc):
+            if kind == "kraus":
+                state = superop(state, key, op, positions)
+            else:
+                state = conjugate(state, executor._unitary_full(key, op, positions))
+    return StateVector(state) if state.ndim == 1 else DensityMatrix(state)
+
+
 def reference_execute_collection(coll, noise, shots):
-    """CB collection executed one circuit at a time through Executor.run,
+    """CB collection executed one circuit at a time through ``reference_run``,
     each measured with its own (seed, "exec", index) stream."""
     from cyclebench.bench import DecayPoint
     from cyclebench.engine import Executor
@@ -282,7 +376,7 @@ def reference_execute_collection(coll, noise, shots):
     executor = Executor(coll.register, noise)
     points = []
     for cc in coll.circuits:
-        state = executor.run(cc.circuit)
+        state = reference_run(executor, cc.circuit)
         x, err = executor.measured_expectation(
             state, cc.measured, shots, rng_from(coll.seed, "exec", cc.index)
         )

@@ -26,7 +26,6 @@ from cyclebench.circuits import (
     occupation,
     propagate_pauli,
 )
-from cyclebench.engine import run_circuit
 from cyclebench import pauli as pl
 from cyclebench.pauli import NonCliffordGateError, PauliString
 from cyclebench.sim import StateVector, equal_up_to_phase
@@ -200,7 +199,6 @@ class TestOccupation:
     def test_five_steps_match_dense_trotter(self):
         params = TfimParams(**PAPER_PARAMS, steps=5)
         circ = build_tfim_circuit("circuit1", params)
-        state = run_circuit(circ)
         # run from |1000>
         init = StateVector.from_bits("1000")
         from cyclebench.engine import Executor

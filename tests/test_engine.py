@@ -13,10 +13,10 @@ from hypothesis import strategies as st
 from cyclebench.bench import TWIRL_GROUPS, execute_collection, make_cb
 from cyclebench.circuits import Circuit, Cycle, Gate, cycle_unitaries
 from cyclebench import engine
-from cyclebench.engine import Executor, run_circuit
+from cyclebench.engine import Executor
 from cyclebench.noise import CrosstalkTerm, NoiseModel, confusion_from_scalar
 from cyclebench.pauli import PauliString
-from cyclebench.sim import DensityMatrix, StateVector, expectation_pauli
+from cyclebench.sim import DensityMatrix, SimulationError, StateVector, expectation_pauli
 
 import oracles
 
@@ -37,29 +37,29 @@ def bell_circuit():
 
 class TestRepresentationPolicy:
     def test_noiseless_stays_pure(self):
-        state = run_circuit(bell_circuit())
+        state = Executor((0, 1)).run(bell_circuit())
         assert isinstance(state, StateVector)
         assert expectation_pauli(state, PauliString("XX")) == pytest.approx(1.0)
 
     def test_coherent_only_stays_pure(self):
         noise = NoiseModel(cnot_rotation={"*": ("ZZ", 0.3)})
-        state = run_circuit(bell_circuit(), noise)
+        state = Executor((0, 1), noise).run(bell_circuit())
         assert isinstance(state, StateVector)
 
     def test_stochastic_noise_forces_density(self):
         noise = NoiseModel(pauli_errors={"cnot": {"XX": 0.05}})
-        state = run_circuit(bell_circuit(), noise)
+        state = Executor((0, 1), noise).run(bell_circuit())
         assert isinstance(state, DensityMatrix)
         state.validate()
 
     def test_damping_forces_density(self):
         noise = NoiseModel(t1={0: 50.0, 1: 50.0})
-        assert isinstance(run_circuit(bell_circuit(), noise), DensityMatrix)
+        assert isinstance(Executor((0, 1), noise).run(bell_circuit()), DensityMatrix)
 
     def test_density_path_matches_outer_product_when_noiseless(self):
         circ = bell_circuit()
-        pure = run_circuit(circ)
-        rho = run_circuit(circ, force_density=True)
+        pure = Executor(circ.qubits).run(circ)
+        rho = Executor(circ.qubits, force_density=True).run(circ)
         outer = np.outer(pure.amplitudes, pure.amplitudes.conj())
         assert np.max(np.abs(rho.entries - outer)) < 1e-9
 
@@ -117,7 +117,7 @@ class TestCompositionOrder:
                 Cycle("hard", (Gate("CNOT", (0, 1)),)),
             ),
         )
-        state = run_circuit(circ, noise).amplitudes
+        state = Executor(circ.qubits, noise).run(circ).amplitudes
         h_full = oracles.embed(oracles.H_MAT, (0,), 2)
         rot = (
             math.cos(0.2) * np.eye(4)
@@ -163,7 +163,7 @@ class TestCrosstalk:
         register = (0, 1, 2)
         circ = Circuit(register, (cnot_circuit((0, 1)).cycles[0],))
         circ = Circuit(register, circ.cycles)
-        state = run_circuit(circ, self.noise)
+        state = Executor(circ.qubits, self.noise).run(circ)
         vec = np.zeros(8, dtype=complex)
         vec[0] = 1.0
         rot = math.cos(0.25) * np.eye(8) - 1j * math.sin(0.25) * oracles.pauli_matrix("ZIZ")
@@ -171,7 +171,7 @@ class TestCrosstalk:
         assert np.max(np.abs(state.amplitudes - expected)) < 1e-12
 
     def test_skipped_when_spectator_outside_register(self):
-        state = run_circuit(cnot_circuit((0, 1)), self.noise)
+        state = Executor((0, 1), self.noise).run(cnot_circuit((0, 1)))
         vec = np.zeros(4, dtype=complex)
         vec[0] = 1.0
         assert np.max(np.abs(state.amplitudes - oracles.CNOT_MAT @ vec)) < 1e-12
@@ -179,7 +179,7 @@ class TestCrosstalk:
     def test_skipped_when_pair_does_not_fire(self):
         register = (0, 1, 2)
         circ = Circuit(register, (Cycle("hard", (Gate("CNOT", (1, 2)),)),))
-        state = run_circuit(circ, self.noise)
+        state = Executor(circ.qubits, self.noise).run(circ)
         expected = oracles.embed(oracles.CNOT_MAT, (1, 2), 3) @ np.eye(8)[:, 0]
         assert np.max(np.abs(state.amplitudes - expected)) < 1e-12
 
@@ -188,7 +188,7 @@ class TestPrepAndReadout:
     def test_prep_flip_probability(self):
         noise = NoiseModel(prep_flip={0: 0.02})
         circ = Circuit((0, 1), ())
-        rho = run_circuit(circ, noise)
+        rho = Executor(circ.qubits, noise).run(circ)
         assert rho.entries[0b10, 0b10].real == pytest.approx(0.02)
 
     def test_sampling_uses_model_readout(self):
@@ -262,6 +262,18 @@ class TestInitialStates:
         assert isinstance(out, DensityMatrix)
         assert out.entries[0b11, 0b11].real == pytest.approx(1.0)
 
+    def test_run_rejects_initial_of_other_width(self):
+        with pytest.raises(SimulationError, match="3 qubits .* register has 2"):
+            Executor((0, 1)).run(cnot_circuit(), initial=StateVector.zero(3))
+
+    def test_advance_rejects_state_of_other_width(self):
+        noise = NoiseModel(pauli_errors={"cnot": {"XX": 0.02}})
+        for ex in (Executor((0, 1)), Executor((0, 1), noise)):
+            with pytest.raises(SimulationError, match="1 qubits .* register has 2"):
+                ex.advance(StateVector.zero(1), Circuit((0, 1), ()))
+            with pytest.raises(SimulationError, match="3 qubits .* register has 2"):
+                ex.advance(DensityMatrix.zero(3), cnot_circuit())
+
     @pytest.mark.parametrize("noise", [
         None,
         NoiseModel(cnot_rotation={"*": ("ZZ", 0.1)}),
@@ -275,14 +287,14 @@ class TestInitialStates:
         b = Circuit((0, 1), (Cycle("easy", (Gate("C1", (1,), 7),)),) + a.cycles)
         ex = Executor((0, 1), noise)
         init = StateVector.from_bits("10")
-        whole = ex.run(Circuit((0, 1), a.cycles + b.cycles), initial=init)
+        whole = oracles.reference_run(ex, Circuit((0, 1), a.cycles + b.cycles), init)
         stepped = ex.advance(ex.run(a, initial=init), b)
         assert type(stepped) is type(whole)
         assert np.array_equal(_final(stepped), _final(whole))
 
 
 # ---------------------------------------------------------------------------
-# Batched execution: every state bit-identical to Executor.run
+# Batched execution: every state bit-identical to the per-circuit reference
 
 PAIR_LETTERS = ("XX", "IZ", "ZZ", "XY", "YI", "ZX")
 
@@ -363,7 +375,9 @@ class TestBatchedExecution:
         coll, noise = case
         circuits = [cc.circuit for cc in coll.circuits]
         ex = Executor(coll.register, noise)
-        reference = [ex.run(c) for c in circuits]
+        reference = [oracles.reference_run(ex, c) for c in circuits]
+        for c, ref in zip(circuits, reference):
+            assert np.array_equal(_final(ex.run(c)), _final(ref))
         for chunk in (1, 7, engine.CHUNK):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(engine, "CHUNK", chunk)
@@ -397,7 +411,7 @@ class TestBatchedExecution:
         monkeypatch.setattr(engine, "CHUNK", 5)
         got = dict(ex.run_many(circuits))
         for i, c in enumerate(circuits):
-            assert np.array_equal(got[i].entries, ex.run(c).entries)
+            assert np.array_equal(got[i].entries, oracles.reference_run(ex, c).entries)
 
     @pytest.mark.parametrize(
         "noise",
@@ -435,7 +449,7 @@ class TestBatchedExecution:
         monkeypatch.setattr(engine, "CHUNK", 16)
         got = dict(ex.run_many(circuits))
         for i, c in enumerate(circuits):
-            assert np.array_equal(_final(got[i]), _final(ex.run(c)))
+            assert np.array_equal(_final(got[i]), _final(oracles.reference_run(ex, c)))
 
     def test_run_cycle_and_batched_path_read_the_same_tail(self, monkeypatch):
         """Changing the one tail list changes both paths alike."""
@@ -452,8 +466,9 @@ class TestBatchedExecution:
         batched = dict(ex.run_many(circuits))
         changed = 0
         for i, c in enumerate(circuits):
-            ref = ex.run(c).entries
+            ref = oracles.reference_run(ex, c).entries
             assert np.array_equal(batched[i].entries, ref)
+            assert np.array_equal(ex.run(c).entries, ref)
             changed += not np.allclose(ref, before[i])
         assert changed >= len(circuits) // 2
 
@@ -555,8 +570,24 @@ class TestMonomialLayers:
     def test_states_and_readout_match_reference(self, case):
         register, circuits, noise = case
         ex = Executor(register, noise)
-        reference = [ex.run(c) for c in circuits]
+        reference = [oracles.reference_run(ex, c) for c in circuits]
         observable = PauliString("Z" * len(register), -1)
+        # stacks of one: from |0...0>, from a pure and a density initial
+        # (the density one on a pure executor too) and, through advance, from
+        # a state that run returned
+        pure = Executor(register).run(circuits[0])
+        start = ex.run(circuits[0])
+        for c, ref in zip(circuits, reference):
+            assert np.array_equal(_final(ex.run(c)), _final(ref))
+            for initial in (pure, pure.to_density()):
+                got = ex.run(c, initial=initial)
+                expected = oracles.reference_run(ex, c, initial)
+                assert type(got) is type(expected)
+                assert np.array_equal(_final(got), _final(expected))
+            stepped = ex.advance(start, c)
+            expected = oracles.reference_run(ex, c, start, prepare=False)
+            assert type(stepped) is type(expected)
+            assert np.array_equal(_final(stepped), _final(expected))
         for chunk in (1, 5, engine.CHUNK):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(engine, "CHUNK", chunk)
@@ -580,7 +611,7 @@ class TestMonomialLayers:
                        twirl=twirl, seed=2)
         circuits = [cc.circuit for cc in coll.circuits]
         ex = Executor(coll.register, noise)
-        reference = [ex.run(c).entries for c in circuits]
+        reference = [oracles.reference_run(ex, c).entries for c in circuits]
         looked_up = []
         monkeypatch.setattr(
             engine, "cycle_unitaries", lambda cs, r: looked_up.extend(cs) or cycle_unitaries(cs, r)

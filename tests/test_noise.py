@@ -20,7 +20,7 @@ from cyclebench.noise import (
     pauli_channel,
 )
 from cyclebench.pauli import PauliString
-from cyclebench.sim import StateVector, apply_channel, expectation_pauli
+from cyclebench.sim import StateVector, expectation_pauli
 
 import oracles
 
@@ -29,13 +29,13 @@ class TestPauliChannel:
     def test_empty_is_identity(self):
         chan = pauli_channel({})
         rho = StateVector.from_bits("1").to_density()
-        out = apply_channel(rho, chan, (0,))
+        out = oracles.apply_channel(rho, chan, (0,))
         assert np.allclose(out.entries, rho.entries)
 
     def test_xi_flip_probability(self):
         chan = pauli_channel({"XI": 0.1})
         rho = StateVector.zero(2).to_density()
-        out = apply_channel(rho, chan, (0, 1))
+        out = oracles.apply_channel(rho, chan, (0, 1))
         assert expectation_pauli(out, PauliString("ZI")) == pytest.approx(0.8)
 
     def test_mixed_two_qubit_infidelity_vs_ptm_oracle(self):
@@ -72,12 +72,12 @@ class TestPauliChannel:
 class TestDepolarizing:
     def test_zero_strength_identity(self):
         rho = StateVector.from_bits("1").to_density()
-        out = apply_channel(rho, depolarizing_channel(0.0, 1), (0,))
+        out = oracles.apply_channel(rho, depolarizing_channel(0.0, 1), (0,))
         assert np.allclose(out.entries, rho.entries)
 
     def test_full_strength_maximally_mixed(self):
         rho = StateVector.from_bits("11").to_density()
-        out = apply_channel(rho, depolarizing_channel(1.0, 2), (0, 1))
+        out = oracles.apply_channel(rho, depolarizing_channel(1.0, 2), (0, 1))
         assert np.allclose(out.entries, np.eye(4) / 4, atol=1e-12)
 
     def test_every_pauli_fidelity_uniform(self):
@@ -108,14 +108,14 @@ class TestDamping:
     def test_infinite_t1_limit(self):
         chan = damping_channel(1e12, 2e12, 300.0)
         rho = StateVector(np.array([1, 1]) / math.sqrt(2)).to_density()
-        out = apply_channel(rho, chan, (0,))
+        out = oracles.apply_channel(rho, chan, (0,))
         assert np.max(np.abs(out.entries - rho.entries)) < 1e-9
 
     def test_total_coherence_decay_is_t2(self):
         t1, t2, dur = 67.1, 99.9, 300.0
         chan = damping_channel(t1, t2, dur)
         plus = StateVector(np.array([1, 1]) / math.sqrt(2)).to_density()
-        out = apply_channel(plus, chan, (0,))
+        out = oracles.apply_channel(plus, chan, (0,))
         assert abs(out.entries[0, 1]) == pytest.approx(
             0.5 * math.exp(-(dur / 1000) / t2), abs=1e-12
         )
@@ -124,7 +124,7 @@ class TestDamping:
         t1, dur = 50.0, 500.0
         chan = damping_channel(t1, 80.0, dur)
         rho = StateVector.from_bits("1").to_density()
-        out = apply_channel(rho, chan, (0,))
+        out = oracles.apply_channel(rho, chan, (0,))
         assert out.entries[1, 1].real == pytest.approx(math.exp(-0.5 / t1), abs=1e-12)
 
     def test_unphysical_t2_rejected(self):

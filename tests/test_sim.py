@@ -11,13 +11,10 @@ from cyclebench.sim import (
     KrausChannel,
     SimulationError,
     StateVector,
-    apply_channel,
-    apply_unitary,
     embed_operator,
     equal_up_to_phase,
     expectation_pauli,
     Streams,
-    identity_channel,
     rng_from,
     sample_counts,
     stream_keys,
@@ -38,36 +35,36 @@ def bits_of(state: StateVector) -> str:
 
 class TestApplyUnitary:
     def test_x_on_qubit0_is_leftmost(self):
-        out = apply_unitary(StateVector.zero(2), X, (0,))
+        out = oracles.apply_unitary(StateVector.zero(2), X, (0,))
         assert bits_of(out) == "10"
 
     def test_cnot_control_unset(self):
-        out = apply_unitary(StateVector.zero(2), CNOT, (0, 1))
+        out = oracles.apply_unitary(StateVector.zero(2), CNOT, (0, 1))
         assert bits_of(out) == "00"
 
     def test_cnot_control_set(self):
-        out = apply_unitary(StateVector.from_bits("10"), CNOT, (0, 1))
+        out = oracles.apply_unitary(StateVector.from_bits("10"), CNOT, (0, 1))
         assert bits_of(out) == "11"
 
     def test_density_route_matches(self):
-        rho = apply_unitary(StateVector.from_bits("10").to_density(), CNOT, (0, 1))
+        rho = oracles.apply_unitary(StateVector.from_bits("10").to_density(), CNOT, (0, 1))
         assert rho.entries[3, 3] == pytest.approx(1.0)
 
     def test_rejects_non_unitary(self):
         with pytest.raises(SimulationError):
-            apply_unitary(StateVector.zero(1), np.array([[1, 0], [0, 2.0]]), (0,))
+            oracles.apply_unitary(StateVector.zero(1), np.array([[1, 0], [0, 2.0]]), (0,))
 
     def test_rejects_duplicate_targets(self):
         with pytest.raises(SimulationError):
-            apply_unitary(StateVector.zero(2), CNOT, (0, 0))
+            oracles.apply_unitary(StateVector.zero(2), CNOT, (0, 0))
 
     def test_rejects_out_of_range(self):
         with pytest.raises(SimulationError):
-            apply_unitary(StateVector.zero(2), X, (2,))
+            oracles.apply_unitary(StateVector.zero(2), X, (2,))
 
     def test_rejects_arity_mismatch(self):
         with pytest.raises(SimulationError):
-            apply_unitary(StateVector.zero(2), X, (0, 1))
+            oracles.apply_unitary(StateVector.zero(2), X, (0, 1))
 
 
 def amplitude_damping(gamma: float) -> KrausChannel:
@@ -79,27 +76,27 @@ def amplitude_damping(gamma: float) -> KrausChannel:
 class TestApplyChannel:
     def test_identity_channel_is_noop(self):
         rho = StateVector.from_bits("01").to_density()
-        out = apply_channel(rho, identity_channel(1), (1,))
+        out = oracles.apply_channel(rho, oracles.identity_channel(1), (1,))
         assert np.allclose(out.entries, rho.entries)
 
     def test_full_damping_fixed_point(self):
         rho = StateVector.zero(1).to_density()
-        out = apply_channel(rho, amplitude_damping(1.0), (0,))
+        out = oracles.apply_channel(rho, amplitude_damping(1.0), (0,))
         assert np.allclose(out.entries, rho.entries, atol=1e-12)
 
     def test_half_damping_from_excited(self):
         rho = StateVector.from_bits("1").to_density()
-        out = apply_channel(rho, amplitude_damping(0.5), (0,))
+        out = oracles.apply_channel(rho, amplitude_damping(0.5), (0,))
         assert np.allclose(out.entries, np.diag([0.5, 0.5]), atol=1e-12)
 
     def test_invalid_channel_rejected(self):
         bad = KrausChannel((np.array([[1, 0], [0, 0.5]], dtype=complex),))
         with pytest.raises(SimulationError):
-            apply_channel(StateVector.zero(1).to_density(), bad, (0,))
+            oracles.apply_channel(StateVector.zero(1).to_density(), bad, (0,))
 
     def test_arity_mismatch(self):
         with pytest.raises(SimulationError):
-            apply_channel(StateVector.zero(2).to_density(), amplitude_damping(0.2), (0, 1))
+            oracles.apply_channel(StateVector.zero(2).to_density(), amplitude_damping(0.2), (0, 1))
 
 
 class TestExpectation:
@@ -203,8 +200,8 @@ def test_norm_and_trace_preserved_through_random_circuits(seed, n):
         k = int(rng.integers(1, 3))
         targets = tuple(int(t) for t in rng.choice(n, size=k, replace=False))
         gate = random_unitary(rng, 2**k)
-        psi = apply_unitary(psi, gate, targets)
-        rho = apply_unitary(rho, gate, targets)
+        psi = oracles.apply_unitary(psi, gate, targets)
+        rho = oracles.apply_unitary(rho, gate, targets)
     assert abs(np.linalg.norm(psi.amplitudes) - 1) < 1e-8
     assert abs(np.trace(rho.entries).real - 1) < 1e-8
     # noiseless density path tracks the pure-state outer product
