@@ -26,7 +26,7 @@ from .circuits import Circuit, Cycle, Gate, cycle_frame_table
 from .engine import Executor
 from .noise import NoiseModel
 from .pauli import PauliString
-from .sim import MAX_QUBITS, Streams, readout_distribution, rng_from
+from .sim import MAX_QUBITS, Streams, rng_from
 
 TWIRL_GROUPS = ("pauli", "c1")
 
@@ -570,22 +570,19 @@ def run_rb(
                     logical.append(("C1", (0,), k))
                 else:
                     logical.extend((name, tuple(pos), None) for name, *pos in pl.clifford_word(n, k))
-            inverse_word = pl.clifford_inverse_word(n, logical)
             if n == 1:
-                # the inverse of a C1 sequence is itself one C1 element
-                logical.append(("C1", (0,), pl.c1_index_for_word(inverse_word)))
+                # C1 indices are clifford_group(1) indices: the inverse is one C1
+                logical.append(("C1", (0,), pl.clifford_inverse(1, logical)))
             else:
+                inverse_word = pl.clifford_inverse_word(n, logical)
                 logical.extend((name, tuple(pos), None) for name, *pos in inverse_word)
             circuit = Circuit(register, tuple(one_gate_cycle(spec) for spec in logical))
-            state = executor.run(circuit)
+            probs = executor.outcome_probabilities(executor.run(circuit))
             if shots is None:
-                probs = state.probabilities()
-                probs = readout_distribution(probs / probs.sum(), executor._readout, n)
                 survival = float(probs[0])
                 err = 0.0
             else:
-                counts = executor.sample(state, shots, count_streams[index])
-                survival = counts.get("0" * n, 0) / shots
+                survival = int(count_streams[index].multinomial(shots, probs)[0]) / shots
                 err = math.sqrt(max(0.0, survival * (1 - survival)) / shots)
             points.append(DecayPoint("survival", m, index, survival - floor, err))
             index += 1

@@ -523,45 +523,3 @@ def propagate_through_cycles(
     for cyc in cycles:
         pauli = propagate_pauli(cyc, pauli, register)
     return pauli
-
-
-# ---------------------------------------------------------------------------
-# Text form, used for goldens and debugging
-
-def circuit_to_text(circuit: Circuit) -> str:
-    lines = ["qubits " + " ".join(str(q) for q in circuit.qubits)]
-    for cyc in circuit.cycles:
-        parts = []
-        for g in cyc.gates:
-            token = g.name + " " + " ".join(str(q) for q in g.qubits)
-            if g.param is not None:
-                token += " " + repr(g.param)
-            parts.append(token)
-        lines.append(cyc.kind + " " + " ; ".join(parts))
-    return "\n".join(lines) + "\n"
-
-
-def circuit_from_text(text: str) -> Circuit:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("qubits "):
-        raise CircuitError("circuit text must start with a qubits line")
-    register = tuple(int(tok) for tok in lines[0].split()[1:])
-    cycles = []
-    for ln in lines[1:]:
-        kind, _, rest = ln.partition(" ")
-        gates = []
-        for token in rest.split(";"):
-            fields = token.split()
-            if not fields:
-                raise CircuitError(f"empty gate token in line {ln!r}")
-            name = fields[0]
-            if name == "CNOT":
-                gates.append(Gate(name, (int(fields[1]), int(fields[2]))))
-            elif name == "C1":
-                gates.append(Gate(name, (int(fields[1]),), int(fields[2])))
-            elif name == "RZ":
-                gates.append(Gate(name, (int(fields[1]),), float(fields[2])))
-            else:
-                gates.append(Gate(name, (int(fields[1]),)))
-        cycles.append(Cycle(kind, tuple(gates)))
-    return Circuit(register, tuple(cycles))

@@ -1,11 +1,11 @@
 """Noisy circuit execution.
 
-An :class:`Executor` binds a register and a noise model, pre-compiles every
-channel it will need, and then runs circuits as pure functions of
-(circuit, seed).  Noiseless circuits run on statevectors; as soon as the
-model introduces any non-unitary channel the run switches to density
-matrices.  Coherent-only noise (over-rotations, crosstalk) stays on the
-statevector path.
+An :class:`Executor` binds a register and a noise model, compiles every noise
+op the model implies for that register once, as a matrix embedded in the
+register, and then runs circuits as pure functions of (circuit, seed).
+Noiseless circuits run on statevectors; as soon as the model introduces any
+non-unitary channel the run switches to density matrices.  Coherent-only
+noise (over-rotations, crosstalk) stays on the statevector path.
 
 Per cycle the engine applies: the ideal cycle unitary, then coherent CNOT
 rotations, then crosstalk rotations (hard cycles only), then the stochastic
@@ -17,12 +17,11 @@ equally long circuits layer by layer: ``run_many`` feeds it stacks of up to
 ``CHUNK`` circuits, ``run`` and ``advance`` a stack of one.  A stack of one
 takes the cached cycle unitary; larger stacks apply layers of monomial
 cycles (Pauli twirls, CNOTs) as signed permutations instead of matrix
-products.
+products.  Every measurement reads ``Executor.outcome_probabilities``.
 """
 
 from __future__ import annotations
 
-import functools
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -33,14 +32,12 @@ from .pauli import PauliString
 from .sim import (
     MAX_QUBITS,
     DensityMatrix,
-    KrausChannel,
     SimulationError,
     State,
     StateVector,
     embed_operator,
     readout_distribution,
     rng_from,
-    sample_counts,
 )
 
 # Circuits per stack in ``Executor.run_many``.  It bounds the transient
@@ -51,81 +48,51 @@ CHUNK = 256
 class Executor:
     """Runs circuits on a fixed register under one noise model."""
 
-    def __init__(
-        self,
-        register: tuple[int, ...],
-        noise: NoiseModel | None = None,
-        force_density: bool = False,
-    ):
+    def __init__(self, register: tuple[int, ...], noise: NoiseModel | None = None):
         self.register = tuple(register)
         self.n = len(self.register)
         if self.n > MAX_QUBITS:
             raise SimulationError(f"registers are limited to {MAX_QUBITS} qubits")
         self.noise = noise
-        self.use_density = force_density or (
-            noise is not None and noise.introduces_channels(self.register)
-        )
-        self._superops: dict = {}
+        self.use_density = noise is not None and noise.introduces_channels(self.register)
+        # (op key, positions) -> ("unitary", U) or ("kraus", superoperator)
+        self._ops: dict = {}
         self._tails: dict = {}
-        self._embedded_unitary: dict = {}
-        self._damping: dict = {}
-        self._pauli_chans: dict = {}
         self._parity: dict = {}
         self._readout = None
-        self._prep_flips: list[tuple[int, KrausChannel]] = []
+        self._prep: tuple = ()
         if noise is not None:
+            # NoiseModel validated these and holds them read-only
             self._readout = {
-                i: np.asarray(noise.readout[q], dtype=float)
-                for i, q in enumerate(self.register)
-                if q in noise.readout
+                i: noise.readout[q] for i, q in enumerate(self.register) if q in noise.readout
             } or None
-            for i, q in enumerate(self.register):
-                p = noise.prep_flip.get(q, 0.0)
-                if p > 0:
-                    self._prep_flips.append((i, pauli_channel({"X": p})))
+            flips = ((i, noise.prep_flip.get(q, 0.0)) for i, q in enumerate(self.register))
+            self._prep = tuple(
+                self._kraus(("prep", p), (i,), lambda: pauli_channel({"X": p}))
+                for i, p in flips if p > 0
+            )
 
-    # -- cached embeddings ----------------------------------------------
+    # -- compiled ops --------------------------------------------------------
 
-    def _superop(self, key, channel: KrausChannel, positions: tuple[int, ...]):
-        """Embedded channel as a superoperator on row-major vec(rho)."""
-        cache_key = (key, positions)
-        if cache_key not in self._superops:
+    def _unitary(self, key, positions: tuple[int, ...], build) -> tuple:
+        """``("unitary", U)`` with ``build()`` embedded at ``positions``."""
+        op = self._ops.get((key, positions))
+        if op is None:
+            op = self._ops[key, positions] = ("unitary", embed_operator(build(), positions, self.n))
+        return op
+
+    def _kraus(self, key, positions: tuple[int, ...], build) -> tuple:
+        """``("kraus", S)`` with S the superoperator, on row-major vec(rho),
+        of the channel ``build()`` embedded at ``positions``."""
+        op = self._ops.get((key, positions))
+        if op is None:
             acc = None
-            for k in channel.operators:
+            for k in build().operators:
                 full = embed_operator(k, positions, self.n)
                 term = np.kron(full, full.conj())
                 acc = term if acc is None else acc + term
-            self._superops[cache_key] = acc
-        return self._superops[cache_key]
-
-    def _unitary_full(self, key, mat: np.ndarray, positions: tuple[int, ...]):
-        cache_key = (key, positions)
-        if cache_key not in self._embedded_unitary:
-            self._embedded_unitary[cache_key] = embed_operator(mat, positions, self.n)
-        return self._embedded_unitary[cache_key]
-
-    def _pauli_channel_for(self, gate_class: str, pair: tuple[int, int] | None):
-        key = (gate_class, pair)
-        if key not in self._pauli_chans:
-            probs = self.noise.gate_pauli_probs(gate_class, pair)
-            if probs and any(p > 0 for p in probs.values()):
-                self._pauli_chans[key] = pauli_channel(probs)
-            else:
-                self._pauli_chans[key] = None
-        return self._pauli_chans[key]
-
-    def _damping_channel(self, qubit_label: int, duration: float) -> KrausChannel | None:
-        noise = self.noise
-        if noise is None or duration <= 0:
-            return None
-        if qubit_label not in noise.t1 and qubit_label not in noise.t2:
-            return None
-        key = (qubit_label, duration)
-        if key not in self._damping:
-            t1 = noise.t1.get(qubit_label, np.inf)
-            t2 = noise.t2.get(qubit_label)
-            self._damping[key] = damping_channel(t1, t2, duration)
-        return self._damping[key]
+            op = self._ops[key, positions] = ("kraus", acc)
+        return op
 
     # -- execution ---------------------------------------------------------
 
@@ -134,7 +101,7 @@ class Executor:
         preparation flips, and apply every cycle of ``circuit``."""
         self._check_register(circuit)
         state = self._zero_stack(1) if initial is None else self._stack_of(initial)
-        return _wrap(self._run_stack([circuit], self._prepare(state))[0])
+        return _wrap(self._run_stack([circuit], self._apply_tail(state, self._prep))[0])
 
     def advance(self, state: State, circuit: Circuit) -> State:
         """Apply ``circuit``'s cycles to ``state``, without preparation:
@@ -160,8 +127,8 @@ class Executor:
         for members in groups.values():
             for lo in range(0, len(members), CHUNK):
                 part = members[lo:lo + CHUNK]
-                stack = self._run_stack([circuits[i] for i in part],
-                                        self._prepare(self._zero_stack(len(part))))
+                start = self._apply_tail(self._zero_stack(len(part)), self._prep)
+                stack = self._run_stack([circuits[i] for i in part], start)
                 if not self.use_density:
                     stack = stack[..., 0]
                 for i, state in zip(part, stack):
@@ -173,10 +140,9 @@ class Executor:
                 f"circuit register {circuit.qubits} does not match executor register"
             )
 
-    def _prepare(self, state: np.ndarray) -> np.ndarray:
-        """The preparation flips on a stack."""
-        prep = tuple(("kraus", ("prep", pos), chan, (pos,)) for pos, chan in self._prep_flips)
-        return self._apply_tail(state, prep)
+    def _check_width(self, what: str, n: int) -> None:
+        if n != self.n:
+            raise SimulationError(f"{what} has {n} qubits but the executor register has {self.n}")
 
     def _zero_stack(self, b: int) -> np.ndarray:
         """``b`` copies of |0...0>."""
@@ -188,10 +154,7 @@ class Executor:
     def _stack_of(self, state: State) -> np.ndarray:
         """A stack of one: ``state``'s density matrix, or its amplitudes as a
         column when this model introduces no channel."""
-        if state.n_qubits != self.n:
-            raise SimulationError(
-                f"state has {state.n_qubits} qubits but the executor register has {self.n}"
-            )
+        self._check_width("state", state.n_qubits)
         if isinstance(state, DensityMatrix):
             return state.entries[None].copy()
         if self.use_density:
@@ -204,11 +167,11 @@ class Executor:
     def _tail(self, cyc: Cycle) -> tuple:
         """The noise ops that follow ``cyc``'s ideal unitary, in order.
 
-        Each op is ``(kind, key, matrix or channel, positions)`` with kind
-        ``"unitary"`` or ``"kraus"``.  The tail depends only on the cycle kind
-        and on each gate's (is-CNOT, qubits); the kind fixes is-CNOT (hard
-        cycles hold only CNOTs, easy ones none), so tails are interned by
-        kind and gate qubits: twirl draws that differ only in their
+        Each op is ``("unitary", U)`` or ``("kraus", S)`` with the matrix
+        already embedded in the register.  The tail depends only on the cycle
+        kind and on each gate's (is-CNOT, qubits); the kind fixes is-CNOT
+        (hard cycles hold only CNOTs, easy ones none), so tails are interned
+        by kind and gate qubits: twirl draws that differ only in their
         single-qubit gates share one tail.
         """
         if self.noise is None:
@@ -228,9 +191,9 @@ class Executor:
             rot = noise.rotation_for_pair(g.qubits)
             if rot is not None and rot[1] != 0.0:
                 axis, angle = rot
-                ops.append((
-                    "unitary", ("rot", axis, angle), self._rotation(axis, angle),
-                    self._positions(g.qubits),
+                ops.append(self._unitary(
+                    ("rot", axis, angle), self._positions(g.qubits),
+                    lambda: coherent_overrotation(axis, angle),
                 ))
 
         # spectator crosstalk during hard cycles
@@ -238,18 +201,20 @@ class Executor:
             fired = {frozenset(p) for p in cyc.cnot_pairs()}
             for term in noise.crosstalk:
                 if frozenset(term.pair) in fired and term.spectator in self.register:
-                    ops.append((
-                        "unitary", ("xt", term.angle), self._rotation("ZZ", term.angle),
+                    ops.append(self._unitary(
+                        ("rot", "ZZ", term.angle),
                         self._positions((term.pair[0], term.spectator)),
+                        lambda: coherent_overrotation("ZZ", term.angle),
                     ))
 
         # stochastic Pauli errors per gate
         for g in cyc.gates:
             pair = g.qubits if g.name == "CNOT" else None
-            chan = self._pauli_channel_for(g.gate_class, pair)
-            if chan is not None:
-                ops.append((
-                    "kraus", ("pauli", g.gate_class, pair), chan, self._positions(g.qubits)
+            probs = noise.gate_pauli_probs(g.gate_class, pair)
+            if probs and any(p > 0 for p in probs.values()):
+                ops.append(self._kraus(
+                    ("pauli", g.gate_class, pair), self._positions(g.qubits),
+                    lambda: pauli_channel(probs),
                 ))
 
         # damping: gate qubits for the gate duration, idle for the cycle
@@ -260,9 +225,11 @@ class Executor:
                 busy[q] = noise.duration(g.gate_class)
         for i, q in enumerate(self.register):
             dur = busy.get(q, cycle_dur)
-            chan = self._damping_channel(q, dur)
-            if chan is not None:
-                ops.append(("kraus", ("damp", q, dur), chan, (i,)))
+            if dur > 0 and (q in noise.t1 or q in noise.t2):
+                ops.append(self._kraus(
+                    ("damp", q, dur), (i,),
+                    lambda: damping_channel(noise.t1.get(q, np.inf), noise.t2.get(q), dur),
+                ))
         return tuple(ops)
 
     # -- the kernel ----------------------------------------------------------
@@ -351,32 +318,29 @@ class Executor:
         return out.reshape(state.shape)
 
     def _apply_tail(self, state: np.ndarray, tail: tuple) -> np.ndarray:
-        """A tail's ops on a stack, with the shared embedded matrices."""
-        for kind, key, op, positions in tail:
+        """A tail's compiled ops on a stack."""
+        for kind, op in tail:
             if kind == "kraus":
-                state = self._apply_kraus(state, key, op, positions)
+                state = self._apply_kraus(state, op)
             else:
-                state = self._apply_unitary(state, key, op, positions)
+                state = self._apply_unitary(state, op)
         return state
 
-    def _apply_unitary(self, state: np.ndarray, key, mat, positions) -> np.ndarray:
-        return _conjugate(state, self._unitary_full(key, mat, positions))
+    def _apply_unitary(self, state: np.ndarray, u: np.ndarray) -> np.ndarray:
+        return _conjugate(state, u)
 
-    def _apply_kraus(self, state: np.ndarray, key, channel, positions) -> np.ndarray:
+    def _apply_kraus(self, state: np.ndarray, superop: np.ndarray) -> np.ndarray:
         b, dim = state.shape[:2]
-        s = self._superop(key, channel, positions)
-        return np.matmul(s, state.reshape(b, dim * dim, 1)).reshape(b, dim, dim)
-
-    @staticmethod
-    @functools.lru_cache(maxsize=512)
-    def _rotation(axis: str, angle: float) -> np.ndarray:
-        return coherent_overrotation(axis, angle)
+        return np.matmul(superop, state.reshape(b, dim * dim, 1)).reshape(b, dim, dim)
 
     # -- measurement -------------------------------------------------------
 
-    def sample(self, state: State, shots: int, seed) -> dict[str, int]:
-        """Counts through this model's readout confusion."""
-        return sample_counts(state, self._readout, shots, seed)
+    def outcome_probabilities(self, state: State) -> np.ndarray:
+        """Born probabilities of ``state``'s bitstrings, renormalised, then
+        through this model's readout confusion."""
+        self._check_width("state", state.n_qubits)
+        probs = state.probabilities()
+        return readout_distribution(probs / probs.sum(), self._readout, self.n)
 
     def measured_expectation(
         self, state: State, observable: PauliString, shots: int | None, seed=0
@@ -386,14 +350,13 @@ class Executor:
         ``shots=None`` returns the analytic expectation through the readout
         confusion (an infinite-shot surrogate) with zero shot error.
         """
+        self._check_width("observable", observable.n_qubits)
         if any(c not in ("I", "Z") for c in observable.letters):
             raise SimulationError("measured observables must be Z/I strings")
+        probs = self.outcome_probabilities(state)
         support = tuple(i for i, c in enumerate(observable.letters) if c != "I")
-        probs = state.probabilities()
-        probs = probs / probs.sum()
-        probs = readout_distribution(probs, self._readout, state.n_qubits)
         if support not in self._parity:
-            self._parity[support] = _parity_vector(state.n_qubits, support)
+            self._parity[support] = _parity_vector(self.n, support)
         parity = self._parity[support]
         if shots is None:
             return float(observable.sign * np.dot(parity, probs)), 0.0

@@ -157,6 +157,13 @@ def _freeze(d: Mapping) -> Mapping:
     return MappingProxyType(dict(d))
 
 
+def _frozen_array(mat) -> np.ndarray:
+    """A read-only float copy: the model never shares a caller's array."""
+    out = np.array(mat, dtype=float)
+    out.setflags(write=False)
+    return out
+
+
 @dataclass(frozen=True)
 class NoiseModel:
     """Immutable per-gate-class error description keyed by physical qubits.
@@ -165,7 +172,8 @@ class NoiseModel:
     gate's own qubits.  Classes are ``single_qubit``, ``cnot``, and the
     pair-specific refinement ``cnot:a-b`` which wins over ``cnot`` for that
     ordered pair.  ``cnot_rotation`` uses the key ``*`` for all pairs or
-    ``a-b`` for one pair, again most-specific-wins.
+    ``a-b`` for one pair, again most-specific-wins.  ``readout`` confusion
+    matrices are validated here and kept as read-only float copies.
     """
 
     t1: Mapping[int, float] = field(default_factory=dict)
@@ -180,7 +188,9 @@ class NoiseModel:
     def __post_init__(self):
         object.__setattr__(self, "t1", _freeze(self.t1))
         object.__setattr__(self, "t2", _freeze(self.t2))
-        object.__setattr__(self, "readout", _freeze(self.readout))
+        object.__setattr__(
+            self, "readout", _freeze({q: _frozen_array(m) for q, m in self.readout.items()})
+        )
         object.__setattr__(
             self,
             "pauli_errors",
@@ -204,8 +214,7 @@ class NoiseModel:
             limit = 2 * self.t1.get(q, math.inf)
             if t > limit + 1e-9:
                 raise NoiseModelError(f"T2({q}) = {t} exceeds 2*T1 = {limit}")
-        for q, mat in self.readout.items():
-            m = np.asarray(mat, dtype=float)
+        for q, m in self.readout.items():
             if m.shape != (2, 2) or not np.all(m >= 0):  # NaN fails m >= 0
                 raise NoiseModelError(f"readout({q}) is not a 2x2 stochastic matrix")
             if np.any(np.abs(m.sum(axis=1) - 1.0) > 1e-12):

@@ -172,7 +172,8 @@ def conjugate_gate(
 
 
 # ---------------------------------------------------------------------------
-# The 24 single-qubit Cliffords, enumerated once as words over {H, S}.
+# The 24 single-qubit Cliffords: the words of ``clifford_group(1)``, in its
+# order, so a C1 index is a group index.
 
 _H_MAT = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 _S_MAT = np.array([[1, 0], [0, 1j]], dtype=complex)
@@ -199,38 +200,18 @@ def _compose_conj(
     return out
 
 
-def _conj_key(conj: dict[str, tuple[str, int]]) -> tuple:
-    return tuple(conj[c] for c in "XZ")
-
-
 @functools.lru_cache(maxsize=1)
 def _c1_table() -> tuple[C1Element, ...]:
     gate_mats = {"H": _H_MAT, "S": _S_MAT}
-    identity_conj = dict(_SQ_CONJ["I"])
-    seen: dict[tuple, int] = {_conj_key(identity_conj): 0}
-    elems: list[tuple[tuple[str, ...], dict, np.ndarray]] = [
-        ((), identity_conj, np.eye(2, dtype=complex))
-    ]
-    queue = deque([0])
-    while queue:
-        i = queue.popleft()
-        word, conj, mat = elems[i]
-        for g in ("H", "S"):
-            new_conj = _compose_conj(conj, _SQ_CONJ[g])
-            key = _conj_key(new_conj)
-            if key not in seen:
-                seen[key] = len(elems)
-                elems.append((word + (g,), new_conj, gate_mats[g] @ mat))
-                queue.append(seen[key])
-    # Inverse map: if C maps a -> (b, s) then C^-1 maps b -> (a, s).
     out = []
-    for idx, (word, conj, mat) in enumerate(elems):
-        inv_conj = {}
-        for letter in LETTERS:
-            b, s = conj[letter]
-            inv_conj[b] = (letter, s)
-        inv_idx = seen[_conj_key(inv_conj)]
-        out.append(C1Element(idx, word, conj, mat, inv_idx))
+    for idx, word in enumerate(clifford_group(1)[0]):
+        conj = dict(_SQ_CONJ["I"])
+        mat = np.eye(2, dtype=complex)
+        for name, _ in word:
+            conj = _compose_conj(conj, _SQ_CONJ[name])
+            mat = gate_mats[name] @ mat
+        inverse = clifford_inverse(1, [(name, pos, None) for name, *pos in word])
+        out.append(C1Element(idx, tuple(name for name, _ in word), conj, mat, inverse))
     return tuple(out)
 
 
@@ -243,19 +224,6 @@ def c1_element(index: int) -> C1Element:
 
 def c1_count() -> int:
     return len(_c1_table())
-
-
-@functools.lru_cache(maxsize=1)
-def _c1_index_by_key() -> dict[tuple, int]:
-    return {_conj_key(e.conj): e.index for e in _c1_table()}
-
-
-def c1_index_for_word(word) -> int:
-    """Index of the single-qubit Clifford realised by a word of H/S-like gates."""
-    conj = dict(_SQ_CONJ["I"])
-    for name, *_ in word:
-        conj = _compose_conj(conj, _SQ_CONJ[name])
-    return _c1_index_by_key()[_conj_key(conj)]
 
 
 def _find_c1(predicate) -> int:
@@ -428,18 +396,21 @@ def clifford_word(n: int, idx: int) -> tuple[GateSpec, ...]:
     return clifford_group(n)[0][idx]
 
 
-def clifford_inverse_word(n: int, gates) -> tuple[GateSpec, ...]:
-    """Canonical word for the inverse of a Clifford gate sequence.
+def clifford_inverse(n: int, gates) -> int:
+    """Group index of the inverse of a Clifford gate sequence.
 
     ``gates`` holds (name, positions, param) triples.  If the sequence C maps
     P to s * Q, its inverse maps Q back to s * P, so the inverse tableau is
-    read off the composed frame table at the generators' preimages; the
-    canonical word is then a direct dictionary lookup in the enumerated group.
+    read off the composed frame table at the generators' preimages and looked
+    up in the enumerated group.
     """
     table = frame_table(gates, n)
     preimage = np.empty_like(table.image)
     preimage[table.image] = np.arange(4**n)
     pre = preimage[_generator_indices(n)]
-    key = tuple((table.sign[pre] * pre).tolist())
-    words, index = clifford_group(n)
-    return words[index[key]]
+    return clifford_group(n)[1][tuple((table.sign[pre] * pre).tolist())]
+
+
+def clifford_inverse_word(n: int, gates) -> tuple[GateSpec, ...]:
+    """Canonical word for the inverse of a Clifford gate sequence."""
+    return clifford_word(n, clifford_inverse(n, gates))

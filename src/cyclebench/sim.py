@@ -323,14 +323,14 @@ def _validate_confusion(mat: np.ndarray) -> np.ndarray:
 def readout_distribution(
     probs: np.ndarray, readout: dict[int, np.ndarray] | None, n: int
 ) -> np.ndarray:
-    """Push an ideal bitstring distribution through per-qubit confusion."""
+    """Push an ideal bitstring distribution through per-qubit confusion
+    matrices, which the caller has validated (``NoiseModel`` does on entry)."""
     if not readout:
         return probs
     tensor = probs.reshape([2] * n)
     for q in sorted(readout):
-        conf = _validate_confusion(readout[q])
         tensor = np.moveaxis(
-            np.tensordot(tensor, conf, axes=([q], [0])), -1, q
+            np.tensordot(tensor, readout[q], axes=([q], [0])), -1, q
         )
     return tensor.reshape(-1)
 
@@ -348,6 +348,8 @@ def sample_counts(
     """
     if shots < 1:
         raise SimulationError("shots must be >= 1")
+    if readout:
+        readout = {q: _validate_confusion(m) for q, m in readout.items()}
     n = state.n_qubits
     probs = state.probabilities()
     probs = probs / probs.sum()

@@ -211,6 +211,46 @@ def _reference_tableau_key(images) -> tuple:
     return tuple((p.letters, p.sign) for p in images)
 
 
+def reference_c1_table():
+    """The 24 single-qubit Cliffords from their own BFS over H then S, keyed
+    by the images of X and Z: ``(word, conjugation map, matrix, inverse
+    index)`` per element, in BFS order."""
+    from collections import deque
+
+    from cyclebench.pauli import LETTERS, _SQ_CONJ
+
+    def key(conj):
+        return conj["X"], conj["Z"]
+
+    def then(conj, gate):
+        out = {}
+        for letter in LETTERS:
+            mid, s1 = conj[letter]
+            new, s2 = _SQ_CONJ[gate][mid]
+            out[letter] = (new, s1 * s2)
+        return out
+
+    gate_mats = {"H": H_MAT, "S": S_MAT}
+    start = dict(_SQ_CONJ["I"])
+    seen = {key(start): 0}
+    elems = [((), start, np.eye(2, dtype=complex))]
+    queue = deque([0])
+    while queue:
+        word, conj, mat = elems[queue.popleft()]
+        for g in ("H", "S"):
+            new = then(conj, g)
+            if key(new) not in seen:
+                seen[key(new)] = len(elems)
+                elems.append((word + (g,), new, gate_mats[g] @ mat))
+                queue.append(seen[key(new)])
+    table = []
+    for word, conj, mat in elems:
+        # C maps a -> s b, so C^-1 maps b -> s a
+        inverse = {b: (a, s) for a, (b, s) in conj.items()}
+        table.append((word, conj, mat, seen[key(inverse)]))
+    return table
+
+
 def reference_clifford_group(n: int):
     """(words, index by string tableau) from a BFS over PauliString tableaus."""
     from collections import deque
@@ -325,9 +365,9 @@ def reference_make_cb(cycle, m_list, n_random, n_decays, twirl="pauli", seed=0,
 
 def reference_run(executor, circuit, initial=None, prepare=True):
     """``executor.run(circuit, initial)`` one circuit and one op at a time:
-    each cycle's unitary as a dense ``U rho U^H`` (or ``U psi``), then each op
-    of the executor's tail as its own matrix product, Kraus ops as one
-    superoperator matvec on vec(rho).  ``prepare=False`` skips the
+    each cycle's unitary as a dense ``U rho U^H`` (or ``U psi``), then each
+    compiled op of the executor's tail as its own matrix product, Kraus ops as
+    one superoperator matvec on vec(rho).  ``prepare=False`` skips the
     preparation flips, as ``executor.advance`` does."""
     from cyclebench.circuits import cycle_unitary
     from cyclebench.sim import DensityMatrix, StateVector
@@ -346,23 +386,22 @@ def reference_run(executor, circuit, initial=None, prepare=True):
         state = np.zeros(dim, dtype=complex)
         state[0] = 1.0
 
-    def superop(rho, key, channel, positions):
-        s = executor._superop(key, channel, positions)
-        return (s @ rho.reshape(-1)).reshape(dim, dim)
+    def apply(state, tail):
+        for kind, op in tail:
+            if kind == "kraus":
+                state = (op @ state.reshape(-1)).reshape(dim, dim)
+            else:
+                state = conjugate(state, op)
+        return state
 
     def conjugate(state, u):
         return u @ state if state.ndim == 1 else u @ state @ u.conj().T
 
     if prepare:
-        for pos, chan in executor._prep_flips:
-            state = superop(state, ("prep", pos), chan, (pos,))
+        state = apply(state, executor._prep)
     for cyc in circuit.cycles:
         state = conjugate(state, cycle_unitary(cyc, executor.register))
-        for kind, key, op, positions in executor._tail(cyc):
-            if kind == "kraus":
-                state = superop(state, key, op, positions)
-            else:
-                state = conjugate(state, executor._unitary_full(key, op, positions))
+        state = apply(state, executor._tail(cyc))
     return StateVector(state) if state.ndim == 1 else DensityMatrix(state)
 
 

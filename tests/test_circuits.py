@@ -13,8 +13,6 @@ from cyclebench.circuits import (
     TfimParams,
     build_tfim_circuit,
     build_tfim_step,
-    circuit_from_text,
-    circuit_to_text,
     circuit_unitary,
     cycle_permutation,
     cycle_unitaries,
@@ -250,28 +248,6 @@ class TestPropagation:
             assert np.allclose(
                 got.to_matrix(), u @ p.to_matrix() @ u.conj().T, atol=1e-10
             )
-
-
-class TestSerialization:
-    def test_round_trip(self):
-        params = TfimParams(**PAPER_PARAMS, steps=1)
-        circ = build_tfim_circuit("circuit1", params, layout=2)
-        again = circuit_from_text(circuit_to_text(circ))
-        assert again == circ
-
-    def test_c1_and_rz_tokens(self):
-        circ = Circuit(
-            (0, 1),
-            (
-                Cycle("easy", (Gate("C1", (0,), 7), Gate("RZ", (1,), 0.25))),
-                Cycle("hard", (Gate("CNOT", (0, 1)),)),
-            ),
-        )
-        assert circuit_from_text(circuit_to_text(circ)) == circ
-
-    def test_bad_text(self):
-        with pytest.raises(CircuitError):
-            circuit_from_text("easy H 0")
 
 
 class TestCyclePermutation:

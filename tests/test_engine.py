@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from cyclebench.bench import TWIRL_GROUPS, execute_collection, make_cb
 from cyclebench.circuits import Circuit, Cycle, Gate, cycle_unitaries
-from cyclebench import engine
+from cyclebench import engine, sim
 from cyclebench.engine import Executor
 from cyclebench.noise import CrosstalkTerm, NoiseModel, confusion_from_scalar
 from cyclebench.pauli import PauliString
@@ -59,7 +59,7 @@ class TestRepresentationPolicy:
     def test_density_path_matches_outer_product_when_noiseless(self):
         circ = bell_circuit()
         pure = Executor(circ.qubits).run(circ)
-        rho = Executor(circ.qubits, force_density=True).run(circ)
+        rho = Executor(circ.qubits).run(circ, initial=DensityMatrix.zero(2))
         outer = np.outer(pure.amplitudes, pure.amplitudes.conj())
         assert np.max(np.abs(rho.entries - outer)) < 1e-9
 
@@ -194,9 +194,10 @@ class TestPrepAndReadout:
     def test_sampling_uses_model_readout(self):
         noise = NoiseModel(readout={0: confusion_from_scalar(0.1)})
         ex = Executor((0,), noise)
-        state = ex.run(Circuit((0,), ()))
-        counts = ex.sample(state, 200_000, 3)
-        assert abs(counts.get("1", 0) / 200_000 - 0.1) < 0.004
+        probs = ex.outcome_probabilities(ex.run(Circuit((0,), ())))
+        assert np.array_equal(probs, [0.9, 0.1])
+        draws = np.random.default_rng(3).multinomial(200_000, probs)
+        assert abs(draws[1] / 200_000 - 0.1) < 0.004
 
     def test_measured_expectation_analytic_vs_sampled(self):
         noise = NoiseModel(readout={0: confusion_from_scalar(0.05), 1: confusion_from_scalar(0.05)})
@@ -216,6 +217,39 @@ class TestPrepAndReadout:
         with pytest.raises(Exception):
             ex.measured_expectation(state, PauliString("XI"), 100)
 
+    @pytest.mark.parametrize("state, observable, message", [
+        (StateVector.zero(2), "Z", "observable has 1 qubits .* register has 2"),
+        (StateVector.zero(2), "ZZZ", "observable has 3 qubits .* register has 2"),
+        (StateVector.zero(3), "ZZ", "state has 3 qubits .* register has 2"),
+        (DensityMatrix.zero(1), "ZZ", "state has 1 qubits .* register has 2"),
+    ], ids=["short-observable", "long-observable", "wide-state", "narrow-density"])
+    def test_measurement_rejects_other_widths(self, state, observable, message):
+        noise = NoiseModel(readout={0: confusion_from_scalar(0.05)})
+        for ex in (Executor((0, 1)), Executor((0, 1), noise)):
+            for shots in (None, 10):
+                with pytest.raises(SimulationError, match=message):
+                    ex.measured_expectation(state, PauliString(observable), shots)
+            if len(observable) == 2:
+                with pytest.raises(SimulationError, match=message):
+                    ex.outcome_probabilities(state)
+
+    def test_readout_is_copied_and_validated_on_entry(self, monkeypatch):
+        """The model keeps its own read-only confusion matrices, so a caller
+        who later mutates theirs changes neither the model nor a measured
+        expectation, and measuring never validates them again."""
+        conf = confusion_from_scalar(0.05)
+        noise = NoiseModel(readout={0: conf})
+        ex = Executor((0, 1), noise)
+        state = ex.run(bell_circuit())
+        before = ex.measured_expectation(state, PauliString("ZZ"), None)
+        conf[:] = [[0.5, 0.5], [0.5, 0.5]]
+        assert np.array_equal(noise.readout[0], confusion_from_scalar(0.05))
+        assert not noise.readout[0].flags.writeable
+        monkeypatch.setattr(sim, "_validate_confusion", None)
+        for ex in (ex, Executor((0, 1), noise)):
+            assert ex.measured_expectation(state, PauliString("ZZ"), None) == before
+            ex.measured_expectation(state, PauliString("ZZ"), 64, seed=1)
+
 
 def test_every_emitted_channel_is_cptp():
     noise = NoiseModel(
@@ -226,20 +260,24 @@ def test_every_emitted_channel_is_cptp():
     )
     ex = Executor((0, 1), noise)
     ex.run(bell_circuit())
-    for _, chan in ex._prep_flips:
-        chan.validate()
-    for chan in ex._pauli_chans.values():
-        if chan is not None:
-            chan.validate()
-    for chan in ex._damping.values():
-        chan.validate()
+    kinds = [kind for kind, _ in ex._ops.values()]
+    # one prep flip, one CNOT and one single-qubit Pauli channel, damping for
+    # two qubits at two durations
+    assert kinds.count("kraus") == 7
+    for kind, op in ex._ops.values():
+        if kind == "kraus":
+            _assert_cptp(op)
 
 
 def test_seeded_sampling_is_reproducible():
-    noise = NoiseModel(pauli_errors={"cnot": {"XX": 0.02}})
+    noise = NoiseModel(pauli_errors={"cnot": {"XX": 0.02}},
+                       readout={1: confusion_from_scalar(0.03)})
     ex = Executor((0, 1), noise)
     state = ex.run(bell_circuit())
-    assert ex.sample(state, 1000, 11) == ex.sample(state, 1000, 11)
+    zz = PauliString("ZZ")
+    assert ex.measured_expectation(state, zz, 1000, 11) == (
+        ex.measured_expectation(state, zz, 1000, 11)
+    )
 
 
 class TestInitialStates:
@@ -459,7 +497,7 @@ class TestBatchedExecution:
         before = [Executor((0, 1), noise).run(c).entries for c in circuits]
 
         ry = np.array([[math.cos(0.3), -math.sin(0.3)], [math.sin(0.3), math.cos(0.3)]])
-        extra = ("unitary", ("test-extra",), ry.astype(complex), (1,))
+        extra = ("unitary", oracles.embed(ry.astype(complex), (1,), 2))
         original = Executor._tail
         monkeypatch.setattr(Executor, "_tail", lambda self, cyc: original(self, cyc) + (extra,))
         ex = Executor((0, 1), noise)
@@ -662,8 +700,9 @@ def test_every_compiled_superop_is_cptp(case):
     ex = Executor(register, noise)
     dict(ex.run_many(circuits))
     ex.run(circuits[0])
-    for superop in ex._superops.values():
-        _assert_cptp(superop)
+    for kind, op in ex._ops.values():
+        if kind == "kraus":
+            _assert_cptp(op)
 
 
 _THREAD_SCRIPT = """

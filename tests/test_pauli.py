@@ -107,6 +107,18 @@ def test_c1_inverse_indices():
         assert np.allclose(prod, phase * np.eye(2), atol=1e-12)
 
 
+def test_c1_table_matches_its_own_bfs():
+    """Read off ``clifford_group(1)``, the table keeps the indices, words,
+    conjugation maps, inverses and matrix bytes of a BFS over H and S."""
+    reference = oracles.reference_c1_table()
+    assert pl.c1_count() == len(reference)
+    for i, (word, conj, mat, inverse) in enumerate(reference):
+        elem = pl.c1_element(i)
+        assert (elem.index, elem.word, elem.conj, elem.inverse) == (i, word, conj, inverse)
+        assert elem.matrix.tobytes() == mat.tobytes()
+        assert pl.clifford_word(1, i) == tuple((g, 0) for g in word)
+
+
 def test_c1_prep_and_measure_elements():
     for letter in "XYZ":
         prep = pl.c1_element(pl.c1_preparing(letter))
