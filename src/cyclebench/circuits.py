@@ -125,9 +125,6 @@ class Circuit:
         object.__setattr__(circuit, "cycles", cycles)
         return circuit
 
-    def position(self, label: int) -> int:
-        return self.qubits.index(label)
-
     def hard_cycle_count(self) -> int:
         return sum(1 for c in self.cycles if c.kind == "hard")
 
@@ -144,26 +141,12 @@ def _rz(theta: float) -> np.ndarray:
     )
 
 
-_FIXED_MATS = {
-    "I": np.eye(2, dtype=complex),
-    "X": pl.PauliString("X").to_matrix(),
-    "Y": pl.PauliString("Y").to_matrix(),
-    "Z": pl.PauliString("Z").to_matrix(),
-    "H": np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2),
-    "S": np.diag([1, 1j]).astype(complex),
-    "SDG": np.diag([1, -1j]).astype(complex),
-    "CNOT": np.array(
-        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
-    ),
-}
-
-
 def gate_matrix(gate: Gate) -> np.ndarray:
     if gate.name == "RZ":
         return _rz(float(gate.param))
     if gate.name == "C1":
         return pl.c1_element(int(gate.param)).matrix
-    return _FIXED_MATS[gate.name]
+    return pl.GATE_MATRICES[gate.name]
 
 
 @functools.lru_cache(maxsize=1024)
@@ -281,10 +264,6 @@ def cycle_unitaries(cycles: Sequence[Cycle], register: tuple[int, ...]) -> np.nd
     return out
 
 
-# Gates whose matrix has one nonzero entry per row, each in {1, -1, 1j, -1j}
-# exactly; C1 elements qualify by their computed matrix (I, S, Z and SDG do,
-# the X-like ones carry rounding from their H/S words and do not).
-_MONOMIAL_GATES = frozenset({"I", "X", "Y", "Z", "S", "SDG", "CNOT"})
 _UNIT_PHASES = np.array([1, -1, 1j, -1j])
 
 
@@ -301,12 +280,17 @@ def _unit_monomial(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
 
 
 @functools.lru_cache(maxsize=None)
-def _monomial_c1() -> frozenset[int]:
-    return frozenset(e.index for e in pl._c1_table() if _unit_monomial(e.matrix) is not None)
+def _monomial_gates() -> frozenset[tuple]:
+    """(name, param) of every gate whose matrix passes ``_unit_monomial``:
+    C1 elements qualify by their computed matrix (I, S, Z and SDG do, the
+    X-like ones carry rounding from their H/S words and do not); RZ never."""
+    fixed = {(name, None): mat for name, mat in pl.GATE_MATRICES.items()}
+    c1 = {("C1", e.index): e.matrix for e in pl._c1_table()}
+    return frozenset(key for key, mat in {**fixed, **c1}.items() if _unit_monomial(mat) is not None)
 
 
 def is_monomial(gate: Gate) -> bool:
-    return gate.name in _MONOMIAL_GATES or (gate.name == "C1" and gate.param in _monomial_c1())
+    return (gate.name, gate.param) in _monomial_gates()
 
 
 @functools.lru_cache(maxsize=1024)
@@ -323,7 +307,7 @@ def cycle_permutation(
     Products of monomial gates with unit phases are exact, so the pair
     describes ``cycle_unitary`` entry for entry.
     """
-    if not all(is_monomial(g) for g in cycle.gates):
+    if not all(map(is_monomial, cycle.gates)):
         return None
     return _cycle_permutation_cached(cycle.gates, tuple(register))
 
@@ -494,18 +478,14 @@ def occupation(state, site: int) -> float:
 def propagate_pauli(
     cycle: Cycle, pauli: PauliString, register: tuple[int, ...] | None = None
 ) -> PauliString:
-    """Push a Pauli through a Clifford cycle using conjugation tables only.
+    """Push a Pauli through a Clifford cycle: one lookup in its frame table.
 
     ``register`` maps the cycle's physical labels onto Pauli positions;
     omitted, labels are taken as positions directly.
     """
     if register is None:
         register = tuple(range(pauli.n_qubits))
-    out = pauli
-    for g in cycle.gates:
-        pos = tuple(register.index(q) for q in g.qubits)
-        out = pl.conjugate_gate(out, g.name, pos, g.param)
-    return out
+    return cycle_frame_table(cycle, register).apply(pauli)
 
 
 def cycle_frame_table(cycle: Cycle, register: tuple[int, ...]) -> pl.FrameTable:

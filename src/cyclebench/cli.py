@@ -60,6 +60,7 @@ from .noise import (
     DriftScheduleError,
     NoiseModel,
     NoiseModelError,
+    check_keys,
     drift_params_at,
 )
 from .qcap import QcapCurve, compare_estimates, qcap_cb_curve, qcap_rb_curve
@@ -119,7 +120,9 @@ def _check_drift_k(k: float, name: str) -> None:
         raise ConfigError(f"{name} must be finite and non-negative, got {k}")
 
 
-def _bench_params(data: Mapping, defaults: Mapping) -> BenchParams:
+def _bench_params(data: Mapping, defaults: Mapping, where: str) -> BenchParams:
+    """Benchmark parameters; ``defaults`` names every key ``where`` takes."""
+    check_keys(data or {}, defaults, where, ConfigError)
     merged = {**defaults, **(data or {})}
     return BenchParams(
         m_list=tuple(int(m) for m in merged["m_list"]),
@@ -135,23 +138,23 @@ def config_from_dict(data: Mapping) -> ExperimentConfig:
         raise ConfigError("config must be a mapping")
     if "seed" not in data:
         raise ConfigError("config must set an explicit seed")
+    check_keys(data, [f.name for f in dataclasses.fields(ExperimentConfig)], "config", ConfigError)
     try:
         noise = NoiseModel.from_dict(data.get("noise") or {})
         sched_data = data.get("schedule") or {}
-        epochs = [
-            DriftEpoch(
-                day=int(e["day"]),
-                label=str(e["label"]),
-                overrides=e.get("overrides") or {},
-            )
-            for e in (sched_data.get("epochs") or [{"day": 1, "label": "morning"}])
-        ]
+        check_keys(sched_data, ("epochs", "walk"), "schedule", ConfigError)
+        epochs = []
+        for e in sched_data.get("epochs") or [{"day": 1, "label": "morning"}]:
+            check_keys(e, ("day", "label", "overrides"), "schedule epoch", ConfigError)
+            overrides = e.get("overrides") or {}
+            epochs.append(DriftEpoch(day=int(e["day"]), label=str(e["label"]), overrides=overrides))
         schedule = DriftSchedule(
             base=noise,
             epochs=tuple(epochs),
             walk={str(k): float(v) for k, v in (sched_data.get("walk") or {}).items()},
         )
         tf = data.get("tfim") or {}
+        check_keys(tf, [f.name for f in dataclasses.fields(TfimParams)], "tfim", ConfigError)
         tfim = TfimParams(
             sites=int(tf.get("sites", 4)),
             coupling=float(tf.get("coupling", 0.02)),
@@ -161,7 +164,9 @@ def config_from_dict(data: Mapping) -> ExperimentConfig:
         )
         cb = _bench_params(
             data.get("cb"),
-            {"m_list": (2, 10, 22), "n_random": 48, "shots": 128, "n_decays": 16},
+            {"m_list": (2, 10, 22), "n_random": 48, "shots": 128, "n_decays": 16,
+             "twirl": "pauli"},
+            "cb",
         )
         # two published sequence lengths plus one short anchor so the
         # three-length fit contract holds
@@ -169,10 +174,12 @@ def config_from_dict(data: Mapping) -> ExperimentConfig:
             data.get("qcap"),
             {"m_list": (2, 4, 16), "n_random": 30, "shots": 128,
              "n_decays": cb.n_decays, "twirl": cb.twirl},
+            "qcap",
         )
         rb = _bench_params(
             data.get("rb"),
             {"m_list": (2, 10, 22), "n_random": 30, "shots": 128},
+            "rb",
         )
         return ExperimentConfig(
             seed=int(data["seed"]),

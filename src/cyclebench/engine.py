@@ -354,7 +354,7 @@ class Executor:
         if any(c not in ("I", "Z") for c in observable.letters):
             raise SimulationError("measured observables must be Z/I strings")
         probs = self.outcome_probabilities(state)
-        support = tuple(i for i, c in enumerate(observable.letters) if c != "I")
+        support = observable.support
         if support not in self._parity:
             self._parity[support] = _parity_vector(self.n, support)
         parity = self._parity[support]

@@ -14,13 +14,14 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass, field, fields
 from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
 
-from .pauli import PauliString
+from .pauli import GATE_MATRICES, PauliString
 from .sim import KrausChannel, rng_from
 
 SINGLE_QUBIT = "single_qubit"
@@ -116,9 +117,8 @@ def damping_channel(t1_us: float, t2_us: float | None, duration_ns: float) -> Kr
         residual = min(1.0, target / math.sqrt(1 - gamma))
         p_z = (1.0 - residual) / 2.0
         if p_z > 0:
-            z = np.array([[1, 0], [0, -1]], dtype=complex)
             ops = [math.sqrt(1 - p_z) * k for k in ops] + [
-                math.sqrt(p_z) * (z @ k) for k in ops
+                math.sqrt(p_z) * (GATE_MATRICES["Z"] @ k) for k in ops
             ]
     return KrausChannel(tuple(ops)).validate()
 
@@ -157,6 +157,13 @@ def _freeze(d: Mapping) -> Mapping:
     return MappingProxyType(dict(d))
 
 
+def check_keys(data: Mapping, allowed, where: str, error=NoiseModelError) -> None:
+    """Raise ``error`` naming every key of ``data`` not in ``allowed``."""
+    unknown = sorted(str(k) for k in data if k not in allowed)
+    if unknown:
+        raise error(f"unknown key(s) {', '.join(unknown)} in {where}")
+
+
 def _frozen_array(mat) -> np.ndarray:
     """A read-only float copy: the model never shares a caller's array."""
     out = np.array(mat, dtype=float)
@@ -164,7 +171,7 @@ def _frozen_array(mat) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NoiseModel:
     """Immutable per-gate-class error description keyed by physical qubits.
 
@@ -220,23 +227,32 @@ class NoiseModel:
             if np.any(np.abs(m.sum(axis=1) - 1.0) > 1e-12):
                 raise NoiseModelError(f"readout({q}) rows do not sum to 1")
         for cls, probs in self.pauli_errors.items():
-            total = 0.0
+            if cls not in (SINGLE_QUBIT, CNOT) and not re.fullmatch(r"cnot:\d+-\d+", cls):
+                raise NoiseModelError(f"unknown gate class {cls!r} in pauli_errors")
+            total, n = 0.0, 1 if cls == SINGLE_QUBIT else 2
             for letters, p in probs.items():
                 if not (math.isfinite(p) and p >= 0):
                     raise NoiseModelError(
                         f"Pauli probability {letters} = {p} in {cls} must be finite and >= 0"
                     )
-                PauliString.parse(letters)
+                if not re.fullmatch(f"[+-]?[IXYZ]{{{n}}}", letters):
+                    raise NoiseModelError(f"{letters!r} in {cls} is not a {n}-qubit Pauli string")
                 total += p
             if total > 1 + 1e-12:
                 raise NoiseModelError(f"Pauli probabilities in {cls} sum to {total} > 1")
+        check_keys(self.durations, (SINGLE_QUBIT, CNOT), "durations")
         for cls, t in self.durations.items():
             if not (math.isfinite(t) and t >= 0):
                 raise NoiseModelError(f"duration({cls}) = {t} must be finite and >= 0")
         for q, p in self.prep_flip.items():
             if not 0 <= p <= 1:
                 raise NoiseModelError(f"prep flip({q}) = {p} outside [0, 1]")
-        for key, (_, angle) in self.cnot_rotation.items():
+        for key, (axis, angle) in self.cnot_rotation.items():
+            if key != "*" and not re.fullmatch(r"\d+-\d+", key):
+                raise NoiseModelError(f"cnot_rotation key {key!r} is neither '*' nor 'a-b'")
+            if not re.fullmatch(r"[+-]?[IXYZ]{2}", axis) or axis.endswith("II"):
+                raise NoiseModelError(f"cnot_rotation({key}) axis {axis!r} is not a 2-qubit "
+                                      "non-identity Pauli string")
             if not math.isfinite(angle):
                 raise NoiseModelError(f"cnot_rotation({key}) angle = {angle} must be finite")
         for term in self.crosstalk:
@@ -246,6 +262,16 @@ class NoiseModel:
                 raise NoiseModelError(
                     f"crosstalk({term.pair}, {term.spectator}) angle = {term.angle} must be finite"
                 )
+
+    def __eq__(self, other):
+        """Field by field; readout confusion matrices compare by value."""
+        if not isinstance(other, NoiseModel):
+            return NotImplemented
+        ro = {q: m.tolist() for q, m in self.readout.items()}
+        return ro == {q: m.tolist() for q, m in other.readout.items()} and all(
+            getattr(self, f.name) == getattr(other, f.name) for f in fields(self)
+            if f.name != "readout"
+        )
 
     # -- lookups used by the engine -------------------------------------
 
@@ -277,7 +303,8 @@ class NoiseModel:
         return False
 
     def to_dict(self) -> dict:
-        """Plain-dict form (scalar readout) used by config files and drift."""
+        """Plain-dict form (scalar readout) used by config files and drift;
+        its sections are the keys ``from_dict`` accepts."""
         ro = {}
         for q, mat in self.readout.items():
             m = np.asarray(mat)
@@ -305,22 +332,26 @@ class NoiseModel:
     @classmethod
     def from_dict(cls, data: Mapping) -> "NoiseModel":
         data = dict(data or {})
+        check_keys(data, cls().to_dict(), "noise")
         readout = {
             int(q): confusion_from_scalar(float(e))
             for q, e in (data.get("readout_error") or {}).items()
         }
         rotation = {}
         for key, val in (data.get("cnot_rotation") or {}).items():
-            axis, angle = (val["axis"], val["angle"]) if isinstance(val, Mapping) else val
+            if isinstance(val, Mapping):
+                check_keys(val, ("axis", "angle"), f"cnot_rotation[{key}]")
+                val = (val["axis"], val["angle"])
+            axis, angle = val
             rotation[str(key)] = (str(axis), float(angle))
-        crosstalk = tuple(
-            CrosstalkTerm(
+        crosstalk = []
+        for t in data.get("crosstalk") or []:
+            check_keys(t, ("pair", "spectator", "angle"), "crosstalk")
+            crosstalk.append(CrosstalkTerm(
                 pair=(int(t["pair"][0]), int(t["pair"][1])),
                 spectator=int(t["spectator"]),
                 angle=float(t["angle"]),
-            )
-            for t in (data.get("crosstalk") or [])
-        )
+            ))
         return cls(
             t1={int(q): float(v) for q, v in (data.get("t1") or {}).items()},
             t2={int(q): float(v) for q, v in (data.get("t2") or {}).items()},

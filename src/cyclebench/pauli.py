@@ -1,11 +1,12 @@
-"""Pauli strings and table-driven Clifford frame tracking.
+"""Pauli strings, gate matrices and table-driven Clifford frame tracking.
 
-Operator propagation through Clifford circuits is done entirely with lookup
-tables (letter maps for single-qubit Cliffords, a 16-entry signed table for
-CNOT), never with dense matrices, so frames stay exact through arbitrarily
-deep circuits.  Hot paths use the same rules as integer signed-permutation
-tables over Pauli indices.  Dense matrices are only materialised on demand
-for linear-algebra work such as channel construction.
+Each fixed gate is defined once, by its matrix in ``GATE_MATRICES``.  Its
+frame rule, a signed permutation of the Paulis on its qubits, is read off
+that matrix once, and so are the rules of the 24 single-qubit Cliffords.
+Operator propagation through Clifford circuits then works on integer
+signed-permutation tables over Pauli indices, never on dense matrices, so
+frames stay exact through arbitrarily deep circuits; a ``PauliString`` is
+pushed through a gate or cycle by one lookup in its table.
 """
 
 from __future__ import annotations
@@ -20,12 +21,19 @@ import numpy as np
 
 LETTERS = "IXYZ"
 
-_MATS = {
+# The one definition of every fixed gate; read-only, shared by all callers.
+GATE_MATRICES = {
     "I": np.eye(2, dtype=complex),
     "X": np.array([[0, 1], [1, 0]], dtype=complex),
     "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+    "H": np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2),
+    "S": np.diag([1, 1j]).astype(complex),
+    "SDG": np.diag([1, -1j]).astype(complex),
+    "CNOT": np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex),
 }
+for _mat in GATE_MATRICES.values():
+    _mat.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -56,14 +64,11 @@ class PauliString:
     def support(self) -> tuple[int, ...]:
         return tuple(i for i, c in enumerate(self.letters) if c != "I")
 
-    def weight(self) -> int:
-        return len(self.support)
-
     def to_matrix(self) -> np.ndarray:
         """Dense 2^n x 2^n matrix, sign included."""
         mat = np.array([[self.sign]], dtype=complex)
         for c in self.letters:
-            mat = np.kron(mat, _MATS[c])
+            mat = np.kron(mat, GATE_MATRICES[c])
         return mat
 
     def commutes_with(self, other: "PauliString") -> bool:
@@ -98,120 +103,31 @@ def all_pauli_letters(n: int, include_identity: bool = False) -> list[str]:
     return strings
 
 
-# ---------------------------------------------------------------------------
-# Conjugation tables: maps P -> C P C^dagger.
-
-_SQ_CONJ: dict[str, dict[str, tuple[str, int]]] = {
-    "I": {"I": ("I", 1), "X": ("X", 1), "Y": ("Y", 1), "Z": ("Z", 1)},
-    "H": {"I": ("I", 1), "X": ("Z", 1), "Y": ("Y", -1), "Z": ("X", 1)},
-    "S": {"I": ("I", 1), "X": ("Y", 1), "Y": ("X", -1), "Z": ("Z", 1)},
-    "SDG": {"I": ("I", 1), "X": ("Y", -1), "Y": ("X", 1), "Z": ("Z", 1)},
-    "X": {"I": ("I", 1), "X": ("X", 1), "Y": ("Y", -1), "Z": ("Z", -1)},
-    "Y": {"I": ("I", 1), "X": ("X", -1), "Y": ("Y", 1), "Z": ("Z", -1)},
-    "Z": {"I": ("I", 1), "X": ("X", -1), "Y": ("Y", -1), "Z": ("Z", 1)},
-}
-
-# CNOT(control, target) conjugation with signs; verified against the dense
-# oracle in the test suite.
-_CNOT_CONJ: dict[str, tuple[str, int]] = {
-    "II": ("II", 1),
-    "IX": ("IX", 1),
-    "IY": ("ZY", 1),
-    "IZ": ("ZZ", 1),
-    "XI": ("XX", 1),
-    "XX": ("XI", 1),
-    "XY": ("YZ", 1),
-    "XZ": ("YY", -1),
-    "YI": ("YX", 1),
-    "YX": ("YI", 1),
-    "YY": ("XZ", -1),
-    "YZ": ("XY", 1),
-    "ZI": ("ZI", 1),
-    "ZX": ("ZX", 1),
-    "ZY": ("IY", 1),
-    "ZZ": ("IZ", 1),
-}
-
-
 class NonCliffordGateError(ValueError):
     """Raised when a frame is pushed through a gate that is not Clifford."""
-
-
-def conjugate_gate(
-    pauli: PauliString,
-    name: str,
-    positions: tuple[int, ...],
-    param: int | float | None = None,
-) -> PauliString:
-    """Return (gate) P (gate)^dagger for one primitive gate.
-
-    ``positions`` index into the Pauli string.  ``param`` is the canonical
-    single-qubit-Clifford index for C1 gates; any other parametrised gate is
-    rejected as non-Clifford.
-    """
-    letters = list(pauli.letters)
-    sign = pauli.sign
-    if name == "CNOT":
-        c, t = positions
-        new, s = _CNOT_CONJ[letters[c] + letters[t]]
-        letters[c], letters[t] = new[0], new[1]
-        sign *= s
-    elif name == "C1":
-        (q,) = positions
-        new, s = c1_element(int(param)).conj[letters[q]]
-        letters[q] = new
-        sign *= s
-    elif name in _SQ_CONJ:
-        (q,) = positions
-        new, s = _SQ_CONJ[name][letters[q]]
-        letters[q] = new
-        sign *= s
-    else:
-        raise NonCliffordGateError(f"gate {name!r} is not Clifford")
-    return PauliString("".join(letters), sign)
 
 
 # ---------------------------------------------------------------------------
 # The 24 single-qubit Cliffords: the words of ``clifford_group(1)``, in its
 # order, so a C1 index is a group index.
 
-_H_MAT = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-_S_MAT = np.array([[1, 0], [0, 1j]], dtype=complex)
-
-
 @dataclass(frozen=True)
 class C1Element:
     index: int
     word: tuple[str, ...]  # gates applied left-to-right in time
-    conj: dict[str, tuple[str, int]]
     matrix: np.ndarray
     inverse: int
 
 
-def _compose_conj(
-    first: dict[str, tuple[str, int]], second: dict[str, tuple[str, int]]
-) -> dict[str, tuple[str, int]]:
-    """Conjugation map of (second after first)."""
-    out = {}
-    for letter in LETTERS:
-        mid, s1 = first[letter]
-        new, s2 = second[mid]
-        out[letter] = (new, s1 * s2)
-    return out
-
-
 @functools.lru_cache(maxsize=1)
 def _c1_table() -> tuple[C1Element, ...]:
-    gate_mats = {"H": _H_MAT, "S": _S_MAT}
     out = []
     for idx, word in enumerate(clifford_group(1)[0]):
-        conj = dict(_SQ_CONJ["I"])
         mat = np.eye(2, dtype=complex)
         for name, _ in word:
-            conj = _compose_conj(conj, _SQ_CONJ[name])
-            mat = gate_mats[name] @ mat
+            mat = GATE_MATRICES[name] @ mat
         inverse = clifford_inverse(1, [(name, pos, None) for name, *pos in word])
-        out.append(C1Element(idx, tuple(name for name, _ in word), conj, mat, inverse))
+        out.append(C1Element(idx, tuple(name for name, _ in word), mat, inverse))
     return tuple(out)
 
 
@@ -226,32 +142,28 @@ def c1_count() -> int:
     return len(_c1_table())
 
 
-def _find_c1(predicate) -> int:
-    for elem in _c1_table():
-        if predicate(elem):
-            return elem.index
-    raise RuntimeError("no single-qubit Clifford satisfies the predicate")
-
-
 @functools.lru_cache(maxsize=None)
-def c1_preparing(letter: str) -> int:
-    """Index of a C1 whose action on |0> yields the +1 eigenstate of ``letter``.
-
-    Identity letters prepare |0>.
-    """
-    if letter in ("I", "Z"):
+def _c1_sending(source: str, target: str) -> int:
+    """Index of the first C1 whose table maps ``source`` to +``target``; the
+    identity when either letter is I."""
+    if "I" in (source, target):
         return 0
-    return _find_c1(lambda e: e.conj["Z"] == (letter, 1))
+    i, j = LETTERS.index(source), LETTERS.index(target)
+    for k in range(c1_count()):
+        image, sign = _local_table("C1", k)
+        if image[i] == j and sign[i] == 1:
+            return k
+    raise RuntimeError(f"no single-qubit Clifford maps {source} to +{target}")
 
 
-@functools.lru_cache(maxsize=None)
+def c1_preparing(letter: str) -> int:
+    """Index of a C1 taking |0> to the +1 eigenstate of ``letter`` (I: |0>)."""
+    return _c1_sending("Z", letter)
+
+
 def c1_measuring(letter: str) -> int:
     """Index of a C1 rotating ``letter`` onto +Z for computational readout."""
-    if letter in ("I", "Z"):
-        return 0
-    return _find_c1(lambda e: e.conj[letter] == ("Z", 1))
-
-
+    return _c1_sending(letter, "Z")
 
 
 # ---------------------------------------------------------------------------
@@ -260,8 +172,8 @@ def c1_measuring(letter: str) -> int:
 # A Pauli string on n qubits is an index in [0, 4^n) plus a sign.  Letter
 # codes are I=0, X=1, Y=2, Z=3 with qubit 0 most significant, so indices
 # follow ``all_pauli_letters`` order.  A Clifford acts on the indices as a
-# signed permutation.  Tables are built lazily from ``conjugate_gate``, which
-# stays the one source of every conjugation rule.
+# signed permutation.  Each gate's table is read off its matrix once, lazily;
+# ``PauliString`` propagation is a lookup in these tables.
 
 class FrameTable(NamedTuple):
     """C P_i C^dagger = sign[i] * P_image[i] for every Pauli index i."""
@@ -272,6 +184,14 @@ class FrameTable(NamedTuple):
     def then(self, other: "FrameTable") -> "FrameTable":
         """Table of ``other`` applied after this one."""
         return FrameTable(other.image[self.image], self.sign * other.sign[self.image])
+
+    def apply(self, pauli: PauliString) -> PauliString:
+        """C P C^dagger for one Pauli string on the table's qubits."""
+        n = pauli.n_qubits
+        if len(self.image) != 4**n:
+            raise ValueError(f"Pauli on {n} qubits vs a table on {len(self.image)} indices")
+        i = pauli_index(pauli.letters)
+        return PauliString(pauli_letters(int(self.image[i]), n), pauli.sign * int(self.sign[i]))
 
 
 def pauli_index(letters: str) -> int:
@@ -299,18 +219,31 @@ def letter_place_values(n: int) -> np.ndarray:
     return 4 ** np.arange(n - 1, -1, -1)
 
 
+@functools.lru_cache(maxsize=None)
+def _local_table(name: str, param) -> tuple[np.ndarray, np.ndarray]:
+    """(image, sign) of a gate on its own k qubits, read off its matrix U:
+    U P_i U^dagger = sign[i] P_image[i], where |tr(P_j U P_i U^dagger)| / 2^k
+    is 1 for j = image[i] and 0 for every other j."""
+    if name == "C1":
+        u = c1_element(int(param)).matrix
+    elif name in GATE_MATRICES:
+        u = GATE_MATRICES[name]
+    else:
+        raise NonCliffordGateError(f"gate {name!r} is not Clifford")
+    k = len(u).bit_length() - 1
+    paulis = np.stack([PauliString(s).to_matrix() for s in all_pauli_letters(k, True)])
+    overlap = np.einsum("jab,iba->ij", paulis, u @ paulis @ u.conj().T).real / 2**k
+    image = np.abs(overlap).argmax(axis=1)
+    return image, np.where(overlap[np.arange(4**k), image] > 0, 1, -1).astype(np.int8)
+
+
 @functools.lru_cache(maxsize=1024)
 def gate_table(
     name: str, positions: tuple[int, ...], n: int, param: int | float | None = None
 ) -> FrameTable:
     """Read-only table of one primitive gate on an n-qubit frame."""
     k = len(positions)
-    local = [
-        conjugate_gate(PauliString(s), name, tuple(range(k)), param)
-        for s in all_pauli_letters(k, include_identity=True)
-    ]
-    local_image = np.array([pauli_index(p.letters) for p in local])
-    local_sign = np.array([p.sign for p in local], dtype=np.int8)
+    local_image, local_sign = _local_table(name, param)
     codes = index_letters(n)
     cols = list(positions)
     sub = codes[:, cols] @ letter_place_values(k)
@@ -331,6 +264,18 @@ def frame_table(gates, n: int) -> FrameTable:
     for name, pos, param in gates:
         table = table.then(gate_table(name, tuple(pos), n, param))
     return table
+
+
+def conjugate_gate(
+    pauli: PauliString, name: str, positions: tuple[int, ...], param: int | float | None = None
+) -> PauliString:
+    """Return (gate) P (gate)^dagger for one primitive gate.
+
+    ``positions`` index into the Pauli string.  ``param`` is the canonical
+    single-qubit-Clifford index for C1 gates; any other parametrised gate is
+    rejected as non-Clifford.
+    """
+    return gate_table(name, tuple(positions), pauli.n_qubits, param).apply(pauli)
 
 
 # ---------------------------------------------------------------------------

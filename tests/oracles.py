@@ -217,21 +217,27 @@ def reference_c1_table():
     index)`` per element, in BFS order."""
     from collections import deque
 
-    from cyclebench.pauli import LETTERS, _SQ_CONJ
+    letters = "IXYZ"
+    # P -> C P C^dagger per letter, written out by hand
+    rows = {
+        "I": {"I": ("I", 1), "X": ("X", 1), "Y": ("Y", 1), "Z": ("Z", 1)},
+        "H": {"I": ("I", 1), "X": ("Z", 1), "Y": ("Y", -1), "Z": ("X", 1)},
+        "S": {"I": ("I", 1), "X": ("Y", 1), "Y": ("X", -1), "Z": ("Z", 1)},
+    }
 
     def key(conj):
         return conj["X"], conj["Z"]
 
     def then(conj, gate):
         out = {}
-        for letter in LETTERS:
+        for letter in letters:
             mid, s1 = conj[letter]
-            new, s2 = _SQ_CONJ[gate][mid]
+            new, s2 = rows[gate][mid]
             out[letter] = (new, s1 * s2)
         return out
 
     gate_mats = {"H": H_MAT, "S": S_MAT}
-    start = dict(_SQ_CONJ["I"])
+    start = dict(rows["I"])
     seen = {key(start): 0}
     elems = [((), start, np.eye(2, dtype=complex))]
     queue = deque([0])

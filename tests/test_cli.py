@@ -133,6 +133,30 @@ class TestCliExitCodes:
         assert main(["cb", "--config", str(write_config(tmp_path, cfg))]) == 1
         assert "cnot_rotation(*)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "section, key, value, named",
+        [
+            ("noise", "cnot_rotation", {"*": ["QQ", 0.05]}, "cnot_rotation(*) axis 'QQ'"),
+            ("noise", "cnot_rotation", {"*": ["ZZZ", 0.05]}, "cnot_rotation(*) axis 'ZZZ'"),
+            ("noise", "cnot_rotation", {"*": ["II", 0.05]}, "cnot_rotation(*) axis 'II'"),
+            ("noise", "pauli_errors", {"single_qubit": {"XX": 0.01}}, "'XX' in single_qubit"),
+            ("noise", "pauli_errors", {"cnot": {"X": 0.01}}, "'X' in cnot"),
+            ("noise", "pauli_errors", {"cnott": {"XX": 0.01}}, "'cnott'"),
+            ("noise", "readout", {0: 0.1}, "readout in noise"),
+            ("tfim", "step", 3, "step in tfim"),
+            (None, "layot", 2, "layot in config"),
+        ],
+        ids=["axis-QQ", "axis-ZZZ", "axis-II", "single-XX", "cnot-X", "class-cnott",
+             "noise-readout", "tfim-step", "layot"],
+    )
+    def test_malformed_or_unknown_key_returns_one(self, tmp_path, capsys, section, key, value,
+                                                  named):
+        """Each of these exited 0 or 2 before its key was checked on entry."""
+        cfg = base_config(str(tmp_path / "out"))
+        (cfg[section] if section else cfg)[key] = value
+        assert main(["cb", "--config", str(write_config(tmp_path, cfg))]) == 1
+        assert named in capsys.readouterr().err
+
     def test_negative_length_returns_one(self, tmp_path, capsys):
         cfg = base_config(str(tmp_path / "out"))
         cfg["cb"]["m_list"] = [2, 10, -3]

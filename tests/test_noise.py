@@ -234,6 +234,51 @@ class TestNoiseModel:
         with pytest.raises(NoiseModelError, match=re.escape("readout(0)")):
             NoiseModel(readout={0: np.array([[math.nan, 0.1], [0.1, 0.9]])})
 
+    @pytest.mark.parametrize(
+        "kwargs, named",
+        [
+            ({"cnot_rotation": {"*": ("QQ", 0.05)}}, "'QQ'"),
+            ({"cnot_rotation": {"*": ("ZZZ", 0.05)}}, "'ZZZ'"),
+            ({"cnot_rotation": {"0-1": ("II", 0.05)}}, "cnot_rotation(0-1) axis 'II'"),
+            ({"cnot_rotation": {"0_1": ("ZZ", 0.05)}}, "'0_1'"),
+            ({"pauli_errors": {"single_qubit": {"XX": 0.01}}}, "'XX' in single_qubit"),
+            ({"pauli_errors": {"cnot": {"X": 0.01}}}, "'X' in cnot"),
+            ({"pauli_errors": {"cnot:0-1": {"XYZ": 0.01}}}, "'XYZ' in cnot:0-1"),
+            ({"pauli_errors": {"cnott": {"XX": 0.01}}}, "'cnott'"),
+            ({"pauli_errors": {"cnot:0_1": {"XX": 0.01}}}, "'cnot:0_1'"),
+            ({"durations": {"cnott": 300.0}}, "cnott in durations"),
+        ],
+        ids=["axis-QQ", "axis-ZZZ", "axis-II", "rotation-key", "single-XX", "cnot-X",
+             "pair-XYZ", "class-cnott", "class-pair", "duration-cnott"],
+    )
+    def test_rejects_malformed_noise_on_entry(self, kwargs, named):
+        with pytest.raises(NoiseModelError, match=re.escape(named)):
+            NoiseModel(**kwargs)
+
+    @pytest.mark.parametrize(
+        "data, named",
+        [
+            ({"readout": {0: 0.1}}, "readout in noise"),
+            ({"crosstalk": [{"pair": [0, 1], "spectator": 2, "angle": 0.1, "angel": 0.1}]},
+             "angel in crosstalk"),
+            ({"cnot_rotation": {"*": {"axis": "ZZ", "angel": 0.1}}}, "angel in cnot_rotation[*]"),
+        ],
+        ids=["noise", "crosstalk", "cnot_rotation"],
+    )
+    def test_from_dict_rejects_unknown_keys(self, data, named):
+        with pytest.raises(NoiseModelError, match=re.escape(named)):
+            NoiseModel.from_dict(data)
+
+    def test_equality_compares_readout_by_value(self):
+        conf = confusion_from_scalar(0.02)
+        model = NoiseModel(t1={0: 50.0}, readout={0: conf})
+        assert model == NoiseModel(t1={0: 50.0}, readout={0: conf.copy()})
+        assert model == NoiseModel.from_dict(model.to_dict())
+        assert model != NoiseModel(t1={0: 50.0}, readout={0: confusion_from_scalar(0.03)})
+        assert model != NoiseModel(t1={0: 50.0}, readout={1: conf})
+        assert model != NoiseModel(t1={0: 60.0}, readout={0: conf})
+        assert model != "not a model"
+
     def test_pair_specific_class_wins(self):
         model = NoiseModel(
             pauli_errors={"cnot": {"XX": 0.01}, "cnot:1-2": {"XX": 0.05}}

@@ -114,7 +114,12 @@ def test_c1_table_matches_its_own_bfs():
     assert pl.c1_count() == len(reference)
     for i, (word, conj, mat, inverse) in enumerate(reference):
         elem = pl.c1_element(i)
-        assert (elem.index, elem.word, elem.conj, elem.inverse) == (i, word, conj, inverse)
+        table = pl.gate_table("C1", (0,), 1, i)
+        elem_conj = {
+            letter: (pl.LETTERS[table.image[j]], int(table.sign[j]))
+            for j, letter in enumerate(pl.LETTERS)
+        }
+        assert (elem.index, elem.word, elem_conj, elem.inverse) == (i, word, conj, inverse)
         assert elem.matrix.tobytes() == mat.tobytes()
         assert pl.clifford_word(1, i) == tuple((g, 0) for g in word)
 
@@ -125,8 +130,8 @@ def test_c1_prep_and_measure_elements():
         state = prep.matrix @ np.array([1, 0], dtype=complex)
         val = np.vdot(state, oracles.PAULI_1Q[letter] @ state).real
         assert val == pytest.approx(1.0, abs=1e-12)
-        meas = pl.c1_element(pl.c1_measuring(letter))
-        assert meas.conj[letter] == ("Z", 1)
+        meas = pl.c1_measuring(letter)
+        assert conjugate_gate(PauliString(letter), "C1", (0,), meas) == PauliString("Z")
 
 
 def test_non_clifford_gate_rejected():
