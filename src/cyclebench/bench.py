@@ -541,6 +541,8 @@ def run_rb(
     if n not in (1, 2):
         raise ProtocolError("randomized benchmarking supports 1 or 2 qubits only")
     _check_lengths(m_list, n_random)
+    if shots is not None and shots < 1:
+        raise ProtocolError("shots must be >= 1")
     group_size = pl.clifford_count(n)
     executor = Executor(register, noise)
     floor = 1.0 / 2**n

@@ -240,30 +240,6 @@ def cycle_unitary(cycle: Cycle, register: tuple[int, ...]) -> np.ndarray:
     return _cycle_unitary_cached(cycle.gates, tuple(register))
 
 
-def cycle_unitaries(cycles: Sequence[Cycle], register: tuple[int, ...]) -> np.ndarray:
-    """``cycle_unitary`` of every cycle as one ``(len(cycles), 2^n, 2^n)``
-    stack, equal entry for entry.
-
-    Easy cycles are built together per structure, from one gather of their
-    gate matrices; hard cycles keep the cached embedded-CNOT chain.
-    """
-    register = tuple(register)
-    dim = 2 ** len(register)
-    groups: dict[tuple, list[int]] = {}
-    for i, c in enumerate(cycles):
-        groups.setdefault(c.structure, []).append(i)
-    if len(groups) == 1 and cycles[0].kind == "easy":
-        return _easy_unitaries([c.gates for c in cycles], register)
-    out = np.empty((len(cycles), dim, dim), dtype=complex)
-    for (kind, _), members in groups.items():
-        if kind == "easy":
-            out[members] = _easy_unitaries([cycles[i].gates for i in members], register)
-        else:
-            for i in members:
-                out[i] = _cycle_unitary_cached(cycles[i].gates, register)
-    return out
-
-
 _UNIT_PHASES = np.array([1, -1, 1j, -1j])
 
 

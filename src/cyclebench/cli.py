@@ -44,8 +44,10 @@ from .circuits import (
 )
 from .engine import Executor
 from .ingest import (
+    OCCUPATION_HEADER,
     SchemaError,
     SnapshotError,
+    _write_csv,
     parse_backend_snapshot,
     read_estimates,
     write_curves,
@@ -334,14 +336,7 @@ def simulate_occupations(config: ExperimentConfig, model: NoiseModel | None) -> 
 
 
 def _write_occupations(path, rows) -> None:
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["step", "time", "site", "occupation", "ideal_occupation"])
-        for row in rows:
-            writer.writerow([row[0], repr(float(row[1])), row[2],
-                             repr(float(row[3])), repr(float(row[4]))])
+    _write_csv(path, OCCUPATION_HEADER, ((s, float(t), *rest) for s, t, *rest in rows))
 
 
 # ---------------------------------------------------------------------------
@@ -520,10 +515,10 @@ def cmd_report(out: Path, k: float) -> int:
     _check_drift_k(k, "--k")
     found = []
     for sub in out.iterdir() if out.is_dir() else []:
-        if not sub.is_dir() or not sub.name.startswith("day"):
-            continue
+        # epoch bundles only: day<digits>_<label>
         day_part, _, label = sub.name.partition("_")
-        if label not in LABEL_ORDER:
+        if not (sub.is_dir() and day_part[:3] == "day" and day_part[3:].isdecimal()
+                and label in LABEL_ORDER):
             continue
         est_path = sub / "estimates.csv"
         if est_path.exists():

@@ -14,10 +14,12 @@ duration, idle qubits for the cycle duration).  Everything after the ideal
 unitary is one op list per cycle structure (``Executor._tail``).  There is
 one execution kernel, ``Executor._run_stack``, which advances a stack of
 equally long circuits layer by layer: ``run_many`` feeds it stacks of up to
-``CHUNK`` circuits, ``run`` and ``advance`` a stack of one.  A stack of one
-takes the cached cycle unitary; larger stacks apply layers of monomial
-cycles (Pauli twirls, CNOTs) as signed permutations instead of matrix
-products.  Every measurement reads ``Executor.outcome_probabilities``.
+``CHUNK`` circuits, ``run`` and ``advance`` a stack of one.  The cycles of
+one layer share one structure, so each layer looks up one tail for the
+whole stack.  A stack of one takes the cached cycle unitary; larger stacks
+apply layers of monomial cycles (Pauli twirls, CNOTs) as signed
+permutations and build the unitaries of other (easy) layers in one pass.
+Every measurement reads ``Executor.outcome_probabilities``.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .circuits import Circuit, Cycle, cycle_permutation, cycle_unitaries, cycle_unitary
+from .circuits import Circuit, Cycle, _easy_unitaries, cycle_permutation, cycle_unitary
 from .noise import NoiseModel, coherent_overrotation, damping_channel, pauli_channel
 from .pauli import PauliString
 from .sim import (
@@ -118,21 +120,22 @@ class Executor:
         ``matmul``), so each state is bit-identical whatever the chunk size,
         and to ``run(circuits[index])``.  Pairs come grouped by cycle count,
         not in index order.
+
+        The cycles at one position of equally long circuits must share one
+        structure (``Cycle.structure``), as every layer of a CB collection
+        does; a layer that mixes structures raises :class:`SimulationError`.
         """
         groups: dict[int, list[int]] = {}
         for i, circuit in enumerate(circuits):
             self._check_register(circuit)
             groups.setdefault(len(circuit.cycles), []).append(i)
-        wrap = DensityMatrix if self.use_density else StateVector
         for members in groups.values():
             for lo in range(0, len(members), CHUNK):
                 part = members[lo:lo + CHUNK]
                 start = self._apply_tail(self._zero_stack(len(part)), self._prep)
                 stack = self._run_stack([circuits[i] for i in part], start)
-                if not self.use_density:
-                    stack = stack[..., 0]
                 for i, state in zip(part, stack):
-                    yield i, wrap(state)
+                    yield i, _wrap(state)
 
     def _check_register(self, circuit: Circuit) -> None:
         if tuple(circuit.qubits) != self.register:
@@ -240,31 +243,30 @@ class Executor:
 
         Every op reads density from the stack's last axis: a pure stack stays
         pure, since only a model that introduces channels has Kraus ops."""
-        if len(circuits) == 1:
-            # a stack of one (an RB sequence, a Trotter step): the cached cycle
-            # unitary and a plain matmul, without per-cycle helper calls
-            dense = state.shape[-1] != 1
-            for cyc in circuits[0].cycles:
-                u = cycle_unitary(cyc, self.register)
-                state = u @ state
-                if dense:
-                    state = state @ u.conj().T
-                tail = self._tail(cyc)
-                if tail:
-                    state = self._apply_tail(state, tail)
-            return state
+        one, dense = len(circuits) == 1, state.shape[-1] != 1
         for layer in zip(*(c.cycles for c in circuits)):
-            state = self._apply_layer(state, layer)
+            if one:
+                # a stack of one (an RB sequence, a Trotter step): the cached
+                # cycle unitary and a plain matmul, without per-cycle helper calls
+                u = cycle_unitary(layer[0], self.register)
+                state = u @ state @ u.conj().T if dense else u @ state
+            else:
+                state = self._apply_layer(state, layer)
+            tail = self._tail(layer[0])
+            if tail:
+                state = self._apply_tail(state, tail)
         return state
 
     def _apply_layer(self, state: np.ndarray, layer: tuple[Cycle, ...]) -> np.ndarray:
-        """One cycle per circuit of a stack of two or more: ideal unitaries,
-        then each circuit's tail."""
+        """The ideal unitaries of one layer of one structure, one cycle per
+        circuit of a stack of two or more."""
         # distinct cycle objects (CB collections intern them) and each
         # circuit's slot among them
         ids = np.fromiter(map(id, layer), dtype=np.uint64, count=len(layer))
         _, first, slot = np.unique(ids, return_index=True, return_inverse=True)
         cycles = [layer[i] for i in first.tolist()]
+        if len({c.structure for c in cycles}) > 1:
+            raise SimulationError("the cycles of one batched layer must share one structure")
         signed = []
         for c in cycles:
             found = cycle_permutation(c, self.register)
@@ -272,27 +274,10 @@ class Executor:
                 break
             signed.append(found)
         if len(signed) == len(cycles):
-            state = self._permute(state, signed, slot)
-        else:
-            u = cycle_unitaries(cycles, self.register)
-            state = _conjugate(state, u[0] if len(cycles) == 1 else u[slot])
-
-        # one tail per structure, looked up once
-        groups: dict[tuple, list[int]] = {}
-        for k, c in enumerate(cycles):
-            groups.setdefault(c.structure, []).append(k)
-        if len(groups) == 1:
-            return self._apply_tail(state, self._tail(cycles[0]))
-        owner = np.empty(len(cycles), dtype=np.intp)
-        for g, members in enumerate(groups.values()):
-            owner[members] = g
-        owner = owner[slot]
-        for g, members in enumerate(groups.values()):
-            tail = self._tail(cycles[members[0]])
-            if tail:
-                sel = np.flatnonzero(owner == g)
-                state[sel] = self._apply_tail(state[sel], tail)
-        return state
+            return self._permute(state, signed, slot)
+        # a non-monomial cycle is easy: hard cycles hold only CNOTs
+        u = _easy_unitaries([c.gates for c in cycles], self.register)
+        return _conjugate(state, u[0] if len(cycles) == 1 else u[slot])
 
     def _permute(self, state: np.ndarray, signed: list, slot: np.ndarray) -> np.ndarray:
         """Monomial cycle unitaries as a gather and a phase multiply.

@@ -32,6 +32,7 @@ DECAY_HEADER = ["pauli", "m", "circuit_index", "expectation", "shot_error"]
 FIT_HEADER = ["pauli", "A", "p", "sigma_p"]
 CURVE_HEADER = ["source", "steps", "bound", "sigma"]
 ESTIMATE_HEADER = ["source", "label", "day", "epoch", "infidelity", "sigma"]
+OCCUPATION_HEADER = ["step", "time", "site", "occupation", "ideal_occupation"]
 
 
 class SnapshotError(ValueError):
@@ -194,7 +195,7 @@ def parse_backend_snapshot(text: str) -> BackendSnapshot:
 
 def _fmt(x) -> str:
     if isinstance(x, float):
-        return repr(x)
+        return repr(float(x))
     return str(x)
 
 

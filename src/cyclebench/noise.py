@@ -416,6 +416,10 @@ class DriftSchedule:
         base_dict = self.base.to_dict()
         for epoch in self.epochs:
             _check_override_paths(epoch.overrides, base_dict, epoch.key)
+            try:
+                NoiseModel.from_dict(_merge(base_dict, epoch.overrides))
+            except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                raise DriftScheduleError(f"epoch {epoch.key}: {exc}") from None
 
     def epoch_index(self, day: int, label: str) -> int:
         for i, e in enumerate(self.epochs):

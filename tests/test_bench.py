@@ -455,6 +455,11 @@ class TestRunRb:
         with pytest.raises(ProtocolError):
             run_rb((0,), (2, 4, 8), 0, None, shots=10)
 
+    @pytest.mark.parametrize("shots", [0, -1])
+    def test_rejects_bad_shots(self, shots):
+        with pytest.raises(ProtocolError, match="shots"):
+            run_rb((0,), (2, 4, 8), 2, None, shots=shots)
+
     @pytest.mark.parametrize("qubits, shots", [((0,), 64), ((0,), None), ((3, 5), 64)])
     def test_streams_feed_the_same_sequences(self, monkeypatch, qubits, shots):
         """Collection-wide streams give the result of one rng_from per

@@ -11,11 +11,11 @@ from cyclebench.circuits import (
     Cycle,
     Gate,
     TfimParams,
+    _easy_unitaries,
     build_tfim_circuit,
     build_tfim_step,
     circuit_unitary,
     cycle_permutation,
-    cycle_unitaries,
     cycle_unitary,
     hard_cycle_ids_per_step,
     is_monomial,
@@ -324,7 +324,7 @@ class TestEasyCycleUnitaries:
             Cycle("easy", (Gate(a, (0,), pa), Gate(b, (1,), pb)))
             for a, pa in ONE_QUBIT_GATES for b, pb in ONE_QUBIT_GATES
         ]
-        batched = cycle_unitaries(cycles, register)
+        batched = _easy_unitaries([c.gates for c in cycles], register)
         for cyc, u in zip(cycles, batched):
             expected = oracles.reference_cycle_unitary(cyc, register)
             assert np.array_equal(u, expected), cyc
@@ -336,25 +336,18 @@ class TestEasyCycleUnitaries:
         cyc, register = case
         expected = oracles.reference_cycle_unitary(cyc, register)
         assert np.array_equal(cycle_unitary(cyc, register), expected)
-        assert np.array_equal(cycle_unitaries([cyc], register)[0], expected)
+        assert np.array_equal(_easy_unitaries([cyc.gates], register)[0], expected)
 
     @pytest.mark.parametrize("size", [1, 7, 256])
     def test_batched_equals_per_cycle(self, size):
         rng = np.random.default_rng(size)
         register = (5, 2, 9, 4)
-        gates = [[Gate(name, (q,), param) for name, param in ONE_QUBIT_GATES]
-                 for q in register]
-        layouts = [(0, 1, 2, 3), (3, 1, 0), (2,)]
-        hard = Cycle("hard", (Gate("CNOT", (9, 5)),))
-        cycles = []
-        for _ in range(size):
-            order = layouts[rng.integers(len(layouts))]
-            picks = rng.integers(len(ONE_QUBIT_GATES), size=len(order))
-            cycles.append(Cycle("easy", tuple(gates[i][k] for i, k in zip(order, picks))))
-        one_structure = [Cycle("easy", tuple(gates[i][k] for i, k in enumerate(picks)))
-                         for picks in rng.integers(len(ONE_QUBIT_GATES), size=(size, 4))]
-        for batch in (cycles, one_structure, cycles[: size // 2] + [hard]):
-            stack = cycle_unitaries(batch, register)
+        gates = {q: [Gate(name, (q,), param) for name, param in ONE_QUBIT_GATES]
+                 for q in register}
+        for order in ((5, 2, 9, 4), (4, 2, 5), (9,)):
+            batch = [Cycle("easy", tuple(gates[q][k] for q, k in zip(order, picks)))
+                     for picks in rng.integers(len(ONE_QUBIT_GATES), size=(size, len(order)))]
+            stack = _easy_unitaries([c.gates for c in batch], register)
             assert stack.shape == (len(batch), 16, 16)
             for cyc, u in zip(batch, stack):
                 assert np.array_equal(u, cycle_unitary(cyc, register))
@@ -363,4 +356,4 @@ class TestEasyCycleUnitaries:
     def test_empty_cycle_is_identity(self):
         cyc = Cycle("easy", ())
         assert np.array_equal(cycle_unitary(cyc, (3, 1)), np.eye(4))
-        assert np.array_equal(cycle_unitaries([cyc, cyc], (3, 1)), np.stack([np.eye(4)] * 2))
+        assert np.array_equal(_easy_unitaries([(), ()], (3, 1)), np.stack([np.eye(4)] * 2))

@@ -157,6 +157,18 @@ class TestCliExitCodes:
         assert main(["cb", "--config", str(write_config(tmp_path, cfg))]) == 1
         assert named in capsys.readouterr().err
 
+    def test_malformed_drift_override_returns_one_before_any_epoch(self, tmp_path, capsys):
+        """A later epoch's bad override is found at config load, before the
+        first epoch's bundle is written."""
+        night = {"day": 1, "label": "night",
+                 "overrides": {"pauli_errors": {"cnott": {"XX": 0.02}}}}
+        cfg = base_config(str(tmp_path / "out"),
+                          schedule={"epochs": [{"day": 1, "label": "morning"}, night]})
+        assert main(["schedule", "--config", str(write_config(tmp_path, cfg))]) == 1
+        err = capsys.readouterr().err
+        assert "(1, 'night')" in err and "'cnott'" in err
+        assert not list((tmp_path / "out").glob("day*"))
+
     def test_negative_length_returns_one(self, tmp_path, capsys):
         cfg = base_config(str(tmp_path / "out"))
         cfg["cb"]["m_list"] = [2, 10, -3]
@@ -188,6 +200,22 @@ class TestCliExitCodes:
         )
         assert main(["report", "--out", str(tmp_path)]) == 1
         assert "column infidelity" in capsys.readouterr().err
+
+    def test_report_skips_directories_that_are_not_epoch_bundles(self, tmp_path, capsys):
+        for name in ("day1_morning", "day1_night"):
+            (tmp_path / name).mkdir()
+            (tmp_path / name / "estimates.csv").write_text(
+                f"source,label,day,epoch,infidelity,sigma\nCB,cycle1,1,{name[5:]},0.02,0.001\n"
+            )
+        assert main(["report", "--out", str(tmp_path)]) == 0
+        expected = capsys.readouterr().out
+        for stray in ("dayX_morning", "day_morning", "day1x_night"):
+            (tmp_path / stray).mkdir()
+            (tmp_path / stray / "estimates.csv").write_text(
+                (tmp_path / "day1_night" / "estimates.csv").read_text()
+            )
+        assert main(["report", "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().out == expected
 
     @pytest.mark.parametrize("k", ["nan", "-1"])
     def test_report_with_bad_k_returns_one(self, tmp_path, capsys, k):

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclebench.bench import TWIRL_GROUPS, execute_collection, make_cb
-from cyclebench.circuits import Circuit, Cycle, Gate, cycle_unitaries
+from cyclebench.circuits import Circuit, Cycle, Gate, _easy_unitaries
 from cyclebench import engine, sim
 from cyclebench.engine import Executor
 from cyclebench.noise import CrosstalkTerm, NoiseModel, confusion_from_scalar
@@ -454,7 +454,6 @@ class TestBatchedExecution:
     @pytest.mark.parametrize(
         "noise",
         [
-            # easy cycles get an empty tail here
             NoiseModel(
                 pauli_errors={"cnot": {"XX": 0.04}, "cnot:1-2": {"ZI": 0.02}},
                 cnot_rotation={"*": ("ZZ", 0.2)},
@@ -465,29 +464,27 @@ class TestBatchedExecution:
                 pauli_errors={"single_qubit": {"X": 0.01}, "cnot": {"IY": 0.03}},
                 readout={1: confusion_from_scalar(0.03)},
             ),
+            None,
         ],
     )
-    def test_different_tails_in_one_layer(self, noise, monkeypatch):
-        """Equally long circuits whose cycles at one layer differ in kind
-        and gate qubits, so one stack splits across several tails."""
+    def test_mixed_structure_layer_is_rejected(self, noise):
+        """A stack whose cycles at one layer differ in kind, gate qubits or
+        gate order raises; each circuit alone still runs."""
         pool = [
             Cycle("easy", (Gate("H", (0,)),)),
             Cycle("easy", (Gate("X", (1,)), Gate("S", (2,)))),
-            Cycle("easy", tuple(Gate("C1", (q,), 3 * q + 1) for q in (0, 1, 2))),
+            Cycle("easy", (Gate("S", (2,)), Gate("X", (1,)))),
             Cycle("hard", (Gate("CNOT", (0, 1)),)),
-            Cycle("hard", (Gate("CNOT", (1, 2)),)),
-            Cycle("hard", (Gate("CNOT", (2, 0)),)),
-        ]
-        rng = np.random.default_rng(5)
-        circuits = [
-            Circuit((0, 1, 2), tuple(pool[k] for k in rng.integers(0, len(pool), 5)))
-            for _ in range(40)
+            Cycle("hard", (Gate("CNOT", (1, 0)),)),
         ]
         ex = Executor((0, 1, 2), noise)
-        monkeypatch.setattr(engine, "CHUNK", 16)
-        got = dict(ex.run_many(circuits))
-        for i, c in enumerate(circuits):
-            assert np.array_equal(_final(got[i]), _final(oracles.reference_run(ex, c)))
+        for k, a in enumerate(pool):
+            for b in pool[k + 1:]:
+                circuits = [Circuit((0, 1, 2), (a,)), Circuit((0, 1, 2), (b,))]
+                with pytest.raises(SimulationError, match="one structure"):
+                    dict(ex.run_many(circuits))
+                for c in circuits:
+                    assert np.array_equal(_final(ex.run(c)), _final(oracles.reference_run(ex, c)))
 
     def test_run_cycle_and_batched_path_read_the_same_tail(self, monkeypatch):
         """Changing the one tail list changes both paths alike."""
@@ -545,31 +542,38 @@ OTHER_1Q = (("H", None), ("RZ", 0.7), ("C1", 1), ("C1", 12), ("C1", 17), ("C1", 
 
 
 @st.composite
-def layer_cycles(draw, register, monomial_only):
+def layer_pool(draw, register):
+    """1-4 cycles of one structure: copies of one CNOT cycle, or one-qubit
+    gates on the same qubits in the same order, each cycle drawn from the
+    monomial gates alone or from all of them, perhaps with a copy of the
+    first that is equal but not the same object."""
     if len(register) >= 2 and draw(st.booleans()):
         order = draw(st.permutations(register))
         pairs = [order[2 * i:2 * i + 2] for i in range(draw(st.integers(1, len(order) // 2)))]
-        return Cycle("hard", tuple(Gate("CNOT", tuple(p)) for p in pairs))
-    alphabet = MONOMIAL_1Q if monomial_only else MONOMIAL_1Q + OTHER_1Q
+        gates = tuple(Gate("CNOT", tuple(p)) for p in pairs)
+        return [Cycle("hard", gates) for _ in range(draw(st.integers(1, 3)))]
     qubits = draw(st.lists(st.sampled_from(register), unique=True, min_size=1))
-    gates = []
-    for q in qubits:
-        name, param = draw(st.sampled_from(alphabet))
-        gates.append(Gate(name, (q,), param))
-    return Cycle("easy", tuple(gates))
+    pool = []
+    for _ in range(draw(st.integers(1, 3))):
+        alphabet = MONOMIAL_1Q if draw(st.booleans()) else MONOMIAL_1Q + OTHER_1Q
+        picks = draw(st.lists(st.sampled_from(alphabet), min_size=len(qubits),
+                              max_size=len(qubits)))
+        pool.append(Cycle("easy", tuple(Gate(name, (q,), param)
+                                        for q, (name, param) in zip(qubits, picks))))
+    if draw(st.booleans()):
+        pool.append(Cycle("easy", pool[0].gates))
+    return pool
 
 
 @st.composite
 def layered_cases(draw, dense_only=False):
     """Equally long random circuits on 1-3 qubits whose layers draw their
-    cycles from a small pool: only monomial cycles, or monomial and other
-    cycles mixed; with no model, a coherent-only model or a density model."""
+    cycles from a small pool of one structure: CNOT cycles, or one-qubit
+    cycles that are monomial or mix monomial and other gates; with no model,
+    a coherent-only model or a density model."""
     n = draw(st.integers(1, 3))
     register = tuple(draw(st.permutations(range(n + 1)))[:n])
-    pools = [
-        draw(st.lists(layer_cycles(register, draw(st.booleans())), min_size=1, max_size=3))
-        for _ in range(draw(st.integers(1, 6)))
-    ]
+    pools = [draw(layer_pool(register)) for _ in range(draw(st.integers(1, 6)))]
     circuits = [
         Circuit(register, tuple(draw(st.sampled_from(pool)) for pool in pools))
         for _ in range(draw(st.integers(1, 12)))
@@ -652,16 +656,17 @@ class TestMonomialLayers:
         reference = [oracles.reference_run(ex, c).entries for c in circuits]
         looked_up = []
         monkeypatch.setattr(
-            engine, "cycle_unitaries", lambda cs, r: looked_up.extend(cs) or cycle_unitaries(cs, r)
+            engine, "_easy_unitaries",
+            lambda rows, r: looked_up.extend(rows) or _easy_unitaries(rows, r),
         )
         for i, state in ex.run_many(circuits):
             assert np.array_equal(state.entries, reference[i])
-        names = {g.name for c in looked_up for g in c.gates}
+        names = {g.name for gates in looked_up for g in gates}
         assert "CNOT" not in names
         if twirl == "pauli":
             assert names <= {"C1"}  # preparation and inversion layers only
         else:
-            twirl_cycles = {c.circuit.cycles[1] for c in coll.circuits if c.m}
+            twirl_cycles = {c.circuit.cycles[1].gates for c in coll.circuits if c.m}
             assert twirl_cycles <= set(looked_up)
 
 

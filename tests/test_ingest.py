@@ -1,5 +1,6 @@
 import re
 
+import numpy as np
 import pytest
 
 from cyclebench.bench import DecayFit, DecayPoint, InfidelityEstimate, ProtocolError
@@ -120,6 +121,14 @@ class TestRoundTrips:
             assert a.amplitude == b.amplitude
             assert a.decay == b.decay
             assert a.decay_std == b.decay_std
+
+    def test_numpy_floats_roundtrip_exactly(self, tmp_path):
+        """numpy float scalars are written as plain floats, not as their repr."""
+        path = tmp_path / "decays.csv"
+        points = [DecayPoint("ZZ", 2, 0, np.float64(0.5), np.float64(1 / 3))]
+        write_decays(path, points)
+        assert path.read_text().splitlines()[1] == "ZZ,2,0,0.5,0.3333333333333333"
+        assert read_decays(path) == points
 
     def test_large_decay_table_count(self, tmp_path):
         path = tmp_path / "decays.csv"

@@ -375,6 +375,23 @@ class TestDriftSchedule:
                 base, (DriftEpoch(1, "morning", overrides={"t2": {11: 4.0}}),)
             )
 
+    @pytest.mark.parametrize(
+        "overrides, named",
+        [
+            ({"pauli_errors": {"cnott": {"XX": 0.02}}}, "'cnott'"),
+            ({"pauli_errors": {"cnot": {"XX": 1.5}}}, "sum to 1.5"),
+            ({"t2": {6: 150.0}}, "exceeds 2*T1"),
+            ({"cnot_rotation": {"*": ["QQ", 0.1]}}, "axis 'QQ'"),
+        ],
+        ids=["class-cnott", "sum-above-1", "t2-above-2t1", "axis-QQ"],
+    )
+    def test_overrides_must_build_a_valid_model(self, overrides, named):
+        base = NoiseModel(t1={6: 50.0}, t2={6: 60.0})
+        epochs = (DriftEpoch(1, "morning"), DriftEpoch(1, "night", overrides=overrides))
+        with pytest.raises(DriftScheduleError, match=re.escape("epoch (1, 'night'): ")) as err:
+            DriftSchedule(base, epochs)
+        assert named in str(err.value)
+
     def test_unknown_walk_parameter(self):
         with pytest.raises(DriftScheduleError):
             DriftSchedule(NoiseModel(), (DriftEpoch(1, "morning"),), walk={"bogus": 1.0})
