@@ -23,7 +23,6 @@ from .circuits import (
     TfimParams,
     build_tfim_circuit,
     build_tfim_step,
-    circuit_unitary,
     layout_cycles,
     layout_qubits,
     occupation,
@@ -37,7 +36,6 @@ from .noise import (
     NoiseModel,
     coherent_overrotation,
     damping_channel,
-    depolarizing_channel,
     drift_params_at,
     pauli_channel,
 )
@@ -47,7 +45,6 @@ from .sim import (
     DensityMatrix,
     KrausChannel,
     StateVector,
-    equal_up_to_phase,
     expectation_pauli,
     sample_counts,
 )

@@ -286,18 +286,22 @@ def execute_collection(
     ``shots=None`` uses the analytic density/statevector expectation (an
     infinite-shot surrogate).  Sampling streams derive from the collection
     seed and the circuit index, so repeated runs reproduce the table exactly.
+    Each stack that ``Executor.run_many`` yields is read out at once.
     """
     if shots is not None and shots < 1:
         raise ProtocolError("shots must be >= 1")
     executor = Executor(coll.register, noise)
+    streams = None
     if shots is not None:
         streams = Streams(coll.seed, (("exec", cc.index) for cc in coll.circuits))
     points = [None] * len(coll.circuits)
-    for i, state in executor.run_many([cc.circuit for cc in coll.circuits]):
-        cc = coll.circuits[i]
-        rng = None if shots is None else streams[i]
-        x, err = executor.measured_expectation(state, cc.measured, shots, rng)
-        points[i] = DecayPoint(cc.prepared.letters, cc.m, cc.index, x, err)
+    for part, stack in executor.run_many([cc.circuit for cc in coll.circuits]):
+        members = [coll.circuits[i] for i in part]
+        xs, errs = executor.measured_expectation(
+            executor.probabilities(stack), [cc.measured for cc in members], shots, streams, part
+        )
+        for i, cc, x, err in zip(part, members, xs, errs):
+            points[i] = DecayPoint(cc.prepared.letters, cc.m, cc.index, x, err)
     return points
 
 

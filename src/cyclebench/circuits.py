@@ -17,7 +17,7 @@ import numpy as np
 
 from . import pauli as pl
 from .pauli import PauliString
-from .sim import MAX_QUBITS, SimulationError, embed_operator
+from .sim import embed_operator
 
 SINGLE_QUBIT_GATES = ("I", "X", "Y", "Z", "H", "S", "SDG", "RZ", "C1")
 
@@ -124,12 +124,6 @@ class Circuit:
         object.__setattr__(circuit, "qubits", qubits)
         object.__setattr__(circuit, "cycles", cycles)
         return circuit
-
-    def hard_cycle_count(self) -> int:
-        return sum(1 for c in self.cycles if c.kind == "hard")
-
-    def cnot_count(self) -> int:
-        return sum(len(c.cnot_pairs()) for c in self.cycles if c.kind == "hard")
 
 
 # ---------------------------------------------------------------------------
@@ -286,16 +280,6 @@ def cycle_permutation(
     if not all(map(is_monomial, cycle.gates)):
         return None
     return _cycle_permutation_cached(cycle.gates, tuple(register))
-
-
-def circuit_unitary(circuit: Circuit) -> np.ndarray:
-    """Dense unitary of the whole circuit, cycles composed in time order."""
-    if circuit.n_qubits > MAX_QUBITS:
-        raise SimulationError(f"dense unitary limited to {MAX_QUBITS} qubits")
-    u = np.eye(2**circuit.n_qubits, dtype=complex)
-    for cyc in circuit.cycles:
-        u = cycle_unitary(cyc, circuit.qubits) @ u
-    return u
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from typing import Mapping, Sequence
 import yaml
 
 from .bench import (
+    TWIRL_GROUPS,
     InfidelityEstimate,
     RbResult,
     cb_process_infidelity,
@@ -106,6 +107,9 @@ class ExperimentConfig:
     drift_k: float = 1.0
 
     def __post_init__(self):
+        # bool is an int subclass; 1.7 or true would otherwise run as seed 1
+        if type(self.seed) is not int or self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.variant not in VARIANTS:
             raise ConfigError(f"variant must be one of {VARIANTS}")
         layout_qubits(self.layout)
@@ -126,12 +130,14 @@ def _bench_params(data: Mapping, defaults: Mapping, where: str) -> BenchParams:
     """Benchmark parameters; ``defaults`` names every key ``where`` takes."""
     check_keys(data or {}, defaults, where, ConfigError)
     merged = {**defaults, **(data or {})}
+    if merged.get("twirl", "pauli") not in TWIRL_GROUPS:
+        raise ConfigError(f"{where}: twirl must be one of {TWIRL_GROUPS}, got {merged['twirl']!r}")
     return BenchParams(
         m_list=tuple(int(m) for m in merged["m_list"]),
         n_random=int(merged["n_random"]),
         shots=int(merged["shots"]),
         n_decays=int(merged.get("n_decays", 16)),
-        twirl=str(merged.get("twirl", "pauli")),
+        twirl=merged.get("twirl", "pauli"),
     )
 
 
@@ -184,7 +190,7 @@ def config_from_dict(data: Mapping) -> ExperimentConfig:
             "rb",
         )
         return ExperimentConfig(
-            seed=int(data["seed"]),
+            seed=data["seed"],
             layout=int(data.get("layout", 1)),
             variant=str(data.get("variant", "circuit1")),
             tfim=tfim,

@@ -19,7 +19,9 @@ one layer share one structure, so each layer looks up one tail for the
 whole stack.  A stack of one takes the cached cycle unitary; larger stacks
 apply layers of monomial cycles (Pauli twirls, CNOTs) as signed
 permutations and build the unitaries of other (easy) layers in one pass.
-Every measurement reads ``Executor.outcome_probabilities``.
+Readout works on whole stacks too: ``Executor.probabilities`` turns a stack
+into outcome rows, ``Executor.measured_expectation`` samples and scores
+them, and ``Executor.outcome_probabilities`` is the former on a stack of one.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ from .sim import (
     StateVector,
     embed_operator,
     readout_distribution,
-    rng_from,
 )
 
 # Circuits per stack in ``Executor.run_many``.  It bounds the transient
@@ -111,15 +112,17 @@ class Executor:
         self._check_register(circuit)
         return _wrap(self._run_stack([circuit], self._stack_of(state))[0])
 
-    def run_many(self, circuits: Sequence[Circuit]) -> Iterator[tuple[int, State]]:
-        """Run many circuits from |0...0>, yielding ``(index, final state)``.
+    def run_many(self, circuits: Sequence[Circuit]) -> Iterator[tuple[list[int], np.ndarray]]:
+        """Run many circuits from |0...0>, yielding ``(indices, stack)``: the
+        final states of ``circuits[i]`` for i in ``indices``, as one (b, d, d)
+        density or (b, d, 1) amplitude stack.
 
         Circuits with the same cycle count advance together, at most
         ``CHUNK`` at a time, as one stack per layer.  Every circuit still
         gets its own BLAS call of the same shape (numpy's stacked
         ``matmul``), so each state is bit-identical whatever the chunk size,
-        and to ``run(circuits[index])``.  Pairs come grouped by cycle count,
-        not in index order.
+        and to ``run(circuits[i])``.  Stacks come grouped by cycle count, not
+        in index order.
 
         The cycles at one position of equally long circuits must share one
         structure (``Cycle.structure``), as every layer of a CB collection
@@ -133,9 +136,7 @@ class Executor:
             for lo in range(0, len(members), CHUNK):
                 part = members[lo:lo + CHUNK]
                 start = self._apply_tail(self._zero_stack(len(part)), self._prep)
-                stack = self._run_stack([circuits[i] for i in part], start)
-                for i, state in zip(part, stack):
-                    yield i, _wrap(state)
+                yield part, self._run_stack([circuits[i] for i in part], start)
 
     def _check_register(self, circuit: Circuit) -> None:
         if tuple(circuit.qubits) != self.register:
@@ -260,11 +261,16 @@ class Executor:
     def _apply_layer(self, state: np.ndarray, layer: tuple[Cycle, ...]) -> np.ndarray:
         """The ideal unitaries of one layer of one structure, one cycle per
         circuit of a stack of two or more."""
-        # distinct cycle objects (CB collections intern them) and each
-        # circuit's slot among them
-        ids = np.fromiter(map(id, layer), dtype=np.uint64, count=len(layer))
-        _, first, slot = np.unique(ids, return_index=True, return_inverse=True)
-        cycles = [layer[i] for i in first.tolist()]
+        # distinct cycle objects (CB collections intern them) in order of
+        # first appearance, so lookups run in the same order on every run,
+        # and each circuit's slot among them when there are several
+        ids = list(map(id, layer))
+        distinct = dict(zip(ids, layer))
+        cycles = list(distinct.values())
+        slot = None
+        if len(cycles) > 1:
+            slot_of = dict(zip(distinct, range(len(cycles))))
+            slot = np.fromiter(map(slot_of.__getitem__, ids), np.intp, len(ids))
         if len({c.structure for c in cycles}) > 1:
             raise SimulationError("the cycles of one batched layer must share one structure")
         signed = []
@@ -279,7 +285,7 @@ class Executor:
         u = _easy_unitaries([c.gates for c in cycles], self.register)
         return _conjugate(state, u[0] if len(cycles) == 1 else u[slot])
 
-    def _permute(self, state: np.ndarray, signed: list, slot: np.ndarray) -> np.ndarray:
+    def _permute(self, state: np.ndarray, signed: list, slot: np.ndarray | None) -> np.ndarray:
         """Monomial cycle unitaries as a gather and a phase multiply.
 
         With ``U[i, perm[i]] = phase[i]`` the only nonzero of row i,
@@ -320,44 +326,59 @@ class Executor:
 
     # -- measurement -------------------------------------------------------
 
-    def outcome_probabilities(self, state: State) -> np.ndarray:
-        """Born probabilities of ``state``'s bitstrings, renormalised, then
+    def probabilities(self, stack: np.ndarray) -> np.ndarray:
+        """Outcome rows (b, 2^n) of a stack of (b, d, d) densities or (b, d, 1)
+        amplitudes: each state's Born probabilities, renormalised, then
         through this model's readout confusion."""
+        if stack.shape[-1] == 1:
+            probs = np.abs(stack[:, :, 0]) ** 2
+        else:
+            probs = np.abs(np.diagonal(stack, axis1=1, axis2=2).real)
+        return readout_distribution(probs / probs.sum(axis=1, keepdims=True), self._readout, self.n)
+
+    def outcome_probabilities(self, state: State) -> np.ndarray:
+        """``probabilities`` of one state."""
         self._check_width("state", state.n_qubits)
-        probs = state.probabilities()
-        return readout_distribution(probs / probs.sum(), self._readout, self.n)
+        if isinstance(state, DensityMatrix):
+            return self.probabilities(state.entries[None])[0]
+        return self.probabilities(state.amplitudes.reshape(1, -1, 1))[0]
 
     def measured_expectation(
-        self, state: State, observable: PauliString, shots: int | None, seed=0
-    ) -> tuple[float, float]:
-        """Estimate <observable> (a signed Z/I string) from sampled counts.
+        self, probs: np.ndarray, observables: Sequence[PauliString], shots: int | None,
+        streams=None, indices: Sequence[int] = (),
+    ) -> tuple[list[float], list[float]]:
+        """Estimate each row's <observable> (a signed Z/I string) and shot
+        error from ``shots`` counts of its own stream ``streams[indices[k]]``.
 
-        ``shots=None`` returns the analytic expectation through the readout
-        confusion (an infinite-shot surrogate) with zero shot error.
+        Each row draws its own multinomial, so counts do not depend on the
+        stacking, and the parity arithmetic on integer counts is exact, so
+        it runs over the whole stack.  ``shots=None`` returns the analytic
+        expectation through the readout confusion (an infinite-shot
+        surrogate) with zero shot error.
         """
-        self._check_width("observable", observable.n_qubits)
-        if any(c not in ("I", "Z") for c in observable.letters):
-            raise SimulationError("measured observables must be Z/I strings")
-        probs = self.outcome_probabilities(state)
-        support = observable.support
-        if support not in self._parity:
-            self._parity[support] = _parity_vector(self.n, support)
-        parity = self._parity[support]
+        parity = [self._parity_row(o) for o in observables]
+        signs = [o.sign for o in observables]
         if shots is None:
-            return float(observable.sign * np.dot(parity, probs)), 0.0
-        rng = seed if isinstance(seed, np.random.Generator) else rng_from(seed)
-        draws = rng.multinomial(shots, probs)
-        x = float(observable.sign * np.dot(parity, draws) / shots)
-        err = float(np.sqrt(max(0.0, 1.0 - x * x) / shots))
-        return x, err
+            exact = [s * float(np.dot(p, row)) for s, p, row in zip(signs, parity, probs, strict=True)]
+            return exact, [0.0] * len(exact)
+        counts = np.array([
+            streams[i].multinomial(shots, row) for i, row in zip(indices, probs, strict=True)
+        ])
+        x = np.array(signs) * (np.array(parity) * counts).sum(axis=1) / shots
+        return x.tolist(), np.sqrt(np.maximum(0.0, 1.0 - x * x) / shots).tolist()
 
-
-def _parity_vector(n: int, support: tuple[int, ...]) -> np.ndarray:
-    idx = np.arange(2**n)
-    acc = np.zeros(2**n, dtype=int)
-    for q in support:
-        acc ^= (idx >> (n - 1 - q)) & 1
-    return 1.0 - 2.0 * acc
+    def _parity_row(self, observable: PauliString) -> np.ndarray:
+        """The unsigned +-1 parity of ``observable`` per outcome, checked and
+        built once per observable."""
+        row = self._parity.get(observable)
+        if row is None:
+            self._check_width("observable", observable.n_qubits)
+            if any(c not in ("I", "Z") for c in observable.letters):
+                raise SimulationError("measured observables must be Z/I strings")
+            # contiguous: BLAS sums a strided vector in another order
+            diagonal = np.diag(PauliString(observable.letters).to_matrix()).real
+            row = self._parity[observable] = np.ascontiguousarray(diagonal)
+        return row
 
 
 def _conjugate(state: np.ndarray, u: np.ndarray) -> np.ndarray:

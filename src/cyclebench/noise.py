@@ -73,13 +73,6 @@ def pauli_channel(probs: Mapping[str | PauliString, float]) -> KrausChannel:
     return KrausChannel(tuple(ops)).validate()
 
 
-def depolarizing_channel(lam: float, n_qubits: int) -> KrausChannel:
-    """rho -> (1 - lam) rho + lam I / 2^n."""
-    if not 0 <= lam <= 1:
-        raise NoiseModelError(f"depolarizing strength {lam} outside [0, 1]")
-    return pauli_channel(depolarizing_pauli_probs(lam, n_qubits))
-
-
 def depolarizing_pauli_probs(lam: float, n_qubits: int) -> dict[str, float]:
     """Per-Pauli probabilities realising n-qubit depolarizing of strength lam."""
     from .pauli import all_pauli_letters
@@ -162,6 +155,15 @@ def check_keys(data: Mapping, allowed, where: str, error=NoiseModelError) -> Non
     unknown = sorted(str(k) for k in data if k not in allowed)
     if unknown:
         raise error(f"unknown key(s) {', '.join(unknown)} in {where}")
+
+
+def _section(data, where: str) -> Mapping:
+    """``data`` as a mapping (None is empty), or NoiseModelError naming ``where``."""
+    if data is None:
+        return {}
+    if not isinstance(data, Mapping):
+        raise NoiseModelError(f"{where} must be a mapping, got {type(data).__name__}")
+    return data
 
 
 def _frozen_array(mat) -> np.ndarray:
@@ -331,8 +333,10 @@ class NoiseModel:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "NoiseModel":
-        data = dict(data or {})
+        data = _section(data, "noise")
         check_keys(data, cls().to_dict(), "noise")
+        for key in (k for k in data if k != "crosstalk"):
+            _section(data[key], key)
         readout = {
             int(q): confusion_from_scalar(float(e))
             for q, e in (data.get("readout_error") or {}).items()
@@ -346,7 +350,7 @@ class NoiseModel:
             rotation[str(key)] = (str(axis), float(angle))
         crosstalk = []
         for t in data.get("crosstalk") or []:
-            check_keys(t, ("pair", "spectator", "angle"), "crosstalk")
+            check_keys(_section(t, "crosstalk term"), ("pair", "spectator", "angle"), "crosstalk")
             crosstalk.append(CrosstalkTerm(
                 pair=(int(t["pair"][0]), int(t["pair"][1])),
                 spectator=int(t["spectator"]),
@@ -357,7 +361,7 @@ class NoiseModel:
             t2={int(q): float(v) for q, v in (data.get("t2") or {}).items()},
             readout=readout,
             pauli_errors={
-                str(c): {str(s): float(p) for s, p in probs.items()}
+                str(c): {str(s): float(p) for s, p in _section(probs, f"pauli_errors[{c}]").items()}
                 for c, probs in (data.get("pauli_errors") or {}).items()
             },
             cnot_rotation=rotation,

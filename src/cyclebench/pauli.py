@@ -71,16 +71,6 @@ class PauliString:
             mat = np.kron(mat, GATE_MATRICES[c])
         return mat
 
-    def commutes_with(self, other: "PauliString") -> bool:
-        if self.n_qubits != other.n_qubits:
-            raise ValueError("Pauli length mismatch")
-        anti = sum(
-            1
-            for a, b in zip(self.letters, other.letters)
-            if a != "I" and b != "I" and a != b
-        )
-        return anti % 2 == 0
-
     def __str__(self) -> str:
         return self.letters if self.sign == 1 else "-" + self.letters
 

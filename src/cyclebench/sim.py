@@ -139,19 +139,22 @@ class Streams:
     def __init__(self, seed: int, paths: Iterable[Sequence[int | str]]):
         self._keys = stream_keys(seed, paths)
         self._rng = np.random.Generator(np.random.Philox(key=0))
-
-    def __len__(self) -> int:
-        return len(self._keys)
-
-    def __getitem__(self, i: int) -> np.random.Generator:
-        self._rng.bit_generator.state = {
+        # one state dict, rekeyed per stream: the setter copies what it reads
+        self._state = {
             "bit_generator": "Philox",
-            "state": {"counter": self._EMPTY, "key": self._keys[i]},
+            "state": {"counter": self._EMPTY, "key": None},
             "buffer": self._EMPTY,
             "buffer_pos": 4,
             "has_uint32": 0,
             "uinteger": 0,
         }
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+    def __getitem__(self, i: int) -> np.random.Generator:
+        self._state["state"]["key"] = self._keys[i]
+        self._rng.bit_generator.state = self._state
         return self._rng
 
 
@@ -323,16 +326,15 @@ def _validate_confusion(mat: np.ndarray) -> np.ndarray:
 def readout_distribution(
     probs: np.ndarray, readout: dict[int, np.ndarray] | None, n: int
 ) -> np.ndarray:
-    """Push an ideal bitstring distribution through per-qubit confusion
-    matrices, which the caller has validated (``NoiseModel`` does on entry)."""
+    """Push ideal bitstring distributions, the last axis of ``probs``, through
+    per-qubit confusion matrices, which the caller has validated
+    (``NoiseModel`` does on entry)."""
     if not readout:
         return probs
-    tensor = probs.reshape([2] * n)
+    tensor = probs.reshape((-1,) + (2,) * n)
     for q in sorted(readout):
-        tensor = np.moveaxis(
-            np.tensordot(tensor, readout[q], axes=([q], [0])), -1, q
-        )
-    return tensor.reshape(-1)
+        tensor = np.moveaxis(np.tensordot(tensor, readout[q], axes=([q + 1], [0])), -1, q + 1)
+    return tensor.reshape(probs.shape)
 
 
 def sample_counts(
@@ -361,18 +363,3 @@ def sample_counts(
         counts[format(idx, f"0{n}b")] = int(draws[idx])
     return counts
 
-
-# ---------------------------------------------------------------------------
-# Global-phase-insensitive comparison
-
-def equal_up_to_phase(a: np.ndarray, b: np.ndarray, atol: float = 1e-9) -> bool:
-    """Compare matrices after dividing out phase at a's largest entry."""
-    if a.shape != b.shape:
-        return False
-    idx = np.unravel_index(np.abs(a).argmax(), a.shape)
-    pa, pb = a[idx], b[idx]
-    if abs(pa) < atol or abs(pb) < atol:
-        return bool(np.max(np.abs(a - b)) <= atol)
-    ratio = pb / pa
-    phase = ratio / abs(ratio)
-    return bool(np.max(np.abs(b - phase * a)) <= atol)

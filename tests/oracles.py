@@ -123,6 +123,56 @@ def all_letters(n: int, include_identity: bool = True):
             yield s
 
 
+def equal_up_to_phase(a: np.ndarray, b: np.ndarray, atol: float = 1e-9) -> bool:
+    """Compare matrices after dividing out phase at a's largest entry."""
+    if a.shape != b.shape:
+        return False
+    idx = np.unravel_index(np.abs(a).argmax(), a.shape)
+    pa, pb = a[idx], b[idx]
+    if abs(pa) < atol or abs(pb) < atol:
+        return bool(np.max(np.abs(a - b)) <= atol)
+    ratio = pb / pa
+    phase = ratio / abs(ratio)
+    return bool(np.max(np.abs(b - phase * a)) <= atol)
+
+
+def commutes(a, b) -> bool:
+    """Whether two ``PauliString``s commute: an even count of positions where
+    both are non-identity and differ."""
+    if a.n_qubits != b.n_qubits:
+        raise ValueError("Pauli length mismatch")
+    anti = sum(1 for x, y in zip(a.letters, b.letters) if x != "I" and y != "I" and x != y)
+    return anti % 2 == 0
+
+
+def depolarizing_channel(lam: float, n_qubits: int):
+    """rho -> (1 - lam) rho + lam I / 2^n as a validated Pauli channel."""
+    from cyclebench.noise import NoiseModelError, depolarizing_pauli_probs, pauli_channel
+
+    if not 0 <= lam <= 1:
+        raise NoiseModelError(f"depolarizing strength {lam} outside [0, 1]")
+    return pauli_channel(depolarizing_pauli_probs(lam, n_qubits))
+
+
+def circuit_unitary(circuit) -> np.ndarray:
+    """Dense unitary of the whole circuit, cycle unitaries composed in time
+    order."""
+    from cyclebench.circuits import cycle_unitary
+
+    u = np.eye(2**circuit.n_qubits, dtype=complex)
+    for cyc in circuit.cycles:
+        u = cycle_unitary(cyc, circuit.qubits) @ u
+    return u
+
+
+def hard_cycle_count(circuit) -> int:
+    return sum(1 for c in circuit.cycles if c.kind == "hard")
+
+
+def cnot_count(circuit) -> int:
+    return sum(len(c.cnot_pairs()) for c in circuit.cycles if c.kind == "hard")
+
+
 def ptm(kraus, n: int) -> np.ndarray:
     """Full Pauli transfer matrix R[P, Q] = tr(P L(Q)) / 2^n."""
     letters = list(all_letters(n))
@@ -411,9 +461,42 @@ def reference_run(executor, circuit, initial=None, prepare=True):
     return StateVector(state) if state.ndim == 1 else DensityMatrix(state)
 
 
+def measured_expectation(executor, state, observable, shots, seed=0):
+    """One circuit's readout, the per-circuit loop that the stacked
+    ``Executor.measured_expectation`` replaced: Born probabilities of
+    ``state``, renormalised, through ``executor``'s confusion matrices one
+    qubit at a time, then ``shots`` counts from ``seed`` (an int or a
+    Generator) scored by the parity of ``observable``'s support.
+    ``shots=None`` gives the analytic expectation with zero shot error."""
+    from cyclebench.sim import rng_from
+
+    n = executor.n
+    probs = state.probabilities()
+    probs = probs / probs.sum()
+    if executor._readout:
+        tensor = probs.reshape([2] * n)
+        for q in sorted(executor._readout):
+            tensor = np.moveaxis(
+                np.tensordot(tensor, executor._readout[q], axes=([q], [0])), -1, q
+            )
+        probs = tensor.reshape(-1)
+    idx = np.arange(2**n)
+    acc = np.zeros(2**n, dtype=int)
+    for q in observable.support:
+        acc ^= (idx >> (n - 1 - q)) & 1
+    parity = 1.0 - 2.0 * acc
+    if shots is None:
+        return float(observable.sign * np.dot(parity, probs)), 0.0
+    rng = seed if isinstance(seed, np.random.Generator) else rng_from(seed)
+    draws = rng.multinomial(shots, probs)
+    x = float(observable.sign * np.dot(parity, draws) / shots)
+    return x, float(np.sqrt(max(0.0, 1.0 - x * x) / shots))
+
+
 def reference_execute_collection(coll, noise, shots):
     """CB collection executed one circuit at a time through ``reference_run``,
-    each measured with its own (seed, "exec", index) stream."""
+    each read out by ``measured_expectation`` with its own (seed, "exec",
+    index) stream."""
     from cyclebench.bench import DecayPoint
     from cyclebench.engine import Executor
     from cyclebench.sim import rng_from
@@ -422,8 +505,8 @@ def reference_execute_collection(coll, noise, shots):
     points = []
     for cc in coll.circuits:
         state = reference_run(executor, cc.circuit)
-        x, err = executor.measured_expectation(
-            state, cc.measured, shots, rng_from(coll.seed, "exec", cc.index)
+        x, err = measured_expectation(
+            executor, state, cc.measured, shots, rng_from(coll.seed, "exec", cc.index)
         )
         points.append(DecayPoint(cc.prepared.letters, cc.m, cc.index, x, err))
     return points

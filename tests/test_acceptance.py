@@ -24,7 +24,6 @@ from cyclebench.bench import (
 from cyclebench.circuits import (
     TfimParams,
     build_tfim_circuit,
-    circuit_unitary,
     layout_cycles,
     propagate_pauli,
 )
@@ -38,9 +37,10 @@ from cyclebench.noise import (
 )
 from cyclebench.pauli import PauliString, all_pauli_letters
 from cyclebench.qcap import qcap_cb_curve, qcap_rb_curve
-from cyclebench.sim import StateVector, equal_up_to_phase
+from cyclebench.sim import StateVector
 
 import oracles
+from oracles import circuit_unitary, equal_up_to_phase
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:

@@ -103,6 +103,16 @@ class TestConfig:
         cfg = config_from_dict({"seed": 1, "resamples": 0, "drift_k": 0.0})
         assert (cfg.resamples, cfg.drift_k) == (0, 0.0)
 
+    @pytest.mark.parametrize("seed", [-1, 1.7, True, "3"], ids=["negative", "float", "bool", "str"])
+    def test_seed_must_be_a_non_negative_int(self, seed):
+        with pytest.raises(ConfigError, match="seed"):
+            config_from_dict({"seed": seed})
+
+    @pytest.mark.parametrize("section", ["cb", "qcap"])
+    def test_unknown_twirl(self, section):
+        with pytest.raises(ConfigError, match=f"{section}: twirl"):
+            config_from_dict({"seed": 1, section: {"twirl": "foo"}})
+
     def test_load_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(tmp_path / "nope.yaml")
@@ -156,6 +166,30 @@ class TestCliExitCodes:
         (cfg[section] if section else cfg)[key] = value
         assert main(["cb", "--config", str(write_config(tmp_path, cfg))]) == 1
         assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, extra, override, named",
+        [
+            ("rb", {"seed": -1}, [], "seed"),
+            ("rb", {"seed": 1.7}, [], "seed"),
+            ("rb", {"seed": True}, [], "seed"),
+            ("rb", {}, ["--seed", "-1"], "seed"),
+            ("cb", {"cb": {"twirl": "foo"}}, [], "cb: twirl"),
+            ("rb", {"cb": {"twirl": "foo"}}, [], "cb: twirl"),
+            ("qcap", {"qcap": {"twirl": "foo"}}, [], "qcap: twirl"),
+            ("cb", {"noise": {"pauli_errors": [1]}}, [], "pauli_errors must be a mapping"),
+        ],
+        ids=["seed-negative", "seed-float", "seed-bool", "seed-override", "cb-twirl",
+             "rb-cb-twirl", "qcap-twirl", "noise-list"],
+    )
+    def test_bad_value_returns_one_before_any_output(self, tmp_path, capsys, command, extra,
+                                                     override, named):
+        """Each of these exited 2 or ran silently before it was checked at load."""
+        cfg = base_config(str(tmp_path / "out"), **extra)
+        path = write_config(tmp_path, cfg)
+        assert main([command, "--config", str(path), *override]) == 1
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_malformed_drift_override_returns_one_before_any_epoch(self, tmp_path, capsys):
         """A later epoch's bad override is found at config load, before the

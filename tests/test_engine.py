@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclebench.bench import TWIRL_GROUPS, execute_collection, make_cb
-from cyclebench.circuits import Circuit, Cycle, Gate, _easy_unitaries
+from cyclebench.circuits import Circuit, Cycle, Gate, _easy_unitaries, cycle_permutation
 from cyclebench import engine, sim
 from cyclebench.engine import Executor
 from cyclebench.noise import CrosstalkTerm, NoiseModel, confusion_from_scalar
@@ -184,6 +184,26 @@ class TestCrosstalk:
         assert np.max(np.abs(state.amplitudes - expected)) < 1e-12
 
 
+def _measure(ex, state, observable, shots, seed=0):
+    """The stacked readout on a stack of one state, with stream ``rng_from(seed)``."""
+    xs, errs = ex.measured_expectation(
+        ex.outcome_probabilities(state)[None], [observable], shots, [sim.rng_from(seed)], [0]
+    )
+    return xs[0], errs[0]
+
+
+def _run_many_states(ex, circuits):
+    """``ex.run_many``'s stacks as ``{index: StateVector or DensityMatrix}``;
+    every index comes once, with one state of its stack."""
+    pairs = [
+        (i, engine._wrap(state))
+        for part, stack in ex.run_many(circuits) for i, state in zip(part, stack, strict=True)
+    ]
+    got = dict(pairs)
+    assert len(got) == len(pairs)
+    return got
+
+
 class TestPrepAndReadout:
     def test_prep_flip_probability(self):
         noise = NoiseModel(prep_flip={0: 0.02})
@@ -203,11 +223,11 @@ class TestPrepAndReadout:
         noise = NoiseModel(readout={0: confusion_from_scalar(0.05), 1: confusion_from_scalar(0.05)})
         ex = Executor((0, 1), noise)
         state = ex.run(bell_circuit())
-        exact, err0 = ex.measured_expectation(state, PauliString("ZZ"), None)
+        exact, err0 = _measure(ex, state, PauliString("ZZ"), None)
         assert err0 == 0.0
         # symmetric flips scale a two-qubit parity by (1-2e)^2
         assert exact == pytest.approx((1 - 0.1) ** 2, abs=1e-12)
-        sampled, err = ex.measured_expectation(state, PauliString("ZZ"), 200_000, seed=9)
+        sampled, err = _measure(ex, state, PauliString("ZZ"), 200_000, seed=9)
         assert err == pytest.approx(math.sqrt((1 - sampled**2) / 200_000))
         assert abs(sampled - exact) < 6 * max(err, 1e-4)
 
@@ -215,7 +235,7 @@ class TestPrepAndReadout:
         ex = Executor((0, 1))
         state = ex.run(bell_circuit())
         with pytest.raises(Exception):
-            ex.measured_expectation(state, PauliString("XI"), 100)
+            _measure(ex, state, PauliString("XI"), 100)
 
     @pytest.mark.parametrize("state, observable, message", [
         (StateVector.zero(2), "Z", "observable has 1 qubits .* register has 2"),
@@ -228,7 +248,7 @@ class TestPrepAndReadout:
         for ex in (Executor((0, 1)), Executor((0, 1), noise)):
             for shots in (None, 10):
                 with pytest.raises(SimulationError, match=message):
-                    ex.measured_expectation(state, PauliString(observable), shots)
+                    _measure(ex, state, PauliString(observable), shots)
             if len(observable) == 2:
                 with pytest.raises(SimulationError, match=message):
                     ex.outcome_probabilities(state)
@@ -241,14 +261,14 @@ class TestPrepAndReadout:
         noise = NoiseModel(readout={0: conf})
         ex = Executor((0, 1), noise)
         state = ex.run(bell_circuit())
-        before = ex.measured_expectation(state, PauliString("ZZ"), None)
+        before = _measure(ex, state, PauliString("ZZ"), None)
         conf[:] = [[0.5, 0.5], [0.5, 0.5]]
         assert np.array_equal(noise.readout[0], confusion_from_scalar(0.05))
         assert not noise.readout[0].flags.writeable
         monkeypatch.setattr(sim, "_validate_confusion", None)
         for ex in (ex, Executor((0, 1), noise)):
-            assert ex.measured_expectation(state, PauliString("ZZ"), None) == before
-            ex.measured_expectation(state, PauliString("ZZ"), 64, seed=1)
+            assert _measure(ex, state, PauliString("ZZ"), None) == before
+            _measure(ex, state, PauliString("ZZ"), 64, seed=1)
 
 
 def test_every_emitted_channel_is_cptp():
@@ -275,9 +295,8 @@ def test_seeded_sampling_is_reproducible():
     ex = Executor((0, 1), noise)
     state = ex.run(bell_circuit())
     zz = PauliString("ZZ")
-    assert ex.measured_expectation(state, zz, 1000, 11) == (
-        ex.measured_expectation(state, zz, 1000, 11)
-    )
+    assert _measure(ex, state, zz, 1000, 11) == _measure(ex, state, zz, 1000, 11)
+    assert _measure(ex, state, zz, 1000, 11) == oracles.measured_expectation(ex, state, zz, 1000, 11)
 
 
 class TestInitialStates:
@@ -419,16 +438,24 @@ class TestBatchedExecution:
         for chunk in (1, 7, engine.CHUNK):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(engine, "CHUNK", chunk)
-                seen = []
-                for i, state in ex.run_many(circuits):
-                    assert type(state) is type(reference[i])
-                    assert np.array_equal(_final(state), _final(reference[i]))
-                    seen.append(i)
-            assert sorted(seen) == list(range(len(circuits)))
-        for shots in (None, 64):
-            assert execute_collection(coll, noise, shots) == (
-                oracles.reference_execute_collection(coll, noise, shots)
-            )
+                got = _run_many_states(ex, circuits)
+            assert sorted(got) == list(range(len(circuits)))
+            for i, state in got.items():
+                assert type(state) is type(reference[i])
+                assert np.array_equal(_final(state), _final(reference[i]))
+
+    @settings(max_examples=40, deadline=None)
+    @given(cb_cases(), st.integers(1, 10**6))
+    def test_stacked_readout_matches_oracle(self, case, shots):
+        """Stacked readout equals the per-circuit oracle bit for bit, with
+        and without shots, whatever the chunk size."""
+        coll, noise = case
+        for count in (None, shots):
+            expected = repr(oracles.reference_execute_collection(coll, noise, count))
+            for chunk in (1, 5, 256):
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(engine, "CHUNK", chunk)
+                    assert repr(execute_collection(coll, noise, count)) == expected
 
     def test_uninterned_cycles_and_mixed_lengths(self, monkeypatch):
         """Cycles that are equal but distinct objects, and circuits of
@@ -447,7 +474,7 @@ class TestBatchedExecution:
         circuits = [cc.circuit for cc in coll.circuits]
         ex = Executor(coll.register, noise)
         monkeypatch.setattr(engine, "CHUNK", 5)
-        got = dict(ex.run_many(circuits))
+        got = _run_many_states(ex, circuits)
         for i, c in enumerate(circuits):
             assert np.array_equal(got[i].entries, oracles.reference_run(ex, c).entries)
 
@@ -482,9 +509,23 @@ class TestBatchedExecution:
             for b in pool[k + 1:]:
                 circuits = [Circuit((0, 1, 2), (a,)), Circuit((0, 1, 2), (b,))]
                 with pytest.raises(SimulationError, match="one structure"):
-                    dict(ex.run_many(circuits))
+                    _run_many_states(ex, circuits)
                 for c in circuits:
                     assert np.array_equal(_final(ex.run(c)), _final(oracles.reference_run(ex, c)))
+
+    def test_layer_cycles_are_met_in_order_of_first_appearance(self, monkeypatch):
+        """A layer's distinct cycles are looked up in the order the circuits
+        hold them, not by memory address, so the permutation and unitary
+        caches see the same sequence on every run."""
+        pair = [Cycle("easy", (Gate("X", (0,)), Gate("Z", (1,)))),
+                Cycle("easy", (Gate("Y", (0,)), Gate("X", (1,))))]
+        first, second = sorted(pair, key=id, reverse=True)
+        circuits = [Circuit((0, 1), (c,)) for c in (first, second, first, second)]
+        calls = []
+        monkeypatch.setattr(engine, "cycle_permutation",
+                            lambda c, r: calls.append(id(c)) or cycle_permutation(c, r))
+        list(Executor((0, 1)).run_many(circuits))
+        assert calls == [id(first), id(second)]
 
     def test_run_cycle_and_batched_path_read_the_same_tail(self, monkeypatch):
         """Changing the one tail list changes both paths alike."""
@@ -498,7 +539,7 @@ class TestBatchedExecution:
         original = Executor._tail
         monkeypatch.setattr(Executor, "_tail", lambda self, cyc: original(self, cyc) + (extra,))
         ex = Executor((0, 1), noise)
-        batched = dict(ex.run_many(circuits))
+        batched = _run_many_states(ex, circuits)
         changed = 0
         for i, c in enumerate(circuits):
             ref = oracles.reference_run(ex, c).entries
@@ -519,7 +560,7 @@ class TestBatchedExecution:
         monkeypatch.setattr(Executor, "_tail",
                             lambda self, cyc: calls.append(cyc) or original(self, cyc))
         monkeypatch.setattr(engine, "CHUNK", 8)
-        dict(Executor((0, 1), noise).run_many(circuits))
+        _run_many_states(Executor((0, 1), noise), circuits)
         lengths = [len(c.cycles) for c in circuits]
         stacks = {n: -(-lengths.count(n) // 8) for n in set(lengths)}
         assert len(calls) == sum(n * k for n, k in stacks.items())
@@ -633,15 +674,22 @@ class TestMonomialLayers:
         for chunk in (1, 5, engine.CHUNK):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(engine, "CHUNK", chunk)
-                got = dict(ex.run_many(circuits))
+                stacks = list(ex.run_many(circuits))
+            got = {i: engine._wrap(s) for part, stack in stacks for i, s in zip(part, stack)}
             assert sorted(got) == list(range(len(circuits)))
             for i, ref in enumerate(reference):
                 assert type(got[i]) is type(ref)
                 assert np.array_equal(_final(got[i]), _final(ref))
-                for shots in (None, 50):
-                    assert ex.measured_expectation(got[i], observable, shots, seed=i) == (
-                        ex.measured_expectation(ref, observable, shots, seed=i)
+            for shots in (None, 50):
+                streams = [sim.rng_from(i) for i in range(len(circuits))]
+                for part, stack in stacks:
+                    points = ex.measured_expectation(
+                        ex.probabilities(stack), [observable] * len(part), shots, streams, part
                     )
+                    assert list(zip(*points)) == [
+                        oracles.measured_expectation(ex, reference[i], observable, shots, i)
+                        for i in part
+                    ]
 
     @pytest.mark.parametrize("twirl", TWIRL_GROUPS)
     def test_monomial_layers_skip_the_matmul(self, twirl, monkeypatch):
@@ -659,7 +707,7 @@ class TestMonomialLayers:
             engine, "_easy_unitaries",
             lambda rows, r: looked_up.extend(rows) or _easy_unitaries(rows, r),
         )
-        for i, state in ex.run_many(circuits):
+        for i, state in _run_many_states(ex, circuits).items():
             assert np.array_equal(state.entries, reference[i])
         names = {g.name for gates in looked_up for g in gates}
         assert "CNOT" not in names
@@ -703,7 +751,7 @@ def test_cptp_check_rejects_transpose():
 def test_every_compiled_superop_is_cptp(case):
     register, circuits, noise = case
     ex = Executor(register, noise)
-    dict(ex.run_many(circuits))
+    _run_many_states(ex, circuits)
     ex.run(circuits[0])
     for kind, op in ex._ops.values():
         if kind == "kraus":

@@ -14,7 +14,6 @@ from cyclebench.noise import (
     coherent_overrotation,
     confusion_from_scalar,
     damping_channel,
-    depolarizing_channel,
     depolarizing_pauli_probs,
     drift_params_at,
     pauli_channel,
@@ -23,6 +22,7 @@ from cyclebench.pauli import PauliString
 from cyclebench.sim import StateVector, expectation_pauli
 
 import oracles
+from oracles import depolarizing_channel
 
 
 class TestPauliChannel:
@@ -47,7 +47,7 @@ class TestPauliChannel:
         for s in oracles.all_letters(2):
             f = 1.0
             for err, p in probs.items():
-                sign = 1 if PauliString(s).commutes_with(PauliString(err)) else -1
+                sign = 1 if oracles.commutes(PauliString(s), PauliString(err)) else -1
                 f -= p * (1 - sign)
             expected += f
         assert fidelity == pytest.approx(expected / 16, abs=1e-12)
@@ -266,6 +266,28 @@ class TestNoiseModel:
         ids=["noise", "crosstalk", "cnot_rotation"],
     )
     def test_from_dict_rejects_unknown_keys(self, data, named):
+        with pytest.raises(NoiseModelError, match=re.escape(named)):
+            NoiseModel.from_dict(data)
+
+    @pytest.mark.parametrize(
+        "data, named",
+        [
+            ([1], "noise must be a mapping, got list"),
+            ({"pauli_errors": [1]}, "pauli_errors must be a mapping, got list"),
+            ({"pauli_errors": {"cnot": [1]}}, "pauli_errors[cnot] must be a mapping"),
+            ({"t1": [40.0]}, "t1 must be a mapping"),
+            ({"t2": 3}, "t2 must be a mapping, got int"),
+            ({"readout_error": "0.1"}, "readout_error must be a mapping, got str"),
+            ({"cnot_rotation": ["ZZ", 0.1]}, "cnot_rotation must be a mapping"),
+            ({"durations": [100.0]}, "durations must be a mapping"),
+            ({"prep_flip": [0.01]}, "prep_flip must be a mapping"),
+            ({"crosstalk": [[0, 1]]}, "crosstalk term must be a mapping"),
+        ],
+        ids=["noise", "pauli_errors", "pauli-class", "t1", "t2", "readout_error",
+             "cnot_rotation", "durations", "prep_flip", "crosstalk-term"],
+    )
+    def test_from_dict_rejects_non_mapping_sections(self, data, named):
+        """Each of these raised AttributeError or TypeError deep in the load."""
         with pytest.raises(NoiseModelError, match=re.escape(named)):
             NoiseModel.from_dict(data)
 

@@ -12,7 +12,6 @@ from cyclebench.sim import (
     SimulationError,
     StateVector,
     embed_operator,
-    equal_up_to_phase,
     expectation_pauli,
     Streams,
     rng_from,
@@ -21,6 +20,7 @@ from cyclebench.sim import (
 )
 
 import oracles
+from oracles import equal_up_to_phase
 
 
 X = oracles.PAULI_1Q["X"]
