@@ -123,27 +123,17 @@ def _twirl_alphabet(twirl: str) -> tuple[tuple[tuple[str, int | None], ...], np.
     return alphabet, image, sign
 
 
-def _prep_cycle(pauli: PauliString, register: tuple[int, ...]) -> Cycle:
-    gates = tuple(
-        Gate("C1", (register[i],), pl.c1_preparing(c))
-        for i, c in enumerate(pauli.letters)
-    )
-    return Cycle("easy", gates)
-
-
-def _inversion_cycle(letters: str, register: tuple[int, ...]) -> Cycle:
-    gates = tuple(
-        Gate("C1", (register[i],), pl.c1_measuring(c))
-        for i, c in enumerate(letters)
-    )
-    return Cycle("easy", gates)
+def _basis_cycle(letters: str, register: tuple[int, ...], c1) -> Cycle:
+    """One easy cycle of the C1 element ``c1`` gives each letter: the
+    preparation (``pl.c1_preparing``) or the inversion (``pl.c1_measuring``)."""
+    return Cycle("easy", tuple(Gate("C1", (register[i],), c1(c)) for i, c in enumerate(letters)))
 
 
 def _check_lengths(m_list: Sequence[int], n_random: int) -> None:
     if len(set(m_list)) < 3:
-        raise ProtocolError("need at least three distinct sequence lengths")
+        raise ProtocolError("m_list needs at least three distinct sequence lengths")
     if min(m_list) < 0:
-        raise ProtocolError(f"sequence lengths must be >= 0, got {min(m_list)}")
+        raise ProtocolError(f"m_list lengths must be >= 0, got {min(m_list)}")
     if n_random < 1:
         raise ProtocolError(f"n_random must be >= 1, got {n_random}")
 
@@ -217,7 +207,7 @@ def make_cb(
     )))
     circuits: list[CbCircuit] = []
     for d_idx, prepared in enumerate(decays):
-        prep = _prep_cycle(prepared, register)
+        prep = _basis_cycle(prepared.letters, register, pl.c1_preparing)
         for m in m_list:
             # one (m, n) draw per stream yields the same values as m draws of n
             draws = np.array(
@@ -249,7 +239,7 @@ def make_cb(
                         )
                     body += (twirl_cycle, cycle)
                 if f not in inversions:
-                    inversions[f] = _inversion_cycle(pl.pauli_letters(f, n), register)
+                    inversions[f] = _basis_cycle(pl.pauli_letters(f, n), register, pl.c1_measuring)
                 # the inversion cycle maps each non-identity letter to +Z
                 if (f, s) not in observables:
                     observables[(f, s)] = PauliString(
@@ -308,14 +298,17 @@ def execute_collection(
 # ---------------------------------------------------------------------------
 # Exponential decay fitting
 
-def _aggregate(points: Sequence[tuple[int, float]]) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
-    by_m: dict[int, list[float]] = {}
-    for m, x in points:
-        by_m.setdefault(int(m), []).append(float(x))
-    ms = np.array(sorted(by_m), dtype=float)
-    groups = [np.array(by_m[int(m)]) for m in ms]
+def _aggregate(points: Sequence[DecayPoint]) -> tuple[np.ndarray, np.ndarray, list, list]:
+    """Lengths, their mean expectations, and each length's expectations and shot errors."""
+    by_m: dict[int, tuple[list, list]] = {}
+    for p in points:
+        xs, errs = by_m.setdefault(int(p.m), ([], []))
+        xs.append(float(p.expectation))
+        errs.append(p.shot_error)
+    lengths = sorted(by_m)
+    groups = [np.array(by_m[m][0]) for m in lengths]
     means = np.array([g.mean() for g in groups])
-    return ms, means, groups
+    return np.array(lengths, dtype=float), means, groups, [np.array(by_m[m][1]) for m in lengths]
 
 
 def _group_weights(groups: list[np.ndarray], shot_errs: list[np.ndarray]) -> np.ndarray:
@@ -396,17 +389,11 @@ def fit_decay(
         raise FitError("no points to fit")
     if pauli is None:
         pauli = pts[0].pauli
-    ms, means, groups = _aggregate([(p.m, p.expectation) for p in pts])
+    ms, means, groups, shot_errs = _aggregate(pts)
     if len(ms) < 3:
         raise FitError(f"need at least three distinct sequence lengths, got {len(ms)}")
     if np.all(means <= 0):
         raise FitError("all mean expectations are non-positive; decay unresolvable")
-    shot_errs = []
-    by_m: dict[int, list[float]] = {}
-    for p in pts:
-        by_m.setdefault(p.m, []).append(p.shot_error)
-    for m in ms:
-        shot_errs.append(np.array(by_m[int(m)]))
     weights = _group_weights(groups, shot_errs)
 
     a, p = _fit_rows(ms, means, weights)

@@ -28,6 +28,7 @@ from .bench import (
     TWIRL_GROUPS,
     InfidelityEstimate,
     RbResult,
+    _check_lengths,
     cb_process_infidelity,
     run_rb,
 )
@@ -36,7 +37,6 @@ from .circuits import (
     Circuit,
     CircuitError,
     TfimParams,
-    VARIANTS,
     build_tfim_step,
     hard_cycle_ids_per_step,
     layout_cycles,
@@ -64,6 +64,7 @@ from .noise import (
     NoiseModel,
     NoiseModelError,
     check_keys,
+    check_kind,
     drift_params_at,
 )
 from .qcap import QcapCurve, compare_estimates, qcap_cb_curve, qcap_rb_curve
@@ -79,16 +80,13 @@ class BenchParams:
     m_list: tuple[int, ...]
     n_random: int
     shots: int
-    n_decays: int = 16
-    twirl: str = "pauli"
+    n_decays: int
+    twirl: str
 
     def __post_init__(self):
-        if len(set(self.m_list)) < 3:
-            raise ConfigError("m_list needs at least three distinct lengths")
-        if min(self.m_list) < 0:
-            raise ConfigError(f"m_list lengths must be >= 0, got {min(self.m_list)}")
-        if self.n_random < 1 or self.shots < 1 or self.n_decays < 1:
-            raise ConfigError("n_random, shots and n_decays must be positive")
+        _check_lengths(self.m_list, self.n_random)
+        if self.shots < 1 or self.n_decays < 1:
+            raise ConfigError("shots and n_decays must be positive")
 
 
 @dataclass(frozen=True)
@@ -102,17 +100,16 @@ class ExperimentConfig:
     rb: BenchParams
     noise: NoiseModel
     schedule: DriftSchedule
-    out: str = "results"
-    resamples: int = 200
-    drift_k: float = 1.0
+    out: str
+    resamples: int
+    drift_k: float
 
     def __post_init__(self):
         # bool is an int subclass; 1.7 or true would otherwise run as seed 1
         if type(self.seed) is not int or self.seed < 0:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
-        if self.variant not in VARIANTS:
-            raise ConfigError(f"variant must be one of {VARIANTS}")
-        layout_qubits(self.layout)
+        # building one Trotter step checks the variant, the layout and tfim.sites
+        build_tfim_step(self.variant, self.tfim, self.layout)
         if self.resamples == 1 or self.resamples < 0:
             raise ConfigError(
                 f"resamples must be 0 (no bootstrap) or at least 2, got {self.resamples}"
@@ -126,83 +123,69 @@ def _check_drift_k(k: float, name: str) -> None:
         raise ConfigError(f"{name} must be finite and non-negative, got {k}")
 
 
-def _bench_params(data: Mapping, defaults: Mapping, where: str) -> BenchParams:
-    """Benchmark parameters; ``defaults`` names every key ``where`` takes."""
-    check_keys(data or {}, defaults, where, ConfigError)
-    merged = {**defaults, **(data or {})}
-    if merged.get("twirl", "pauli") not in TWIRL_GROUPS:
-        raise ConfigError(f"{where}: twirl must be one of {TWIRL_GROUPS}, got {merged['twirl']!r}")
-    return BenchParams(
-        m_list=tuple(int(m) for m in merged["m_list"]),
-        n_random=int(merged["n_random"]),
-        shots=int(merged["shots"]),
-        n_decays=int(merged.get("n_decays", 16)),
-        twirl=merged.get("twirl", "pauli"),
-    )
+# One table per config section: its keys and their defaults.  A given value
+# must have its default's kind (``noise.check_kind``); a type in place of a
+# default makes the key required.
+_CONFIG = {"seed": int, "layout": 1, "variant": "circuit1", "out": "results", "resamples": 200,
+           "drift_k": 1.0, "tfim": {}, "cb": {}, "qcap": {}, "rb": {}, "noise": {},
+           "schedule": {}}
+_TFIM = {**{f.name: f.default for f in dataclasses.fields(TfimParams)}, "steps": 10}
+_CB = {"m_list": (2, 10, 22), "n_random": 48, "shots": 128, "n_decays": 16, "twirl": "pauli"}
+# two published sequence lengths plus one short anchor so the three-length fit
+# contract holds; n_decays and twirl follow cb
+_QCAP = {"m_list": (2, 4, 16), "n_random": 30, "shots": 128}
+_RB = {"m_list": (2, 10, 22), "n_random": 30, "shots": 128}
+_SCHEDULE = {"epochs": ({"day": 1, "label": "morning"},), "walk": {}}
+_EPOCH = {"day": int, "label": str, "overrides": {}}
+
+
+def _read(data, table: Mapping, section: str = "") -> dict:
+    """``table``'s defaults overlaid by ``data``, the config's ``section``."""
+    data = check_kind(data, {}, section or "config", ConfigError)
+    check_keys(data, table, section or "config", ConfigError)
+    values = {}
+    for key, default in table.items():
+        name = f"{section}.{key}" if section else key
+        if key in data:
+            values[key] = check_kind(data[key], default, name, ConfigError)
+        elif isinstance(default, type):
+            raise ConfigError(f"{name} must be set")
+        else:
+            values[key] = default
+    return values
+
+
+def _bench_params(data, table: Mapping, where: str) -> BenchParams:
+    """``where``'s benchmark parameters; a key its table lacks (rb's n_decays
+    and twirl, which RB never reads) keeps cb's default."""
+    params = {**_CB, **_read(data, table, where)}
+    if params["twirl"] not in TWIRL_GROUPS:
+        raise ConfigError(f"{where}: twirl must be one of {TWIRL_GROUPS}, got {params['twirl']!r}")
+    return BenchParams(**params)
 
 
 def config_from_dict(data: Mapping) -> ExperimentConfig:
-    if not isinstance(data, Mapping):
-        raise ConfigError("config must be a mapping")
-    if "seed" not in data:
-        raise ConfigError("config must set an explicit seed")
-    check_keys(data, [f.name for f in dataclasses.fields(ExperimentConfig)], "config", ConfigError)
+    top = _read(data, _CONFIG)
     try:
-        noise = NoiseModel.from_dict(data.get("noise") or {})
-        sched_data = data.get("schedule") or {}
-        check_keys(sched_data, ("epochs", "walk"), "schedule", ConfigError)
-        epochs = []
-        for e in sched_data.get("epochs") or [{"day": 1, "label": "morning"}]:
-            check_keys(e, ("day", "label", "overrides"), "schedule epoch", ConfigError)
-            overrides = e.get("overrides") or {}
-            epochs.append(DriftEpoch(day=int(e["day"]), label=str(e["label"]), overrides=overrides))
-        schedule = DriftSchedule(
-            base=noise,
-            epochs=tuple(epochs),
-            walk={str(k): float(v) for k, v in (sched_data.get("walk") or {}).items()},
-        )
-        tf = data.get("tfim") or {}
-        check_keys(tf, [f.name for f in dataclasses.fields(TfimParams)], "tfim", ConfigError)
-        tfim = TfimParams(
-            sites=int(tf.get("sites", 4)),
-            coupling=float(tf.get("coupling", 0.02)),
-            field=float(tf.get("field", 1.0)),
-            dt=float(tf.get("dt", 10.0)),
-            steps=int(tf.get("steps", 10)),
-        )
-        cb = _bench_params(
-            data.get("cb"),
-            {"m_list": (2, 10, 22), "n_random": 48, "shots": 128, "n_decays": 16,
-             "twirl": "pauli"},
-            "cb",
-        )
-        # two published sequence lengths plus one short anchor so the
-        # three-length fit contract holds
-        qcap = _bench_params(
-            data.get("qcap"),
-            {"m_list": (2, 4, 16), "n_random": 30, "shots": 128,
-             "n_decays": cb.n_decays, "twirl": cb.twirl},
-            "qcap",
-        )
-        rb = _bench_params(
-            data.get("rb"),
-            {"m_list": (2, 10, 22), "n_random": 30, "shots": 128},
-            "rb",
-        )
-        return ExperimentConfig(
-            seed=data["seed"],
-            layout=int(data.get("layout", 1)),
-            variant=str(data.get("variant", "circuit1")),
-            tfim=tfim,
-            cb=cb,
-            qcap=qcap,
-            rb=rb,
-            noise=noise,
-            schedule=schedule,
-            out=str(data.get("out", "results")),
-            resamples=int(data.get("resamples", 200)),
-            drift_k=float(data.get("drift_k", 1.0)),
-        )
+        noise = NoiseModel.from_dict(top["noise"])
+        sched = _read(top["schedule"], _SCHEDULE, "schedule")
+        epochs = [
+            DriftEpoch(**_read(e, _EPOCH, f"schedule.epochs[{i}]"))
+            for i, e in enumerate(sched["epochs"] or _SCHEDULE["epochs"])
+        ]
+        walk = {k: check_kind(v, 0.0, f"schedule.walk.{k}", ConfigError)
+                for k, v in sched["walk"].items()}
+        cb = _bench_params(top["cb"], _CB, "cb")
+        return ExperimentConfig(**{
+            **top,
+            "tfim": TfimParams(**_read(top["tfim"], _TFIM, "tfim")),
+            "cb": cb,
+            "qcap": _bench_params(top["qcap"], {**_QCAP, "n_decays": cb.n_decays,
+                                                "twirl": cb.twirl}, "qcap"),
+            "rb": _bench_params(top["rb"], _RB, "rb"),
+            "noise": noise,
+            "schedule": DriftSchedule(base=noise, epochs=tuple(epochs), walk=walk),
+        })
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, ConfigError):
             raise
@@ -460,11 +443,6 @@ def run_schedule(config: ExperimentConfig, out: Path | None = None,
     return out
 
 
-def cmd_schedule(config: ExperimentConfig, out: Path, epochs_filter: str | None) -> int:
-    run_schedule(config, out, epochs_filter)
-    return 0
-
-
 def _first_epoch(config: ExperimentConfig, out: Path):
     """Create ``out``; return the schedule's first epoch and its model."""
     out.mkdir(parents=True, exist_ok=True)
@@ -540,7 +518,10 @@ def cmd_report(out: Path, k: float) -> int:
 
 
 def cmd_ingest(path: Path) -> int:
-    text = path.read_text()
+    try:
+        text = path.read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SnapshotError(f"cannot read snapshot {path}: {exc}") from None
     snap = parse_backend_snapshot(text)
     print(
         f"snapshot day={snap.day} epoch={snap.epoch} "
@@ -559,8 +540,14 @@ def cmd_ingest(path: Path) -> int:
 # ---------------------------------------------------------------------------
 # Entry point
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error is a validation error: exit 1, not 2
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cyclebench",
         description="noisy-simulator benchmarking toolkit",
     )
@@ -595,10 +582,11 @@ def main(argv: Sequence[str] | None = None) -> int:
             return cmd_ingest(Path(args.path))
         config = load_config(args.config)
         if args.seed is not None:
-            config = dataclasses.replace(config, seed=int(args.seed))
+            config = dataclasses.replace(config, seed=args.seed)
         out = Path(args.out) if args.out else Path(config.out)
         if args.command == "schedule":
-            return cmd_schedule(config, out, args.epochs)
+            run_schedule(config, out, args.epochs)
+            return 0
         if args.command == "simulate":
             return cmd_simulate(config, out)
         if args.command == "cb":

@@ -157,13 +157,33 @@ def check_keys(data: Mapping, allowed, where: str, error=NoiseModelError) -> Non
         raise error(f"unknown key(s) {', '.join(unknown)} in {where}")
 
 
-def _section(data, where: str) -> Mapping:
-    """``data`` as a mapping (None is empty), or NoiseModelError naming ``where``."""
-    if data is None:
-        return {}
-    if not isinstance(data, Mapping):
-        raise NoiseModelError(f"{where} must be a mapping, got {type(data).__name__}")
-    return data
+def check_kind(value, default, where: str, error=NoiseModelError):
+    """``value``, never converted, if it has the kind of ``default`` (or of the
+    type in its place), else ``error`` naming ``where``: an int (not a bool); a
+    finite float, to which an int widens; a str; a mapping; or a list, returned
+    as a tuple, whose items have the kind of the default's first item if any.
+    None reads as an empty mapping or list."""
+    kind = default if isinstance(default, type) else type(default)
+    if value is None and kind in (dict, tuple):
+        return kind()
+    if kind is tuple and isinstance(value, (list, tuple)):
+        return tuple(check_kind(v, default[0], f"{where}[{i}]", error) if default else v
+                     for i, v in enumerate(value))
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if kind is float and number and math.isfinite(value):
+        return float(value)
+    if (kind is int and number and isinstance(value, int) or kind is str and isinstance(value, str)
+            or kind is dict and isinstance(value, Mapping)):
+        return value
+    what = {int: "an int", float: "a finite float", str: "a str", dict: "a mapping",
+            tuple: "a list"}[kind]
+    raise error(f"{where} must be {what}, got {type(value).__name__} {value!r}")
+
+
+def _numbers(data, where: str, label=int) -> dict:
+    """``data`` as a mapping of ``label``-kind keys to finite floats."""
+    return {check_kind(k, label, f"{where} key"): check_kind(v, 0.0, f"{where}[{k}]")
+            for k, v in check_kind(data, {}, where).items()}
 
 
 def _frozen_array(mat) -> np.ndarray:
@@ -258,8 +278,9 @@ class NoiseModel:
             if not math.isfinite(angle):
                 raise NoiseModelError(f"cnot_rotation({key}) angle = {angle} must be finite")
         for term in self.crosstalk:
-            if term.spectator in term.pair:
-                raise NoiseModelError("crosstalk spectator coincides with active pair")
+            if len(term.pair) != 2 or term.spectator in term.pair:
+                raise NoiseModelError(f"crosstalk pair {term.pair} must be two qubits other "
+                                      f"than the spectator {term.spectator}")
             if not math.isfinite(term.angle):
                 raise NoiseModelError(
                     f"crosstalk({term.pair}, {term.spectator}) angle = {term.angle} must be finite"
@@ -306,11 +327,13 @@ class NoiseModel:
 
     def to_dict(self) -> dict:
         """Plain-dict form (scalar readout) used by config files and drift;
-        its sections are the keys ``from_dict`` accepts."""
+        its sections are the keys ``from_dict`` accepts, and a readout must be
+        a matrix that ``confusion_from_scalar`` builds."""
         ro = {}
-        for q, mat in self.readout.items():
-            m = np.asarray(mat)
-            ro[q] = float((m[0, 1] + m[1, 0]) / 2)
+        for q, m in self.readout.items():
+            if not np.array_equal(m, confusion_from_scalar(m[0, 1])):
+                raise NoiseModelError(f"readout({q}) is not one error rate's symmetric matrix")
+            ro[q] = float(m[0, 1])
         return {
             "t1": {q: float(v) for q, v in sorted(self.t1.items())},
             "t2": {q: float(v) for q, v in sorted(self.t2.items())},
@@ -333,41 +356,42 @@ class NoiseModel:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "NoiseModel":
-        data = _section(data, "noise")
+        """The model a config's ``noise`` section describes; every qubit label,
+        string and number must have its kind (``check_kind``)."""
+        data = check_kind(data, {}, "noise")
         check_keys(data, cls().to_dict(), "noise")
-        for key in (k for k in data if k != "crosstalk"):
-            _section(data[key], key)
-        readout = {
-            int(q): confusion_from_scalar(float(e))
-            for q, e in (data.get("readout_error") or {}).items()
-        }
         rotation = {}
-        for key, val in (data.get("cnot_rotation") or {}).items():
+        for key, val in check_kind(data.get("cnot_rotation"), {}, "cnot_rotation").items():
             if isinstance(val, Mapping):
                 check_keys(val, ("axis", "angle"), f"cnot_rotation[{key}]")
                 val = (val["axis"], val["angle"])
             axis, angle = val
-            rotation[str(key)] = (str(axis), float(angle))
+            rotation[check_kind(key, str, "cnot_rotation key")] = (
+                check_kind(axis, str, f"cnot_rotation[{key}] axis"),
+                check_kind(angle, 0.0, f"cnot_rotation[{key}] angle"),
+            )
         crosstalk = []
-        for t in data.get("crosstalk") or []:
-            check_keys(_section(t, "crosstalk term"), ("pair", "spectator", "angle"), "crosstalk")
+        for t in check_kind(data.get("crosstalk"), (), "crosstalk"):
+            t = check_kind(t, {}, "crosstalk term")
+            check_keys(t, ("pair", "spectator", "angle"), "crosstalk")
             crosstalk.append(CrosstalkTerm(
-                pair=(int(t["pair"][0]), int(t["pair"][1])),
-                spectator=int(t["spectator"]),
-                angle=float(t["angle"]),
+                pair=check_kind(t["pair"], (0,), "crosstalk pair"),
+                spectator=check_kind(t["spectator"], 0, "crosstalk spectator"),
+                angle=check_kind(t["angle"], 0.0, "crosstalk angle"),
             ))
         return cls(
-            t1={int(q): float(v) for q, v in (data.get("t1") or {}).items()},
-            t2={int(q): float(v) for q, v in (data.get("t2") or {}).items()},
-            readout=readout,
+            t1=_numbers(data.get("t1"), "t1"),
+            t2=_numbers(data.get("t2"), "t2"),
+            readout={q: confusion_from_scalar(e)
+                     for q, e in _numbers(data.get("readout_error"), "readout_error").items()},
             pauli_errors={
-                str(c): {str(s): float(p) for s, p in _section(probs, f"pauli_errors[{c}]").items()}
-                for c, probs in (data.get("pauli_errors") or {}).items()
+                check_kind(c, str, "pauli_errors key"): _numbers(probs, f"pauli_errors[{c}]", str)
+                for c, probs in check_kind(data.get("pauli_errors"), {}, "pauli_errors").items()
             },
             cnot_rotation=rotation,
             crosstalk=crosstalk,
-            durations={str(k): float(v) for k, v in (data.get("durations") or {}).items()},
-            prep_flip={int(q): float(p) for q, p in (data.get("prep_flip") or {}).items()},
+            durations=_numbers(data.get("durations"), "durations", str),
+            prep_flip=_numbers(data.get("prep_flip"), "prep_flip"),
         )
 
 
@@ -414,9 +438,11 @@ class DriftSchedule:
         order = [(e.day, LABEL_ORDER[e.label]) for e in self.epochs]
         if any(b <= a for a, b in zip(order, order[1:])):
             raise DriftScheduleError("epochs must be strictly time ordered")
-        for name in self.walk:
+        for name, sigma in self.walk.items():
             if name not in _LOG_WALK_PARAMS + _LINEAR_WALK_PARAMS:
                 raise DriftScheduleError(f"unknown walk parameter {name!r}")
+            if not 0 <= sigma < math.inf:
+                raise DriftScheduleError(f"walk {name} = {sigma} must be finite and >= 0")
         base_dict = self.base.to_dict()
         for epoch in self.epochs:
             _check_override_paths(epoch.overrides, base_dict, epoch.key)
@@ -440,7 +466,8 @@ def _check_override_paths(overrides: Mapping, base: Mapping, key) -> None:
             )
         if section in ("t1", "t2", "readout_error", "prep_flip"):
             for q in value:
-                if int(q) not in base[section]:
+                q = check_kind(q, 0, f"epoch {key}: {section} override key", DriftScheduleError)
+                if q not in base[section]:
                     raise DriftScheduleError(
                         f"epoch {key}: override {section}[{q}] has no base value"
                     )

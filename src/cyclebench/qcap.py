@@ -46,7 +46,8 @@ class QcapCurve:
         return None
 
 
-def _compose(per_step: Sequence[tuple[float, float]], steps: Sequence[int]) -> tuple[list, list]:
+def _compose(per_step: Sequence[tuple[float, float]], steps: Sequence[int], source: str,
+             variant: str | None, layout: int | None) -> QcapCurve:
     """Multiplicative composition with first-order error propagation.
 
     ``per_step`` lists (infidelity, sigma) for every factor in one step.
@@ -85,7 +86,8 @@ def _compose(per_step: Sequence[tuple[float, float]], steps: Sequence[int]) -> t
                 var += (count * n * prod / (1.0 - e)) ** 2 * s**2
         bounds.append(min(1.0, max(0.0, 1.0 - prod)))
         sigmas.append(math.sqrt(var))
-    return bounds, sigmas
+    return QcapCurve(source=source, steps=tuple(int(n) for n in steps), bound=tuple(bounds),
+                     sigma=tuple(sigmas), variant=variant, layout=layout)
 
 
 def qcap_rb_curve(
@@ -114,15 +116,7 @@ def qcap_rb_curve(
         if not 0 <= r <= 1:
             raise QcapError(f"error rate {r} outside [0, 1]")
         per_step.append((scale * r, scale * s))
-    bounds, sigmas = _compose(per_step, steps)
-    return QcapCurve(
-        source="RB",
-        steps=tuple(int(n) for n in steps),
-        bound=tuple(bounds),
-        sigma=tuple(sigmas),
-        variant=variant,
-        layout=layout,
-    )
+    return _compose(per_step, steps, "RB", variant, layout)
 
 
 def qcap_cb_curve(
@@ -143,15 +137,7 @@ def qcap_cb_curve(
             raise QcapError(f"missing estimate for cycle {key!r}")
         est = cycle_estimates[key]
         per_step.append((est.infidelity, est.sigma))
-    bounds, sigmas = _compose(per_step, steps)
-    return QcapCurve(
-        source="CB",
-        steps=tuple(int(n) for n in steps),
-        bound=tuple(bounds),
-        sigma=tuple(sigmas),
-        variant=variant,
-        layout=layout,
-    )
+    return _compose(per_step, steps, "CB", variant, layout)
 
 
 def compare_estimates(a, b, k: float = 1.0):

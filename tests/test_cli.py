@@ -1,8 +1,17 @@
+import contextlib
 import hashlib
+import importlib
+import io
+import math
+import tempfile
 from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cyclebench.circuits import CircuitError
 
 from cyclebench.cli import (
     ConfigError,
@@ -16,6 +25,7 @@ from cyclebench.cli import (
     simulate_occupations,
 )
 from cyclebench.ingest import read_curves, read_decays, read_estimates
+from cyclebench.noise import DriftScheduleError, NoiseModelError
 
 import oracles
 
@@ -135,13 +145,13 @@ class TestCliExitCodes:
         cfg = base_config(str(tmp_path / "out"))
         cfg["noise"]["t1"] = {0: float("nan")}
         assert main(["cb", "--config", str(write_config(tmp_path, cfg))]) == 1
-        assert "T1(0)" in capsys.readouterr().err
+        assert "t1[0]" in capsys.readouterr().err
 
     def test_nan_rotation_angle_returns_one(self, tmp_path, capsys):
         cfg = base_config(str(tmp_path / "out"))
         cfg["noise"]["cnot_rotation"] = {"*": ["ZZ", float("nan")]}
         assert main(["cb", "--config", str(write_config(tmp_path, cfg))]) == 1
-        assert "cnot_rotation(*)" in capsys.readouterr().err
+        assert "cnot_rotation[*] angle" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "section, key, value, named",
@@ -178,15 +188,46 @@ class TestCliExitCodes:
             ("rb", {"cb": {"twirl": "foo"}}, [], "cb: twirl"),
             ("qcap", {"qcap": {"twirl": "foo"}}, [], "qcap: twirl"),
             ("cb", {"noise": {"pauli_errors": [1]}}, [], "pauli_errors must be a mapping"),
+            ("cb", {"cb": {"m_list": [0.5, 1.5, 2.5], "n_random": 2, "shots": 8}}, [],
+             "cb.m_list[0] must be an int"),
+            ("cb", {"cb": {"n_random": 2.5}}, [], "cb.n_random must be an int"),
+            ("rb", {"layout": 1.5}, [], "layout must be an int"),
+            ("simulate", {"tfim": {"steps": True}}, [], "tfim.steps must be an int"),
+            ("simulate", {"tfim": {"dt": "10"}}, [], "tfim.dt must be a finite float"),
+            ("simulate", {"tfim": {"sites": 3}}, [], "3 sites"),
+            ("rb", {"resamples": 200.0}, [], "resamples must be an int"),
+            ("rb", {"out": 3}, ["--out", "OUT"], "out must be a str"),
+            ("schedule", {"schedule": {"epochs": [{"day": 1.5, "label": "morning"}]}}, [],
+             "schedule.epochs[0].day must be an int"),
+            ("schedule", {"schedule": {"walk": {"t1": float("nan")}}}, [],
+             "schedule.walk.t1 must be a finite float"),
+            ("cb", {"noise": {"crosstalk": [{"pair": [0], "spectator": 2, "angle": 0.1}]}}, [],
+             "crosstalk pair (0,) must be two qubits"),
+            ("simulate", {"noise": {"t1": {0: 50.0}}, "schedule": {"walk": {"t1": -1}}}, [],
+             "walk t1 = -1.0 must be finite and >= 0"),
+            ("schedule", {"noise": {"pauli_errors": {"cnot": {"ZZ": 0.01}}},
+                          "schedule": {"walk": {"prob": float("inf")}}}, [],
+             "schedule.walk.prob must be a finite float"),
+            ("rb", {"noise": {"readout_error": {0: True}}}, [],
+             "readout_error[0] must be a finite float, got bool"),
+            ("simulate", {"noise": {"t1": {0: "50"}}}, [], "t1[0] must be a finite float"),
+            ("simulate", {"noise": {"t1": {0.7: 50.0}}}, [], "t1 key must be an int"),
+            ("simulate", {"noise": {"t2": {1: 50.0}}, "schedule": {"epochs": [
+                {"day": 1, "label": "morning", "overrides": {"t2": {True: 40.0}}}]}}, [],
+             "t2 override key must be an int, got bool"),
         ],
         ids=["seed-negative", "seed-float", "seed-bool", "seed-override", "cb-twirl",
-             "rb-cb-twirl", "qcap-twirl", "noise-list"],
+             "rb-cb-twirl", "qcap-twirl", "noise-list", "m_list-float", "n_random-float",
+             "layout-float", "steps-bool", "dt-str", "sites-3", "resamples-float", "out-int",
+             "epoch-day-float", "walk-nan", "crosstalk-pair-short", "walk-negative",
+             "walk-inf", "readout-bool", "t1-str", "t1-label-float", "override-label-bool"],
     )
     def test_bad_value_returns_one_before_any_output(self, tmp_path, capsys, command, extra,
                                                      override, named):
         """Each of these exited 2 or ran silently before it was checked at load."""
-        cfg = base_config(str(tmp_path / "out"), **extra)
+        cfg = {**base_config(str(tmp_path / "out")), **extra}
         path = write_config(tmp_path, cfg)
+        override = [str(tmp_path / "out") if arg == "OUT" else arg for arg in override]
         assert main([command, "--config", str(path), *override]) == 1
         assert named in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
@@ -266,6 +307,28 @@ class TestCliExitCodes:
         assert main(["ingest", str(snap)]) == 0
         out = capsys.readouterr().out
         assert "qubit 6" in out and "raw-r" in out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["rb", "--config", "c.yaml", "--seed", "1.7"], ["report", "--out", ".", "--k", "x"],
+         ["cb"], ["calibrate"]],
+        ids=["seed-float", "k-str", "no-config", "unknown-command"],
+    )
+    def test_usage_error_exits_one(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        assert "usage:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content", [None, b"qubit 0 t1=\xff\n"], ids=["directory", "binary"])
+    def test_ingest_unreadable_returns_one(self, tmp_path, capsys, content):
+        path = tmp_path / "snap"
+        if content is None:
+            path.mkdir()
+        else:
+            path.write_bytes(content)
+        assert main(["ingest", str(path)]) == 1
+        assert "cannot read snapshot" in capsys.readouterr().err
 
     def test_ingest_malformed_returns_one(self, tmp_path, capsys):
         snap = tmp_path / "snap.txt"
@@ -519,3 +582,68 @@ class TestStandaloneCommands:
         assert main(["qcap", "--config", str(path)]) == 0
         curves = read_curves(tmp_path / "out" / "qcap.csv")
         assert {c.source for c in curves} == {"CB", "RB"}
+
+
+_ROOT = Path(__file__).resolve().parents[1]
+_README_BLOCK = (_ROOT / "README.md").read_text().split("### Config file\n\n```yaml\n")[1]
+README_YAML = _README_BLOCK.split("```")[0]
+
+
+def tiny_readme_config() -> dict:
+    """The README's config with the smallest benchmark sizes and one Trotter step."""
+    cfg = yaml.safe_load(README_YAML)
+    for section in ("cb", "rb", "qcap"):
+        cfg[section].update(m_list=[1, 2, 3], n_random=1, shots=1)
+    cfg["tfim"]["steps"] = 1
+    return cfg
+
+
+def leaf_paths(node, path=()):
+    """The key path of every scalar in a config tree."""
+    if not isinstance(node, (dict, list)):
+        yield path
+        return
+    for key, value in node.items() if isinstance(node, dict) else enumerate(node):
+        yield from leaf_paths(value, (*path, key))
+
+
+DROP = object()
+# a wrong type or container, the edge numbers, and an unknown string
+MUTATIONS = [DROP, None, True, "foo", [1], {"k": 1}, -1, 0, 0.5, math.nan, math.inf]
+
+
+def mutated(cfg: dict, path: tuple, mutation) -> dict:
+    *parents, last = path
+    node = cfg
+    for key in parents:
+        node = node[key]
+    if mutation is DROP:
+        del node[last]
+    else:
+        node[last] = mutation
+    return cfg
+
+
+def test_readme_config_is_the_benchmark_config(monkeypatch):
+    """The README's config is the one the epoch-readme benchmark runs."""
+    monkeypatch.syspath_prepend(str(_ROOT / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    readme = yaml.safe_load(README_YAML)
+    bench = config_from_dict({**workloads.README_CONFIG, "seed": readme["seed"]})
+    assert repr(config_from_dict(readme)) == repr(bench)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(list(leaf_paths(tiny_readme_config()))), st.sampled_from(MUTATIONS))
+def test_mutated_config_fails_at_load_or_simulates(path, mutation):
+    """Bad input fails at load with a validation error (exit 1), never later."""
+    cfg = mutated(tiny_readme_config(), path, mutation)
+    try:
+        config_from_dict(cfg)
+    except (ConfigError, NoiseModelError, DriftScheduleError, CircuitError):
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "config.yaml"
+        config.write_text(yaml.safe_dump(cfg))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["simulate", "--config", str(config), "--out", f"{tmp}/out"]) == 0

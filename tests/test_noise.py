@@ -332,6 +332,15 @@ class TestNoiseModel:
         again = NoiseModel.from_dict(model.to_dict())
         assert again.to_dict() == model.to_dict()
 
+    def test_readout_a_drift_cannot_carry_is_rejected(self):
+        """to_dict keeps one error rate per qubit; an asymmetric matrix once
+        came back from it as the symmetric matrix of the mean error rate."""
+        model = NoiseModel(readout={0: [[0.98, 0.02], [0.10, 0.90]]})
+        with pytest.raises(NoiseModelError, match=re.escape("readout(0)")):
+            model.to_dict()
+        with pytest.raises(NoiseModelError, match=re.escape("readout(0)")):
+            DriftSchedule(base=model, epochs=(DriftEpoch(1, "morning"),))
+
 
 def schedule_fixture(walk=None):
     base = NoiseModel(
