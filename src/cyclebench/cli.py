@@ -45,10 +45,8 @@ from .circuits import (
 )
 from .engine import Executor
 from .ingest import (
-    OCCUPATION_HEADER,
     SchemaError,
     SnapshotError,
-    _write_csv,
     parse_backend_snapshot,
     read_estimates,
     write_curves,
@@ -56,6 +54,7 @@ from .ingest import (
     write_estimates,
     write_fits,
 )
+from .ingest import write_occupations as _write_occupations  # the benchmark probes this name
 from .noise import (
     LABEL_ORDER,
     DriftEpoch,
@@ -63,9 +62,9 @@ from .noise import (
     DriftScheduleError,
     NoiseModel,
     NoiseModelError,
-    check_keys,
     check_kind,
     drift_params_at,
+    read_table,
 )
 from .qcap import QcapCurve, compare_estimates, qcap_cb_curve, qcap_rb_curve
 from .sim import StateVector, rng_from
@@ -87,6 +86,8 @@ class BenchParams:
         _check_lengths(self.m_list, self.n_random)
         if self.shots < 1 or self.n_decays < 1:
             raise ConfigError("shots and n_decays must be positive")
+        if self.twirl not in TWIRL_GROUPS:
+            raise ConfigError(f"twirl must be one of {TWIRL_GROUPS}, got {self.twirl!r}")
 
 
 @dataclass(frozen=True)
@@ -123,9 +124,9 @@ def _check_drift_k(k: float, name: str) -> None:
         raise ConfigError(f"{name} must be finite and non-negative, got {k}")
 
 
-# One table per config section: its keys and their defaults.  A given value
-# must have its default's kind (``noise.check_kind``); a type in place of a
-# default makes the key required.
+# One table per config section: its keys and their defaults, read by
+# ``noise.read_table``.  A given value must have its default's kind; a type in
+# place of a default makes the key required.
 _CONFIG = {"seed": int, "layout": 1, "variant": "circuit1", "out": "results", "resamples": 200,
            "drift_k": 1.0, "tfim": {}, "cb": {}, "qcap": {}, "rb": {}, "noise": {},
            "schedule": {}}
@@ -139,38 +140,24 @@ _SCHEDULE = {"epochs": ({"day": 1, "label": "morning"},), "walk": {}}
 _EPOCH = {"day": int, "label": str, "overrides": {}}
 
 
-def _read(data, table: Mapping, section: str = "") -> dict:
-    """``table``'s defaults overlaid by ``data``, the config's ``section``."""
-    data = check_kind(data, {}, section or "config", ConfigError)
-    check_keys(data, table, section or "config", ConfigError)
-    values = {}
-    for key, default in table.items():
-        name = f"{section}.{key}" if section else key
-        if key in data:
-            values[key] = check_kind(data[key], default, name, ConfigError)
-        elif isinstance(default, type):
-            raise ConfigError(f"{name} must be set")
-        else:
-            values[key] = default
-    return values
-
-
 def _bench_params(data, table: Mapping, where: str) -> BenchParams:
     """``where``'s benchmark parameters; a key its table lacks (rb's n_decays
-    and twirl, which RB never reads) keeps cb's default."""
-    params = {**_CB, **_read(data, table, where)}
-    if params["twirl"] not in TWIRL_GROUPS:
-        raise ConfigError(f"{where}: twirl must be one of {TWIRL_GROUPS}, got {params['twirl']!r}")
-    return BenchParams(**params)
+    and twirl, which RB never reads) keeps cb's default.  A range error names
+    ``where``."""
+    params = {**_CB, **read_table(data, table, where, ConfigError)}
+    try:
+        return BenchParams(**params)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
 
 
 def config_from_dict(data: Mapping) -> ExperimentConfig:
-    top = _read(data, _CONFIG)
+    top = read_table(data, _CONFIG, "config", ConfigError, prefix="")
     try:
         noise = NoiseModel.from_dict(top["noise"])
-        sched = _read(top["schedule"], _SCHEDULE, "schedule")
+        sched = read_table(top["schedule"], _SCHEDULE, "schedule", ConfigError)
         epochs = [
-            DriftEpoch(**_read(e, _EPOCH, f"schedule.epochs[{i}]"))
+            DriftEpoch(**read_table(e, _EPOCH, f"schedule.epochs[{i}]", ConfigError))
             for i, e in enumerate(sched["epochs"] or _SCHEDULE["epochs"])
         ]
         walk = {k: check_kind(v, 0.0, f"schedule.walk.{k}", ConfigError)
@@ -178,7 +165,7 @@ def config_from_dict(data: Mapping) -> ExperimentConfig:
         cb = _bench_params(top["cb"], _CB, "cb")
         return ExperimentConfig(**{
             **top,
-            "tfim": TfimParams(**_read(top["tfim"], _TFIM, "tfim")),
+            "tfim": TfimParams(**read_table(top["tfim"], _TFIM, "tfim", ConfigError)),
             "cb": cb,
             "qcap": _bench_params(top["qcap"], {**_QCAP, "n_decays": cb.n_decays,
                                                 "twirl": cb.twirl}, "qcap"),
@@ -322,10 +309,6 @@ def simulate_occupations(config: ExperimentConfig, model: NoiseModel | None) -> 
                 )
             )
     return rows
-
-
-def _write_occupations(path, rows) -> None:
-    _write_csv(path, OCCUPATION_HEADER, ((s, float(t), *rest) for s, t, *rest in rows))
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,9 @@ raw RB error rates or already-converted process infidelities, and guessing a
 silent factor of (d+1)/d is exactly the mistake this flag prevents.  A header
 without the flag defaults to ``process-infidelity`` with a warning.
 
-Result CSVs use fixed headers and shortest-roundtrip float formatting, so a
-write/read cycle reproduces every value exactly.
+Each result CSV is one table below: its columns in order, each with the kind
+that reads it.  Floats are written shortest-roundtrip, so a write/read cycle
+reproduces every value exactly.
 """
 
 from __future__ import annotations
@@ -21,18 +22,12 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .bench import DecayFit, DecayPoint, InfidelityEstimate, ProtocolError
 from .qcap import QcapCurve
 
 PAIR_CONVENTIONS = ("raw-r", "process-infidelity")
-
-DECAY_HEADER = ["pauli", "m", "circuit_index", "expectation", "shot_error"]
-FIT_HEADER = ["pauli", "A", "p", "sigma_p"]
-CURVE_HEADER = ["source", "steps", "bound", "sigma"]
-ESTIMATE_HEADER = ["source", "label", "day", "epoch", "infidelity", "sigma"]
-OCCUPATION_HEADER = ["step", "time", "site", "occupation", "ideal_occupation"]
 
 
 class SnapshotError(ValueError):
@@ -79,24 +74,23 @@ def _parse_kv(tokens: Sequence[str], lineno: int) -> dict[str, str]:
     return out
 
 
-def _fraction(value: str, name: str, lineno: int) -> float:
-    try:
-        x = float(value)
-    except ValueError:
-        raise SnapshotError(f"line {lineno}: {name} is not a number: {value!r}") from None
-    if not 0 <= x <= 1:
-        raise SnapshotError(f"line {lineno}: {name}={x} outside [0, 1]")
-    return x
+# a snapshot number's range check and the words for a value outside it;
+# both are written so that NaN fails too
+_FRACTION = (lambda x: 0 <= x <= 1, "outside [0, 1]")
+_POSITIVE = (lambda x: 0 < x < math.inf, "must be positive and finite")
+# a qubit row's fields, in QubitRecord's order after the label
+_QUBIT_FIELDS = {"t1": _POSITIVE, "t2": _POSITIVE, "ro": _FRACTION, "u2": _FRACTION,
+                 "u3": _FRACTION}
 
 
-def _positive(value: str, name: str, lineno: int) -> float:
+def _number(fields: Mapping[str, str], name: str, rule, lineno: int) -> float:
     try:
-        x = float(value)
+        x = float(fields[name])
     except ValueError:
-        raise SnapshotError(f"line {lineno}: {name} is not a number: {value!r}") from None
-    # written so that NaN fails too
-    if not 0 < x < math.inf:
-        raise SnapshotError(f"line {lineno}: {name}={x} must be positive and finite")
+        raise SnapshotError(f"line {lineno}: {name} is not a number: {fields[name]!r}") from None
+    in_range, outside = rule
+    if not in_range(x):
+        raise SnapshotError(f"line {lineno}: {name}={x} {outside}")
     return x
 
 
@@ -145,19 +139,12 @@ def parse_backend_snapshot(text: str) -> BackendSnapshot:
             except ValueError:
                 raise SnapshotError(f"line {lineno}: qubit label must be an integer") from None
             fields = _parse_kv(tokens[2:], lineno)
-            missing = {"t1", "t2", "ro", "u2", "u3"} - set(fields)
+            missing = set(_QUBIT_FIELDS) - set(fields)
             if missing:
                 raise SnapshotError(f"line {lineno}: qubit row missing {sorted(missing)}")
-            qubits.append(
-                QubitRecord(
-                    qubit=label,
-                    t1_us=_positive(fields["t1"], "t1", lineno),
-                    t2_us=_positive(fields["t2"], "t2", lineno),
-                    readout_error=_fraction(fields["ro"], "ro", lineno),
-                    u2_error=_fraction(fields["u2"], "u2", lineno),
-                    u3_error=_fraction(fields["u3"], "u3", lineno),
-                )
-            )
+            qubits.append(QubitRecord(label, *(
+                _number(fields, name, rule, lineno) for name, rule in _QUBIT_FIELDS.items()
+            )))
         elif kind == "pair":
             if len(tokens) < 4:
                 raise SnapshotError(f"line {lineno}: pair row needs two labels and err=")
@@ -171,7 +158,7 @@ def parse_backend_snapshot(text: str) -> BackendSnapshot:
             pairs.append(
                 PairRecord(
                     pair=(a, b),
-                    error=_fraction(fields["err"], "err", lineno),
+                    error=_number(fields, "err", _FRACTION, lineno),
                     convention=convention,
                 )
             )
@@ -193,38 +180,51 @@ def parse_backend_snapshot(text: str) -> BackendSnapshot:
 # CSV persistence.  repr() is shortest-roundtrip for floats, which gives the
 # >= 15 significant digits needed for exact write/read identity.
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return repr(float(x))
-    return str(x)
-
-
-def _write_csv(path, header: list[str], rows: Iterable[Sequence]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
-
-
 def _optional_int(text: str) -> int | None:
     return int(text) if text else None
 
 
-def _read_csv(path, expected_header: list[str], kinds: Sequence) -> list[list]:
+# One table per result file: each column's name, in file order, and the kind
+# that reads its cells.
+DECAYS = {"pauli": str, "m": int, "circuit_index": int, "expectation": float,
+          "shot_error": float}
+FITS = {"pauli": str, "A": float, "p": float, "sigma_p": float}
+CURVES = {"source": str, "steps": int, "bound": float, "sigma": float}
+ESTIMATES = {"source": str, "label": str, "day": _optional_int, "epoch": str,
+             "infidelity": float, "sigma": float}
+OCCUPATIONS = {"step": int, "time": float, "site": int, "occupation": float,
+               "ideal_occupation": float}
+
+
+def _write_csv(path, table: Mapping, rows: Iterable[Sequence]) -> None:
+    """``rows``, each in ``table``'s column order; a float column's cell is the
+    shortest round-trip repr of its value as a float, and None is an empty cell."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(table)
+        writer.writerows(
+            ["" if v is None else repr(float(v)) if kind is float else str(v)
+             for kind, v in zip(table.values(), row)]
+            for row in rows
+        )
+
+
+def _read_csv(path, table: Mapping) -> list[list]:
     """Rows of a result CSV, each cell converted by its column's kind.
 
-    A short or long row, a cell the kind cannot parse, or a non-finite float
-    raises :class:`SchemaError` naming the path, the row and the column.
+    A wrong header, a short or long row, a cell the kind cannot parse, or a
+    non-finite float raises :class:`SchemaError` naming the path, the row and
+    the column.
     """
+    expected = list(table)
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
             raise SchemaError(f"{path}: empty file") from None
-        if header != expected_header:
-            raise SchemaError(f"{path}: header {header} != expected {expected_header}")
+        if header != expected:
+            raise SchemaError(f"{path}: header {header} != expected {expected}")
         rows = []
         for number, row in enumerate(reader, start=1):
             if len(row) != len(header):
@@ -232,7 +232,7 @@ def _read_csv(path, expected_header: list[str], kinds: Sequence) -> list[list]:
                     f"{path}: row {number} has {len(row)} cells, expected {len(header)}"
                 )
             cells = []
-            for column, kind, text in zip(header, kinds, row):
+            for (column, kind), text in zip(table.items(), row):
                 try:
                     value = kind(text)
                 except ValueError:
@@ -249,93 +249,55 @@ def _read_csv(path, expected_header: list[str], kinds: Sequence) -> list[list]:
 
 
 def write_decays(path, points: Sequence[DecayPoint]) -> None:
-    _write_csv(
-        path,
-        DECAY_HEADER,
-        ((p.pauli, p.m, p.circuit_index, p.expectation, p.shot_error) for p in points),
-    )
+    _write_csv(path, DECAYS, points)
 
 
 def read_decays(path) -> list[DecayPoint]:
-    kinds = (str, int, int, float, float)
-    return [DecayPoint(*row) for row in _read_csv(path, DECAY_HEADER, kinds)]
+    return [DecayPoint(*row) for row in _read_csv(path, DECAYS)]
 
 
 def write_fits(path, fits: Sequence[DecayFit]) -> None:
-    _write_csv(
-        path,
-        FIT_HEADER,
-        ((f.pauli, f.amplitude, f.decay, f.decay_std) for f in fits),
-    )
+    _write_csv(path, FITS, ((f.pauli, f.amplitude, f.decay, f.decay_std) for f in fits))
 
 
 def read_fits(path) -> list[DecayFit]:
-    return [DecayFit(*row) for row in _read_csv(path, FIT_HEADER, (str, float, float, float))]
+    return [DecayFit(*row) for row in _read_csv(path, FITS)]
 
 
 def write_curves(path, curves: Sequence[QcapCurve]) -> None:
-    rows = []
-    for curve in curves:
-        for n, b, s in zip(curve.steps, curve.bound, curve.sigma):
-            rows.append((curve.source, n, b, s))
-    _write_csv(path, CURVE_HEADER, rows)
+    _write_csv(path, CURVES, (
+        (c.source, *point) for c in curves for point in zip(c.steps, c.bound, c.sigma)
+    ))
 
 
 def read_curves(path) -> list[QcapCurve]:
-    grouped: dict[str, list[tuple[int, float, float]]] = {}
-    order: list[str] = []
-    for src, steps, bound, sigma in _read_csv(path, CURVE_HEADER, (str, int, float, float)):
-        if src not in grouped:
-            grouped[src] = []
-            order.append(src)
-        grouped[src].append((steps, bound, sigma))
-    curves = []
-    for src in order:
-        pts = grouped[src]
-        curves.append(
-            QcapCurve(
-                source=src,
-                steps=tuple(p[0] for p in pts),
-                bound=tuple(p[1] for p in pts),
-                sigma=tuple(p[2] for p in pts),
-            )
-        )
-    return curves
+    """One curve per source, in order of first appearance."""
+    columns: dict[str, tuple[list, list, list]] = {}
+    for source, *point in _read_csv(path, CURVES):
+        for column, value in zip(columns.setdefault(source, ([], [], [])), point):
+            column.append(value)
+    return [QcapCurve(source, *map(tuple, cols)) for source, cols in columns.items()]
 
 
-def write_estimates(path, estimates) -> None:
-    rows = []
-    for est in estimates:
-        rows.append(
-            (
-                est.source,
-                est.label,
-                "" if est.day is None else est.day,
-                "" if est.epoch is None else est.epoch,
-                est.infidelity,
-                est.sigma,
-            )
-        )
-    _write_csv(path, ESTIMATE_HEADER, rows)
+def write_estimates(path, estimates: Sequence[InfidelityEstimate]) -> None:
+    _write_csv(path, ESTIMATES, (
+        (e.source, e.label, e.day, e.epoch, e.infidelity, e.sigma) for e in estimates
+    ))
 
 
 def read_estimates(path) -> list[InfidelityEstimate]:
-    kinds = (str, str, _optional_int, str, float, float)
     out = []
     for number, (source, label, day, epoch, infidelity, sigma) in enumerate(
-        _read_csv(path, ESTIMATE_HEADER, kinds), start=1
+        _read_csv(path, ESTIMATES), start=1
     ):
         try:
-            out.append(
-                InfidelityEstimate(
-                    source=source,
-                    label=label,
-                    day=day,
-                    epoch=epoch or None,
-                    infidelity=infidelity,
-                    sigma=sigma,
-                )
-            )
+            out.append(InfidelityEstimate(infidelity, sigma, source, label, day=day,
+                                          epoch=epoch or None))
         except ProtocolError as exc:
             raise SchemaError(f"{path}: row {number}: {exc}") from None
     return out
+
+
+def write_occupations(path, rows: Iterable[Sequence]) -> None:
+    """Rows in ``OCCUPATIONS``' column order, as ``cli.simulate_occupations`` gives."""
+    _write_csv(path, OCCUPATIONS, rows)

@@ -180,10 +180,38 @@ def check_kind(value, default, where: str, error=NoiseModelError):
     raise error(f"{where} must be {what}, got {type(value).__name__} {value!r}")
 
 
+def read_table(data, table: Mapping, where: str, error=NoiseModelError,
+               prefix: str | None = None) -> dict:
+    """``table``'s defaults overlaid by ``data``, the mapping named ``where``;
+    a key is named ``prefix + key``, by default ``where.key``.  A given value
+    must have its default's kind (``check_kind``); a type in place of a default,
+    or a one-item tuple of a type (a list of that kind), makes the key required."""
+    data = check_kind(data, {}, where, error)
+    check_keys(data, table, where, error)
+    prefix = f"{where}." if prefix is None else prefix
+    values = {}
+    for key, default in table.items():
+        if key in data:
+            values[key] = check_kind(data[key], default, prefix + key, error)
+        elif isinstance(default[0] if type(default) is tuple and default else default, type):
+            raise error(f"{prefix}{key} must be set")
+        else:
+            values[key] = default
+    return values
+
+
 def _numbers(data, where: str, label=int) -> dict:
     """``data`` as a mapping of ``label``-kind keys to finite floats."""
     return {check_kind(k, label, f"{where} key"): check_kind(v, 0.0, f"{where}[{k}]")
             for k, v in check_kind(data, {}, where).items()}
+
+
+# The noise section's keys, each with the kind of its value, and the keys of
+# a crosstalk term and of a mapping-form CNOT rotation.
+_NOISE = {"t1": {}, "t2": {}, "readout_error": {}, "pauli_errors": {}, "cnot_rotation": {},
+          "crosstalk": (), "durations": {}, "prep_flip": {}}
+_CROSSTALK = {"pair": (int,), "spectator": int, "angle": float}
+_ROTATION = {"axis": str, "angle": float}
 
 
 def _frozen_array(mat) -> np.ndarray:
@@ -357,41 +385,32 @@ class NoiseModel:
     @classmethod
     def from_dict(cls, data: Mapping) -> "NoiseModel":
         """The model a config's ``noise`` section describes; every qubit label,
-        string and number must have its kind (``check_kind``)."""
-        data = check_kind(data, {}, "noise")
-        check_keys(data, cls().to_dict(), "noise")
+        string and number must have its kind (``check_kind``).  A CNOT rotation
+        is an ``[axis, angle]`` list or a mapping of ``axis`` and ``angle``."""
+        data = read_table(data, _NOISE, "noise", prefix="")
         rotation = {}
-        for key, val in check_kind(data.get("cnot_rotation"), {}, "cnot_rotation").items():
-            if isinstance(val, Mapping):
-                check_keys(val, ("axis", "angle"), f"cnot_rotation[{key}]")
-                val = (val["axis"], val["angle"])
-            axis, angle = val
-            rotation[check_kind(key, str, "cnot_rotation key")] = (
-                check_kind(axis, str, f"cnot_rotation[{key}] axis"),
-                check_kind(angle, 0.0, f"cnot_rotation[{key}] angle"),
-            )
-        crosstalk = []
-        for t in check_kind(data.get("crosstalk"), (), "crosstalk"):
-            t = check_kind(t, {}, "crosstalk term")
-            check_keys(t, ("pair", "spectator", "angle"), "crosstalk")
-            crosstalk.append(CrosstalkTerm(
-                pair=check_kind(t["pair"], (0,), "crosstalk pair"),
-                spectator=check_kind(t["spectator"], 0, "crosstalk spectator"),
-                angle=check_kind(t["angle"], 0.0, "crosstalk angle"),
-            ))
+        for key, val in data["cnot_rotation"].items():
+            where = f"cnot_rotation[{check_kind(key, str, 'cnot_rotation key')}]"
+            if not isinstance(val, Mapping):
+                val = check_kind(val, (), where)
+                if len(val) != 2:
+                    raise NoiseModelError(f"{where} must be [axis, angle], got {list(val)!r}")
+                val = dict(zip(_ROTATION, val))
+            rotation[key] = tuple(read_table(val, _ROTATION, where, prefix=f"{where} ").values())
         return cls(
-            t1=_numbers(data.get("t1"), "t1"),
-            t2=_numbers(data.get("t2"), "t2"),
+            t1=_numbers(data["t1"], "t1"),
+            t2=_numbers(data["t2"], "t2"),
             readout={q: confusion_from_scalar(e)
-                     for q, e in _numbers(data.get("readout_error"), "readout_error").items()},
+                     for q, e in _numbers(data["readout_error"], "readout_error").items()},
             pauli_errors={
                 check_kind(c, str, "pauli_errors key"): _numbers(probs, f"pauli_errors[{c}]", str)
-                for c, probs in check_kind(data.get("pauli_errors"), {}, "pauli_errors").items()
+                for c, probs in data["pauli_errors"].items()
             },
             cnot_rotation=rotation,
-            crosstalk=crosstalk,
-            durations=_numbers(data.get("durations"), "durations", str),
-            prep_flip=_numbers(data.get("prep_flip"), "prep_flip"),
+            crosstalk=[CrosstalkTerm(**read_table(t, _CROSSTALK, f"crosstalk[{i}]"))
+                       for i, t in enumerate(data["crosstalk"])],
+            durations=_numbers(data["durations"], "durations", str),
+            prep_flip=_numbers(data["prep_flip"], "prep_flip"),
         )
 
 

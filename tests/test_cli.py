@@ -3,6 +3,7 @@ import hashlib
 import importlib
 import io
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -118,6 +119,21 @@ class TestConfig:
         with pytest.raises(ConfigError, match="seed"):
             config_from_dict({"seed": seed})
 
+    @pytest.mark.parametrize("section", ["cb", "qcap", "rb"])
+    @pytest.mark.parametrize(
+        "params, named",
+        [
+            ({"m_list": [2, 4]}, "m_list needs at least three distinct sequence lengths"),
+            ({"m_list": [2, 10, -3]}, "m_list lengths must be >= 0, got -3"),
+            ({"n_random": 0}, "n_random must be >= 1, got 0"),
+            ({"shots": 0}, "shots and n_decays must be positive"),
+        ],
+        ids=["m_list-short", "m_list-negative", "n_random-zero", "shots-zero"],
+    )
+    def test_range_error_names_its_section(self, section, params, named):
+        with pytest.raises(ConfigError, match=re.escape(f"{section}: {named}")):
+            config_from_dict({"seed": 1, section: params})
+
     @pytest.mark.parametrize("section", ["cb", "qcap"])
     def test_unknown_twirl(self, section):
         with pytest.raises(ConfigError, match=f"{section}: twirl"):
@@ -215,12 +231,19 @@ class TestCliExitCodes:
             ("simulate", {"noise": {"t2": {1: 50.0}}, "schedule": {"epochs": [
                 {"day": 1, "label": "morning", "overrides": {"t2": {True: 40.0}}}]}}, [],
              "t2 override key must be an int, got bool"),
+            ("cb", {"noise": {"crosstalk": [{"spectator": 2, "angle": 0.1}]}}, [],
+             "crosstalk[0].pair must be set"),
+            ("cb", {"noise": {"cnot_rotation": {"*": ["ZZ"]}}}, [], "cnot_rotation[*] must be"),
+            ("cb", {"noise": {"cnot_rotation": {"*": "ZZ"}}}, [], "cnot_rotation[*] must be"),
+            ("cb", {"noise": {"cnot_rotation": {"*": {"axis": "ZZ"}}}}, [],
+             "cnot_rotation[*] angle must be set"),
         ],
         ids=["seed-negative", "seed-float", "seed-bool", "seed-override", "cb-twirl",
              "rb-cb-twirl", "qcap-twirl", "noise-list", "m_list-float", "n_random-float",
              "layout-float", "steps-bool", "dt-str", "sites-3", "resamples-float", "out-int",
              "epoch-day-float", "walk-nan", "crosstalk-pair-short", "walk-negative",
-             "walk-inf", "readout-bool", "t1-str", "t1-label-float", "override-label-bool"],
+             "walk-inf", "readout-bool", "t1-str", "t1-label-float", "override-label-bool",
+             "crosstalk-no-pair", "rotation-one-item", "rotation-str", "rotation-no-angle"],
     )
     def test_bad_value_returns_one_before_any_output(self, tmp_path, capsys, command, extra,
                                                      override, named):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cyclebench.bench import DecayFit, DecayPoint, InfidelityEstimate, ProtocolError
+from cyclebench.cli import _write_occupations
 from cyclebench.ingest import (
     SchemaError,
     SnapshotError,
@@ -163,6 +164,40 @@ class TestRoundTrips:
         ]
         write_estimates(path, ests)
         assert read_estimates(path) == ests
+
+
+# each result file's exact text: its header and one row
+PINNED_TEXT = {
+    "decays": (
+        write_decays, [DecayPoint("XZ", 2, 0, 0.1 + 0.2, np.float64(1 / 3))],
+        "pauli,m,circuit_index,expectation,shot_error\nXZ,2,0,0.30000000000000004,"
+        "0.3333333333333333\n",
+    ),
+    "fits": (
+        write_fits, [DecayFit("ZZ", 0.9999999999999999, 2**-52, 1e-300)],
+        "pauli,A,p,sigma_p\nZZ,0.9999999999999999,2.220446049250313e-16,1e-300\n",
+    ),
+    "curves": (
+        write_curves, [QcapCurve("RB", (3,), (0.1 + 0.2,), (1e-17,))],
+        "source,steps,bound,sigma\nRB,3,0.30000000000000004,1e-17\n",
+    ),
+    "estimates": (
+        write_estimates, [InfidelityEstimate(1 / 3, 0.0, "RB", "pair6-7", day=None, epoch=None)],
+        "source,label,day,epoch,infidelity,sigma\nRB,pair6-7,,,0.3333333333333333,0.0\n",
+    ),
+    "occupations": (
+        _write_occupations, [(2, 20, 1, 0.1 + 0.2, np.float64(1.0))],
+        "step,time,site,occupation,ideal_occupation\n2,20.0,1,0.30000000000000004,1.0\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED_TEXT))
+def test_result_file_text_is_pinned(tmp_path, name):
+    write, records, text = PINNED_TEXT[name]
+    path = tmp_path / f"{name}.csv"
+    write(path, records)
+    assert path.read_text() == text
 
 
 class TestDispatch:

@@ -281,13 +281,38 @@ class TestNoiseModel:
             ({"cnot_rotation": ["ZZ", 0.1]}, "cnot_rotation must be a mapping"),
             ({"durations": [100.0]}, "durations must be a mapping"),
             ({"prep_flip": [0.01]}, "prep_flip must be a mapping"),
-            ({"crosstalk": [[0, 1]]}, "crosstalk term must be a mapping"),
+            ({"crosstalk": [[0, 1]]}, "crosstalk[0] must be a mapping"),
         ],
         ids=["noise", "pauli_errors", "pauli-class", "t1", "t2", "readout_error",
              "cnot_rotation", "durations", "prep_flip", "crosstalk-term"],
     )
     def test_from_dict_rejects_non_mapping_sections(self, data, named):
         """Each of these raised AttributeError or TypeError deep in the load."""
+        with pytest.raises(NoiseModelError, match=re.escape(named)):
+            NoiseModel.from_dict(data)
+
+    @pytest.mark.parametrize(
+        "data, named",
+        [
+            ({"crosstalk": [{"spectator": 2, "angle": 0.1}]}, "crosstalk[0].pair must be set"),
+            ({"crosstalk": [{"pair": [0, 1], "angle": 0.1}]},
+             "crosstalk[0].spectator must be set"),
+            ({"crosstalk": [{"pair": [0, 1], "spectator": 2}]}, "crosstalk[0].angle must be set"),
+            ({"crosstalk": [{"pair": [0, 1.5], "spectator": 2, "angle": 0.1}]},
+             "crosstalk[0].pair[1] must be an int"),
+            ({"cnot_rotation": {"*": ["ZZ"]}}, "cnot_rotation[*] must be [axis, angle]"),
+            ({"cnot_rotation": {"*": ["ZZ", 0.1, 0.2]}}, "cnot_rotation[*] must be [axis, angle]"),
+            ({"cnot_rotation": {"*": "ZZ"}}, "cnot_rotation[*] must be a list, got str"),
+            ({"cnot_rotation": {"*": {"axis": "ZZ"}}}, "cnot_rotation[*] angle must be set"),
+            ({"cnot_rotation": {"*": {"angle": 0.1}}}, "cnot_rotation[*] axis must be set"),
+        ],
+        ids=["crosstalk-pair", "crosstalk-spectator", "crosstalk-angle", "crosstalk-pair-float",
+             "rotation-one-item", "rotation-three-items", "rotation-str", "rotation-no-angle",
+             "rotation-no-axis"],
+    )
+    def test_from_dict_names_a_missing_or_malformed_entry(self, data, named):
+        """Each of these raised a bare KeyError or ValueError, or read "ZZ" as
+        axis "Z" and angle "Z"."""
         with pytest.raises(NoiseModelError, match=re.escape(named)):
             NoiseModel.from_dict(data)
 
