@@ -132,6 +132,9 @@ def _basis_cycle(letters: str, register: tuple[int, ...], c1) -> Cycle:
 def _check_lengths(m_list: Sequence[int], n_random: int) -> None:
     if len(set(m_list)) < 3:
         raise ProtocolError("m_list needs at least three distinct sequence lengths")
+    if len(set(m_list)) != len(m_list):
+        # a repeated length would draw its circuits twice from the same streams
+        raise ProtocolError(f"m_list repeats a sequence length: {list(m_list)}")
     if min(m_list) < 0:
         raise ProtocolError(f"m_list lengths must be >= 0, got {min(m_list)}")
     if n_random < 1:
@@ -165,9 +168,10 @@ def make_cb(
     (random twirl cycle, target cycle), then one easy inversion cycle that
     maps the propagated frame onto a signed Z/I string.  Generation is
     deterministic in ``seed``: stream ``(seed, "twirl", d, m, j)`` feeds
-    circuit j of decay term d at length m; the keys of all streams come from
-    one ``Streams`` pass.  The frames of all streams of one (d, m) group
-    advance together as integer Pauli indices.
+    circuit j of decay term d at length m.  Each length is one array pass
+    over every decay term: ``Streams.integers`` draws its twirls, the frames
+    advance together as integer Pauli indices, one ``np.unique`` interns the
+    twirl cycles, and the bodies fill one object array.
     """
     if twirl not in TWIRL_GROUPS:
         raise ProtocolError(f"twirl must be one of {TWIRL_GROUPS}")
@@ -201,69 +205,55 @@ def make_cb(
     observables: dict[tuple[int, int], PauliString] = {}
 
     decays = sample_decay_terms(n, n_decays, rng_from(seed, "decays"))
-    streams = iter(Streams(seed, (
-        ("twirl", d_idx, m, j)
-        for d_idx in range(len(decays)) for m in m_list for j in range(n_random)
-    )))
-    circuits: list[CbCircuit] = []
-    for d_idx, prepared in enumerate(decays):
-        prep = _basis_cycle(prepared.letters, register, pl.c1_preparing)
-        for m in m_list:
-            # one (m, n) draw per stream yields the same values as m draws of n
-            draws = np.array(
-                [
-                    next(streams).integers(0, len(alphabet), size=(m, n))
-                    for _ in range(n_random)
-                ]
-            ).reshape(n_random, m, n)
-            # advance all n_random frames through (twirl, cycle) m times
-            frame = np.full(n_random, pl.pauli_index(prepared.letters))
-            sign = np.ones(n_random, dtype=np.int64)
-            for t in range(m):
-                letters = codes[frame]
-                drawn = draws[:, t]
-                sign *= twirl_sign[drawn, letters].prod(axis=1)
-                frame = twirl_image[drawn, letters] @ place
-                sign *= hard.sign[frame]
-                frame = hard.image[frame]
-
-            keys = (draws @ draw_place).tolist()
-            for j, (f, s) in enumerate(zip(frame.tolist(), sign.tolist())):
-                body: list[Cycle] = []
-                for t, key in enumerate(keys[j]):
-                    twirl_cycle = twirl_cycles.get(key)
-                    if twirl_cycle is None:
-                        row = draws[j, t].tolist()
-                        twirl_cycle = twirl_cycles[key] = Cycle._unchecked(
-                            "easy", tuple(twirl_gates[i][k] for i, k in enumerate(row)), labels
-                        )
-                    body += (twirl_cycle, cycle)
-                if f not in inversions:
-                    inversions[f] = _basis_cycle(pl.pauli_letters(f, n), register, pl.c1_measuring)
-                # the inversion cycle maps each non-identity letter to +Z
-                if (f, s) not in observables:
-                    observables[(f, s)] = PauliString(
-                        "".join("I" if c == "I" else "Z" for c in pl.pauli_letters(f, n)), s
-                    )
-                circuits.append(
-                    CbCircuit(
-                        circuit=Circuit._unchecked(register, (prep, *body, inversions[f])),
-                        prepared=prepared,
-                        measured=observables[(f, s)],
-                        m=m,
-                        index=len(circuits),
-                    )
+    n_d, n_m = len(decays), len(m_list)
+    # stream (d, m_list[mi], j) is row (d * n_m + mi) * n_random + j, which
+    # is also its circuit's index
+    streams = Streams(seed, (
+        ("twirl", d_idx, m, j) for d_idx in range(n_d) for m in m_list for j in range(n_random)
+    ))
+    preps = [_basis_cycle(p.letters, register, pl.c1_preparing) for p in decays]
+    start = np.repeat([pl.pauli_index(p.letters) for p in decays], n_random)
+    circuits: list[CbCircuit | None] = [None] * len(streams)
+    for mi, m in enumerate(m_list):
+        rows = ((np.arange(n_d)[:, None] * n_m + mi) * n_random + np.arange(n_random)).ravel()
+        # one draw of m * n per stream reads the same values as m draws of n
+        draws = streams.integers(rows, len(alphabet), m * n).reshape(len(rows), m, n)
+        # advance the frames of every decay term through (twirl, cycle) m times
+        frame = start
+        sign = np.ones(len(rows), dtype=np.int64)
+        for t in range(m):
+            letters = codes[frame]
+            drawn = draws[:, t]
+            sign *= twirl_sign[drawn, letters].prod(axis=1)
+            frame = twirl_image[drawn, letters] @ place
+            sign *= hard.sign[frame]
+            frame = hard.image[frame]
+        flat = draws.reshape(-1, n)
+        keys, first, inverse = np.unique(flat @ draw_place, return_index=True, return_inverse=True)
+        for key, row in zip(keys.tolist(), flat[first].tolist()):
+            if key not in twirl_cycles:
+                gates = tuple(twirl_gates[i][k] for i, k in enumerate(row))
+                twirl_cycles[key] = Cycle._unchecked("easy", gates, labels)
+        # each row: preparation, m times (twirl, cycle), inversion
+        body = np.empty((len(rows), 2 * m + 2), dtype=object)
+        body[:, 1:-1:2] = np.fromiter(map(twirl_cycles.__getitem__, keys.tolist()), object,
+                                      len(keys))[inverse].reshape(len(rows), m)
+        body[:, 2:-1:2] = cycle
+        for r, cycles, f, s in zip(rows.tolist(), body.tolist(), frame.tolist(), sign.tolist()):
+            if f not in inversions:
+                inversions[f] = _basis_cycle(pl.pauli_letters(f, n), register, pl.c1_measuring)
+            # the inversion cycle maps each non-identity letter to +Z
+            if (f, s) not in observables:
+                observables[(f, s)] = PauliString(
+                    "".join("I" if c == "I" else "Z" for c in pl.pauli_letters(f, n)), s
                 )
-    return CbCollection(
-        cycle=cycle,
-        register=register,
-        twirl=twirl,
-        m_list=tuple(m_list),
-        n_random=n_random,
-        n_decays=len(decays),
-        seed=seed,
-        circuits=tuple(circuits),
-    )
+            d_idx = r // (n_m * n_random)
+            cycles[0], cycles[-1] = preps[d_idx], inversions[f]
+            circuits[r] = CbCircuit(
+                Circuit._unchecked(register, tuple(cycles)), decays[d_idx], observables[f, s], m, r
+            )
+    return CbCollection(cycle=cycle, register=register, twirl=twirl, m_list=tuple(m_list),
+                        n_random=n_random, n_decays=n_d, seed=seed, circuits=tuple(circuits))
 
 
 def execute_collection(
@@ -547,18 +537,17 @@ def run_rb(
             cycles[spec] = Cycle("hard" if name == "CNOT" else "easy", (gate,))
         return cycles[spec]
 
-    lengths = sorted(set(int(v) for v in m_list))
-    streams = iter(Streams(seed, (("rb", m, j) for m in lengths for j in range(n_random))))
+    lengths = sorted(int(v) for v in m_list)
+    streams = Streams(seed, (("rb", m, j) for m in lengths for j in range(n_random)))
     if shots is not None:
         count_streams = Streams(seed, (("rb-exec", i) for i in range(len(lengths) * n_random)))
     points: list[DecayPoint] = []
-    index = 0
-    for m in lengths:
-        for _ in range(n_random):
-            rng = next(streams)
+    for mi, m in enumerate(lengths):
+        # one draw of m per stream reads the same values as m single draws
+        draws = streams.integers(range(mi * n_random, (mi + 1) * n_random), group_size, m)
+        for row in draws.tolist():
             logical: list[tuple[str, tuple[int, ...], int | None]] = []
-            for _ in range(m):
-                k = int(rng.integers(0, group_size))
+            for k in row:
                 if n == 1:
                     logical.append(("C1", (0,), k))
                 else:
@@ -572,13 +561,11 @@ def run_rb(
             circuit = Circuit(register, tuple(one_gate_cycle(spec) for spec in logical))
             probs = executor.outcome_probabilities(executor.run(circuit))
             if shots is None:
-                survival = float(probs[0])
-                err = 0.0
+                survival, err = float(probs[0]), 0.0
             else:
-                survival = int(count_streams[index].multinomial(shots, probs)[0]) / shots
+                survival = int(count_streams[len(points)].multinomial(shots, probs)[0]) / shots
                 err = math.sqrt(max(0.0, survival * (1 - survival)) / shots)
-            points.append(DecayPoint("survival", m, index, survival - floor, err))
-            index += 1
+            points.append(DecayPoint("survival", m, len(points), survival - floor, err))
     fit = fit_decay(points, resamples=resamples, seed=seed, pauli="survival")
     d = 2**n
     r, e_f = rb_to_process_infidelity(d, p=fit.decay)

@@ -245,6 +245,9 @@ class Executor:
         Every op reads density from the stack's last axis: a pure stack stays
         pure, since only a model that introduces channels has Kraus ops."""
         one, dense = len(circuits) == 1, state.shape[-1] != 1
+        # id(cycle) -> cycle_permutation, for this call: the circuits hold
+        # their cycles alive, and interned twirls recur across layers
+        signed: dict[int, tuple | None] = {}
         for layer in zip(*(c.cycles for c in circuits)):
             if one:
                 # a stack of one (an RB sequence, a Trotter step): the cached
@@ -252,15 +255,16 @@ class Executor:
                 u = cycle_unitary(layer[0], self.register)
                 state = u @ state @ u.conj().T if dense else u @ state
             else:
-                state = self._apply_layer(state, layer)
+                state = self._apply_layer(state, layer, signed)
             tail = self._tail(layer[0])
             if tail:
                 state = self._apply_tail(state, tail)
         return state
 
-    def _apply_layer(self, state: np.ndarray, layer: tuple[Cycle, ...]) -> np.ndarray:
+    def _apply_layer(self, state: np.ndarray, layer: tuple[Cycle, ...], signed: dict) -> np.ndarray:
         """The ideal unitaries of one layer of one structure, one cycle per
-        circuit of a stack of two or more."""
+        circuit of a stack of two or more; ``signed`` caches
+        ``cycle_permutation`` by cycle id."""
         # distinct cycle objects (CB collections intern them) in order of
         # first appearance, so lookups run in the same order on every run,
         # and each circuit's slot among them when there are several
@@ -271,16 +275,18 @@ class Executor:
         if len(cycles) > 1:
             slot_of = dict(zip(distinct, range(len(cycles))))
             slot = np.fromiter(map(slot_of.__getitem__, ids), np.intp, len(ids))
-        if len({c.structure for c in cycles}) > 1:
-            raise SimulationError("the cycles of one batched layer must share one structure")
-        signed = []
-        for c in cycles:
-            found = cycle_permutation(c, self.register)
-            if found is None:
+            structure = cycles[0].structure
+            if any(c.structure != structure for c in cycles):
+                raise SimulationError("the cycles of one batched layer must share one structure")
+        perms = []
+        for key, c in distinct.items():
+            if key not in signed:
+                signed[key] = cycle_permutation(c, self.register)
+            if signed[key] is None:
                 break
-            signed.append(found)
-        if len(signed) == len(cycles):
-            return self._permute(state, signed, slot)
+            perms.append(signed[key])
+        if len(perms) == len(cycles):
+            return self._permute(state, perms, slot)
         # a non-monomial cycle is easy: hard cycles hold only CNOTs
         u = _easy_unitaries([c.gates for c in cycles], self.register)
         return _conjugate(state, u[0] if len(cycles) == 1 else u[slot])
@@ -303,9 +309,11 @@ class Executor:
             phase = (phase[:, :, None] * phase.conj()[:, None, :]).reshape(len(signed), -1)
         flat = state.reshape(b, -1)
         if len(signed) == 1:
-            out = flat[:, perm[0]] * phase[0]
+            out = flat.take(perm[0], axis=1) * phase[0]
         else:
-            out = np.take_along_axis(flat, perm[slot], axis=1) * phase[slot]
+            # one gather on the flattened stack: row r reads r * width + perm
+            rows = np.arange(0, flat.size, flat.shape[1])[:, None]
+            out = flat.take(perm[slot] + rows) * phase[slot]
         return out.reshape(state.shape)
 
     def _apply_tail(self, state: np.ndarray, tail: tuple) -> np.ndarray:

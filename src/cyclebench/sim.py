@@ -14,7 +14,8 @@ Randomness uses a single splittable counter-based generator (Philox keyed
 through ``SeedSequence``); independent streams are derived from a master seed
 plus an integer/string path, which makes parallel fan-out deterministic.
 ``rng_from`` builds one such stream; ``stream_keys`` computes the keys of many
-in one vectorised pass, and ``Streams`` serves them from one rekeyed generator.
+in one vectorised pass, and ``Streams`` serves them from one rekeyed generator
+or draws integers from many of them in one vectorised Philox pass.
 """
 
 from __future__ import annotations
@@ -70,20 +71,21 @@ def stream_keys(seed: int, paths: Iterable[Sequence[int | str]]) -> np.ndarray:
     while seed >> 32:
         seed >>= 32
         run.append(seed & _MASK32)
-    rows = [
-        [zlib.crc32(p.encode()) if isinstance(p, str) else int(p) & _MASK32 for p in path]
-        for path in paths
-    ]
-    if not rows:
+    paths = list(paths)
+    if not paths:
         return np.empty((0, 2), dtype=np.uint64)
-    length = len(rows[0])
-    if any(len(row) != length for row in rows):
+    length = len(paths[0])
+    if any(len(path) != length for path in paths):
         raise ValueError("paths must be equally long")
     # a spawn key pads the run entropy with zeros to the pool size
     head = run + [0] * (_POOL_SIZE - len(run)) if length else run
-    entropy = np.empty((len(rows), len(head) + length), dtype=np.uint32)
+    entropy = np.empty((len(paths), len(head) + length), dtype=np.uint32)
     entropy[:, :len(head)] = head
-    entropy[:, len(head):] = rows
+    # one column per path element, each distinct value hashed once
+    for i, col in enumerate(zip(*paths), len(head)):
+        word = {v: zlib.crc32(v.encode()) if isinstance(v, str) else int(v) & _MASK32
+                for v in set(col)}
+        entropy[:, i] = np.fromiter(map(word.__getitem__, col), np.uint32, len(col))
     return _mix_entropy(entropy)
 
 
@@ -156,6 +158,54 @@ class Streams:
         self._state["state"]["key"] = self._keys[i]
         self._rng.bit_generator.state = self._state
         return self._rng
+
+    def integers(self, rows: Sequence[int], high: int, count: int) -> np.ndarray:
+        """``self[i].integers(0, high, size=count)`` for every i in ``rows``,
+        as one (len(rows), count) int64 array: one Philox pass over all rows,
+        then numpy's 32-bit Lemire map ``(word * high) >> 32``.  A row with a
+        word in Lemire's rejection zone is redrawn through ``self[i]``."""
+        if not 1 <= high <= 2**32:
+            raise ValueError(f"high must be in [1, 2**32], got {high}")
+        rows = np.asarray(rows, dtype=np.intp)
+        scaled = _philox_words(self._keys[rows], count) * np.uint64(high)
+        reject = ((scaled & np.uint64(_MASK32)) < np.uint64((2**32 - high) % high)).any(axis=1)
+        out = (scaled >> np.uint64(32)).view(np.int64)
+        for r in np.flatnonzero(reject).tolist():
+            out[r] = self[rows[r]].integers(0, high, size=count)
+        return out
+
+
+# Philox4x64-10 (Random123): round multipliers and key increments.
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = tuple(map(np.uint64, (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)))
+
+
+def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low 64-bit halves of the 128-bit products ``m * x``."""
+    low, shift = np.uint64(_MASK32), np.uint64(32)
+    m0, m1 = np.uint64(m & _MASK32), np.uint64(m >> 32)
+    x0, x1 = x & low, x >> shift
+    p01, p10 = m0 * x1, m1 * x0
+    mid = (m0 * x0 >> shift) + (p01 & low) + (p10 & low)
+    return m1 * x1 + (p01 >> shift) + (p10 >> shift) + (mid >> shift), np.uint64(m) * x
+
+
+def _philox_words(keys: np.ndarray, count: int) -> np.ndarray:
+    """The first ``count`` uint32 words, as (rows, count) uint64, of a fresh
+    Philox generator per key row, in numpy's ``next_uint32`` order: blocks at
+    counters 1, 2, ..., and each uint64 output's low half before its high."""
+    blocks = -(-count // 8)
+    zero = np.zeros((len(keys), blocks), dtype=np.uint64)
+    ctr = [zero + np.arange(1, blocks + 1, dtype=np.uint64), zero, zero, zero]
+    key = [keys[:, :1], keys[:, 1:]]
+    for r in range(10):
+        if r:
+            key = [key[0] + _PHILOX_W[0], key[1] + _PHILOX_W[1]]
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], ctr[0])
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], ctr[2])
+        ctr = [hi1 ^ ctr[1] ^ key[0], lo1, hi0 ^ ctr[3] ^ key[1], lo0]
+    halves = np.stack(ctr, axis=-1)[..., None] >> np.array([0, 32], dtype=np.uint64)
+    return (halves & np.uint64(_MASK32)).reshape(len(keys), 8 * blocks)[:, :count]
 
 
 @dataclass(frozen=True)

@@ -526,6 +526,11 @@ class RngFromStreams:
 
         return rng_from(self.seed, *self.paths[i])
 
+    def integers(self, rows, high, count):
+        """``Streams.integers`` as one fresh stream's draw per row."""
+        draws = [self[i].integers(0, high, size=count) for i in rows]
+        return np.array(draws, dtype=np.int64).reshape(len(draws), count)
+
 
 def reference_cycle_unitary(cycle, register) -> np.ndarray:
     """Cycle unitary as the chained product of embedded gate matrices,

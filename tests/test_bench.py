@@ -140,11 +140,24 @@ class TestMakeCb:
     def test_matches_string_reference(self, cycle, register, twirl):
         """Circuit for circuit equal to the PauliString loop it replaced, on
         registers of 2-5 qubits with and without spectators."""
-        for seed in (0, 1, 2):
-            args = (cycle, (0, 1, 3, 5), 3, 4)
+        for seed, n_random in ((0, 3), (1, 3), (2, 3), (3, 1)):
+            args = (cycle, (0, 1, 3, 5), n_random, 4)
             got = make_cb(*args, twirl=twirl, seed=seed, register=register)
             ref = oracles.reference_make_cb(*args, twirl=twirl, seed=seed, register=register)
             assert got == ref
+
+    @pytest.mark.parametrize("twirl", ["pauli", "c1"])
+    def test_cb2q_shape_matches_string_reference(self, twirl):
+        """The benchmark's two-qubit shape (every decay term, three lengths
+        up to 22), with fewer circuits per length."""
+        args = (CNOT01, (2, 10, 22), 6, 16)
+        got = make_cb(*args, twirl=twirl, seed=11)
+        assert got == oracles.reference_make_cb(*args, twirl=twirl, seed=11)
+
+    def test_rejects_repeated_length(self):
+        """A repeat would build each of its circuits twice from one stream."""
+        with pytest.raises(ProtocolError, match="repeats a sequence length"):
+            make_cb(CNOT01, (2, 2, 10, 22), 4, 4)
 
     @pytest.mark.parametrize("alphabet", [4, 24])
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -448,6 +461,10 @@ class TestRunRb:
     def test_rejects_short_m_list(self):
         with pytest.raises(ProtocolError):
             run_rb((0,), (2, 4), 4, None, shots=10)
+
+    def test_rejects_repeated_length(self):
+        with pytest.raises(ProtocolError, match="repeats a sequence length"):
+            run_rb((0,), (2, 4, 8, 4), 4, None, shots=10)
 
     def test_rejects_negative_length_and_no_sequences(self):
         with pytest.raises(ProtocolError):

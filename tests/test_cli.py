@@ -237,13 +237,20 @@ class TestCliExitCodes:
             ("cb", {"noise": {"cnot_rotation": {"*": "ZZ"}}}, [], "cnot_rotation[*] must be"),
             ("cb", {"noise": {"cnot_rotation": {"*": {"axis": "ZZ"}}}}, [],
              "cnot_rotation[*] angle must be set"),
+            ("cb", {"cb": {"m_list": [2, 2, 5, 10], "n_random": 2, "shots": 8}}, [],
+             "cb: m_list repeats a sequence length"),
+            ("qcap", {"qcap": {"m_list": [2, 4, 8, 4], "n_random": 2, "shots": 8}}, [],
+             "qcap: m_list repeats a sequence length"),
+            ("rb", {"rb": {"m_list": [2, 5, 10, 10], "n_random": 2, "shots": 8}}, [],
+             "rb: m_list repeats a sequence length"),
         ],
         ids=["seed-negative", "seed-float", "seed-bool", "seed-override", "cb-twirl",
              "rb-cb-twirl", "qcap-twirl", "noise-list", "m_list-float", "n_random-float",
              "layout-float", "steps-bool", "dt-str", "sites-3", "resamples-float", "out-int",
              "epoch-day-float", "walk-nan", "crosstalk-pair-short", "walk-negative",
              "walk-inf", "readout-bool", "t1-str", "t1-label-float", "override-label-bool",
-             "crosstalk-no-pair", "rotation-one-item", "rotation-str", "rotation-no-angle"],
+             "crosstalk-no-pair", "rotation-one-item", "rotation-str", "rotation-no-angle",
+             "cb-m_list-repeat", "qcap-m_list-repeat", "rb-m_list-repeat"],
     )
     def test_bad_value_returns_one_before_any_output(self, tmp_path, capsys, command, extra,
                                                      override, named):

@@ -306,3 +306,30 @@ def test_rekeyed_draws_equal_fresh_streams(seed, paths, odd_words):
         assert np.array_equal(
             streams[i].integers(0, 24, size=9), rng_from(seed, *path).integers(0, 24, size=9)
         )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, 2**200),
+    st.lists(st.tuples(st.sampled_from(["twirl", "rb"]), st.integers(0, 2**40)),
+             min_size=1, max_size=6),
+    st.data(),
+    st.sampled_from([1, 2, 3, 4, 24, 11520, 2**31 + 1, 2**32]),
+    st.integers(0, 70),
+)
+def test_integers_equal_per_stream_draws(seed, paths, data, high, count):
+    """One Philox/Lemire pass equals each stream's own draw; at 2**31 + 1
+    about half of all words fall in Lemire's rejection zone."""
+    streams = Streams(seed, paths)
+    # repeated, permuted or a subset
+    rows = data.draw(st.lists(st.integers(0, len(paths) - 1), max_size=8))
+    got = streams.integers(rows, high, count)
+    assert got.shape == (len(rows), count) and got.dtype == np.int64
+    for row, i in zip(got, rows):
+        assert np.array_equal(row, rng_from(seed, *paths[i]).integers(0, high, size=count))
+
+
+@pytest.mark.parametrize("high", [0, -3, 2**32 + 1])
+def test_integers_reject_high_outside_32_bits(high):
+    with pytest.raises(ValueError, match="high"):
+        Streams(1, [("x",)]).integers([0], high, 3)
