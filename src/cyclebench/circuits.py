@@ -17,7 +17,7 @@ import numpy as np
 
 from . import pauli as pl
 from .pauli import PauliString
-from .sim import embed_operator
+from .sim import _scatter
 
 SINGLE_QUBIT_GATES = ("I", "X", "Y", "Z", "H", "S", "SDG", "RZ", "C1")
 
@@ -144,90 +144,50 @@ def gate_matrix(gate: Gate) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=1024)
-def _embedded_gate(gate: Gate, positions: tuple[int, ...], n: int) -> np.ndarray:
-    """One gate embedded into the 2^n space; shared, never modified."""
-    return embed_operator(gate_matrix(gate), positions, n)
-
-
-@functools.lru_cache(maxsize=None)
-def _identity(n: int) -> np.ndarray:
-    eye = np.eye(2**n, dtype=complex)
-    eye.setflags(write=False)
-    return eye
-
-
-@functools.lru_cache(maxsize=1024)
 def _cycle_unitary_cached(gates: tuple[Gate, ...], register: tuple[int, ...]) -> np.ndarray:
-    if all(len(g.qubits) == 1 for g in gates):
-        return _easy_unitaries([gates], register)[0]
-    n = len(register)
-    full = _identity(n)
-    for g in gates:
-        pos = tuple(register.index(q) for q in g.qubits)
-        full = _embedded_gate(g, pos, n) @ full
-    return full
+    return _cycle_unitaries([gates], register)[0]
 
 
-@functools.lru_cache(maxsize=256)
-def _easy_scatter(positions: tuple[int, ...], n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Where the entries of a one-qubit-gate product over ``positions`` land
-    in the flat 2^n x 2^n matrix.
+def _cycle_unitaries(gate_rows: Sequence[tuple[Gate, ...]], register: tuple[int, ...]) -> np.ndarray:
+    """Unitaries of cycles that share one structure (the same gate qubits in
+    the same order), as a ``(b, 2^n, 2^n)`` stack.
 
-    The product is stored as ``T[sum_t (2 a_t + b_t) 4^t]`` for row bit a_t
-    and column bit b_t of gate t (the first gate least significant).  Returns
-    ``(dest, src)`` with ``U.flat[dest] = T[src]`` for every entry whose
-    idle-qubit bits agree; all other entries are 0.
+    Every entry is a single product of gate entries, taken in gate order, and
+    ``sim._scatter`` places it; a chain of embedded-gate matmuls would sum
+    that one product with exact zeros.  BLAS rounds the two products of each
+    complex multiply separately, so the build uses real arithmetic in
+    separate ufunc calls, ``re = mr*re - mi*im`` and ``im = mr*im + mi*re``,
+    and matches the chain bit for bit (numpy's complex multiply and
+    ``np.kron`` may fuse them and differ in the last bit).  CNOT entries are
+    0 and 1, so hard-cycle products are exact.
     """
-    bits = (np.arange(2**n)[:, None] >> (n - 1 - np.arange(n))) & 1
-    idle = [p for p in range(n) if p not in positions]
-    spectator = bits[:, idle] @ (1 << np.arange(len(idle)))
-    rows, cols = np.nonzero(spectator[:, None] == spectator[None, :])
-    pairs = 2 * bits[rows][:, list(positions)] + bits[cols][:, list(positions)]
-    dest = rows * 2**n + cols
-    src = pairs @ (4 ** np.arange(len(positions)))
-    dest.setflags(write=False)
-    src.setflags(write=False)
-    return dest, src
-
-
-def _easy_unitaries(gate_rows: Sequence[tuple[Gate, ...]], register: tuple[int, ...]) -> np.ndarray:
-    """Unitaries of one-qubit-gate cycles that share one structure (the same
-    gate qubits in the same order), as a ``(k, 2^n, 2^n)`` stack.
-
-    Every entry is a single product of gate entries, taken in gate order;
-    a chain of embedded-gate matmuls (kept for hard cycles) sums that one
-    product with exact zeros.  BLAS rounds the two products of each complex
-    multiply separately, so the build uses real arithmetic in separate ufunc
-    calls, ``re = mr*re - mi*im`` and ``im = mr*im + mi*re``, and matches
-    the chain bit for bit (numpy's complex multiply and ``np.kron`` may fuse
-    them and differ in the last bit).
-    """
-    k, m = len(gate_rows), len(gate_rows[0])
+    b, m = len(gate_rows), len(gate_rows[0])
     n = len(register)
     if m == 0:
-        return np.repeat(_identity(n)[None], k, axis=0)
-    positions = tuple(register.index(g.qubits[0]) for g in gate_rows[0])
-    # (m, k) codes of the distinct gate objects; their flat 2x2 matrices as
-    # (4, codes) columns
+        return np.repeat(np.eye(2**n, dtype=complex)[None], b, axis=0)
+    positions = tuple(tuple(map(register.index, g.qubits)) for g in gate_rows[0])
+    k = len(positions[0])
+    # (m, b) codes of the distinct gate objects; their flat matrices as
+    # (4^k, codes) columns
     flat = [g for gates in gate_rows for g in gates]
-    ids = np.fromiter(map(id, flat), dtype=np.uintp, count=k * m)
+    ids = np.fromiter(map(id, flat), dtype=np.uintp, count=b * m)
     _, first, code = np.unique(ids, return_index=True, return_inverse=True)
-    code = code.reshape(k, m).T
-    mats = np.stack([gate_matrix(flat[i]).reshape(4) for i in first.tolist()], axis=1)
+    code = code.reshape(b, m).T
+    mats = np.stack([gate_matrix(flat[i]).reshape(4**k) for i in first.tolist()], axis=1)
     mr, mi = np.ascontiguousarray(mats.real), np.ascontiguousarray(mats.imag)
-    # (4^t, k) partial products, cycles along the fast axis; gate t's entry
-    # index goes in front
+    # (4^(k t), b) partial products, cycles along the fast axis; gate t's
+    # entry index goes in front
     re, im = mr[:, code[0]], mi[:, code[0]]
     for t in range(1, m):
         gr, gi = mr[:, None, code[t]], mi[:, None, code[t]]
         re, im = re[None], im[None]
         re, im = gr * re - gi * im, gr * im + gi * re
-        re, im = re.reshape(-1, k), im.reshape(-1, k)
-    dest, src = _easy_scatter(positions, n)
-    full = np.zeros((4**n, k), dtype=complex)
+        re, im = re.reshape(-1, b), im.reshape(-1, b)
+    dest, src = _scatter(positions, n)
+    full = np.zeros((4**n, b), dtype=complex)
     full.real[dest] = re[src]
     full.imag[dest] = im[src]
-    return np.ascontiguousarray(full.T).reshape(k, 2**n, 2**n)
+    return np.ascontiguousarray(full.T).reshape(b, 2**n, 2**n)
 
 
 def cycle_unitary(cycle: Cycle, register: tuple[int, ...]) -> np.ndarray:
@@ -348,18 +308,9 @@ class TfimParams:
 VARIANTS = ("circuit1", "circuit2")
 
 
-def _bond_cycles(q0: int, q1: int, theta: float) -> list[Cycle]:
-    """exp(-i theta/2 XX) on one bond: H-conjugated CNOT . RZ . CNOT."""
-    return [
-        Cycle("easy", (Gate("H", (q0,)), Gate("H", (q1,)))),
-        Cycle("hard", (Gate("CNOT", (q0, q1)),)),
-        Cycle("easy", (Gate("RZ", (q1,), theta),)),
-        Cycle("hard", (Gate("CNOT", (q0, q1)),)),
-        Cycle("easy", (Gate("H", (q0,)), Gate("H", (q1,)))),
-    ]
-
-
-def _parallel_bond_cycles(pairs: list[tuple[int, int]], theta: float) -> list[Cycle]:
+def _bond_cycles(pairs: list[tuple[int, int]], theta: float) -> list[Cycle]:
+    """exp(-i theta/2 XX) on each bond of ``pairs`` at once: H-conjugated
+    CNOT . RZ . CNOT."""
     h_all = tuple(Gate("H", (q,)) for p in pairs for q in p)
     return [
         Cycle("easy", h_all),
@@ -389,17 +340,11 @@ def build_tfim_step(variant: str, params: TfimParams, layout: int | None = None)
         )
     bonds = [(register[i], register[i + 1]) for i in range(params.sites - 1)]
     theta_xx = 2.0 * params.coupling * params.dt
-    cycles: list[Cycle] = []
     if variant == "circuit1":
-        outer = bonds[0::2]
-        inner = bonds[1::2]
-        if outer:
-            cycles += _parallel_bond_cycles(outer, theta_xx)
-        for q0, q1 in inner:
-            cycles += _bond_cycles(q0, q1, theta_xx)
+        groups = [bonds[0::2]] + [[b] for b in bonds[1::2]]
     else:
-        for q0, q1 in bonds:
-            cycles += _bond_cycles(q0, q1, theta_xx)
+        groups = [[b] for b in bonds]
+    cycles = [c for group in groups for c in _bond_cycles(group, theta_xx)]
     theta_z = 2.0 * params.field * params.dt
     cycles.append(Cycle("easy", tuple(Gate("RZ", (q,), theta_z) for q in register)))
     return Circuit(register, tuple(cycles))

@@ -370,12 +370,15 @@ def _epoch_dir(out: Path, day: int, label: str) -> Path:
 def run_schedule(config: ExperimentConfig, out: Path | None = None,
                  epochs_filter: str | None = None) -> Path:
     """Execute the full multi-epoch pipeline and return the bundle root."""
+    labels = sorted({epoch.label for epoch in config.schedule.epochs})
+    if epochs_filter is not None and epochs_filter not in labels:
+        raise ConfigError(f"--epochs {epochs_filter!r} selects no epoch; the labels are {labels}")
     out = Path(out) if out is not None else Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
     epoch_estimates = []
     summary: list[str] = ["schedule summary", "================", ""]
     for epoch in config.schedule.epochs:
-        if epochs_filter and epoch.label != epochs_filter:
+        if epochs_filter is not None and epoch.label != epochs_filter:
             continue
         day, label = epoch.day, epoch.label
         model = drift_params_at(config.schedule, day, label, config.seed)

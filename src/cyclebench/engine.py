@@ -30,7 +30,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .circuits import Circuit, Cycle, _easy_unitaries, cycle_permutation, cycle_unitary
+from .circuits import Circuit, Cycle, _cycle_unitaries, cycle_permutation, cycle_unitary
 from .noise import NoiseModel, coherent_overrotation, damping_channel, pauli_channel
 from .pauli import PauliString
 from .sim import (
@@ -91,10 +91,12 @@ class Executor:
         if op is None:
             acc = None
             for k in build().operators:
-                full = embed_operator(k, positions, self.n)
-                term = np.kron(full, full.conj())
+                term = np.kron(k, k.conj())
                 acc = term if acc is None else acc + term
-            op = self._ops[key, positions] = ("kraus", acc)
+            # sum_k K (x) conj(K) on (positions, their copies n up): vec(rho)
+            # is row-major, so the column index is n more qubits
+            wide = positions + tuple(p + self.n for p in positions)
+            op = self._ops[key, positions] = ("kraus", embed_operator(acc, wide, 2 * self.n))
         return op
 
     # -- execution ---------------------------------------------------------
@@ -288,7 +290,7 @@ class Executor:
         if len(perms) == len(cycles):
             return self._permute(state, perms, slot)
         # a non-monomial cycle is easy: hard cycles hold only CNOTs
-        u = _easy_unitaries([c.gates for c in cycles], self.register)
+        u = _cycle_unitaries([c.gates for c in cycles], self.register)
         return _conjugate(state, u[0] if len(cycles) == 1 else u[slot])
 
     def _permute(self, state: np.ndarray, signed: list, slot: np.ndarray | None) -> np.ndarray:

@@ -22,7 +22,7 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Container, Iterable, Mapping, Sequence
 
 from .bench import DecayFit, DecayPoint, InfidelityEstimate, ProtocolError
 from .qcap import QcapCurve
@@ -64,12 +64,14 @@ class BackendSnapshot:
     pairs: tuple[PairRecord, ...]
 
 
-def _parse_kv(tokens: Sequence[str], lineno: int) -> dict[str, str]:
+def _parse_kv(tokens: Sequence[str], lineno: int, known: Container[str]) -> dict[str, str]:
     out = {}
     for tok in tokens:
         if "=" not in tok:
             raise SnapshotError(f"line {lineno}: malformed field {tok!r}")
         key, _, val = tok.partition("=")
+        if key not in known or key in out:
+            raise SnapshotError(f"line {lineno}: unknown or repeated field {key!r}")
         out[key] = val
     return out
 
@@ -98,6 +100,8 @@ def parse_backend_snapshot(text: str) -> BackendSnapshot:
     """Parse a recorded backend-property snapshot.
 
     Malformed rows raise with their line number; nothing is skipped silently.
+    So do rows that would make the snapshot ambiguous: a second header, a
+    repeated qubit, pair or field, a pair on one qubit and an unknown field.
     """
     day: int | None = None
     epoch: str | None = None
@@ -112,7 +116,9 @@ def parse_backend_snapshot(text: str) -> BackendSnapshot:
         tokens = line.split()
         kind = tokens[0]
         if kind == "snapshot":
-            fields = _parse_kv(tokens[1:], lineno)
+            if saw_header:
+                raise SnapshotError(f"line {lineno}: second snapshot header")
+            fields = _parse_kv(tokens[1:], lineno, ("day", "epoch", "pair_convention"))
             if "day" in fields:
                 try:
                     day = int(fields["day"])
@@ -138,7 +144,9 @@ def parse_backend_snapshot(text: str) -> BackendSnapshot:
                 label = int(tokens[1])
             except ValueError:
                 raise SnapshotError(f"line {lineno}: qubit label must be an integer") from None
-            fields = _parse_kv(tokens[2:], lineno)
+            if label in {q.qubit for q in qubits}:
+                raise SnapshotError(f"line {lineno}: qubit {label} repeated")
+            fields = _parse_kv(tokens[2:], lineno, _QUBIT_FIELDS)
             missing = set(_QUBIT_FIELDS) - set(fields)
             if missing:
                 raise SnapshotError(f"line {lineno}: qubit row missing {sorted(missing)}")
@@ -152,7 +160,11 @@ def parse_backend_snapshot(text: str) -> BackendSnapshot:
                 a, b = int(tokens[1]), int(tokens[2])
             except ValueError:
                 raise SnapshotError(f"line {lineno}: pair labels must be integers") from None
-            fields = _parse_kv(tokens[3:], lineno)
+            if a == b:
+                raise SnapshotError(f"line {lineno}: pair {a} {b} is on one qubit")
+            if (a, b) in {p.pair for p in pairs}:
+                raise SnapshotError(f"line {lineno}: pair {a} {b} repeated")
+            fields = _parse_kv(tokens[3:], lineno, ("err",))
             if "err" not in fields:
                 raise SnapshotError(f"line {lineno}: pair row missing err=")
             pairs.append(

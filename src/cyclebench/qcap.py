@@ -110,6 +110,8 @@ def qcap_rb_curve(
         raise QcapError(f"dimension {d} is not a power of two")
     if rate_sigmas is None:
         rate_sigmas = [0.0] * len(cnot_error_rates)
+    if len(rate_sigmas) != len(cnot_error_rates):
+        raise QcapError(f"{len(cnot_error_rates)} rates but {len(rate_sigmas)} sigmas")
     scale = 1.0 if rates_are_infidelities else (d + 1) / d
     per_step = []
     for r, s in zip(cnot_error_rates, rate_sigmas):

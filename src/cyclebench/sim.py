@@ -20,6 +20,7 @@ or draws integers from many of them in one vectorised Philox pass.
 
 from __future__ import annotations
 
+import functools
 import zlib
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -331,18 +332,39 @@ class KrausChannel:
 # ---------------------------------------------------------------------------
 # Operator embedding
 
+@functools.lru_cache(maxsize=256)
+def _scatter(positions: tuple[tuple[int, ...], ...], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Where the entries of a product of k-qubit gates, one tuple of
+    ``positions`` per gate (all of one arity k), land in the flat 2^n x 2^n
+    matrix: the one placement rule for gates, cycles and superoperators.
+
+    The product is stored as ``T[sum_t (r_t 2^k + c_t) 4^(k t)]`` for row r_t
+    and column c_t of gate t (the first gate least significant; within a
+    gate, its first position is the most significant bit).  Returns
+    ``(dest, src)`` with ``U.flat[dest] = T[src]`` for every entry whose
+    idle-qubit bits agree; all other entries are 0.
+    """
+    pos = np.array(positions)
+    m, k = pos.shape
+    bits = (np.arange(2**n)[:, None] >> (n - 1 - np.arange(n))) & 1
+    idle = [p for p in range(n) if p not in pos]
+    spectator = bits[:, idle] @ (1 << np.arange(len(idle)))
+    rows, cols = np.nonzero(spectator[:, None] == spectator[None, :])
+    local = 1 << np.arange(k)[::-1]
+    entry = (bits[rows][:, pos] @ local) * 2**k + bits[cols][:, pos] @ local
+    dest = rows * 2**n + cols
+    src = entry @ (4 ** (k * np.arange(m)))
+    dest.setflags(write=False)
+    src.setflags(write=False)
+    return dest, src
+
+
 def embed_operator(op: np.ndarray, targets: tuple[int, ...], n: int) -> np.ndarray:
     """Embed a k-qubit operator on ``targets`` into the full 2^n space."""
-    k = len(targets)
-    if k == n and tuple(targets) == tuple(range(n)):
-        return op
-    big = np.kron(op, np.eye(2 ** (n - k), dtype=complex))
-    # Axis order of `big`: targets first, then the remaining qubits ascending.
-    order = list(targets) + [q for q in range(n) if q not in targets]
-    inv = np.argsort(order)
-    tensor = big.reshape([2] * (2 * n))
-    perm = list(inv) + [n + i for i in inv]
-    return tensor.transpose(perm).reshape(2**n, 2**n)
+    dest, src = _scatter((tuple(targets),), n)
+    full = np.zeros(4**n, dtype=complex)
+    full[dest] = op.reshape(-1)[src]
+    return full.reshape(2**n, 2**n)
 
 
 def expectation_pauli(state: State, pauli: PauliString) -> float:

@@ -80,7 +80,7 @@ def apply_unitary(state, gate: np.ndarray, targets):
     """Apply a unitary on the given target qubits of a ``StateVector`` or
     ``DensityMatrix``, returning the same representation.  The gate must be
     unitary within 1e-10 and act on as many qubits as there are targets."""
-    from cyclebench.sim import DensityMatrix, SimulationError, StateVector, embed_operator
+    from cyclebench.sim import DensityMatrix, SimulationError, StateVector
 
     gate = np.asarray(gate, dtype=complex)
     arity = int(np.log2(gate.shape[0]))
@@ -88,7 +88,7 @@ def apply_unitary(state, gate: np.ndarray, targets):
     _check_targets(tuple(targets), n, arity)
     if np.max(np.abs(gate.conj().T @ gate - np.eye(gate.shape[0]))) > 1e-10:
         raise SimulationError("gate is not unitary within 1e-10")
-    full = embed_operator(gate, tuple(targets), n)
+    full = embed(gate, tuple(targets), n)
     if isinstance(state, StateVector):
         return StateVector(full @ state.amplitudes)
     return DensityMatrix(full @ state.entries @ full.conj().T)
@@ -103,14 +103,14 @@ def identity_channel(arity: int = 1):
 def apply_channel(rho, channel, targets):
     """Apply a validated Kraus channel to a ``DensityMatrix`` on the given
     targets, as an explicit Kraus sum."""
-    from cyclebench.sim import DensityMatrix, SimulationError, embed_operator
+    from cyclebench.sim import DensityMatrix, SimulationError
 
     if not isinstance(rho, DensityMatrix):
         raise SimulationError("channels act on density matrices")
     channel.validate()
     n = rho.n_qubits
     _check_targets(tuple(targets), n, channel.arity)
-    ops = [embed_operator(k, tuple(targets), n) for k in channel.operators]
+    ops = [embed(k, tuple(targets), n) for k in channel.operators]
     return DensityMatrix(apply_kraus_dense(rho.entries, ops))
 
 

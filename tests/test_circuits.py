@@ -11,7 +11,7 @@ from cyclebench.circuits import (
     Cycle,
     Gate,
     TfimParams,
-    _easy_unitaries,
+    _cycle_unitaries,
     build_tfim_circuit,
     build_tfim_step,
     cycle_permutation,
@@ -324,7 +324,7 @@ class TestEasyCycleUnitaries:
             Cycle("easy", (Gate(a, (0,), pa), Gate(b, (1,), pb)))
             for a, pa in ONE_QUBIT_GATES for b, pb in ONE_QUBIT_GATES
         ]
-        batched = _easy_unitaries([c.gates for c in cycles], register)
+        batched = _cycle_unitaries([c.gates for c in cycles], register)
         for cyc, u in zip(cycles, batched):
             expected = oracles.reference_cycle_unitary(cyc, register)
             assert np.array_equal(u, expected), cyc
@@ -336,7 +336,7 @@ class TestEasyCycleUnitaries:
         cyc, register = case
         expected = oracles.reference_cycle_unitary(cyc, register)
         assert np.array_equal(cycle_unitary(cyc, register), expected)
-        assert np.array_equal(_easy_unitaries([cyc.gates], register)[0], expected)
+        assert np.array_equal(_cycle_unitaries([cyc.gates], register)[0], expected)
 
     @pytest.mark.parametrize("size", [1, 7, 256])
     def test_batched_equals_per_cycle(self, size):
@@ -347,7 +347,7 @@ class TestEasyCycleUnitaries:
         for order in ((5, 2, 9, 4), (4, 2, 5), (9,)):
             batch = [Cycle("easy", tuple(gates[q][k] for q, k in zip(order, picks)))
                      for picks in rng.integers(len(ONE_QUBIT_GATES), size=(size, len(order)))]
-            stack = _easy_unitaries([c.gates for c in batch], register)
+            stack = _cycle_unitaries([c.gates for c in batch], register)
             assert stack.shape == (len(batch), 16, 16)
             for cyc, u in zip(batch, stack):
                 assert np.array_equal(u, cycle_unitary(cyc, register))
@@ -356,4 +356,30 @@ class TestEasyCycleUnitaries:
     def test_empty_cycle_is_identity(self):
         cyc = Cycle("easy", ())
         assert np.array_equal(cycle_unitary(cyc, (3, 1)), np.eye(4))
-        assert np.array_equal(_easy_unitaries([(), ()], (3, 1)), np.stack([np.eye(4)] * 2))
+        assert np.array_equal(_cycle_unitaries([(), ()], (3, 1)), np.stack([np.eye(4)] * 2))
+
+
+@st.composite
+def hard_cycles(draw, max_qubits=5):
+    """A hard cycle on a permuted register of 2-5 labels: one CNOT, or two on
+    disjoint pairs when there are four labels or more, in random order."""
+    n = draw(st.integers(2, max_qubits))
+    register = tuple(draw(st.permutations(range(2 * max_qubits)))[:n])
+    busy = draw(st.permutations(register))
+    n_gates = draw(st.integers(1, 2)) if n >= 4 else 1
+    gates = tuple(Gate("CNOT", busy[2 * i:2 * i + 2]) for i in range(n_gates))
+    return Cycle("hard", gates), register
+
+
+class TestHardCycleUnitaries:
+    """Hard cycles take the same product build and scatter as easy ones; CNOT
+    entries are 0 and 1, so the result is the matmul chain exactly."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(hard_cycles())
+    def test_matches_the_chain(self, case):
+        cyc, register = case
+        expected = oracles.reference_cycle_unitary(cyc, register)
+        assert np.array_equal(cycle_unitary(cyc, register), expected)
+        stack = _cycle_unitaries([cyc.gates, cyc.gates], register)
+        assert np.array_equal(stack, np.stack([expected] * 2))

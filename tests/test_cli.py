@@ -371,6 +371,13 @@ class TestCliExitCodes:
         assert main(["ingest", str(snap)]) == 1
         assert "line 1: t1=nan" in capsys.readouterr().err
 
+    def test_ingest_second_header_returns_one(self, tmp_path, capsys):
+        snap = tmp_path / "snap.txt"
+        snap.write_text("snapshot day=1 pair_convention=raw-r\npair 6 7 err=0.01\n"
+                        "snapshot day=1 pair_convention=process-infidelity\npair 7 12 err=0.01\n")
+        assert main(["ingest", str(snap)]) == 1
+        assert "line 3: second snapshot header" in capsys.readouterr().err
+
 
 @pytest.fixture(scope="module")
 def schedule_run(tmp_path_factory):
@@ -589,6 +596,17 @@ class TestEpochFilter:
         out = tmp_path / "out"
         assert (out / "day1_night").exists()
         assert not (out / "day1_morning").exists()
+
+    @pytest.mark.parametrize("label", ["bogus", ""])
+    def test_label_that_selects_no_epoch_returns_one_before_any_output(self, tmp_path, capsys,
+                                                                      label):
+        cfg = base_config(str(tmp_path / "out"))
+        cfg["schedule"] = {"epochs": [{"day": 1, "label": "night"}, {"day": 2, "label": "morning"}]}
+        path = write_config(tmp_path, cfg)
+        assert main(["schedule", "--config", str(path), "--epochs", label]) == 1
+        assert f"--epochs {label!r} selects no epoch; the labels are ['morning', 'night']" in (
+            capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
 
 
 class TestStandaloneCommands:

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclebench.bench import TWIRL_GROUPS, execute_collection, make_cb
-from cyclebench.circuits import Circuit, Cycle, Gate, _easy_unitaries, cycle_permutation
+from cyclebench.circuits import Circuit, Cycle, Gate, _cycle_unitaries, cycle_permutation
 from cyclebench import engine, sim
 from cyclebench.engine import Executor
 from cyclebench.noise import CrosstalkTerm, NoiseModel, confusion_from_scalar
@@ -129,6 +129,30 @@ class TestCompositionOrder:
         swapped = oracles.CNOT_MAT @ rot @ h_full @ vec
         assert np.max(np.abs(state - correct)) < 1e-12
         assert np.max(np.abs(state - swapped)) > 1e-3
+
+
+class TestCompiledOps:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 5).flatmap(lambda n: st.tuples(
+        st.just(n), st.permutations(range(n)), st.integers(1, min(n, 2)), st.integers(1, 4),
+        st.integers(0, 2**32 - 1))))
+    def test_superoperator_is_the_sum_of_embedded_krons(self, case):
+        """The local sum of K (x) conj(K), placed on the positions and their
+        column copies, equals the Kraus sum of full-size krons."""
+        n, order, k, terms, seed = case
+        positions = tuple(order[:k])
+        rng = np.random.default_rng(seed)
+        kraus = tuple(rng.normal(size=(2**k, 2**k)) + 1j * rng.normal(size=(2**k, 2**k))
+                      for _ in range(terms))
+        kind, superop = Executor(tuple(range(n)))._kraus(
+            "random", positions, lambda: sim.KrausChannel(kraus))
+        expected = None
+        for op in kraus:
+            full = oracles.embed(op, positions, n)
+            term = np.kron(full, full.conj())
+            expected = term if expected is None else expected + term
+        assert kind == "kraus"
+        assert np.array_equal(superop, expected)
 
 
 class TestIdleDamping:
@@ -704,8 +728,8 @@ class TestMonomialLayers:
         reference = [oracles.reference_run(ex, c).entries for c in circuits]
         looked_up = []
         monkeypatch.setattr(
-            engine, "_easy_unitaries",
-            lambda rows, r: looked_up.extend(rows) or _easy_unitaries(rows, r),
+            engine, "_cycle_unitaries",
+            lambda rows, r: looked_up.extend(rows) or _cycle_unitaries(rows, r),
         )
         for i, state in _run_many_states(ex, circuits).items():
             assert np.array_equal(state.entries, reference[i])

@@ -93,6 +93,22 @@ class TestSnapshotParsing:
         with pytest.raises(SnapshotError, match="missing"):
             parse_backend_snapshot("qubit 6 t1=67 t2=90\n")
 
+    @pytest.mark.parametrize("row, named", [
+        ("snapshot day=2 epoch=night pair_convention=raw-r", "line 6: second snapshot header"),
+        ("qubit 6 t1=50.0 t2=60.0 ro=0.01 u2=0.001 u3=0.001", "line 6: qubit 6 repeated"),
+        ("pair 6 7 err=0.05", "line 6: pair 6 7 repeated"),
+        ("pair 6 6 err=0.01", "line 6: pair 6 6 is on one qubit"),
+        ("qubit 8 t1=67 t2=90 ro=0.01 u2=0 u3=0 extra=1",
+         "line 6: unknown or repeated field 'extra'"),
+        ("pair 7 6 err=0.01 sigma=0.001", "line 6: unknown or repeated field 'sigma'"),
+        ("qubit 8 t1=67 t1=20 t2=90 ro=0.01 u2=0 u3=0",
+         "line 6: unknown or repeated field 't1'"),
+    ], ids=["second-header", "repeated-qubit", "repeated-pair", "one-qubit-pair",
+            "qubit-extra-field", "pair-extra-field", "repeated-field"])
+    def test_rejects_ambiguous_rows(self, row, named):
+        with pytest.raises(SnapshotError, match=named):
+            parse_backend_snapshot(SNAPSHOT + row + "\n")
+
     def test_bad_convention(self):
         with pytest.raises(SnapshotError):
             parse_backend_snapshot("snapshot day=1 epoch=morning pair_convention=guess\n")

@@ -47,6 +47,12 @@ class TestRbCurve:
         with pytest.raises(QcapError):
             qcap_rb_curve([0.01], d=4, steps=[-1])
 
+    @pytest.mark.parametrize("sigmas", [[0.001], [0.001] * 4, []])
+    def test_rejects_sigmas_of_another_length(self, sigmas):
+        """Every rate is a CNOT factor of the step; none is dropped."""
+        with pytest.raises(QcapError, match=f"3 rates but {len(sigmas)} sigmas"):
+            qcap_rb_curve([0.01, 0.02, 0.03], d=4, steps=[1], rate_sigmas=sigmas)
+
 
 class TestCbCurve:
     def test_zero_infidelity_flat(self):

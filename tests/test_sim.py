@@ -215,9 +215,20 @@ def test_embed_operator_matches_oracle():
         k = int(rng.integers(1, min(n, 2) + 1))
         targets = tuple(int(t) for t in rng.choice(n, size=k, replace=False))
         gate = random_unitary(rng, 2**k)
-        assert np.allclose(
-            embed_operator(gate, targets, n), oracles.embed(gate, targets, n), atol=1e-12
-        )
+        assert np.array_equal(embed_operator(gate, targets, n), oracles.embed(gate, targets, n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(
+    st.just(n), st.permutations(range(n)), st.integers(1, n), st.integers(0, 2**32 - 1))))
+def test_embed_operator_places_every_entry(case):
+    """Any arity on any targets in any order: the oracle's projector sum,
+    entry for entry."""
+    n, order, k, seed = case
+    targets = tuple(order[:k])
+    rng = np.random.default_rng(seed)
+    op = rng.normal(size=(2**k, 2**k)) + 1j * rng.normal(size=(2**k, 2**k))
+    assert np.array_equal(embed_operator(op, targets, n), oracles.embed(op, targets, n))
 
 
 class TestPhaseComparison:
