@@ -130,6 +130,9 @@ def _basis_cycle(letters: str, register: tuple[int, ...], c1) -> Cycle:
 
 
 def _check_lengths(m_list: Sequence[int], n_random: int) -> None:
+    for what, v in [*(("an m_list length", m) for m in m_list), ("n_random", n_random)]:
+        if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+            raise ProtocolError(f"{what} must be an integer, got {v!r}")
     if len(set(m_list)) < 3:
         raise ProtocolError("m_list needs at least three distinct sequence lengths")
     if len(set(m_list)) != len(m_list):
@@ -524,48 +527,38 @@ def run_rb(
     _check_lengths(m_list, n_random)
     if shots is not None and shots < 1:
         raise ProtocolError("shots must be >= 1")
-    group_size = pl.clifford_count(n)
     executor = Executor(register, noise)
     floor = 1.0 / 2**n
-    # one-gate cycles, interned per (name, local positions, param)
-    cycles: dict[tuple, Cycle] = {}
 
-    def one_gate_cycle(spec: tuple) -> Cycle:
-        if spec not in cycles:
-            name, pos, param = spec
-            gate = Gate(name, tuple(register[p] for p in pos), param)
-            cycles[spec] = Cycle("hard" if name == "CNOT" else "easy", (gate,))
-        return cycles[spec]
+    @functools.cache
+    def gate_cycle(name: str, *pos: int, param: int | None = None) -> Cycle:
+        gate = Gate(name, tuple(register[p] for p in pos), param)
+        return Cycle("hard" if name == "CNOT" else "easy", (gate,))
+
+    def element(k: int) -> tuple[Cycle, ...]:
+        """Element k as one-gate cycles: one C1 (its index is k) on one qubit, its word on two."""
+        if n == 1:
+            return (gate_cycle("C1", 0, param=k),)
+        return tuple(gate_cycle(*spec) for spec in pl.clifford_word(n, k))
 
     lengths = sorted(int(v) for v in m_list)
     streams = Streams(seed, (("rb", m, j) for m in lengths for j in range(n_random)))
-    if shots is not None:
-        count_streams = Streams(seed, (("rb-exec", i) for i in range(len(lengths) * n_random)))
-    points: list[DecayPoint] = []
+    circuits = []
     for mi, m in enumerate(lengths):
         # one draw of m per stream reads the same values as m single draws
-        draws = streams.integers(range(mi * n_random, (mi + 1) * n_random), group_size, m)
-        for row in draws.tolist():
-            logical: list[tuple[str, tuple[int, ...], int | None]] = []
-            for k in row:
-                if n == 1:
-                    logical.append(("C1", (0,), k))
-                else:
-                    logical.extend((name, tuple(pos), None) for name, *pos in pl.clifford_word(n, k))
-            if n == 1:
-                # C1 indices are clifford_group(1) indices: the inverse is one C1
-                logical.append(("C1", (0,), pl.clifford_inverse(1, logical)))
-            else:
-                inverse_word = pl.clifford_inverse_word(n, logical)
-                logical.extend((name, tuple(pos), None) for name, *pos in inverse_word)
-            circuit = Circuit(register, tuple(one_gate_cycle(spec) for spec in logical))
-            probs = executor.outcome_probabilities(executor.run(circuit))
-            if shots is None:
-                survival, err = float(probs[0]), 0.0
-            else:
-                survival = int(count_streams[len(points)].multinomial(shots, probs)[0]) / shots
-                err = math.sqrt(max(0.0, survival * (1 - survival)) / shots)
-            points.append(DecayPoint("survival", m, len(points), survival - floor, err))
+        draws = streams.integers(range(mi * n_random, (mi + 1) * n_random), pl.clifford_count(n), m)
+        for row in np.column_stack([draws, pl.clifford_inverses(n, draws)]).tolist():
+            circuits.append(Circuit(register, sum(map(element, row), ())))
+    if shots is not None:
+        count_streams = Streams(seed, (("rb-exec", i) for i in range(len(circuits))))
+    points: list[DecayPoint] = []
+    for i, probs in enumerate(executor.probabilities(executor.run_each(circuits))):
+        if shots is None:
+            survival, err = float(probs[0]), 0.0
+        else:
+            survival = int(count_streams[i].multinomial(shots, probs)[0]) / shots
+            err = math.sqrt(max(0.0, survival * (1 - survival)) / shots)
+        points.append(DecayPoint("survival", lengths[i // n_random], i, survival - floor, err))
     fit = fit_decay(points, resamples=resamples, seed=seed, pauli="survival")
     d = 2**n
     r, e_f = rb_to_process_infidelity(d, p=fit.decay)

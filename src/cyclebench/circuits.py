@@ -153,13 +153,12 @@ def _cycle_unitaries(gate_rows: Sequence[tuple[Gate, ...]], register: tuple[int,
     the same order), as a ``(b, 2^n, 2^n)`` stack.
 
     Every entry is a single product of gate entries, taken in gate order, and
-    ``sim._scatter`` places it; a chain of embedded-gate matmuls would sum
-    that one product with exact zeros.  BLAS rounds the two products of each
-    complex multiply separately, so the build uses real arithmetic in
-    separate ufunc calls, ``re = mr*re - mi*im`` and ``im = mr*im + mi*re``,
-    and matches the chain bit for bit (numpy's complex multiply and
-    ``np.kron`` may fuse them and differ in the last bit).  CNOT entries are
-    0 and 1, so hard-cycle products are exact.
+    ``sim._scatter`` places it.  The build uses real arithmetic in separate
+    ufunc calls, ``re = mr*re - mi*im`` and ``im = mr*im + mi*re``, so each
+    real product is rounded on its own on every CPU; numpy's complex
+    multiply, ``np.kron`` and a BLAS matmul chain may fuse them, depending
+    on the kernel, and differ in the last bit.  CNOT entries are 0 and 1, so
+    hard-cycle products are exact.
     """
     b, m = len(gate_rows), len(gate_rows[0])
     n = len(register)

@@ -11,17 +11,15 @@ Per cycle the engine applies: the ideal cycle unitary, then coherent CNOT
 rotations, then crosstalk rotations (hard cycles only), then the stochastic
 Pauli channel of each gate, then damping (gate qubits for the gate's
 duration, idle qubits for the cycle duration).  Everything after the ideal
-unitary is one op list per cycle structure (``Executor._tail``).  There is
-one execution kernel, ``Executor._run_stack``, which advances a stack of
-equally long circuits layer by layer: ``run_many`` feeds it stacks of up to
-``CHUNK`` circuits, ``run`` and ``advance`` a stack of one.  The cycles of
-one layer share one structure, so each layer looks up one tail for the
-whole stack.  A stack of one takes the cached cycle unitary; larger stacks
-apply layers of monomial cycles (Pauli twirls, CNOTs) as signed
-permutations and build the unitaries of other (easy) layers in one pass.
-Readout works on whole stacks too: ``Executor.probabilities`` turns a stack
-into outcome rows, ``Executor.measured_expectation`` samples and scores
-them, and ``Executor.outcome_probabilities`` is the former on a stack of one.
+unitary is one op list per cycle structure (``Executor._tail``).
+
+Two kernels advance stacks, with one BLAS call of a single circuit's shape
+per circuit and op, so no state depends on its stack.  ``run_many`` feeds
+``_run_stack`` up to ``CHUNK`` equally long circuits whose layers share one
+structure each (CB collections), monomial layers as signed permutations.
+``run_each``, ``run`` and ``advance`` feed ``_run_each`` any circuits as
+per-row op codes.  ``probabilities`` and ``measured_expectation`` read out
+whole stacks.
 """
 
 from __future__ import annotations
@@ -104,15 +102,18 @@ class Executor:
     def run(self, circuit: Circuit, initial: State | None = None) -> State:
         """Prepare ``initial`` (default |0...0>), with this model's
         preparation flips, and apply every cycle of ``circuit``."""
-        self._check_register(circuit)
         state = self._zero_stack(1) if initial is None else self._stack_of(initial)
-        return _wrap(self._run_stack([circuit], self._apply_tail(state, self._prep))[0])
+        return _wrap(self._run_each([circuit], self._apply_tail(state, self._prep))[0])
 
     def advance(self, state: State, circuit: Circuit) -> State:
         """Apply ``circuit``'s cycles to ``state``, without preparation:
         ``advance(run(a), b)`` equals ``run`` of a followed by b bit for bit."""
-        self._check_register(circuit)
-        return _wrap(self._run_stack([circuit], self._stack_of(state))[0])
+        return _wrap(self._run_each([circuit], self._stack_of(state))[0])
+
+    def run_each(self, circuits: Sequence[Circuit]) -> np.ndarray:
+        """Final states of ``circuits``, of any structures and cycle counts, as
+        one stack in input order; row i is bit-identical to ``run(circuits[i])``."""
+        return self._run_each(circuits, self._apply_tail(self._zero_stack(len(circuits)), self._prep))
 
     def run_many(self, circuits: Sequence[Circuit]) -> Iterator[tuple[list[int], np.ndarray]]:
         """Run many circuits from |0...0>, yielding ``(indices, stack)``: the
@@ -240,24 +241,56 @@ class Executor:
 
     # -- the kernel ----------------------------------------------------------
 
+    def _run_each(self, circuits: Sequence[Circuit], state: np.ndarray) -> np.ndarray:
+        """Apply each circuit's cycles to its row of a stack of initial states,
+        as op codes interned per call: each cycle's ``cycle_unitary``, then its
+        ``_tail``.  Sorted longest first and aligned at the end, the started rows
+        are a prefix, which gathers its matrices and takes one matmul per kind."""
+        tables = {"unitary": [], "kraus": []}  # by kind, matrices by code
+        seen: dict[int, int] = {}  # id(matrix) -> code: c a unitary, ~c a superoperator
+        compiled: dict[int, list[int]] = {}  # id(cycle) -> codes
+        for circuit in circuits:
+            self._check_register(circuit)
+        for cyc in {id(c): c for circuit in circuits for c in circuit.cycles}.values():
+            ops = (("unitary", cycle_unitary(cyc, self.register)),) + self._tail(cyc)
+            for kind, m in ops:
+                if id(m) not in seen:
+                    seen[id(m)] = len(tables[kind]) if kind == "unitary" else ~len(tables[kind])
+                    tables[kind].append(m)
+            compiled[id(cyc)] = [seen[id(m)] for _, m in ops]
+        programs = [[c for cyc in circuit.cycles for c in compiled[id(cyc)]] for circuit in circuits]
+        lengths = [len(p) for p in programs]
+        order = sorted(range(len(programs)), key=lengths.__getitem__, reverse=True)
+        steps = max(lengths, default=0)
+        codes = np.array([[0] * (steps - lengths[i]) + programs[i] for i in order], dtype=np.intp)
+        codes = codes.reshape(len(order), steps)
+        started = np.searchsorted(-np.sort(lengths)[::-1], np.arange(steps) - steps, side="right")
+        if len(programs) > 1:
+            tables = {kind: np.stack(t) for kind, t in tables.items() if t}
+        state = state[order]
+        for t, (a, k) in enumerate(zip(started.tolist(), (codes < 0).sum(axis=0).tolist())):
+            step = codes[:a, t]
+            if k == 0:
+                state[:a] = self._apply_unitary(state[:a], _take(tables["unitary"], step))
+            elif k == a:
+                state[:a] = self._apply_kraus(state[:a], _take(tables["kraus"], ~step))
+            else:
+                u, s = np.flatnonzero(step >= 0), np.flatnonzero(step < 0)
+                state[u] = self._apply_unitary(state[u], _take(tables["unitary"], step[u]))
+                state[s] = self._apply_kraus(state[s], _take(tables["kraus"], ~step[s]))
+        return state[np.argsort(order)]
+
     def _run_stack(self, circuits: list[Circuit], state: np.ndarray) -> np.ndarray:
-        """Apply equally long circuits' cycles to a stack of initial states,
-        (b, d, d) densities or (b, d, 1) amplitudes, one circuit per state.
+        """Apply equally long circuits' cycles, one structure per layer, to a
+        stack of initial states, (b, d, d) densities or (b, d, 1) amplitudes.
 
         Every op reads density from the stack's last axis: a pure stack stays
         pure, since only a model that introduces channels has Kraus ops."""
-        one, dense = len(circuits) == 1, state.shape[-1] != 1
         # id(cycle) -> cycle_permutation, for this call: the circuits hold
         # their cycles alive, and interned twirls recur across layers
         signed: dict[int, tuple | None] = {}
         for layer in zip(*(c.cycles for c in circuits)):
-            if one:
-                # a stack of one (an RB sequence, a Trotter step): the cached
-                # cycle unitary and a plain matmul, without per-cycle helper calls
-                u = cycle_unitary(layer[0], self.register)
-                state = u @ state @ u.conj().T if dense else u @ state
-            else:
-                state = self._apply_layer(state, layer, signed)
+            state = self._apply_layer(state, layer, signed)
             tail = self._tail(layer[0])
             if tail:
                 state = self._apply_tail(state, tail)
@@ -265,8 +298,7 @@ class Executor:
 
     def _apply_layer(self, state: np.ndarray, layer: tuple[Cycle, ...], signed: dict) -> np.ndarray:
         """The ideal unitaries of one layer of one structure, one cycle per
-        circuit of a stack of two or more; ``signed`` caches
-        ``cycle_permutation`` by cycle id."""
+        circuit of a stack; ``signed`` caches ``cycle_permutation`` by cycle id."""
         # distinct cycle objects (CB collections intern them) in order of
         # first appearance, so lookups run in the same order on every run,
         # and each circuit's slot among them when there are several
@@ -346,13 +378,6 @@ class Executor:
             probs = np.abs(np.diagonal(stack, axis1=1, axis2=2).real)
         return readout_distribution(probs / probs.sum(axis=1, keepdims=True), self._readout, self.n)
 
-    def outcome_probabilities(self, state: State) -> np.ndarray:
-        """``probabilities`` of one state."""
-        self._check_width("state", state.n_qubits)
-        if isinstance(state, DensityMatrix):
-            return self.probabilities(state.entries[None])[0]
-        return self.probabilities(state.amplitudes.reshape(1, -1, 1))[0]
-
     def measured_expectation(
         self, probs: np.ndarray, observables: Sequence[PauliString], shots: int | None,
         streams=None, indices: Sequence[int] = (),
@@ -398,6 +423,11 @@ def _conjugate(state: np.ndarray, u: np.ndarray) -> np.ndarray:
     if state.shape[-1] == 1:
         return state
     return np.matmul(state, u.conj().swapaxes(-1, -2))
+
+
+def _take(table, step: np.ndarray):
+    """A step's matrices: a lone row's own, read in place, or one gather from the stacked table."""
+    return table[step[0]] if len(step) == 1 else table[step]
 
 
 def _wrap(state: np.ndarray) -> State:

@@ -332,20 +332,60 @@ def clifford_word(n: int, idx: int) -> tuple[GateSpec, ...]:
 
 
 def clifford_inverse(n: int, gates) -> int:
-    """Group index of the inverse of a Clifford gate sequence.
-
-    ``gates`` holds (name, positions, param) triples.  If the sequence C maps
-    P to s * Q, its inverse maps Q back to s * P, so the inverse tableau is
-    read off the composed frame table at the generators' preimages and looked
-    up in the enumerated group.
-    """
+    """Group index of the inverse of a sequence of (name, positions, param)."""
     table = frame_table(gates, n)
-    preimage = np.empty_like(table.image)
-    preimage[table.image] = np.arange(4**n)
-    pre = preimage[_generator_indices(n)]
-    return clifford_group(n)[1][tuple((table.sign[pre] * pre).tolist())]
+    return _inverse_indices(n, table.image[None], table.sign[None])[0]
+
+
+def _inverse_indices(n: int, image: np.ndarray, sign: np.ndarray) -> list[int]:
+    """Group indices of the inverses of (rows, 4^n) frame tables: if C maps P
+    to s * Q, its inverse maps Q to s * P, read off at the generators' preimages."""
+    pre = (image[:, :, None] == _generator_indices(n)).argmax(axis=1)  # generator preimages
+    keys = np.take_along_axis(sign, pre, axis=1) * pre
+    index = clifford_group(n)[1]
+    return [index[key] for key in map(tuple, keys.tolist())]
 
 
 def clifford_inverse_word(n: int, gates) -> tuple[GateSpec, ...]:
     """Canonical word for the inverse of a Clifford gate sequence."""
     return clifford_word(n, clifford_inverse(n, gates))
+
+
+@functools.lru_cache(maxsize=2)
+def clifford_tables(n: int) -> FrameTable:
+    """Read-only (N, 4^n) ``uint8`` images and ``int8`` signs of every
+    ``clifford_group(n)`` element, in its order.  Per BFS level and generator,
+    the parents' tables followed by the generator's are one gather."""
+    words = clifford_group(n)[0]
+    gens = sorted({word[-1] for word in words[1:]})
+    depth = np.fromiter(map(len, words), np.uint8, len(words))
+    # BFS appends each element's children as one block, in element order
+    parent, last, p = np.zeros(len(words), dtype=np.int32), np.zeros(len(words), dtype=np.uint8), 0
+    for i, word in enumerate(words[1:], 1):
+        while word[:-1] != words[p]:
+            p += 1
+        parent[i], last[i] = p, gens.index(word[-1])
+    image = np.zeros((len(words), 4**n), dtype=np.uint8)
+    sign = np.ones((len(words), 4**n), dtype=np.int8)
+    image[0] = np.arange(4**n)
+    for level in range(1, depth[-1] + 1):
+        for k, (g_image, g_sign) in enumerate(gate_table(name, tuple(pos), n) for name, *pos in gens):
+            rows = np.flatnonzero((depth == level) & (last == k))
+            above = image[parent[rows]]
+            sign[rows] = sign[parent[rows]] * g_sign[above]
+            image[rows] = g_image[above]
+    image.setflags(write=False)
+    sign.setflags(write=False)
+    return FrameTable(image, sign)
+
+
+def clifford_inverses(n: int, draws: np.ndarray) -> list[int]:
+    """``clifford_inverse`` of each row of ``draws``, (rows, m) group indices:
+    the rows' ``clifford_tables`` compose at once, one gather per position."""
+    image, sign = clifford_tables(n)
+    composed = np.broadcast_to(np.arange(4**n, dtype=np.uint8), (len(draws), 4**n))
+    signs = np.ones(composed.shape, dtype=np.int8)
+    for col in np.asarray(draws).T[:, :, None]:
+        signs = signs * sign[col, composed]
+        composed = image[col, composed]
+    return _inverse_indices(n, composed, signs)

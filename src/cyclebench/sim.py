@@ -400,12 +400,14 @@ def readout_distribution(
 ) -> np.ndarray:
     """Push ideal bitstring distributions, the last axis of ``probs``, through
     per-qubit confusion matrices, which the caller has validated
-    (``NoiseModel`` does on entry)."""
+    (``NoiseModel`` does on entry), by one single-row matmul per row and qubit."""
     if not readout:
         return probs
     tensor = probs.reshape((-1,) + (2,) * n)
     for q in sorted(readout):
-        tensor = np.moveaxis(np.tensordot(tensor, readout[q], axes=([q + 1], [0])), -1, q + 1)
+        moved = np.moveaxis(tensor, q + 1, -1)
+        out = np.matmul(moved.reshape(len(tensor), -1, 2), readout[q]).reshape(moved.shape)
+        tensor = np.moveaxis(out, -1, q + 1)
     return tensor.reshape(probs.shape)
 
 

@@ -461,6 +461,21 @@ def reference_run(executor, circuit, initial=None, prepare=True):
     return StateVector(state) if state.ndim == 1 else DensityMatrix(state)
 
 
+def reference_probabilities(executor, state):
+    """Born probabilities of one ``state``, renormalised, through
+    ``executor``'s confusion matrices one qubit at a time."""
+    probs = state.probabilities()
+    probs = probs / probs.sum()
+    if executor._readout:
+        tensor = probs.reshape([2] * executor.n)
+        for q in sorted(executor._readout):
+            tensor = np.moveaxis(
+                np.tensordot(tensor, executor._readout[q], axes=([q], [0])), -1, q
+            )
+        probs = tensor.reshape(-1)
+    return probs
+
+
 def measured_expectation(executor, state, observable, shots, seed=0):
     """One circuit's readout, the per-circuit loop that the stacked
     ``Executor.measured_expectation`` replaced: Born probabilities of
@@ -471,15 +486,7 @@ def measured_expectation(executor, state, observable, shots, seed=0):
     from cyclebench.sim import rng_from
 
     n = executor.n
-    probs = state.probabilities()
-    probs = probs / probs.sum()
-    if executor._readout:
-        tensor = probs.reshape([2] * n)
-        for q in sorted(executor._readout):
-            tensor = np.moveaxis(
-                np.tensordot(tensor, executor._readout[q], axes=([q], [0])), -1, q
-            )
-        probs = tensor.reshape(-1)
+    probs = reference_probabilities(executor, state)
     idx = np.arange(2**n)
     acc = np.zeros(2**n, dtype=int)
     for q in observable.support:
@@ -512,6 +519,61 @@ def reference_execute_collection(coll, noise, shots):
     return points
 
 
+def reference_run_rb(qubits, m_list, n_random, noise, shots, seed=0, resamples=200, label=""):
+    """``run_rb`` one sequence at a time: m draws of stream ``(seed, "rb", m,
+    j)``, the inverse of the expanded gate list from ``clifford_inverse``
+    (one qubit) or ``clifford_inverse_word`` (two), the circuit run by
+    ``reference_run`` and read out by ``reference_probabilities``, and the
+    counts of sequence i drawn from stream ``(seed, "rb-exec", i)``.
+    Returns the result and the points it was fitted to."""
+    import math
+
+    from cyclebench import pauli as pl
+    from cyclebench.bench import (
+        DecayPoint, InfidelityEstimate, RbResult, fit_decay, rb_to_process_infidelity,
+    )
+    from cyclebench.circuits import Circuit, Cycle, Gate
+    from cyclebench.engine import Executor
+    from cyclebench.sim import rng_from
+
+    register = tuple(qubits)
+    n = len(register)
+    executor = Executor(register, noise)
+    points = []
+    for m in sorted(m_list):
+        for j in range(n_random):
+            logical = []
+            for k in rng_from(seed, "rb", m, j).integers(0, pl.clifford_count(n), size=m).tolist():
+                if n == 1:
+                    logical.append(("C1", (0,), k))
+                else:
+                    logical.extend((name, tuple(pos), None) for name, *pos in pl.clifford_word(n, k))
+            if n == 1:
+                logical.append(("C1", (0,), pl.clifford_inverse(1, logical)))
+            else:
+                inverse_word = pl.clifford_inverse_word(n, logical)
+                logical.extend((name, tuple(pos), None) for name, *pos in inverse_word)
+            cycles = tuple(
+                Cycle("hard" if name == "CNOT" else "easy",
+                      (Gate(name, tuple(register[p] for p in pos), param),))
+                for name, pos, param in logical
+            )
+            probs = reference_probabilities(executor, reference_run(executor, Circuit(register, cycles)))
+            if shots is None:
+                survival, err = float(probs[0]), 0.0
+            else:
+                counts = rng_from(seed, "rb-exec", len(points)).multinomial(shots, probs)
+                survival = int(counts[0]) / shots
+                err = math.sqrt(max(0.0, survival * (1 - survival)) / shots)
+            points.append(DecayPoint("survival", m, len(points), survival - 1.0 / 2**n, err))
+    fit = fit_decay(points, resamples=resamples, seed=seed, pauli="survival")
+    d = 2**n
+    r, e_f = rb_to_process_infidelity(d, p=fit.decay)
+    r_std = (d - 1) / d * fit.decay_std
+    est = InfidelityEstimate(infidelity=e_f, sigma=r_std * (d + 1) / d, source="RB", label=label)
+    return RbResult(estimate=est, fit=fit, error_rate=r, error_rate_std=r_std), points
+
+
 class RngFromStreams:
     """``sim.Streams`` built the slow way: a fresh ``rng_from`` per path."""
 
@@ -533,15 +595,30 @@ class RngFromStreams:
 
 
 def reference_cycle_unitary(cycle, register) -> np.ndarray:
-    """Cycle unitary as the chained product of embedded gate matrices,
-    ``E_k @ ... @ E_1 @ I``, one BLAS matmul per gate."""
+    """Cycle unitary entry by entry, without BLAS: entry (row, col) is zero
+    unless the idle qubits' bits agree, else the product, in gate order, of
+    each gate's entry at its qubits' bits.  The product is taken in Python
+    floats, each real product of a complex multiply rounded on its own."""
     from cyclebench.circuits import gate_matrix
 
     n = len(register)
-    full = np.eye(2**n, dtype=complex)
-    for g in cycle.gates:
-        full = embed(gate_matrix(g), [register.index(q) for q in g.qubits], n) @ full
-    return full
+    gates = [(gate_matrix(g), [register.index(q) for q in g.qubits]) for g in cycle.gates]
+    idle = [q for q in range(n) if all(q not in pos for _, pos in gates)]
+    out = np.zeros((2**n, 2**n), dtype=complex)
+    for row in range(2**n):
+        bits_r = [(row >> (n - 1 - q)) & 1 for q in range(n)]
+        for col in range(2**n):
+            bits_c = [(col >> (n - 1 - q)) & 1 for q in range(n)]
+            if any(bits_r[q] != bits_c[q] for q in idle):
+                continue
+            re, im = 1.0, 0.0
+            for mat, pos in gates:
+                entry = mat[int("".join(str(bits_r[p]) for p in pos), 2),
+                            int("".join(str(bits_c[p]) for p in pos), 2)]
+                mr, mi = float(entry.real), float(entry.imag)
+                re, im = mr * re - mi * im, mr * im + mi * re
+            out[row, col] = complex(re, im)
+    return out
 
 
 def reference_simulate_occupations(config, model):

@@ -20,7 +20,9 @@ from cyclebench.bench import (
 from cyclebench.circuits import (
     Circuit, CircuitError, Cycle, Gate, layout_cycles, propagate_pauli,
 )
-from cyclebench.noise import NoiseModel, depolarizing_pauli_probs
+from cyclebench.noise import (
+    CrosstalkTerm, NoiseModel, confusion_from_scalar, depolarizing_pauli_probs,
+)
 from cyclebench.pauli import PauliString
 from cyclebench.sim import rng_from
 
@@ -500,3 +502,67 @@ class TestRunRb:
         a = run_rb((0,), (2, 6, 12), 5, noise, shots=128, seed=9)
         b = run_rb((0,), (2, 6, 12), 5, noise, shots=128, seed=9)
         assert a == b
+
+    @pytest.mark.parametrize("m_list, n_random", [
+        ((2.5, 4, 8), 4), ((True, 2, 4), 4), ((2, 2.5, 4), 4), ((2, 4, 8.0), 4),
+        ((2, 4, 8), 2.0), ((2, 4, 8), True), ((2, 4, 8), np.bool_(True)),
+    ], ids=["float-first", "bool", "float-middle", "integral-float", "float-n_random",
+            "bool-n_random", "numpy-bool-n_random"])
+    def test_rejects_non_integer_lengths_at_entry(self, m_list, n_random):
+        for call in (lambda: run_rb((0, 1), m_list, n_random, None, shots=None),
+                     lambda: make_cb(CNOT01, m_list, n_random, 2)):
+            with pytest.raises(ProtocolError, match="must be an integer"):
+                call()
+
+    def test_accepts_numpy_integers(self):
+        lengths = np.array([2, 4, 8])
+        assert run_rb((0,), lengths, np.int64(3), None, shots=16, seed=2) == run_rb(
+            (0,), (2, 4, 8), 3, None, shots=16, seed=2
+        )
+
+
+def _rb_models():
+    """The qcap workload's coherent-only model and the README model."""
+    qcap = NoiseModel(
+        cnot_rotation={"*": ("ZZ", 0.05)},
+        crosstalk=(CrosstalkTerm((0, 1), 2, 0.35), CrosstalkTerm((2, 3), 1, 0.35)),
+    )
+    readme = NoiseModel(
+        t1={6: 67.1, 7: 94.8, 12: 97.5, 11: 95.1},
+        t2={6: 99.9, 7: 86.8, 12: 88.5, 11: 71.6},
+        readout={q: confusion_from_scalar(e)
+                 for q, e in {6: 0.0254, 7: 0.0230, 12: 0.0313, 11: 0.0355}.items()},
+        pauli_errors={
+            "cnot": {"IX": 0.003, "XI": 0.003, "ZZ": 0.004},
+            "cnot:7-12": {"ZZ": 0.02},
+            "single_qubit": {"X": 0.0002},
+        },
+        cnot_rotation={"*": ("ZZ", 0.05)},
+        crosstalk=(CrosstalkTerm((6, 7), 12, 0.08),),
+        durations={"single_qubit": 50.0, "cnot": 300.0},
+        prep_flip={6: 0.01},
+    )
+    return {"qcap": (qcap, ((1,), (0, 1))), "readme": (readme, ((6,), (7, 12)))}
+
+
+class TestRunRbMatchesPerSequenceLoop:
+    """Batched RB against ``oracles.reference_run_rb``, the per-sequence
+    loop it replaced: the same result and the same points, bit for bit."""
+
+    @pytest.mark.parametrize("model", ["qcap", "readme"])
+    @pytest.mark.parametrize("width", [1, 2])
+    @pytest.mark.parametrize("shots", [128, None])
+    def test_result_and_points(self, monkeypatch, model, width, shots):
+        noise, pairs = _rb_models()[model]
+        qubits = pairs[width - 1]
+        expected, expected_points = oracles.reference_run_rb(
+            qubits, (2, 6, 12), 5, noise, shots, seed=31, label="x"
+        )
+        fitted = []
+        monkeypatch.setattr(bench, "fit_decay", lambda points, **kw: fitted.append(points)
+                            or fit_decay(points, **kw))
+        assert run_rb(qubits, (2, 6, 12), 5, noise, shots, seed=31, label="x") == expected
+        (points,) = fitted
+        assert [p[:3] for p in points] == [p[:3] for p in expected_points]
+        for k in (3, 4):
+            assert np.array_equal([p[k] for p in points], [p[k] for p in expected_points])

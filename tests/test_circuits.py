@@ -316,7 +316,7 @@ def easy_cycles(draw, max_qubits=5):
 
 class TestEasyCycleUnitaries:
     """Easy-cycle unitaries are built as tensor products; they must equal the
-    embedded matmul chain bit for bit, never only within a tolerance."""
+    BLAS-free entry-by-entry oracle bit for bit, never only within a tolerance."""
 
     def test_every_ordered_pair(self):
         register = (0, 1)
@@ -373,7 +373,7 @@ def hard_cycles(draw, max_qubits=5):
 
 class TestHardCycleUnitaries:
     """Hard cycles take the same product build and scatter as easy ones; CNOT
-    entries are 0 and 1, so the result is the matmul chain exactly."""
+    entries are 0 and 1, so the result is the oracle's exactly."""
 
     @settings(max_examples=80, deadline=None)
     @given(hard_cycles())

@@ -209,9 +209,10 @@ class TestCrosstalk:
 
 
 def _measure(ex, state, observable, shots, seed=0):
-    """The stacked readout on a stack of one state, with stream ``rng_from(seed)``."""
+    """The stacked readout of one state, whose width ``_stack_of`` checks,
+    with stream ``rng_from(seed)``."""
     xs, errs = ex.measured_expectation(
-        ex.outcome_probabilities(state)[None], [observable], shots, [sim.rng_from(seed)], [0]
+        ex.probabilities(ex._stack_of(state)), [observable], shots, [sim.rng_from(seed)], [0]
     )
     return xs[0], errs[0]
 
@@ -238,7 +239,7 @@ class TestPrepAndReadout:
     def test_sampling_uses_model_readout(self):
         noise = NoiseModel(readout={0: confusion_from_scalar(0.1)})
         ex = Executor((0,), noise)
-        probs = ex.outcome_probabilities(ex.run(Circuit((0,), ())))
+        probs = ex.probabilities(ex.run_each([Circuit((0,), ())]))[0]
         assert np.array_equal(probs, [0.9, 0.1])
         draws = np.random.default_rng(3).multinomial(200_000, probs)
         assert abs(draws[1] / 200_000 - 0.1) < 0.004
@@ -273,9 +274,6 @@ class TestPrepAndReadout:
             for shots in (None, 10):
                 with pytest.raises(SimulationError, match=message):
                     _measure(ex, state, PauliString(observable), shots)
-            if len(observable) == 2:
-                with pytest.raises(SimulationError, match=message):
-                    ex.outcome_probabilities(state)
 
     def test_readout_is_copied_and_validated_on_entry(self, monkeypatch):
         """The model keeps its own read-only confusion matrices, so a caller
@@ -405,7 +403,14 @@ def cb_cases(draw):
     )
     if draw(st.booleans()):
         return coll, None
+    return coll, draw(noise_models(register, pairs))
 
+
+@st.composite
+def noise_models(draw, register, pairs):
+    """A random model on ``register`` with every noise feature, CNOT terms
+    on ``pairs``; channels only up to 4 qubits."""
+    n = len(register)
     # density runs stay at <= 4 qubits: a 5-qubit superop is 16 MiB
     dense = n <= 4
     prob = st.floats(0.0, 0.05)
@@ -446,7 +451,7 @@ def cb_cases(draw):
         a, b = pairs[0]
         spectator = draw(st.sampled_from([q for q in register if q not in (a, b)]))
         kw["crosstalk"] = (CrosstalkTerm((a, b), spectator, draw(st.floats(-0.5, 0.5))),)
-    return coll, NoiseModel(**kw)
+    return NoiseModel(**kw)
 
 
 class TestBatchedExecution:
@@ -596,6 +601,49 @@ class TestBatchedExecution:
         b = Cycle("easy", (Gate("C1", (0,), 5), Gate("S", (1,))))
         assert ex._tail(a) is ex._tail(b)
         assert ex._tail(Cycle("hard", (Gate("CNOT", (0, 1)),))) is not ex._tail(a)
+
+
+# ---------------------------------------------------------------------------
+# Per-row op codes: circuits of any structures and lengths in one stack
+
+@st.composite
+def mixed_cases(draw):
+    """1-8 circuits of 0-8 cycles on a random 1-5-qubit register, drawn from
+    a pool of easy cycles (any one-qubit gates on any qubits) and hard
+    cycles (one or more CNOTs), and no model or a random one."""
+    n = draw(st.integers(1, 5))
+    register = tuple(draw(st.permutations(range(n + 2)))[:n])
+    pool = []
+    for _ in range(draw(st.integers(1, 6))):
+        if n >= 2 and draw(st.booleans()):
+            order = draw(st.permutations(register))
+            gates = [Gate("CNOT", tuple(order[2 * i:2 * i + 2]))
+                     for i in range(draw(st.integers(1, n // 2)))]
+            pool.append(Cycle("hard", tuple(gates)))
+        else:
+            qubits = draw(st.lists(st.sampled_from(register), unique=True))
+            picks = [draw(st.sampled_from(MONOMIAL_1Q + OTHER_1Q)) for _ in qubits]
+            pool.append(Cycle("easy", tuple(Gate(g, (q,), p) for q, (g, p) in zip(qubits, picks))))
+    circuits = [Circuit(register, tuple(draw(st.lists(st.sampled_from(pool), max_size=8))))
+                for _ in range(draw(st.integers(1, 8)))]
+    pairs = sorted({g.qubits for c in pool if c.kind == "hard" for g in c.gates})
+    return register, circuits, draw(st.none() | noise_models(register, pairs))
+
+
+class TestRunEach:
+    @settings(max_examples=60, deadline=None)
+    @given(mixed_cases())
+    def test_rows_match_reference(self, case):
+        """Every row of ``run_each`` is ``reference_run`` of its circuit, bit
+        for bit, whatever the structures and lengths stacked with it."""
+        register, circuits, noise = case
+        ex = Executor(register, noise)
+        stack = ex.run_each(circuits)
+        assert len(stack) == len(circuits)
+        for c, row in zip(circuits, stack, strict=True):
+            ref = oracles.reference_run(ex, c)
+            assert type(engine._wrap(row)) is type(ref)
+            assert np.array_equal(_final(engine._wrap(row)), _final(ref))
 
 
 # ---------------------------------------------------------------------------
@@ -834,3 +882,47 @@ def test_batched_points_do_not_depend_on_blas_threads():
         check=True,
     )
     assert out.stdout.split() == expected
+
+
+_KERNEL_SCRIPT = """
+import numpy as np
+from cyclebench import engine
+from cyclebench.bench import execute_collection, make_cb
+from cyclebench.circuits import Cycle, Gate
+from cyclebench.noise import NoiseModel, confusion_from_scalar
+from cyclebench.sim import readout_distribution
+
+rng = np.random.default_rng(7)
+for _ in range(200):
+    n, b = int(rng.integers(1, 6)), int(rng.integers(2, 9))
+    probs = rng.random((b, 2**n))
+    readout = {q: confusion_from_scalar(rng.random() / 10) for q in range(n) if rng.random() < 0.6}
+    alone = [readout_distribution(row[None], readout, n)[0] for row in probs]
+    print("stack", np.array_equal(readout_distribution(probs, readout, n), alone))
+for seed in range(8):
+    coll = make_cb(Cycle("easy", (Gate("H", (0,)),)), (1, 2, 4), 8, 3, seed=seed)
+    noise = NoiseModel(readout={0: confusion_from_scalar(rng.random() / 10)},
+                       pauli_errors={"single_qubit": {"X": 0.01}})
+    points = set()
+    for chunk in (1, 5, 256):
+        engine.CHUNK = chunk
+        points.add(repr(execute_collection(coll, noise, None)))
+    print("chunk", len(points) == 1)
+"""
+
+
+def test_readout_does_not_depend_on_the_stack_under_an_avx2_kernel():
+    """Under the OpenBLAS kernel that AVX2-only CPUs pick, a row's readout
+    is what it is alone, and analytic points do not depend on ``CHUNK``; a
+    BLAS that ignores ``OPENBLAS_CORETYPE`` runs the check on its own kernel."""
+    env = {
+        **os.environ,
+        "OPENBLAS_CORETYPE": "Haswell",
+        "PYTHONPATH": str(Path(__file__).parents[1] / "src"),
+    }
+    out = subprocess.run(
+        [sys.executable, "-c", _KERNEL_SCRIPT], env=env, capture_output=True, text=True,
+        check=True,
+    )
+    lines = out.stdout.split("\n")[:-1]
+    assert lines == ["stack True"] * 200 + ["chunk True"] * 8

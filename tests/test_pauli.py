@@ -245,6 +245,34 @@ def test_clifford_inverse_word_matches_string_reference():
             )
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_clifford_tables_are_the_words_frame_tables(n):
+    image, sign = pl.clifford_tables(n)
+    assert (image.dtype, sign.dtype) == (np.uint8, np.int8)
+    assert not image.flags.writeable and not sign.flags.writeable
+    words, _ = pl.clifford_group(n)
+    assert image.shape == sign.shape == (len(words), 4**n)
+    for i, word in enumerate(words):
+        table = pl.frame_table([(name, tuple(pos), None) for name, *pos in word], n)
+        assert np.array_equal(image[i], table.image) and np.array_equal(sign[i], table.sign)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_clifford_inverses_match_the_per_sequence_inverse(n):
+    """Each row's inverse is ``clifford_inverse`` of its expanded words, and
+    the row followed by its inverse is the identity table."""
+    rng = np.random.default_rng(41 + n)
+    size = pl.clifford_count(n)
+    for m in (0, 1, 2, 7, 25):
+        draws = rng.integers(0, size, size=(6, m))
+        for row, inverse in zip(draws.tolist(), pl.clifford_inverses(n, draws), strict=True):
+            gates = [(name, tuple(pos), None) for k in row for name, *pos in pl.clifford_word(n, k)]
+            assert inverse == pl.clifford_inverse(n, gates)
+            closed = gates + [(name, tuple(pos), None) for name, *pos in pl.clifford_word(n, inverse)]
+            table = pl.frame_table(closed, n)
+            assert np.array_equal(table.image, np.arange(4**n)) and (table.sign == 1).all()
+
+
 def test_pauli_index_follows_letter_order():
     for n in (1, 2, 3):
         letters = pl.all_pauli_letters(n, include_identity=True)
