@@ -143,6 +143,11 @@ def gate_matrix(gate: Gate) -> np.ndarray:
     return pl.GATE_MATRICES[gate.name]
 
 
+# cycles per block of _cycle_unitaries: its temporaries (64 KB at n = 4) stay
+# under glibc's 128 KB mmap threshold and reuse heap pages instead of faulting
+_BLOCK = 32
+
+
 @functools.lru_cache(maxsize=1024)
 def _cycle_unitary_cached(gates: tuple[Gate, ...], register: tuple[int, ...]) -> np.ndarray:
     return _cycle_unitaries([gates], register)[0]
@@ -167,26 +172,26 @@ def _cycle_unitaries(gate_rows: Sequence[tuple[Gate, ...]], register: tuple[int,
     positions = tuple(tuple(map(register.index, g.qubits)) for g in gate_rows[0])
     k = len(positions[0])
     # (m, b) codes of the distinct gate objects; their flat matrices as
-    # (4^k, codes) columns
+    # (codes, 4^k) rows
     flat = [g for gates in gate_rows for g in gates]
     ids = np.fromiter(map(id, flat), dtype=np.uintp, count=b * m)
     _, first, code = np.unique(ids, return_index=True, return_inverse=True)
     code = code.reshape(b, m).T
-    mats = np.stack([gate_matrix(flat[i]).reshape(4**k) for i in first.tolist()], axis=1)
+    mats = np.stack([gate_matrix(flat[i]).reshape(4**k) for i in first.tolist()])
     mr, mi = np.ascontiguousarray(mats.real), np.ascontiguousarray(mats.imag)
-    # (4^(k t), b) partial products, cycles along the fast axis; gate t's
-    # entry index goes in front
-    re, im = mr[:, code[0]], mi[:, code[0]]
-    for t in range(1, m):
-        gr, gi = mr[:, None, code[t]], mi[:, None, code[t]]
-        re, im = re[None], im[None]
-        re, im = gr * re - gi * im, gr * im + gi * re
-        re, im = re.reshape(-1, b), im.reshape(-1, b)
     dest, src = _scatter(positions, n)
-    full = np.zeros((4**n, b), dtype=complex)
-    full.real[dest] = re[src]
-    full.imag[dest] = im[src]
-    return np.ascontiguousarray(full.T).reshape(b, 2**n, 2**n)
+    full = np.zeros((b, 4**n), dtype=complex)
+    # (rows, 4^(k t)) partial products of a block of cycles, gate t's entry
+    # index in front
+    for lo in range(0, b, _BLOCK):
+        codes = code[:, lo:lo + _BLOCK]
+        re, im = mr[codes[0]], mi[codes[0]]
+        for c in codes[1:]:
+            gr, gi, re, im = mr[c, :, None], mi[c, :, None], re[:, None], im[:, None]
+            re, im = (gr * re - gi * im).reshape(len(c), -1), (gr * im + gi * re).reshape(len(c), -1)
+        full.real[lo:lo + _BLOCK, dest] = re[:, src]
+        full.imag[lo:lo + _BLOCK, dest] = im[:, src]
+    return full.reshape(b, 2**n, 2**n)
 
 
 def cycle_unitary(cycle: Cycle, register: tuple[int, ...]) -> np.ndarray:

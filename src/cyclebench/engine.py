@@ -323,7 +323,9 @@ class Executor:
             return self._permute(state, perms, slot)
         # a non-monomial cycle is easy: hard cycles hold only CNOTs
         u = _cycle_unitaries([c.gates for c in cycles], self.register)
-        return _conjugate(state, u[0] if len(cycles) == 1 else u[slot])
+        if 1 < len(cycles) < len(layer):
+            u = u[slot]
+        return _conjugate(state, u[0] if len(u) == 1 else u)
 
     def _permute(self, state: np.ndarray, signed: list, slot: np.ndarray | None) -> np.ndarray:
         """Monomial cycle unitaries as a gather and a phase multiply.

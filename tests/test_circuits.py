@@ -338,7 +338,7 @@ class TestEasyCycleUnitaries:
         assert np.array_equal(cycle_unitary(cyc, register), expected)
         assert np.array_equal(_cycle_unitaries([cyc.gates], register)[0], expected)
 
-    @pytest.mark.parametrize("size", [1, 7, 256])
+    @pytest.mark.parametrize("size", [1, 7, 70, 256])
     def test_batched_equals_per_cycle(self, size):
         rng = np.random.default_rng(size)
         register = (5, 2, 9, 4)
