@@ -129,10 +129,17 @@ def _basis_cycle(letters: str, register: tuple[int, ...], c1) -> Cycle:
     return Cycle("easy", tuple(Gate("C1", (register[i],), c1(c)) for i, c in enumerate(letters)))
 
 
+def _check_integer(what: str, v, least: int | None = None) -> None:
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+        raise ProtocolError(f"{what} must be an integer, got {v!r}")
+    if least is not None and v < least:
+        raise ProtocolError(f"{what} must be >= {least}, got {v}")
+
+
 def _check_lengths(m_list: Sequence[int], n_random: int) -> None:
-    for what, v in [*(("an m_list length", m) for m in m_list), ("n_random", n_random)]:
-        if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-            raise ProtocolError(f"{what} must be an integer, got {v!r}")
+    for m in m_list:
+        _check_integer("an m_list length", m)
+    _check_integer("n_random", n_random, 1)
     if len(set(m_list)) < 3:
         raise ProtocolError("m_list needs at least three distinct sequence lengths")
     if len(set(m_list)) != len(m_list):
@@ -140,8 +147,6 @@ def _check_lengths(m_list: Sequence[int], n_random: int) -> None:
         raise ProtocolError(f"m_list repeats a sequence length: {list(m_list)}")
     if min(m_list) < 0:
         raise ProtocolError(f"m_list lengths must be >= 0, got {min(m_list)}")
-    if n_random < 1:
-        raise ProtocolError(f"n_random must be >= 1, got {n_random}")
 
 
 def sample_decay_terms(n: int, n_decays: int, rng) -> list[PauliString]:
@@ -271,8 +276,8 @@ def execute_collection(
     seed and the circuit index, so repeated runs reproduce the table exactly.
     Each stack that ``Executor.run_many`` yields is read out at once.
     """
-    if shots is not None and shots < 1:
-        raise ProtocolError("shots must be >= 1")
+    if shots is not None:
+        _check_integer("shots", shots, 1)
     executor = Executor(coll.register, noise)
     streams = None
     if shots is not None:
@@ -524,9 +529,11 @@ def run_rb(
     n = len(register)
     if n not in (1, 2):
         raise ProtocolError("randomized benchmarking supports 1 or 2 qubits only")
+    Circuit(register)  # distinct labels; every sequence below is built unchecked
     _check_lengths(m_list, n_random)
-    if shots is not None and shots < 1:
-        raise ProtocolError("shots must be >= 1")
+    if shots is not None:
+        _check_integer("shots", shots, 1)
+        shots = int(shots)  # a numpy integer would make every survival a numpy float
     executor = Executor(register, noise)
     floor = 1.0 / 2**n
 
@@ -548,7 +555,7 @@ def run_rb(
         # one draw of m per stream reads the same values as m single draws
         draws = streams.integers(range(mi * n_random, (mi + 1) * n_random), pl.clifford_count(n), m)
         for row in np.column_stack([draws, pl.clifford_inverses(n, draws)]).tolist():
-            circuits.append(Circuit(register, sum(map(element, row), ())))
+            circuits.append(Circuit._unchecked(register, sum(map(element, row), ())))
     if shots is not None:
         count_streams = Streams(seed, (("rb-exec", i) for i in range(len(circuits))))
     points: list[DecayPoint] = []

@@ -13,22 +13,23 @@ Pauli channel of each gate, then damping (gate qubits for the gate's
 duration, idle qubits for the cycle duration).  Everything after the ideal
 unitary is one op list per cycle structure (``Executor._tail``).
 
-Two kernels advance stacks, with one BLAS call of a single circuit's shape
-per circuit and op, so no state depends on its stack.  ``run_many`` feeds
-``_run_stack`` up to ``CHUNK`` equally long circuits whose layers share one
-structure each (CB collections), monomial layers as signed permutations.
-``run_each``, ``run`` and ``advance`` feed ``_run_each`` any circuits as
-per-row op codes.  ``probabilities`` and ``measured_expectation`` read out
-whole stacks.
+One kernel, ``Executor._run``, advances a stack of circuits of any
+structures and lengths layer by layer, with one BLAS call of a single
+circuit's shape per circuit and op, so no state depends on its stack;
+layers of monomial cycles are signed permutations.  ``run``, ``advance``,
+``run_each`` and ``run_many`` (stacks of up to ``CHUNK`` equally long
+circuits) all call it.  ``probabilities`` and ``measured_expectation`` read
+out whole stacks.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .circuits import Circuit, Cycle, _cycle_unitaries, cycle_permutation, cycle_unitary
+from .circuits import Circuit, Cycle, _cycle_unitaries, cycle_permutation
 from .noise import NoiseModel, coherent_overrotation, damping_channel, pauli_channel
 from .pauli import PauliString
 from .sim import (
@@ -103,17 +104,17 @@ class Executor:
         """Prepare ``initial`` (default |0...0>), with this model's
         preparation flips, and apply every cycle of ``circuit``."""
         state = self._zero_stack(1) if initial is None else self._stack_of(initial)
-        return _wrap(self._run_each([circuit], self._apply_tail(state, self._prep))[0])
+        return _wrap(self._run([circuit], self._apply_tail(state, self._prep))[0])
 
     def advance(self, state: State, circuit: Circuit) -> State:
         """Apply ``circuit``'s cycles to ``state``, without preparation:
         ``advance(run(a), b)`` equals ``run`` of a followed by b bit for bit."""
-        return _wrap(self._run_each([circuit], self._stack_of(state))[0])
+        return _wrap(self._run([circuit], self._stack_of(state))[0])
 
     def run_each(self, circuits: Sequence[Circuit]) -> np.ndarray:
         """Final states of ``circuits``, of any structures and cycle counts, as
         one stack in input order; row i is bit-identical to ``run(circuits[i])``."""
-        return self._run_each(circuits, self._apply_tail(self._zero_stack(len(circuits)), self._prep))
+        return self._run(circuits, self._apply_tail(self._zero_stack(len(circuits)), self._prep))
 
     def run_many(self, circuits: Sequence[Circuit]) -> Iterator[tuple[list[int], np.ndarray]]:
         """Run many circuits from |0...0>, yielding ``(indices, stack)``: the
@@ -121,15 +122,10 @@ class Executor:
         density or (b, d, 1) amplitude stack.
 
         Circuits with the same cycle count advance together, at most
-        ``CHUNK`` at a time, as one stack per layer.  Every circuit still
-        gets its own BLAS call of the same shape (numpy's stacked
-        ``matmul``), so each state is bit-identical whatever the chunk size,
-        and to ``run(circuits[i])``.  Stacks come grouped by cycle count, not
-        in index order.
-
-        The cycles at one position of equally long circuits must share one
-        structure (``Cycle.structure``), as every layer of a CB collection
-        does; a layer that mixes structures raises :class:`SimulationError`.
+        ``CHUNK`` at a time, which bounds memory and keeps each layer of a CB
+        collection to one structure.  Each state is bit-identical whatever
+        the chunk size, and to ``run(circuits[i])``.  Stacks come grouped by
+        cycle count, not in index order.
         """
         groups: dict[int, list[int]] = {}
         for i, circuit in enumerate(circuits):
@@ -139,7 +135,7 @@ class Executor:
             for lo in range(0, len(members), CHUNK):
                 part = members[lo:lo + CHUNK]
                 start = self._apply_tail(self._zero_stack(len(part)), self._prep)
-                yield part, self._run_stack([circuits[i] for i in part], start)
+                yield part, self._run([circuits[i] for i in part], start)
 
     def _check_register(self, circuit: Circuit) -> None:
         if tuple(circuit.qubits) != self.register:
@@ -160,13 +156,14 @@ class Executor:
 
     def _stack_of(self, state: State) -> np.ndarray:
         """A stack of one: ``state``'s density matrix, or its amplitudes as a
-        column when this model introduces no channel."""
+        column when this model introduces no channel; it may be a view, which
+        ``_run`` copies."""
         self._check_width("state", state.n_qubits)
         if isinstance(state, DensityMatrix):
-            return state.entries[None].copy()
+            return state.entries[None]
         if self.use_density:
             return np.outer(state.amplitudes, state.amplitudes.conj())[None]
-        return state.amplitudes.reshape(1, -1, 1).copy()
+        return state.amplitudes.reshape(1, -1, 1)
 
     def _positions(self, qubits: tuple[int, ...]) -> tuple[int, ...]:
         return tuple(self.register.index(q) for q in qubits)
@@ -241,77 +238,46 @@ class Executor:
 
     # -- the kernel ----------------------------------------------------------
 
-    def _run_each(self, circuits: Sequence[Circuit], state: np.ndarray) -> np.ndarray:
+    def _run(self, circuits: Sequence[Circuit], state: np.ndarray) -> np.ndarray:
         """Apply each circuit's cycles to its row of a stack of initial states,
-        as op codes interned per call: each cycle's ``cycle_unitary``, then its
-        ``_tail``.  Sorted longest first and aligned at the end, the started rows
-        are a prefix, which gathers its matrices and takes one matmul per kind."""
-        tables = {"unitary": [], "kraus": []}  # by kind, matrices by code
-        seen: dict[int, int] = {}  # id(matrix) -> code: c a unitary, ~c a superoperator
-        compiled: dict[int, list[int]] = {}  # id(cycle) -> codes
+        (b, d, d) densities or (b, d, 1) amplitudes.  Sorted longest first and
+        aligned at their last cycle, the rows started at each layer are a
+        prefix ``[:a]``, which takes one ``_apply_layer``.  A pure stack stays
+        pure: only a model that introduces channels has Kraus ops."""
         for circuit in circuits:
             self._check_register(circuit)
-        for cyc in {id(c): c for circuit in circuits for c in circuit.cycles}.values():
-            ops = (("unitary", cycle_unitary(cyc, self.register)),) + self._tail(cyc)
-            for kind, m in ops:
-                if id(m) not in seen:
-                    seen[id(m)] = len(tables[kind]) if kind == "unitary" else ~len(tables[kind])
-                    tables[kind].append(m)
-            compiled[id(cyc)] = [seen[id(m)] for _, m in ops]
-        programs = [[c for cyc in circuit.cycles for c in compiled[id(cyc)]] for circuit in circuits]
-        lengths = [len(p) for p in programs]
-        order = sorted(range(len(programs)), key=lengths.__getitem__, reverse=True)
+        lengths = [len(c.cycles) for c in circuits]
+        order = sorted(range(len(circuits)), key=lengths.__getitem__, reverse=True)
         steps = max(lengths, default=0)
-        codes = np.array([[0] * (steps - lengths[i]) + programs[i] for i in order], dtype=np.intp)
-        codes = codes.reshape(len(order), steps)
-        started = np.searchsorted(-np.sort(lengths)[::-1], np.arange(steps) - steps, side="right")
-        if len(programs) > 1:
-            tables = {kind: np.stack(t) for kind, t in tables.items() if t}
+        # each row's first layer, in row order; Python's sort and bisect, since
+        # numpy's first sort or search pages in up to 0.8 MB of kernels
+        starts = sorted(steps - n for n in lengths)
+        layers = zip(*((None,) * (steps - lengths[i]) + circuits[i].cycles for i in order))
         state = state[order]
-        for t, (a, k) in enumerate(zip(started.tolist(), (codes < 0).sum(axis=0).tolist())):
-            step = codes[:a, t]
-            if k == 0:
-                state[:a] = self._apply_unitary(state[:a], _take(tables["unitary"], step))
-            elif k == a:
-                state[:a] = self._apply_kraus(state[:a], _take(tables["kraus"], ~step))
-            else:
-                u, s = np.flatnonzero(step >= 0), np.flatnonzero(step < 0)
-                state[u] = self._apply_unitary(state[u], _take(tables["unitary"], step[u]))
-                state[s] = self._apply_kraus(state[s], _take(tables["kraus"], ~step[s]))
-        return state[np.argsort(order)]
-
-    def _run_stack(self, circuits: list[Circuit], state: np.ndarray) -> np.ndarray:
-        """Apply equally long circuits' cycles, one structure per layer, to a
-        stack of initial states, (b, d, d) densities or (b, d, 1) amplitudes.
-
-        Every op reads density from the stack's last axis: a pure stack stays
-        pure, since only a model that introduces channels has Kraus ops."""
-        # id(cycle) -> cycle_permutation, for this call: the circuits hold
-        # their cycles alive, and interned twirls recur across layers
+        # by cycle id, for this call (the circuits hold their cycles alive)
         signed: dict[int, tuple | None] = {}
-        for layer in zip(*(c.cycles for c in circuits)):
-            state = self._apply_layer(state, layer, signed)
-            tail = self._tail(layer[0])
-            if tail:
-                state = self._apply_tail(state, tail)
-        return state
+        kept: dict[int, np.ndarray] = {}
+        for t, layer in enumerate(layers):
+            a = bisect_right(starts, t)
+            state[:a] = self._apply_layer(state[:a], layer[:a], signed, kept)
+        return state[sorted(range(len(order)), key=order.__getitem__)]
 
-    def _apply_layer(self, state: np.ndarray, layer: tuple[Cycle, ...], signed: dict) -> np.ndarray:
-        """The ideal unitaries of one layer of one structure, one cycle per
-        circuit of a stack; ``signed`` caches ``cycle_permutation`` by cycle id."""
-        # distinct cycle objects (CB collections intern them) in order of
-        # first appearance, so lookups run in the same order on every run,
-        # and each circuit's slot among them when there are several
+    def _apply_layer(self, state: np.ndarray, layer: tuple[Cycle, ...], signed: dict,
+                     kept: dict) -> np.ndarray:
+        """One cycle per row of a stack: its ideal unitary, then its
+        structure's tail.  ``signed`` caches ``cycle_permutation`` by cycle
+        id, and ``kept`` unitaries (``_unitaries``)."""
+        # distinct cycle objects (CB collections intern them) in order of first
+        # appearance, so lookups run in the same order on every run, and each
+        # row's slot among them when there are several
         ids = list(map(id, layer))
         distinct = dict(zip(ids, layer))
-        cycles = list(distinct.values())
         slot = None
-        if len(cycles) > 1:
-            slot_of = dict(zip(distinct, range(len(cycles))))
+        if len(distinct) > 1:
+            slot_of = dict(zip(distinct, range(len(distinct))))
             slot = np.fromiter(map(slot_of.__getitem__, ids), np.intp, len(ids))
-            structure = cycles[0].structure
-            if any(c.structure != structure for c in cycles):
-                raise SimulationError("the cycles of one batched layer must share one structure")
+        structures = [c.structure for c in distinct.values()]
+        one = structures.count(structures[0]) == len(structures)
         perms = []
         for key, c in distinct.items():
             if key not in signed:
@@ -319,13 +285,43 @@ class Executor:
             if signed[key] is None:
                 break
             perms.append(signed[key])
-        if len(perms) == len(cycles):
-            return self._permute(state, perms, slot)
-        # a non-monomial cycle is easy: hard cycles hold only CNOTs
-        u = _cycle_unitaries([c.gates for c in cycles], self.register)
-        if 1 < len(cycles) < len(layer):
-            u = u[slot]
-        return _conjugate(state, u[0] if len(u) == 1 else u)
+        if len(perms) == len(distinct):
+            state = self._permute(state, perms, slot)
+        else:
+            state = _conjugate(state, self._unitaries(distinct, slot, one, kept))
+        if one:
+            return self._apply_tail(state, self._tail(layer[0]))
+        # each structure's tail, interned by structure, on its own rows
+        tails = [self._tail(c) for c in distinct.values()]
+        for tail in {id(t): t for t in tails if t}.values():
+            rows = np.flatnonzero(np.array([t is tail for t in tails])[slot])
+            state[rows] = self._apply_tail(state[rows], tail)
+        return state
+
+    def _unitaries(self, distinct: dict, slot: np.ndarray | None, one: bool,
+                   kept: dict) -> np.ndarray:
+        """The ideal unitaries of a layer's ``distinct`` cycles, one matrix
+        or one per row, from one ``_cycle_unitaries`` call per structure.
+
+        ``kept`` holds, by cycle id, a layer's lone cycle and every cycle of a
+        layer of several structures (RB's few gate cycles).  A layer of one
+        structure, such as a C1-twirl layer of mostly new cycles, is built
+        whole and keeps none: merging kept ones in cost more than it saved."""
+        if slot is None:
+            (key, cyc), = distinct.items()
+            if key not in kept:
+                kept[key] = _cycle_unitaries([cyc.gates], self.register)[0]
+            return kept[key]
+        if one:
+            u = _cycle_unitaries([c.gates for c in distinct.values()], self.register)
+            return u if len(u) == len(slot) else u[slot]
+        groups: dict[tuple, list[int]] = {}
+        for key in distinct:
+            if key not in kept:
+                groups.setdefault(distinct[key].structure, []).append(key)
+        for keys in groups.values():
+            kept.update(zip(keys, _cycle_unitaries([distinct[k].gates for k in keys], self.register)))
+        return np.array([kept[key] for key in distinct])[slot]
 
     def _permute(self, state: np.ndarray, signed: list, slot: np.ndarray | None) -> np.ndarray:
         """Monomial cycle unitaries as a gather and a phase multiply.
@@ -425,11 +421,6 @@ def _conjugate(state: np.ndarray, u: np.ndarray) -> np.ndarray:
     if state.shape[-1] == 1:
         return state
     return np.matmul(state, u.conj().swapaxes(-1, -2))
-
-
-def _take(table, step: np.ndarray):
-    """A step's matrices: a lone row's own, read in place, or one gather from the stacked table."""
-    return table[step[0]] if len(step) == 1 else table[step]
 
 
 def _wrap(state: np.ndarray) -> State:

@@ -213,6 +213,22 @@ class TestExecuteCollection:
         with pytest.raises(ProtocolError):
             execute_collection(coll, None, shots=0)
 
+    @pytest.mark.parametrize("shots", [2.5, 8.0, True, np.bool_(True), "8"],
+                             ids=["float", "integral-float", "bool", "numpy-bool", "str"])
+    def test_rejects_non_integer_shots_at_entry(self, shots):
+        """A float would scale the counts by the wrong total (2.5 shots read
+        a noiseless point as 0.8), and True would run one shot."""
+        coll = make_cb(CNOT01, (2, 4, 8), 2, 2, seed=1)
+        with pytest.raises(ProtocolError, match="shots must be an integer"):
+            execute_collection(coll, None, shots)
+
+    def test_accepts_numpy_integer_shots(self):
+        noise = NoiseModel(pauli_errors={"cnot": {"XX": 0.05}})
+        coll = make_cb(CNOT01, (2, 4, 8), 2, 2, seed=1)
+        assert repr(execute_collection(coll, noise, np.int64(16))) == repr(
+            execute_collection(coll, noise, 16)
+        )
+
 
 class TestFitDecay:
     def test_exact_recovery(self):
@@ -516,9 +532,23 @@ class TestRunRb:
 
     def test_accepts_numpy_integers(self):
         lengths = np.array([2, 4, 8])
-        assert run_rb((0,), lengths, np.int64(3), None, shots=16, seed=2) == run_rb(
-            (0,), (2, 4, 8), 3, None, shots=16, seed=2
+        assert repr(run_rb((0,), lengths, np.int64(3), None, shots=np.int32(16), seed=2)) == repr(
+            run_rb((0,), (2, 4, 8), 3, None, shots=16, seed=2)
         )
+
+    @pytest.mark.parametrize("shots", [2.5, 8.0, True, np.bool_(True), "8"],
+                             ids=["float", "integral-float", "bool", "numpy-bool", "str"])
+    def test_rejects_non_integer_shots_at_entry(self, shots):
+        with pytest.raises(ProtocolError, match="shots must be an integer"):
+            run_rb((0,), (2, 4, 8), 2, None, shots)
+
+    def test_rejects_repeated_register_labels_before_any_draw(self, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("drew streams before checking the register")
+
+        monkeypatch.setattr(bench, "Streams", no_draws)
+        with pytest.raises(CircuitError, match="distinct"):
+            run_rb((3, 3), (1, 2, 4), 2, None, 8)
 
 
 def _rb_models():

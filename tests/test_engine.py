@@ -523,9 +523,9 @@ class TestBatchedExecution:
             None,
         ],
     )
-    def test_mixed_structure_layer_is_rejected(self, noise):
+    def test_mixed_structure_layer_matches_reference(self, noise):
         """A stack whose cycles at one layer differ in kind, gate qubits or
-        gate order raises; each circuit alone still runs."""
+        gate order runs each row as it runs alone."""
         pool = [
             Cycle("easy", (Gate("H", (0,)),)),
             Cycle("easy", (Gate("X", (1,)), Gate("S", (2,)))),
@@ -537,10 +537,11 @@ class TestBatchedExecution:
         for k, a in enumerate(pool):
             for b in pool[k + 1:]:
                 circuits = [Circuit((0, 1, 2), (a,)), Circuit((0, 1, 2), (b,))]
-                with pytest.raises(SimulationError, match="one structure"):
-                    _run_many_states(ex, circuits)
-                for c in circuits:
-                    assert np.array_equal(_final(ex.run(c)), _final(oracles.reference_run(ex, c)))
+                got = _run_many_states(ex, circuits)
+                for i, c in enumerate(circuits):
+                    ref = _final(oracles.reference_run(ex, c))
+                    assert np.array_equal(_final(got[i]), ref)
+                    assert np.array_equal(_final(ex.run(c)), ref)
 
     def test_layer_cycles_are_met_in_order_of_first_appearance(self, monkeypatch):
         """A layer's distinct cycles are looked up in the order the circuits
@@ -604,7 +605,7 @@ class TestBatchedExecution:
 
 
 # ---------------------------------------------------------------------------
-# Per-row op codes: circuits of any structures and lengths in one stack
+# Circuits of any structures and lengths in one stack
 
 @st.composite
 def mixed_cases(draw):
@@ -634,16 +635,42 @@ class TestRunEach:
     @settings(max_examples=60, deadline=None)
     @given(mixed_cases())
     def test_rows_match_reference(self, case):
-        """Every row of ``run_each`` is ``reference_run`` of its circuit, bit
-        for bit, whatever the structures and lengths stacked with it."""
+        """Every row of ``run_each``, and of ``run_many`` whatever the chunk
+        size, is ``reference_run`` of its circuit, bit for bit, whatever the
+        structures and lengths stacked with it."""
         register, circuits, noise = case
         ex = Executor(register, noise)
+        reference = [oracles.reference_run(ex, c) for c in circuits]
         stack = ex.run_each(circuits)
         assert len(stack) == len(circuits)
-        for c, row in zip(circuits, stack, strict=True):
-            ref = oracles.reference_run(ex, c)
+        for row, ref in zip(stack, reference, strict=True):
             assert type(engine._wrap(row)) is type(ref)
             assert np.array_equal(_final(engine._wrap(row)), _final(ref))
+        for chunk in (1, engine.CHUNK):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(engine, "CHUNK", chunk)
+                got = _run_many_states(ex, circuits)
+            assert sorted(got) == list(range(len(circuits)))
+            for i, ref in enumerate(reference):
+                assert type(got[i]) is type(ref)
+                assert np.array_equal(_final(got[i]), _final(ref))
+
+    def test_mixed_layer_of_new_cycles_of_one_structure(self):
+        """A layer of several structures with three new cycles of one of
+        them, one repeated, then a layer of those kept cycles and a new one:
+        each row still gets its own cycle's unitary."""
+        h0, rz0, c0 = (Cycle("easy", (Gate(g, (0,), p),)) for g, p in
+                       (("H", None), ("RZ", 0.7), ("C1", 12)))
+        h1 = Cycle("easy", (Gate("H", (1,)),))
+        cnot = Cycle("hard", (Gate("CNOT", (0, 1)),))
+        rows = [(h0, cnot), (rz0, h1), (c0, rz0), (h1, c0), (h0, rz0)]
+        circuits = [Circuit((0, 1), cycles) for cycles in rows]
+        noise = NoiseModel(cnot_rotation={"*": ("ZZ", 0.1)},
+                           pauli_errors={"single_qubit": {"X": 0.01}})
+        for model in (None, noise):
+            ex = Executor((0, 1), model)
+            for row, c in zip(ex.run_each(circuits), circuits, strict=True):
+                assert np.array_equal(_final(engine._wrap(row)), _final(oracles.reference_run(ex, c)))
 
 
 # ---------------------------------------------------------------------------
