@@ -184,8 +184,7 @@ def make_cb(
     if twirl not in TWIRL_GROUPS:
         raise ProtocolError(f"twirl must be one of {TWIRL_GROUPS}")
     _check_lengths(m_list, n_random)
-    if n_decays < 1:
-        raise ProtocolError(f"n_decays must be >= 1, got {n_decays}")
+    _check_integer("n_decays", n_decays, 1)
     if register is None:
         register = cycle.qubits
     register = tuple(register)
@@ -274,23 +273,18 @@ def execute_collection(
     ``shots=None`` uses the analytic density/statevector expectation (an
     infinite-shot surrogate).  Sampling streams derive from the collection
     seed and the circuit index, so repeated runs reproduce the table exactly.
-    Each stack that ``Executor.run_many`` yields is read out at once.
     """
-    if shots is not None:
-        _check_integer("shots", shots, 1)
-    executor = Executor(coll.register, noise)
     streams = None
     if shots is not None:
+        _check_integer("shots", shots, 1)
         streams = Streams(coll.seed, (("exec", cc.index) for cc in coll.circuits))
-    points = [None] * len(coll.circuits)
-    for part, stack in executor.run_many([cc.circuit for cc in coll.circuits]):
-        members = [coll.circuits[i] for i in part]
-        xs, errs = executor.measured_expectation(
-            executor.probabilities(stack), [cc.measured for cc in members], shots, streams, part
-        )
-        for i, cc, x, err in zip(part, members, xs, errs):
-            points[i] = DecayPoint(cc.prepared.letters, cc.m, cc.index, x, err)
-    return points
+    executor = Executor(coll.register, noise)
+    xs, errs = executor.measured_expectation(
+        executor.probabilities([cc.circuit for cc in coll.circuits]),
+        [cc.measured for cc in coll.circuits], shots, streams,
+    )
+    return [DecayPoint(cc.prepared.letters, cc.m, cc.index, x, err)
+            for cc, x, err in zip(coll.circuits, xs, errs, strict=True)]
 
 
 # ---------------------------------------------------------------------------
@@ -380,8 +374,9 @@ def fit_decay(
     Gauss-Newton pass refines (A, p) on all points.  ``decay_std`` comes from
     a nonparametric bootstrap that resamples circuits within each length.
     """
-    if resamples == 1 or resamples < 0:
-        raise FitError(f"resamples must be 0 (no bootstrap) or at least 2, got {resamples}")
+    if (isinstance(resamples, bool) or not isinstance(resamples, (int, np.integer))
+            or resamples == 1 or resamples < 0):
+        raise FitError(f"resamples must be 0 (no bootstrap) or an integer >= 2, got {resamples!r}")
     pts = [DecayPoint(*p) for p in points]
     if not pts:
         raise FitError("no points to fit")
@@ -439,6 +434,8 @@ def estimate_process_infidelity(
     for f in fits:
         if f.pauli in seen:
             raise ProtocolError(f"duplicate decay term {f.pauli}")
+        if len(f.pauli) != n_qubits or not set(f.pauli) <= set("IXYZ"):
+            raise ProtocolError(f"decay term {f.pauli!r} is not {n_qubits} letters from IXYZ")
         if set(f.pauli) == {"I"}:
             raise ProtocolError("identity decay term is not allowed")
         seen.add(f.pauli)
@@ -559,7 +556,7 @@ def run_rb(
     if shots is not None:
         count_streams = Streams(seed, (("rb-exec", i) for i in range(len(circuits))))
     points: list[DecayPoint] = []
-    for i, probs in enumerate(executor.probabilities(executor.run_each(circuits))):
+    for i, probs in enumerate(executor.probabilities(circuits)):
         if shots is None:
             survival, err = float(probs[0]), 0.0
         else:

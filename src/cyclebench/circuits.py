@@ -194,10 +194,6 @@ def _cycle_unitaries(gate_rows: Sequence[tuple[Gate, ...]], register: tuple[int,
     return full.reshape(b, 2**n, 2**n)
 
 
-def cycle_unitary(cycle: Cycle, register: tuple[int, ...]) -> np.ndarray:
-    return _cycle_unitary_cached(cycle.gates, tuple(register))
-
-
 _UNIT_PHASES = np.array([1, -1, 1j, -1j])
 
 
@@ -239,7 +235,7 @@ def cycle_permutation(
     when every gate is monomial; None at the first gate that is not.
 
     Products of monomial gates with unit phases are exact, so the pair
-    describes ``cycle_unitary`` entry for entry.
+    describes the cycle unitary entry for entry.
     """
     if not all(map(is_monomial, cycle.gates)):
         return None

@@ -14,18 +14,19 @@ duration, idle qubits for the cycle duration).  Everything after the ideal
 unitary is one op list per cycle structure (``Executor._tail``).
 
 One kernel, ``Executor._run``, advances a stack of circuits of any
-structures and lengths layer by layer, with one BLAS call of a single
-circuit's shape per circuit and op, so no state depends on its stack;
-layers of monomial cycles are signed permutations.  ``run``, ``advance``,
-``run_each`` and ``run_many`` (stacks of up to ``CHUNK`` equally long
-circuits) all call it.  ``probabilities`` and ``measured_expectation`` read
-out whole stacks.
+structures and lengths, longest first, layer by layer, with one BLAS call of
+a single circuit's shape per circuit and op, so no state depends on its
+stack; layers of monomial cycles are signed permutations.  ``run`` and
+``advance`` call it with one circuit; ``probabilities``, the one batched
+entry point (CB and RB), sorts its circuits longest first once, runs them
+``CHUNK`` at a time and returns their outcome rows in input order, which
+``measured_expectation`` scores.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -42,7 +43,7 @@ from .sim import (
     readout_distribution,
 )
 
-# Circuits per stack in ``Executor.run_many``.  It bounds the transient
+# Circuits per stack in ``Executor.probabilities``.  It bounds the transient
 # memory: a stack of 256 five-qubit density matrices is 4 MiB.
 CHUNK = 256
 
@@ -110,32 +111,6 @@ class Executor:
         """Apply ``circuit``'s cycles to ``state``, without preparation:
         ``advance(run(a), b)`` equals ``run`` of a followed by b bit for bit."""
         return _wrap(self._run([circuit], self._stack_of(state))[0])
-
-    def run_each(self, circuits: Sequence[Circuit]) -> np.ndarray:
-        """Final states of ``circuits``, of any structures and cycle counts, as
-        one stack in input order; row i is bit-identical to ``run(circuits[i])``."""
-        return self._run(circuits, self._apply_tail(self._zero_stack(len(circuits)), self._prep))
-
-    def run_many(self, circuits: Sequence[Circuit]) -> Iterator[tuple[list[int], np.ndarray]]:
-        """Run many circuits from |0...0>, yielding ``(indices, stack)``: the
-        final states of ``circuits[i]`` for i in ``indices``, as one (b, d, d)
-        density or (b, d, 1) amplitude stack.
-
-        Circuits with the same cycle count advance together, at most
-        ``CHUNK`` at a time, which bounds memory and keeps each layer of a CB
-        collection to one structure.  Each state is bit-identical whatever
-        the chunk size, and to ``run(circuits[i])``.  Stacks come grouped by
-        cycle count, not in index order.
-        """
-        groups: dict[int, list[int]] = {}
-        for i, circuit in enumerate(circuits):
-            self._check_register(circuit)
-            groups.setdefault(len(circuit.cycles), []).append(i)
-        for members in groups.values():
-            for lo in range(0, len(members), CHUNK):
-                part = members[lo:lo + CHUNK]
-                start = self._apply_tail(self._zero_stack(len(part)), self._prep)
-                yield part, self._run([circuits[i] for i in part], start)
 
     def _check_register(self, circuit: Circuit) -> None:
         if tuple(circuit.qubits) != self.register:
@@ -240,27 +215,27 @@ class Executor:
 
     def _run(self, circuits: Sequence[Circuit], state: np.ndarray) -> np.ndarray:
         """Apply each circuit's cycles to its row of a stack of initial states,
-        (b, d, d) densities or (b, d, 1) amplitudes.  Sorted longest first and
-        aligned at their last cycle, the rows started at each layer are a
-        prefix ``[:a]``, which takes one ``_apply_layer``.  A pure stack stays
-        pure: only a model that introduces channels has Kraus ops."""
+        (b, d, d) densities or (b, d, 1) amplitudes, the circuits longest
+        first.  Aligned at their last cycle, the rows started at each layer
+        are a prefix ``[:a]``, which takes one ``_apply_layer``.  A pure stack
+        stays pure: only a model that introduces channels has Kraus ops."""
         for circuit in circuits:
             self._check_register(circuit)
         lengths = [len(c.cycles) for c in circuits]
-        order = sorted(range(len(circuits)), key=lengths.__getitem__, reverse=True)
         steps = max(lengths, default=0)
-        # each row's first layer, in row order; Python's sort and bisect, since
-        # numpy's first sort or search pages in up to 0.8 MB of kernels
-        starts = sorted(steps - n for n in lengths)
-        layers = zip(*((None,) * (steps - lengths[i]) + circuits[i].cycles for i in order))
-        state = state[order]
+        # each row's first layer, ascending; bisect, since numpy's first
+        # search pages in up to 0.4 MB of kernels
+        starts = [steps - n for n in lengths]
+        layers = zip(*((None,) * (steps - n) + c.cycles for n, c in zip(lengths, circuits)))
+        # run and advance pass views of the caller's state
+        state = state.copy()
         # by cycle id, for this call (the circuits hold their cycles alive)
         signed: dict[int, tuple | None] = {}
         kept: dict[int, np.ndarray] = {}
         for t, layer in enumerate(layers):
             a = bisect_right(starts, t)
             state[:a] = self._apply_layer(state[:a], layer[:a], signed, kept)
-        return state[sorted(range(len(order)), key=order.__getitem__)]
+        return state
 
     def _apply_layer(self, state: np.ndarray, layer: tuple[Cycle, ...], signed: dict,
                      kept: dict) -> np.ndarray:
@@ -366,10 +341,27 @@ class Executor:
 
     # -- measurement -------------------------------------------------------
 
-    def probabilities(self, stack: np.ndarray) -> np.ndarray:
-        """Outcome rows (b, 2^n) of a stack of (b, d, d) densities or (b, d, 1)
-        amplitudes: each state's Born probabilities, renormalised, then
-        through this model's readout confusion."""
+    def probabilities(self, circuits: Sequence[Circuit]) -> np.ndarray:
+        """Outcome rows (N, 2^n) of ``circuits`` run from |0...0>, in input
+        order: each final state's Born probabilities, renormalised, then
+        through this model's readout confusion.
+
+        The circuits run longest first, ``CHUNK`` at a time, which bounds
+        memory; a chunk costs its first circuit's cycle count.  Each row is
+        bit-identical whatever the chunk size, and to ``run(circuits[i])``
+        read out alone.
+        """
+        # Python's stable sort: numpy's first sort pages in about 0.3 MB
+        order = sorted(range(len(circuits)), key=lambda i: len(circuits[i].cycles), reverse=True)
+        out = np.empty((len(circuits), 2**self.n))
+        for lo in range(0, len(order), CHUNK):
+            part = order[lo:lo + CHUNK]
+            start = self._apply_tail(self._zero_stack(len(part)), self._prep)
+            out[part] = self._outcomes(self._run([circuits[i] for i in part], start))
+        return out
+
+    def _outcomes(self, stack: np.ndarray) -> np.ndarray:
+        """Outcome rows (b, 2^n) of a (b, d, d) density or (b, d, 1) amplitude stack."""
         if stack.shape[-1] == 1:
             probs = np.abs(stack[:, :, 0]) ** 2
         else:
@@ -378,14 +370,14 @@ class Executor:
 
     def measured_expectation(
         self, probs: np.ndarray, observables: Sequence[PauliString], shots: int | None,
-        streams=None, indices: Sequence[int] = (),
+        streams=None,
     ) -> tuple[list[float], list[float]]:
-        """Estimate each row's <observable> (a signed Z/I string) and shot
-        error from ``shots`` counts of its own stream ``streams[indices[k]]``.
+        """Estimate outcome row k's <observable> (a signed Z/I string) and shot
+        error from ``shots`` counts of its own stream ``streams[k]``.
 
         Each row draws its own multinomial, so counts do not depend on the
         stacking, and the parity arithmetic on integer counts is exact, so
-        it runs over the whole stack.  ``shots=None`` returns the analytic
+        it runs over all rows at once.  ``shots=None`` returns the analytic
         expectation through the readout confusion (an infinite-shot
         surrogate) with zero shot error.
         """
@@ -394,9 +386,10 @@ class Executor:
         if shots is None:
             exact = [s * float(np.dot(p, row)) for s, p, row in zip(signs, parity, probs, strict=True)]
             return exact, [0.0] * len(exact)
-        counts = np.array([
-            streams[i].multinomial(shots, row) for i, row in zip(indices, probs, strict=True)
-        ])
+        # filled in place: a list of small per-row arrays fragments the heap
+        counts = np.empty(probs.shape, dtype=np.int64)
+        for k, row in enumerate(probs):
+            counts[k] = streams[k].multinomial(shots, row)
         x = np.array(signs) * (np.array(parity) * counts).sum(axis=1) / shots
         return x.tolist(), np.sqrt(np.maximum(0.0, 1.0 - x * x) / shots).tolist()
 

@@ -157,11 +157,11 @@ def depolarizing_channel(lam: float, n_qubits: int):
 def circuit_unitary(circuit) -> np.ndarray:
     """Dense unitary of the whole circuit, cycle unitaries composed in time
     order."""
-    from cyclebench.circuits import cycle_unitary
+    from cyclebench.circuits import _cycle_unitaries
 
     u = np.eye(2**circuit.n_qubits, dtype=complex)
     for cyc in circuit.cycles:
-        u = cycle_unitary(cyc, circuit.qubits) @ u
+        u = _cycle_unitaries([cyc.gates], circuit.qubits)[0] @ u
     return u
 
 
@@ -425,7 +425,7 @@ def reference_run(executor, circuit, initial=None, prepare=True):
     compiled op of the executor's tail as its own matrix product, Kraus ops as
     one superoperator matvec on vec(rho).  ``prepare=False`` skips the
     preparation flips, as ``executor.advance`` does."""
-    from cyclebench.circuits import cycle_unitary
+    from cyclebench.circuits import _cycle_unitaries
     from cyclebench.sim import DensityMatrix, StateVector
 
     dim = 2**executor.n
@@ -456,7 +456,7 @@ def reference_run(executor, circuit, initial=None, prepare=True):
     if prepare:
         state = apply(state, executor._prep)
     for cyc in circuit.cycles:
-        state = conjugate(state, cycle_unitary(cyc, executor.register))
+        state = conjugate(state, _cycle_unitaries([cyc.gates], executor.register)[0])
         state = apply(state, executor._tail(cyc))
     return StateVector(state) if state.ndim == 1 else DensityMatrix(state)
 

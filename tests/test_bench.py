@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cyclebench import bench
+from cyclebench import bench, engine
 from cyclebench.bench import (
     DecayFit,
     DecayPoint,
@@ -104,6 +104,16 @@ class TestMakeCb:
     def test_rejects_negative_length_and_empty_counts(self, m_list, n_random, n_decays):
         with pytest.raises(ProtocolError):
             make_cb(CNOT01, m_list, n_random, n_decays)
+
+    @pytest.mark.parametrize("n_decays", [2.5, 2.0, True, "3"])
+    def test_rejects_non_integer_n_decays_at_entry(self, n_decays):
+        with pytest.raises(ProtocolError, match="n_decays must be an integer"):
+            make_cb(CNOT01, (2, 4, 6), 4, n_decays)
+
+    def test_accepts_numpy_integer_n_decays(self):
+        assert make_cb(CNOT01, (2, 4, 6), 2, np.int64(3), seed=1) == make_cb(
+            CNOT01, (2, 4, 6), 2, 3, seed=1
+        )
 
     def test_rejects_register_above_max_qubits(self):
         with pytest.raises(ProtocolError):
@@ -267,6 +277,18 @@ class TestFitDecay:
         assert fit_decay(pts, resamples=0).decay_std == 0.0
         assert math.isfinite(fit_decay(pts, resamples=2).decay_std)
 
+    @pytest.mark.parametrize("resamples", [2.5, 3.0, True, "4"])
+    def test_non_integer_bootstrap_size_rejected_at_entry(self, resamples):
+        pts = [DecayPoint("X", m, i, 0.9**m, 0.01) for m in (2, 4, 6) for i in range(3)]
+        with pytest.raises(FitError, match="resamples"):
+            fit_decay(pts, resamples=resamples)
+        with pytest.raises(FitError, match="resamples"):
+            fit_all_decays(pts, resamples=resamples)
+
+    def test_numpy_integer_bootstrap_size_accepted(self):
+        pts = [DecayPoint("X", m, i, 0.9**m, 0.01) for m in (2, 4, 6) for i in range(3)]
+        assert fit_decay(pts, resamples=np.int64(50)) == fit_decay(pts, resamples=50)
+
     def test_decay_clipped_to_unit_interval(self):
         pts = [
             DecayPoint("X", m, i, 1.02 ** (m / 4), 0.0)
@@ -347,6 +369,11 @@ class TestEstimator:
     def test_identity_rejected(self):
         with pytest.raises(ProtocolError):
             estimate_process_infidelity([DecayFit("II", 1, 1, 0.0)], 2)
+
+    @pytest.mark.parametrize("term, n_qubits", [("XY", 1), ("X", 2), ("XA", 2), ("xz", 2), ("", 1)])
+    def test_term_of_other_width_or_letters_rejected(self, term, n_qubits):
+        with pytest.raises(ProtocolError, match=f"decay term '{term}' is not {n_qubits} letters"):
+            estimate_process_infidelity([DecayFit(term, 1.0, 0.99, 0.01)], n_qubits)
 
 
 class TestTwirlCorrectness:
@@ -592,6 +619,27 @@ class TestRunRbMatchesPerSequenceLoop:
         monkeypatch.setattr(bench, "fit_decay", lambda points, **kw: fitted.append(points)
                             or fit_decay(points, **kw))
         assert run_rb(qubits, (2, 6, 12), 5, noise, shots, seed=31, label="x") == expected
+        (points,) = fitted
+        assert [p[:3] for p in points] == [p[:3] for p in expected_points]
+        for k in (3, 4):
+            assert np.array_equal([p[k] for p in points], [p[k] for p in expected_points])
+
+    @pytest.mark.parametrize("model", ["qcap", "readme"])
+    @pytest.mark.parametrize("width", [1, 2])
+    @pytest.mark.parametrize("shots", [128, None])
+    def test_chunked(self, monkeypatch, model, width, shots):
+        """Stacks of five sequences, so chunk boundaries fall inside the
+        seven sequences of one length, give the loop's result and points."""
+        noise, pairs = _rb_models()[model]
+        qubits = pairs[width - 1]
+        expected, expected_points = oracles.reference_run_rb(
+            qubits, (2, 6, 12), 7, noise, shots, seed=32, label="x"
+        )
+        fitted = []
+        monkeypatch.setattr(bench, "fit_decay", lambda points, **kw: fitted.append(points)
+                            or fit_decay(points, **kw))
+        monkeypatch.setattr(engine, "CHUNK", 5)
+        assert run_rb(qubits, (2, 6, 12), 7, noise, shots, seed=32, label="x") == expected
         (points,) = fitted
         assert [p[:3] for p in points] == [p[:3] for p in expected_points]
         for k in (3, 4):

@@ -212,21 +212,26 @@ def _measure(ex, state, observable, shots, seed=0):
     """The stacked readout of one state, whose width ``_stack_of`` checks,
     with stream ``rng_from(seed)``."""
     xs, errs = ex.measured_expectation(
-        ex.probabilities(ex._stack_of(state)), [observable], shots, [sim.rng_from(seed)], [0]
+        ex._outcomes(ex._stack_of(state)), [observable], shots, [sim.rng_from(seed)]
     )
     return xs[0], errs[0]
 
 
-def _run_many_states(ex, circuits):
-    """``ex.run_many``'s stacks as ``{index: StateVector or DensityMatrix}``;
-    every index comes once, with one state of its stack."""
-    pairs = [
-        (i, engine._wrap(state))
-        for part, stack in ex.run_many(circuits) for i, state in zip(part, stack, strict=True)
-    ]
-    got = dict(pairs)
-    assert len(got) == len(pairs)
-    return got
+def _run_states(ex, circuits):
+    """Final states of ``circuits`` from |0...0>, in input order, as
+    ``StateVector`` or ``DensityMatrix``: the kernel ``_run`` over prepared
+    zero stacks of the circuits sorted longest first, ``engine.CHUNK`` at a
+    time, so a stack can hold circuits of several lengths."""
+    order = sorted(range(len(circuits)), key=lambda i: len(circuits[i].cycles), reverse=True)
+    states = [None] * len(circuits)
+    for lo in range(0, len(order), engine.CHUNK):
+        part = order[lo:lo + engine.CHUNK]
+        start = ex._apply_tail(ex._zero_stack(len(part)), ex._prep)
+        stack = ex._run([circuits[i] for i in part], start)
+        assert len(stack) == len(part)
+        for i, row in zip(part, stack):
+            states[i] = engine._wrap(row)
+    return states
 
 
 class TestPrepAndReadout:
@@ -239,7 +244,7 @@ class TestPrepAndReadout:
     def test_sampling_uses_model_readout(self):
         noise = NoiseModel(readout={0: confusion_from_scalar(0.1)})
         ex = Executor((0,), noise)
-        probs = ex.probabilities(ex.run_each([Circuit((0,), ())]))[0]
+        probs = ex.probabilities([Circuit((0,), ())])[0]
         assert np.array_equal(probs, [0.9, 0.1])
         draws = np.random.default_rng(3).multinomial(200_000, probs)
         assert abs(draws[1] / 200_000 - 0.1) < 0.004
@@ -467,11 +472,10 @@ class TestBatchedExecution:
         for chunk in (1, 7, engine.CHUNK):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(engine, "CHUNK", chunk)
-                got = _run_many_states(ex, circuits)
-            assert sorted(got) == list(range(len(circuits)))
-            for i, state in got.items():
-                assert type(state) is type(reference[i])
-                assert np.array_equal(_final(state), _final(reference[i]))
+                got = _run_states(ex, circuits)
+            for state, ref in zip(got, reference, strict=True):
+                assert type(state) is type(ref)
+                assert np.array_equal(_final(state), _final(ref))
 
     @settings(max_examples=40, deadline=None)
     @given(cb_cases(), st.integers(1, 10**6))
@@ -503,7 +507,7 @@ class TestBatchedExecution:
         circuits = [cc.circuit for cc in coll.circuits]
         ex = Executor(coll.register, noise)
         monkeypatch.setattr(engine, "CHUNK", 5)
-        got = _run_many_states(ex, circuits)
+        got = _run_states(ex, circuits)
         for i, c in enumerate(circuits):
             assert np.array_equal(got[i].entries, oracles.reference_run(ex, c).entries)
 
@@ -537,7 +541,7 @@ class TestBatchedExecution:
         for k, a in enumerate(pool):
             for b in pool[k + 1:]:
                 circuits = [Circuit((0, 1, 2), (a,)), Circuit((0, 1, 2), (b,))]
-                got = _run_many_states(ex, circuits)
+                got = _run_states(ex, circuits)
                 for i, c in enumerate(circuits):
                     ref = _final(oracles.reference_run(ex, c))
                     assert np.array_equal(_final(got[i]), ref)
@@ -554,7 +558,7 @@ class TestBatchedExecution:
         calls = []
         monkeypatch.setattr(engine, "cycle_permutation",
                             lambda c, r: calls.append(id(c)) or cycle_permutation(c, r))
-        list(Executor((0, 1)).run_many(circuits))
+        Executor((0, 1)).probabilities(circuits)
         assert calls == [id(first), id(second)]
 
     def test_run_cycle_and_batched_path_read_the_same_tail(self, monkeypatch):
@@ -569,7 +573,7 @@ class TestBatchedExecution:
         original = Executor._tail
         monkeypatch.setattr(Executor, "_tail", lambda self, cyc: original(self, cyc) + (extra,))
         ex = Executor((0, 1), noise)
-        batched = _run_many_states(ex, circuits)
+        batched = _run_states(ex, circuits)
         changed = 0
         for i, c in enumerate(circuits):
             ref = oracles.reference_run(ex, c).entries
@@ -579,8 +583,10 @@ class TestBatchedExecution:
         assert changed >= len(circuits) // 2
 
     def test_each_structure_tail_is_looked_up_once_per_layer(self, monkeypatch):
-        """A C1-twirl collection has one structure per layer: one tail lookup
-        per layer and stack, however many distinct twirl cycles it holds."""
+        """A C1-twirl collection has one structure per layer of a stack of
+        equally long circuits: one tail lookup per layer and stack, however
+        many distinct twirl cycles it holds.  Six divides each length's 18
+        circuits, so no stack straddles two lengths."""
         noise = NoiseModel(pauli_errors={"cnot": {"XX": 0.05}}, t1={0: 40.0})
         coll = make_cb(Cycle("hard", (Gate("CNOT", (0, 1)),)), (1, 3, 5), 6, 3,
                        twirl="c1", seed=3)
@@ -589,10 +595,10 @@ class TestBatchedExecution:
         original = Executor._tail
         monkeypatch.setattr(Executor, "_tail",
                             lambda self, cyc: calls.append(cyc) or original(self, cyc))
-        monkeypatch.setattr(engine, "CHUNK", 8)
-        _run_many_states(Executor((0, 1), noise), circuits)
+        monkeypatch.setattr(engine, "CHUNK", 6)
+        Executor((0, 1), noise).probabilities(circuits)
         lengths = [len(c.cycles) for c in circuits]
-        stacks = {n: -(-lengths.count(n) // 8) for n in set(lengths)}
+        stacks = {n: -(-lengths.count(n) // 6) for n in set(lengths)}
         assert len(calls) == sum(n * k for n, k in stacks.items())
 
     def test_tails_are_interned_by_structure(self):
@@ -631,29 +637,72 @@ def mixed_cases(draw):
     return register, circuits, draw(st.none() | noise_models(register, pairs))
 
 
-class TestRunEach:
+class TestMixedStacks:
     @settings(max_examples=60, deadline=None)
     @given(mixed_cases())
     def test_rows_match_reference(self, case):
-        """Every row of ``run_each``, and of ``run_many`` whatever the chunk
-        size, is ``reference_run`` of its circuit, bit for bit, whatever the
-        structures and lengths stacked with it."""
+        """Every row of one ``_run`` stack, sorted longest first, and of
+        stacks of ``CHUNK`` rows whatever the chunk size, is ``reference_run``
+        of its circuit, bit for bit, whatever the structures and lengths
+        stacked with it."""
         register, circuits, noise = case
         ex = Executor(register, noise)
         reference = [oracles.reference_run(ex, c) for c in circuits]
-        stack = ex.run_each(circuits)
-        assert len(stack) == len(circuits)
-        for row, ref in zip(stack, reference, strict=True):
-            assert type(engine._wrap(row)) is type(ref)
-            assert np.array_equal(_final(engine._wrap(row)), _final(ref))
-        for chunk in (1, engine.CHUNK):
+        for chunk in (1, 3, engine.CHUNK):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(engine, "CHUNK", chunk)
-                got = _run_many_states(ex, circuits)
-            assert sorted(got) == list(range(len(circuits)))
-            for i, ref in enumerate(reference):
-                assert type(got[i]) is type(ref)
-                assert np.array_equal(_final(got[i]), _final(ref))
+                got = _run_states(ex, circuits)
+            for state, ref in zip(got, reference, strict=True):
+                assert type(state) is type(ref)
+                assert np.array_equal(_final(state), _final(ref))
+
+    @settings(max_examples=60, deadline=None)
+    @given(mixed_cases())
+    def test_probabilities_match_reference(self, case):
+        """Every outcome row of ``probabilities`` is the reference readout of
+        ``reference_run`` of its circuit, in input order, whatever the chunk
+        size."""
+        register, circuits, noise = case
+        ex = Executor(register, noise)
+        expected = [oracles.reference_probabilities(ex, oracles.reference_run(ex, c))
+                    for c in circuits]
+        for chunk in (1, 7, 256):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(engine, "CHUNK", chunk)
+                got = ex.probabilities(circuits)
+            assert got.shape == (len(circuits), 2 ** len(register))
+            assert np.array_equal(got, expected)
+
+    def test_chunk_boundary_inside_a_length_block(self):
+        """Nine circuits of four cycles, five of two and two of none, in
+        shuffled input order: with seven per chunk, the first boundary splits
+        the four-cycle block and the second chunk straddles two lengths."""
+        pool = [
+            Cycle("easy", (Gate("H", (0,)), Gate("S", (2,)))),
+            Cycle("easy", (Gate("C1", (1,), 12),)),
+            Cycle("easy", (Gate("X", (0,)), Gate("Z", (1,)))),
+            Cycle("hard", (Gate("CNOT", (0, 1)),)),
+            Cycle("hard", (Gate("CNOT", (2, 1)),)),
+        ]
+        rng = np.random.default_rng(5)
+        lengths = rng.permutation([4] * 9 + [2] * 5 + [0] * 2).tolist()
+        circuits = [Circuit((0, 1, 2), tuple(pool[k] for k in rng.integers(len(pool), size=n)))
+                    for n in lengths]
+        noise = NoiseModel(
+            t1={0: 40.0, 2: 80.0}, t2={0: 50.0},
+            pauli_errors={"single_qubit": {"X": 0.01}, "cnot": {"IY": 0.03}},
+            cnot_rotation={"*": ("ZZ", 0.2)},
+            readout={1: confusion_from_scalar(0.03)},
+            prep_flip={2: 0.02},
+        )
+        for model in (None, noise):
+            ex = Executor((0, 1, 2), model)
+            expected = [oracles.reference_probabilities(ex, oracles.reference_run(ex, c))
+                        for c in circuits]
+            for chunk in (1, 7, 256):
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(engine, "CHUNK", chunk)
+                    assert np.array_equal(ex.probabilities(circuits), expected)
 
     def test_mixed_layer_of_new_cycles_of_one_structure(self):
         """A layer of several structures with three new cycles of one of
@@ -669,8 +718,8 @@ class TestRunEach:
                            pauli_errors={"single_qubit": {"X": 0.01}})
         for model in (None, noise):
             ex = Executor((0, 1), model)
-            for row, c in zip(ex.run_each(circuits), circuits, strict=True):
-                assert np.array_equal(_final(engine._wrap(row)), _final(oracles.reference_run(ex, c)))
+            for state, c in zip(_run_states(ex, circuits), circuits, strict=True):
+                assert np.array_equal(_final(state), _final(oracles.reference_run(ex, c)))
 
 
 # ---------------------------------------------------------------------------
@@ -770,30 +819,30 @@ class TestMonomialLayers:
             expected = oracles.reference_run(ex, c, start, prepare=False)
             assert type(stepped) is type(expected)
             assert np.array_equal(_final(stepped), _final(expected))
+        expected = [oracles.reference_probabilities(ex, ref) for ref in reference]
         for chunk in (1, 5, engine.CHUNK):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(engine, "CHUNK", chunk)
-                stacks = list(ex.run_many(circuits))
-            got = {i: engine._wrap(s) for part, stack in stacks for i, s in zip(part, stack)}
-            assert sorted(got) == list(range(len(circuits)))
-            for i, ref in enumerate(reference):
-                assert type(got[i]) is type(ref)
-                assert np.array_equal(_final(got[i]), _final(ref))
+                got = _run_states(ex, circuits)
+                probs = ex.probabilities(circuits)
+            for state, ref in zip(got, reference, strict=True):
+                assert type(state) is type(ref)
+                assert np.array_equal(_final(state), _final(ref))
+            assert np.array_equal(probs, expected)
             for shots in (None, 50):
                 streams = [sim.rng_from(i) for i in range(len(circuits))]
-                for part, stack in stacks:
-                    points = ex.measured_expectation(
-                        ex.probabilities(stack), [observable] * len(part), shots, streams, part
-                    )
-                    assert list(zip(*points)) == [
-                        oracles.measured_expectation(ex, reference[i], observable, shots, i)
-                        for i in part
-                    ]
+                points = ex.measured_expectation(probs, [observable] * len(circuits), shots, streams)
+                assert list(zip(*points)) == [
+                    oracles.measured_expectation(ex, ref, observable, shots, i)
+                    for i, ref in enumerate(reference)
+                ]
 
     @pytest.mark.parametrize("twirl", TWIRL_GROUPS)
     def test_monomial_layers_skip_the_matmul(self, twirl, monkeypatch):
         """Pauli-twirl and CNOT layers never look up a cycle unitary; C1-twirl
-        layers keep the matmul path."""
+        layers keep the matmul path.  Twelve per stack keeps each stack to one
+        length: a stack that straddles two has one layer mixing the CNOT with
+        the shorter rows' preparations, and that layer takes the matmul path."""
         noise = NoiseModel(pauli_errors={"cnot": {"XZ": 0.03}}, t1={0: 50.0},
                            durations={"cnot": 100.0})
         coll = make_cb(Cycle("hard", (Gate("CNOT", (0, 1)),)), (1, 2, 4), 4, 3,
@@ -801,13 +850,14 @@ class TestMonomialLayers:
         circuits = [cc.circuit for cc in coll.circuits]
         ex = Executor(coll.register, noise)
         reference = [oracles.reference_run(ex, c).entries for c in circuits]
+        monkeypatch.setattr(engine, "CHUNK", 12)
         looked_up = []
         monkeypatch.setattr(
             engine, "_cycle_unitaries",
             lambda rows, r: looked_up.extend(rows) or _cycle_unitaries(rows, r),
         )
-        for i, state in _run_many_states(ex, circuits).items():
-            assert np.array_equal(state.entries, reference[i])
+        for state, ref in zip(_run_states(ex, circuits), reference, strict=True):
+            assert np.array_equal(state.entries, ref)
         names = {g.name for gates in looked_up for g in gates}
         assert "CNOT" not in names
         if twirl == "pauli":
@@ -850,7 +900,7 @@ def test_cptp_check_rejects_transpose():
 def test_every_compiled_superop_is_cptp(case):
     register, circuits, noise = case
     ex = Executor(register, noise)
-    _run_many_states(ex, circuits)
+    ex.probabilities(circuits)
     ex.run(circuits[0])
     for kind, op in ex._ops.values():
         if kind == "kraus":
