@@ -129,11 +129,11 @@ def _basis_cycle(letters: str, register: tuple[int, ...], c1) -> Cycle:
     return Cycle("easy", tuple(Gate("C1", (register[i],), c1(c)) for i, c in enumerate(letters)))
 
 
-def _check_integer(what: str, v, least: int | None = None) -> None:
+def _check_integer(what: str, v, least: int | None = None, error=ProtocolError) -> None:
     if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-        raise ProtocolError(f"{what} must be an integer, got {v!r}")
+        raise error(f"{what} must be an integer, got {v!r}")
     if least is not None and v < least:
-        raise ProtocolError(f"{what} must be >= {least}, got {v}")
+        raise error(f"{what} must be >= {least}, got {v}")
 
 
 def _check_lengths(m_list: Sequence[int], n_random: int) -> None:
@@ -374,8 +374,8 @@ def fit_decay(
     Gauss-Newton pass refines (A, p) on all points.  ``decay_std`` comes from
     a nonparametric bootstrap that resamples circuits within each length.
     """
-    if (isinstance(resamples, bool) or not isinstance(resamples, (int, np.integer))
-            or resamples == 1 or resamples < 0):
+    _check_integer("resamples", resamples, error=FitError)
+    if resamples == 1 or resamples < 0:
         raise FitError(f"resamples must be 0 (no bootstrap) or an integer >= 2, got {resamples!r}")
     pts = [DecayPoint(*p) for p in points]
     if not pts:

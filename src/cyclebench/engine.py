@@ -266,11 +266,11 @@ class Executor:
             state = _conjugate(state, self._unitaries(distinct, slot, one, kept))
         if one:
             return self._apply_tail(state, self._tail(layer[0]))
-        # each structure's tail, interned by structure, on its own rows
-        tails = [self._tail(c) for c in distinct.values()]
-        for tail in {id(t): t for t in tails if t}.values():
-            rows = np.flatnonzero(np.array([t is tail for t in tails])[slot])
-            state[rows] = self._apply_tail(state[rows], tail)
+        # each structure's tail, looked up once, on its own rows
+        for s, c in dict(zip(structures, distinct.values())).items():
+            if tail := self._tail(c):
+                rows = np.flatnonzero(np.array([t == s for t in structures])[slot])
+                state[rows] = self._apply_tail(state[rows], tail)
         return state
 
     def _unitaries(self, distinct: dict, slot: np.ndarray | None, one: bool,

@@ -234,6 +234,18 @@ def _run_states(ex, circuits):
     return states
 
 
+def _stack_layers(circuits):
+    """Per stack that ``probabilities`` runs (``engine.CHUNK`` circuits of
+    them sorted longest first), its layers: the cycles of the rows that the
+    layer reaches, the rows aligned at their last cycle."""
+    ordered = sorted(circuits, key=lambda c: len(c.cycles), reverse=True)
+    for lo in range(0, len(ordered), engine.CHUNK):
+        part = ordered[lo:lo + engine.CHUNK]
+        steps = len(part[0].cycles)
+        yield [[c.cycles[t - steps + len(c.cycles)] for c in part if t + len(c.cycles) >= steps]
+               for t in range(steps)]
+
+
 class TestPrepAndReadout:
     def test_prep_flip_probability(self):
         noise = NoiseModel(prep_flip={0: 0.02})
@@ -583,10 +595,10 @@ class TestBatchedExecution:
         assert changed >= len(circuits) // 2
 
     def test_each_structure_tail_is_looked_up_once_per_layer(self, monkeypatch):
-        """A C1-twirl collection has one structure per layer of a stack of
-        equally long circuits: one tail lookup per layer and stack, however
-        many distinct twirl cycles it holds.  Six divides each length's 18
-        circuits, so no stack straddles two lengths."""
+        """A C1-twirl collection has one tail lookup per structure, layer and
+        stack, however many distinct twirl cycles a layer holds: one in a
+        layer of equally long rows, two where a stack straddles two lengths
+        (the target beside the shorter rows' preparations)."""
         noise = NoiseModel(pauli_errors={"cnot": {"XX": 0.05}}, t1={0: 40.0})
         coll = make_cb(Cycle("hard", (Gate("CNOT", (0, 1)),)), (1, 3, 5), 6, 3,
                        twirl="c1", seed=3)
@@ -595,11 +607,13 @@ class TestBatchedExecution:
         original = Executor._tail
         monkeypatch.setattr(Executor, "_tail",
                             lambda self, cyc: calls.append(cyc) or original(self, cyc))
-        monkeypatch.setattr(engine, "CHUNK", 6)
-        Executor((0, 1), noise).probabilities(circuits)
-        lengths = [len(c.cycles) for c in circuits]
-        stacks = {n: -(-lengths.count(n) // 6) for n in set(lengths)}
-        assert len(calls) == sum(n * k for n, k in stacks.items())
+        for chunk in (engine.CHUNK, 7):
+            monkeypatch.setattr(engine, "CHUNK", chunk)
+            calls.clear()
+            Executor((0, 1), noise).probabilities(circuits)
+            layers = [layer for stack in _stack_layers(circuits) for layer in stack]
+            assert len(calls) == sum(len({c.structure for c in layer}) for layer in layers)
+            assert any(len({c.structure for c in layer}) > 1 for layer in layers)
 
     def test_tails_are_interned_by_structure(self):
         noise = NoiseModel(pauli_errors={"cnot": {"XX": 0.05}, "single_qubit": {"Z": 0.01}})
@@ -840,31 +854,67 @@ class TestMonomialLayers:
     @pytest.mark.parametrize("twirl", TWIRL_GROUPS)
     def test_monomial_layers_skip_the_matmul(self, twirl, monkeypatch):
         """Pauli-twirl and CNOT layers never look up a cycle unitary; C1-twirl
-        layers keep the matmul path.  Twelve per stack keeps each stack to one
-        length: a stack that straddles two has one layer mixing the CNOT with
-        the shorter rows' preparations, and that layer takes the matmul path."""
+        layers keep the matmul path.  A stack that straddles two lengths has
+        layers that mix the CNOT with the shorter rows' preparations: one that
+        also holds a cycle that is not monomial takes the matmul path, so the
+        CNOT's unitary is built there, once per stack."""
         noise = NoiseModel(pauli_errors={"cnot": {"XZ": 0.03}}, t1={0: 50.0},
                            durations={"cnot": 100.0})
-        coll = make_cb(Cycle("hard", (Gate("CNOT", (0, 1)),)), (1, 2, 4), 4, 3,
-                       twirl=twirl, seed=2)
+        target = Cycle("hard", (Gate("CNOT", (0, 1)),))
+        coll = make_cb(target, (1, 2, 4), 4, 3, twirl=twirl, seed=2)
         circuits = [cc.circuit for cc in coll.circuits]
         ex = Executor(coll.register, noise)
-        reference = [oracles.reference_run(ex, c).entries for c in circuits]
-        monkeypatch.setattr(engine, "CHUNK", 12)
+        expected = [oracles.reference_probabilities(ex, oracles.reference_run(ex, c))
+                    for c in circuits]
         looked_up = []
         monkeypatch.setattr(
             engine, "_cycle_unitaries",
             lambda rows, r: looked_up.extend(rows) or _cycle_unitaries(rows, r),
         )
-        for state, ref in zip(_run_states(ex, circuits), reference, strict=True):
-            assert np.array_equal(state.entries, ref)
-        names = {g.name for gates in looked_up for g in gates}
-        assert "CNOT" not in names
-        if twirl == "pauli":
-            assert names <= {"C1"}  # preparation and inversion layers only
-        else:
-            twirl_cycles = {c.circuit.cycles[1].gates for c in coll.circuits if c.m}
-            assert twirl_cycles <= set(looked_up)
+        # stacks that take the matmul path for the CNOT: the default holds all
+        # 36 circuits in one stack; 12 cuts the stacks at the length blocks
+        # and 7 inside them
+        for chunk, stacks in ((engine.CHUNK, 1), (12, 0), (7, 2)):
+            monkeypatch.setattr(engine, "CHUNK", chunk)
+            looked_up.clear()
+            assert np.array_equal(ex.probabilities(circuits), expected)
+            straddling = sum(
+                any(target in layer and any(cycle_permutation(c, ex.register) is None
+                                            for c in layer) for layer in stack)
+                for stack in _stack_layers(circuits)
+            )
+            assert looked_up.count(target.gates) == straddling
+            assert straddling == stacks
+            names = {g.name for gates in looked_up if gates != target.gates for g in gates}
+            assert "CNOT" not in names
+            if twirl == "pauli":
+                assert names <= {"C1"}  # preparation and inversion layers only
+            else:
+                twirl_cycles = {c.circuit.cycles[1].gates for c in coll.circuits if c.m}
+                assert twirl_cycles <= set(looked_up)
+
+    def test_mixed_layer_of_monomial_cycles_skips_the_matmul(self, monkeypatch):
+        """A layer that mixes structures, all of its cycles monomial (a CNOT
+        beside one-qubit Pauli and phase cycles), looks up no cycle unitary."""
+        cnot = Cycle("hard", (Gate("CNOT", (0, 1)),))
+        xs = Cycle("easy", (Gate("X", (0,)), Gate("S", (1,))))
+        z = Cycle("easy", (Gate("Z", (1,)),))
+        circuits = [Circuit((0, 1), cycles) for cycles in
+                    ((xs, cnot, z), (cnot, xs), (z, cnot), (xs,))]
+        looked_up = []
+        monkeypatch.setattr(
+            engine, "_cycle_unitaries",
+            lambda rows, r: looked_up.extend(rows) or _cycle_unitaries(rows, r),
+        )
+        noise = NoiseModel(pauli_errors={"cnot": {"XZ": 0.03}}, t1={0: 50.0},
+                           durations={"cnot": 100.0, "single_qubit": 20.0})
+        for model in (None, noise):
+            ex = Executor((0, 1), model)
+            expected = [oracles.reference_probabilities(ex, oracles.reference_run(ex, c))
+                        for c in circuits]
+            looked_up.clear()
+            assert np.array_equal(ex.probabilities(circuits), expected)
+            assert looked_up == []
 
 
 def _choi(superop: np.ndarray) -> np.ndarray:
