@@ -381,6 +381,10 @@ class Executor:
         expectation through the readout confusion (an infinite-shot
         surrogate) with zero shot error.
         """
+        if len(observables) != len(probs):
+            raise SimulationError(f"{len(observables)} observables for {len(probs)} outcome rows")
+        if shots is not None and len(streams or ()) != len(probs):
+            raise SimulationError(f"{len(streams or ())} streams for {len(probs)} outcome rows")
         parity = [self._parity_row(o) for o in observables]
         signs = [o.sign for o in observables]
         if shots is None:

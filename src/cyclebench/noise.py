@@ -436,6 +436,8 @@ class DriftEpoch:
     def __post_init__(self):
         if self.label not in LABEL_ORDER:
             raise DriftScheduleError(f"unknown epoch label {self.label!r}")
+        if self.day < 0:
+            raise DriftScheduleError(f"epoch day must be >= 0, got {self.day}")
         object.__setattr__(self, "overrides", dict(self.overrides))
 
     @property

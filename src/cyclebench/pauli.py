@@ -2,7 +2,8 @@
 
 Each fixed gate is defined once, by its matrix in ``GATE_MATRICES``.  Its
 frame rule, a signed permutation of the Paulis on its qubits, is read off
-that matrix once, and so are the rules of the 24 single-qubit Cliffords.
+that matrix once; the rules of the 24 single-qubit Cliffords are rows of the
+tables that the Clifford group's BFS composes from those of H and S.
 Operator propagation through Clifford circuits then works on integer
 signed-permutation tables over Pauli indices, never on dense matrices, so
 frames stay exact through arbitrarily deep circuits; a ``PauliString`` is
@@ -13,9 +14,8 @@ from __future__ import annotations
 
 import functools
 import itertools
-from collections import deque
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -111,12 +111,12 @@ class C1Element:
 
 @functools.lru_cache(maxsize=1)
 def _c1_table() -> tuple[C1Element, ...]:
+    words, _, tables = clifford_group(1)
     out = []
-    for idx, word in enumerate(clifford_group(1)[0]):
+    for idx, (word, inverse) in enumerate(zip(words, _inverse_indices(1, *tables))):
         mat = np.eye(2, dtype=complex)
         for name, _ in word:
             mat = GATE_MATRICES[name] @ mat
-        inverse = clifford_inverse(1, [(name, pos, None) for name, *pos in word])
         out.append(C1Element(idx, tuple(name for name, _ in word), mat, inverse))
     return tuple(out)
 
@@ -139,11 +139,8 @@ def _c1_sending(source: str, target: str) -> int:
     if "I" in (source, target):
         return 0
     i, j = LETTERS.index(source), LETTERS.index(target)
-    for k in range(c1_count()):
-        image, sign = _local_table("C1", k)
-        if image[i] == j and sign[i] == 1:
-            return k
-    raise RuntimeError(f"no single-qubit Clifford maps {source} to +{target}")
+    image, sign = clifford_group(1)[2]
+    return int(np.flatnonzero((image[:, i] == j) & (sign[:, i] == 1))[0])
 
 
 def c1_preparing(letter: str) -> int:
@@ -213,13 +210,14 @@ def letter_place_values(n: int) -> np.ndarray:
 def _local_table(name: str, param) -> tuple[np.ndarray, np.ndarray]:
     """(image, sign) of a gate on its own k qubits, read off its matrix U:
     U P_i U^dagger = sign[i] P_image[i], where |tr(P_j U P_i U^dagger)| / 2^k
-    is 1 for j = image[i] and 0 for every other j."""
+    is 1 for j = image[i] and 0 for every other j.  A C1 element's is its row
+    of the ``clifford_group(1)`` tables."""
     if name == "C1":
-        u = c1_element(int(param)).matrix
-    elif name in GATE_MATRICES:
-        u = GATE_MATRICES[name]
-    else:
+        k = c1_element(int(param)).index  # range-checked
+        return tuple(table[k] for table in clifford_group(1)[2])
+    if name not in GATE_MATRICES:
         raise NonCliffordGateError(f"gate {name!r} is not Clifford")
+    u = GATE_MATRICES[name]
     k = len(u).bit_length() - 1
     paulis = np.stack([PauliString(s).to_matrix() for s in all_pauli_letters(k, True)])
     overlap = np.einsum("jab,iba->ij", paulis, u @ paulis @ u.conj().T).real / 2**k
@@ -270,25 +268,30 @@ def conjugate_gate(
 
 # ---------------------------------------------------------------------------
 # Clifford groups on one and two qubits, enumerated as canonical gate words.
-# Elements are keyed by their tableau: the signed indices (sign * index) of
-# the images of X_0..X_{n-1}, Z_0..Z_{n-1}.  Images are never the identity,
-# so the sign is unambiguous, and sequences compose and invert without any
-# matrix algebra.
+# An element is its frame table, keyed by the bytes of its ``uint8`` images
+# and ``int8`` signs, so sequences compose and invert by gathers and
+# scatters, without any matrix algebra.
 
 GateSpec = tuple  # (name, positions...) with positions local to the group
 
 
-def _generator_indices(n: int) -> list[int]:
-    return [code * 4 ** (n - 1 - q) for code in (1, 3) for q in range(n)]
+def _table_keys(image: np.ndarray, sign: np.ndarray) -> Iterator[bytes]:
+    """Group-index keys of (rows, 4^n) ``uint8`` images and ``int8`` signs, made
+    one at a time: a list of a BFS level's keys leaves the heap fragmented."""
+    return map(bytes, np.concatenate([image, sign.view(np.uint8)], axis=1))
 
 
 @functools.lru_cache(maxsize=4)
-def clifford_group(n: int) -> tuple[tuple[tuple[GateSpec, ...], ...], dict]:
+def clifford_group(n: int) -> tuple[tuple[tuple[GateSpec, ...], ...], dict[bytes, int], FrameTable]:
     """Enumerate the n-qubit Clifford group (n <= 2).
 
-    Returns (words, index) where ``words[i]`` is a canonical gate word and
-    ``index`` maps a tableau to i.  BFS order is deterministic, so the
-    enumeration is stable across runs.
+    Returns (words, index, tables): ``words[i]`` is a canonical gate word,
+    ``tables`` holds the read-only (N, 4^n) ``uint8`` images and ``int8``
+    signs of every word in that order, and ``index`` maps a row's
+    ``_table_keys`` key to i.  The BFS runs a level at a time, one gather per
+    generator, and takes new children parent by parent, then generator by
+    generator, the order a queue finds them in, so the enumeration is stable
+    across runs.
     """
     if n == 1:
         generators: list[GateSpec] = [("H", 0), ("S", 0)]
@@ -296,31 +299,30 @@ def clifford_group(n: int) -> tuple[tuple[tuple[GateSpec, ...], ...], dict]:
         generators = [("H", 0), ("H", 1), ("S", 0), ("S", 1), ("CNOT", 0, 1)]
     else:
         raise ValueError("Clifford group enumeration supports n <= 2 only")
-    size = 4**n
-    # per generator, signed index v -> signed image, stored at v + size
-    lookups = []
-    for name, *pos in generators:
-        table = gate_table(name, tuple(pos), n)
-        signed = (table.sign * table.image).tolist()
-        lut = [0] * (2 * size)
-        for i, v in enumerate(signed):
-            lut[size + i], lut[size - i] = v, -v
-        lookups.append(lut)
-    start = tuple(_generator_indices(n))
-    index: dict[tuple, int] = {start: 0}
+    gens = [gate_table(name, tuple(pos), n) for name, *pos in generators]
+    gen_images = [g.image.astype(np.uint8) for g in gens]  # gathers of intp would peak 8x higher
+    image = np.arange(4**n, dtype=np.uint8)[None]
+    sign = np.ones(image.shape, dtype=np.int8)
     words: list[tuple[GateSpec, ...]] = [()]
-    tableaus: list[tuple[int, ...]] = [start]
-    queue = deque([0])
-    while queue:
-        i = queue.popleft()
-        for gen, lut in zip(generators, lookups):
-            key = tuple([lut[size + v] for v in tableaus[i]])
+    index = dict.fromkeys(_table_keys(image, sign), 0)
+    levels, first = [FrameTable(image, sign)], 0  # ``first``: group index of a level's row 0
+    while len(image):
+        # each row followed by each generator, (rows * generators, 4^n)
+        sign = np.stack([sign * g.sign[image] for g in gens], axis=1).reshape(-1, 4**n)
+        image = np.stack([g[image] for g in gen_images], axis=1).reshape(-1, 4**n)
+        new = []
+        for r, key in enumerate(_table_keys(image, sign)):
             if key not in index:
                 index[key] = len(words)
-                words.append(words[i] + (gen,))
-                tableaus.append(key)
-                queue.append(index[key])
-    return tuple(words), index
+                words.append(words[first + r // len(gens)] + (generators[r % len(gens)],))
+                new.append(r)
+        first = len(words) - len(new)
+        image, sign = image[new], sign[new]
+        levels.append(FrameTable(image, sign))
+    tables = FrameTable(*(np.concatenate(arrays) for arrays in zip(*levels)))
+    for array in tables:
+        array.setflags(write=False)
+    return tuple(words), index, tables
 
 
 def clifford_count(n: int) -> int:
@@ -339,11 +341,11 @@ def clifford_inverse(n: int, gates) -> int:
 
 def _inverse_indices(n: int, image: np.ndarray, sign: np.ndarray) -> list[int]:
     """Group indices of the inverses of (rows, 4^n) frame tables: if C maps P
-    to s * Q, its inverse maps Q to s * P, read off at the generators' preimages."""
-    pre = (image[:, :, None] == _generator_indices(n)).argmax(axis=1)  # generator preimages
-    keys = np.take_along_axis(sign, pre, axis=1) * pre
-    index = clifford_group(n)[1]
-    return [index[key] for key in map(tuple, keys.tolist())]
+    to s * Q, its inverse maps Q to s * P."""
+    inverse = FrameTable(np.empty(image.shape, np.uint8), np.empty(sign.shape, np.int8))
+    np.put_along_axis(inverse.image, image, np.arange(4**n, dtype=np.uint8), axis=1)
+    np.put_along_axis(inverse.sign, image, sign, axis=1)
+    return list(map(clifford_group(n)[1].__getitem__, _table_keys(*inverse)))
 
 
 def clifford_inverse_word(n: int, gates) -> tuple[GateSpec, ...]:
@@ -351,38 +353,10 @@ def clifford_inverse_word(n: int, gates) -> tuple[GateSpec, ...]:
     return clifford_word(n, clifford_inverse(n, gates))
 
 
-@functools.lru_cache(maxsize=2)
-def clifford_tables(n: int) -> FrameTable:
-    """Read-only (N, 4^n) ``uint8`` images and ``int8`` signs of every
-    ``clifford_group(n)`` element, in its order.  Per BFS level and generator,
-    the parents' tables followed by the generator's are one gather."""
-    words = clifford_group(n)[0]
-    gens = sorted({word[-1] for word in words[1:]})
-    depth = np.fromiter(map(len, words), np.uint8, len(words))
-    # BFS appends each element's children as one block, in element order
-    parent, last, p = np.zeros(len(words), dtype=np.int32), np.zeros(len(words), dtype=np.uint8), 0
-    for i, word in enumerate(words[1:], 1):
-        while word[:-1] != words[p]:
-            p += 1
-        parent[i], last[i] = p, gens.index(word[-1])
-    image = np.zeros((len(words), 4**n), dtype=np.uint8)
-    sign = np.ones((len(words), 4**n), dtype=np.int8)
-    image[0] = np.arange(4**n)
-    for level in range(1, depth[-1] + 1):
-        for k, (g_image, g_sign) in enumerate(gate_table(name, tuple(pos), n) for name, *pos in gens):
-            rows = np.flatnonzero((depth == level) & (last == k))
-            above = image[parent[rows]]
-            sign[rows] = sign[parent[rows]] * g_sign[above]
-            image[rows] = g_image[above]
-    image.setflags(write=False)
-    sign.setflags(write=False)
-    return FrameTable(image, sign)
-
-
 def clifford_inverses(n: int, draws: np.ndarray) -> list[int]:
     """``clifford_inverse`` of each row of ``draws``, (rows, m) group indices:
-    the rows' ``clifford_tables`` compose at once, one gather per position."""
-    image, sign = clifford_tables(n)
+    the rows' group tables compose at once, one gather per position."""
+    image, sign = clifford_group(n)[2]
     composed = np.broadcast_to(np.arange(4**n, dtype=np.uint8), (len(draws), 4**n))
     signs = np.ones(composed.shape, dtype=np.int8)
     for col in np.asarray(draws).T[:, :, None]:

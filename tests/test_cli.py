@@ -215,6 +215,8 @@ class TestCliExitCodes:
             ("rb", {"out": 3}, ["--out", "OUT"], "out must be a str"),
             ("schedule", {"schedule": {"epochs": [{"day": 1.5, "label": "morning"}]}}, [],
              "schedule.epochs[0].day must be an int"),
+            ("schedule", {"schedule": {"epochs": [{"day": -1, "label": "morning"}]}}, [],
+             "epoch day must be >= 0, got -1"),
             ("schedule", {"schedule": {"walk": {"t1": float("nan")}}}, [],
              "schedule.walk.t1 must be a finite float"),
             ("cb", {"noise": {"crosstalk": [{"pair": [0], "spectator": 2, "angle": 0.1}]}}, [],
@@ -247,7 +249,7 @@ class TestCliExitCodes:
         ids=["seed-negative", "seed-float", "seed-bool", "seed-override", "cb-twirl",
              "rb-cb-twirl", "qcap-twirl", "noise-list", "m_list-float", "n_random-float",
              "layout-float", "steps-bool", "dt-str", "sites-3", "resamples-float", "out-int",
-             "epoch-day-float", "walk-nan", "crosstalk-pair-short", "walk-negative",
+             "epoch-day-float", "epoch-day-negative", "walk-nan", "crosstalk-pair-short", "walk-negative",
              "walk-inf", "readout-bool", "t1-str", "t1-label-float", "override-label-bool",
              "crosstalk-no-pair", "rotation-one-item", "rotation-str", "rotation-no-angle",
              "cb-m_list-repeat", "qcap-m_list-repeat", "rb-m_list-repeat"],
@@ -521,28 +523,38 @@ class TestZeroNoiseEpoch:
             assert float(occ) == pytest.approx(float(ideal), abs=1e-9)
 
 
+def _noiseless_schedule(tmp_path, capsys, epochs):
+    """Verdict lines of ``summary.txt`` for a noiseless schedule of ``epochs``,
+    checked to equal what ``report`` prints for its output tree."""
+    cfg = base_config(str(tmp_path / "out"))
+    cfg["noise"] = {}
+    cfg["cb"] = {"m_list": [2, 4, 8], "n_random": 2, "n_decays": 3, "shots": 64}
+    cfg["rb"] = {"m_list": [2, 4, 8], "n_random": 2, "shots": 64}
+    cfg["tfim"]["steps"] = 1
+    cfg["schedule"] = {"epochs": epochs}
+    assert main(["schedule", "--config", str(write_config(tmp_path, cfg))]) == 0
+    out = tmp_path / "out"
+    lines = [ln for ln in (out / "summary.txt").read_text().splitlines() if " | " in ln]
+    assert len(lines) == 7  # four CB cycles and three RB pairs
+    capsys.readouterr()
+    assert main(["report", "--out", str(out)]) == 0
+    printed = [ln for ln in capsys.readouterr().out.splitlines() if ln.strip()]
+    assert printed == lines
+    return lines
+
+
 class TestZeroWidthVerdicts:
     def test_noiseless_schedule_marks_every_row(self, tmp_path, capsys):
-        cfg = base_config(str(tmp_path / "out"))
-        cfg["noise"] = {}
-        cfg["cb"] = {"m_list": [2, 4, 8], "n_random": 2, "n_decays": 3, "shots": 64}
-        cfg["rb"] = {"m_list": [2, 4, 8], "n_random": 2, "shots": 64}
-        cfg["tfim"]["steps"] = 1
-        cfg["schedule"] = {"epochs": [{"day": 1, "label": "morning"},
-                                      {"day": 2, "label": "morning"}]}
-        path = write_config(tmp_path, cfg)
-        assert main(["schedule", "--config", str(path)]) == 0
-        out = tmp_path / "out"
-        lines = [ln for ln in (out / "summary.txt").read_text().splitlines() if " | " in ln]
-        assert len(lines) == 7  # four CB cycles and three RB pairs
-        for ln in lines:
+        epochs = [{"day": 1, "label": "morning"}, {"day": 2, "label": "morning"}]
+        for ln in _noiseless_schedule(tmp_path, capsys, epochs):
             parts = [p.strip() for p in ln.split("|")]
             assert parts[2] == "consistent"
             assert parts[3].endswith("threshold=0.0 zero-width")
-        capsys.readouterr()
-        assert main(["report", "--out", str(out)]) == 0
-        printed = [ln for ln in capsys.readouterr().out.splitlines() if ln.strip()]
-        assert printed == lines
+
+    def test_day_zero_round_trips_through_report(self, tmp_path, capsys):
+        epochs = [{"day": 0, "label": "morning"}, {"day": 0, "label": "night"}]
+        lines = _noiseless_schedule(tmp_path, capsys, epochs)
+        assert all(ln.startswith("day0:morning -> day0:night | ") for ln in lines)
 
     def test_only_zero_thresholds_are_marked(self):
         rows = [VerdictRow("day1:morning", "day2:morning", "CB:cycle1", "drift-detected",

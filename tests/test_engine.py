@@ -273,6 +273,21 @@ class TestPrepAndReadout:
         assert err == pytest.approx(math.sqrt((1 - sampled**2) / 200_000))
         assert abs(sampled - exact) < 6 * max(err, 1e-4)
 
+    @pytest.mark.parametrize("shots", [10, None])
+    def test_measured_expectation_rejects_mismatched_counts(self, shots):
+        """One observable for three rows returned three points with shots and
+        failed in ``zip`` without; too few streams failed deep in the loop."""
+        ex = Executor((0, 1))
+        probs = ex.probabilities([Circuit((0, 1), ())] * 3)
+        streams = [sim.rng_from(k) for k in range(3)]
+        with pytest.raises(SimulationError, match="1 observables for 3 outcome rows"):
+            ex.measured_expectation(probs, [PauliString("ZZ")], shots, streams)
+        if shots is not None:
+            with pytest.raises(SimulationError, match="2 streams for 3 outcome rows"):
+                ex.measured_expectation(probs, [PauliString("ZZ")] * 3, shots, streams[:2])
+            with pytest.raises(SimulationError, match="0 streams for 3 outcome rows"):
+                ex.measured_expectation(probs, [PauliString("ZZ")] * 3, shots)
+
     def test_measured_expectation_rejects_xy(self):
         ex = Executor((0, 1))
         state = ex.run(bell_circuit())

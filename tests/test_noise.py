@@ -424,6 +424,13 @@ class TestDriftSchedule:
         with pytest.raises(DriftScheduleError):
             DriftSchedule(base, (DriftEpoch(1, "night"), DriftEpoch(1, "night")))
 
+    def test_negative_day_rejected(self):
+        """``report`` reads only day<digits> bundles, so a day -1 epoch was
+        written and then silently left out of its verdicts."""
+        with pytest.raises(DriftScheduleError, match="day must be >= 0"):
+            DriftEpoch(-1, "morning")
+        assert DriftEpoch(0, "morning").key == (0, "morning")
+
     def test_overrides_must_reference_existing(self):
         base = NoiseModel(t1={6: 50.0}, t2={6: 60.0})
         with pytest.raises(DriftScheduleError):

@@ -216,7 +216,7 @@ def test_clifford_inverse_word_composes_to_identity():
 
 def test_clifford_group_words_match_string_reference():
     for n in (1, 2):
-        words, _ = pl.clifford_group(n)
+        words = pl.clifford_group(n)[0]
         ref_words, _ = oracles.reference_clifford_group(n)
         assert words == ref_words
 
@@ -247,14 +247,27 @@ def test_clifford_inverse_word_matches_string_reference():
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_clifford_tables_are_the_words_frame_tables(n):
-    image, sign = pl.clifford_tables(n)
+    words, _, (image, sign) = pl.clifford_group(n)
     assert (image.dtype, sign.dtype) == (np.uint8, np.int8)
     assert not image.flags.writeable and not sign.flags.writeable
-    words, _ = pl.clifford_group(n)
     assert image.shape == sign.shape == (len(words), 4**n)
     for i, word in enumerate(words):
         table = pl.frame_table([(name, tuple(pos), None) for name, *pos in word], n)
         assert np.array_equal(image[i], table.image) and np.array_equal(sign[i], table.sign)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_clifford_index_and_inverses_cover_the_group(n):
+    """``index`` keys each table row by its image and sign bytes, and every
+    element followed by the table of its ``_inverse_indices`` inverse is the
+    identity."""
+    words, index, (image, sign) = pl.clifford_group(n)
+    assert len(index) == len(words)
+    assert all(index[image[i].tobytes() + sign[i].tobytes()] == i for i in range(len(words)))
+    inverse = pl._inverse_indices(n, image, sign)
+    closed = np.take_along_axis(image[inverse], image, axis=1)
+    signs = sign * np.take_along_axis(sign[inverse], image, axis=1)
+    assert (closed == np.arange(4**n)).all() and (signs == 1).all()
 
 
 @pytest.mark.parametrize("n", [1, 2])
