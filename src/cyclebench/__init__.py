@@ -28,7 +28,7 @@ from .circuits import (
     occupation,
     propagate_pauli,
 )
-from .engine import Executor
+from .engine import Batch, Executor
 from .noise import (
     CrosstalkTerm,
     DriftEpoch,

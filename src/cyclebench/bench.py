@@ -23,7 +23,7 @@ import numpy as np
 
 from . import pauli as pl
 from .circuits import Circuit, Cycle, Gate, cycle_frame_table
-from .engine import Executor
+from .engine import Batch, Executor
 from .noise import NoiseModel
 from .pauli import PauliString
 from .sim import MAX_QUBITS, Streams, rng_from
@@ -83,9 +83,10 @@ class InfidelityEstimate:
         return replace(self, day=day, epoch=epoch)
 
 
-@dataclass(frozen=True)
-class CbCircuit:
-    circuit: Circuit
+class CbCircuit(NamedTuple):
+    """Circuit ``index`` of a collection; its cycles are row ``index`` of
+    the collection's batch (``CbCollection.batch.circuit(index)``)."""
+
     prepared: PauliString
     measured: PauliString  # signed Z/I string; ideal expectation is +1
     m: int
@@ -102,6 +103,7 @@ class CbCollection:
     n_decays: int
     seed: int
     circuits: tuple[CbCircuit, ...]
+    batch: Batch
 
 
 # ---------------------------------------------------------------------------
@@ -177,14 +179,19 @@ def make_cb(
     maps the propagated frame onto a signed Z/I string.  Generation is
     deterministic in ``seed``: stream ``(seed, "twirl", d, m, j)`` feeds
     circuit j of decay term d at length m.  Each length is one array pass
-    over every decay term: ``Streams.integers`` draws its twirls, the frames
-    advance together as integer Pauli indices, one ``np.unique`` interns the
-    twirl cycles, and the bodies fill one object array.
+    over every decay term: ``Streams.integers`` draws its twirls and the
+    frames advance together as integer Pauli indices.  The collection's
+    cycles form one table (the target, each decay term's preparation, each
+    distinct twirl draw, each distinct final frame's inversion) and each
+    circuit is one row of codes in ``CbCollection.batch``, filled by array
+    writes: a length's twirl codes come from one ``np.unique`` over its draw
+    keys, the inversion codes from one over all final frames.
     """
     if twirl not in TWIRL_GROUPS:
         raise ProtocolError(f"twirl must be one of {TWIRL_GROUPS}")
     _check_lengths(m_list, n_random)
     _check_integer("n_decays", n_decays, 1)
+    m_list = tuple(map(int, m_list))
     if register is None:
         register = cycle.qubits
     register = tuple(register)
@@ -192,7 +199,7 @@ def make_cb(
     if n > MAX_QUBITS:
         raise ProtocolError(f"registers are limited to {MAX_QUBITS} qubits, got {n}")
     # the one register check; every cycle built below sits on its labels, so
-    # twirl cycles and circuits skip their own checks
+    # twirl cycles skip their own checks
     Circuit(register, (cycle,))
     try:
         hard = cycle_frame_table(cycle, register)
@@ -200,16 +207,9 @@ def make_cb(
         raise ProtocolError(f"target cycle is not Clifford: {exc}") from exc
 
     alphabet, twirl_image, twirl_sign = _twirl_alphabet(twirl)
-    codes = pl.index_letters(n)
+    letter_codes = pl.index_letters(n)
     place = pl.letter_place_values(n)
     draw_place = len(alphabet) ** np.arange(n - 1, -1, -1)
-    # interned per call: one Gate per (qubit, twirl index), one Cycle per
-    # distinct twirl draw and per distinct final frame
-    twirl_gates = [[Gate(name, (q,), param) for name, param in alphabet] for q in register]
-    labels = tuple(sorted(register))
-    twirl_cycles: dict[int, Cycle] = {}
-    inversions: dict[int, Cycle] = {}
-    observables: dict[tuple[int, int], PauliString] = {}
 
     decays = sample_decay_terms(n, n_decays, rng_from(seed, "decays"))
     n_d, n_m = len(decays), len(m_list)
@@ -218,9 +218,22 @@ def make_cb(
     streams = Streams(seed, (
         ("twirl", d_idx, m, j) for d_idx in range(n_d) for m in m_list for j in range(n_random)
     ))
-    preps = [_basis_cycle(p.letters, register, pl.c1_preparing) for p in decays]
+    # interned per call: one Gate per (qubit, twirl index), one Cycle per
+    # distinct twirl draw and per distinct final frame
+    gates = [np.array([Gate(name, (q,), param) for name, param in alphabet], dtype=object)
+             for q in register]
+    labels = tuple(sorted(register))
+    # every easy cycle here holds one gate per register qubit, in register order
+    structure = ("easy", tuple((q,) for q in register))
+    twirls: list[Cycle] = []
+    twirl_code: dict[int, int] = {}  # by draw key
+    # codes: 0 the target, 1 + d decay term d's preparation, then the twirl
+    # cycles, then the inversions; each row right-aligned behind -1
+    width = 2 * max(m_list) + 2
+    grid = np.full((len(streams), width), -1, dtype=np.int32)
+    final = np.empty(len(streams), dtype=np.int64)
+    final_sign = np.empty(len(streams), dtype=np.int64)
     start = np.repeat([pl.pauli_index(p.letters) for p in decays], n_random)
-    circuits: list[CbCircuit | None] = [None] * len(streams)
     for mi, m in enumerate(m_list):
         rows = ((np.arange(n_d)[:, None] * n_m + mi) * n_random + np.arange(n_random)).ravel()
         # one draw of m * n per stream reads the same values as m draws of n
@@ -229,38 +242,55 @@ def make_cb(
         frame = start
         sign = np.ones(len(rows), dtype=np.int64)
         for t in range(m):
-            letters = codes[frame]
-            drawn = draws[:, t]
-            sign *= twirl_sign[drawn, letters].prod(axis=1)
-            frame = twirl_image[drawn, letters] @ place
+            letters = letter_codes[frame]
+            sign *= twirl_sign[draws[:, t], letters].prod(axis=1)
+            frame = twirl_image[draws[:, t], letters] @ place
             sign *= hard.sign[frame]
             frame = hard.image[frame]
+        final[rows], final_sign[rows] = frame, sign
+        # this length's twirl codes, new draws numbered in key order, and
+        # their cycles built with one zip over the per-qubit gates
         flat = draws.reshape(-1, n)
         keys, first, inverse = np.unique(flat @ draw_place, return_index=True, return_inverse=True)
-        for key, row in zip(keys.tolist(), flat[first].tolist()):
-            if key not in twirl_cycles:
-                gates = tuple(twirl_gates[i][k] for i, k in enumerate(row))
-                twirl_cycles[key] = Cycle._unchecked("easy", gates, labels)
+        known = len(twirl_code)
+        codes = np.fromiter((twirl_code.setdefault(k, len(twirl_code)) for k in keys.tolist()),
+                            np.int32, len(keys))
+        picks = flat[first[codes >= known]]
+        twirls += [Cycle._unchecked("easy", row, labels, structure)
+                   for row in zip(*(g[picks[:, i]] for i, g in enumerate(gates)))]
         # each row: preparation, m times (twirl, cycle), inversion
-        body = np.empty((len(rows), 2 * m + 2), dtype=object)
-        body[:, 1:-1:2] = np.fromiter(map(twirl_cycles.__getitem__, keys.tolist()), object,
-                                      len(keys))[inverse].reshape(len(rows), m)
-        body[:, 2:-1:2] = cycle
-        for r, cycles, f, s in zip(rows.tolist(), body.tolist(), frame.tolist(), sign.tolist()):
-            if f not in inversions:
-                inversions[f] = _basis_cycle(pl.pauli_letters(f, n), register, pl.c1_measuring)
-            # the inversion cycle maps each non-identity letter to +Z
-            if (f, s) not in observables:
-                observables[(f, s)] = PauliString(
-                    "".join("I" if c == "I" else "Z" for c in pl.pauli_letters(f, n)), s
-                )
-            d_idx = r // (n_m * n_random)
-            cycles[0], cycles[-1] = preps[d_idx], inversions[f]
-            circuits[r] = CbCircuit(
-                Circuit._unchecked(register, tuple(cycles)), decays[d_idx], observables[f, s], m, r
-            )
-    return CbCollection(cycle=cycle, register=register, twirl=twirl, m_list=tuple(m_list),
-                        n_random=n_random, n_decays=n_d, seed=seed, circuits=tuple(circuits))
+        lo = width - 2 * m - 2
+        grid[rows, lo] = 1 + rows // (n_m * n_random)
+        grid[rows, lo + 1:-1:2] = (1 + n_d + codes[inverse]).reshape(len(rows), m)
+        grid[rows, lo + 2:-1:2] = 0
+
+    # return_index makes np.unique a stable sort: numpy's default sort would
+    # page in about 0.3 MB of kernels that nothing else uses
+    frames, _, inversion_codes = np.unique(final, return_index=True, return_inverse=True)
+    grid[:, -1] = 1 + n_d + len(twirls) + inversion_codes
+    inversions = [_basis_cycle(pl.pauli_letters(f, n), register, pl.c1_measuring)
+                  for f in frames.tolist()]
+    table = (cycle, *(_basis_cycle(p.letters, register, pl.c1_preparing) for p in decays),
+             *twirls, *inversions)
+
+    # the inversion cycle maps each non-identity letter to +Z
+    signed, _, observable_codes = np.unique(2 * final + (final_sign > 0), return_index=True,
+                                            return_inverse=True)
+    observables = [
+        PauliString("".join("I" if c == "I" else "Z" for c in pl.pauli_letters(k >> 1, n)),
+                    1 if k & 1 else -1)
+        for k in signed.tolist()
+    ]
+    circuits = tuple(map(
+        CbCircuit,
+        [p for p in decays for _ in range(n_m * n_random)],
+        map(observables.__getitem__, observable_codes.tolist()),
+        np.tile(np.repeat(m_list, n_random), n_d).tolist(),
+        range(len(streams)),
+    ))
+    return CbCollection(cycle=cycle, register=register, twirl=twirl, m_list=m_list,
+                        n_random=n_random, n_decays=n_d, seed=seed, circuits=circuits,
+                        batch=Batch(register, table, grid))
 
 
 def execute_collection(
@@ -280,7 +310,7 @@ def execute_collection(
         streams = Streams(coll.seed, (("exec", cc.index) for cc in coll.circuits))
     executor = Executor(coll.register, noise)
     xs, errs = executor.measured_expectation(
-        executor.probabilities([cc.circuit for cc in coll.circuits]),
+        executor.probabilities(coll.batch),
         [cc.measured for cc in coll.circuits], shots, streams,
     )
     return [DecayPoint(cc.prepared.letters, cc.m, cc.index, x, err)
@@ -534,29 +564,35 @@ def run_rb(
     executor = Executor(register, noise)
     floor = 1.0 / 2**n
 
-    @functools.cache
-    def gate_cycle(name: str, *pos: int, param: int | None = None) -> Cycle:
-        gate = Gate(name, tuple(register[p] for p in pos), param)
-        return Cycle("hard" if name == "CNOT" else "easy", (gate,))
+    table: list[Cycle] = []
 
-    def element(k: int) -> tuple[Cycle, ...]:
-        """Element k as one-gate cycles: one C1 (its index is k) on one qubit, its word on two."""
+    @functools.cache
+    def gate_code(name: str, *pos: int, param: int | None = None) -> int:
+        gate = Gate(name, tuple(register[p] for p in pos), param)
+        table.append(Cycle("hard" if name == "CNOT" else "easy", (gate,)))
+        return len(table) - 1
+
+    @functools.cache
+    def element(k: int) -> tuple[int, ...]:
+        """Element k as codes of one-gate cycles: one C1 (its index is k) on
+        one qubit, its word on two."""
         if n == 1:
-            return (gate_cycle("C1", 0, param=k),)
-        return tuple(gate_cycle(*spec) for spec in pl.clifford_word(n, k))
+            return (gate_code("C1", 0, param=k),)
+        return tuple(gate_code(*spec) for spec in pl.clifford_word(n, k))
 
     lengths = sorted(int(v) for v in m_list)
     streams = Streams(seed, (("rb", m, j) for m in lengths for j in range(n_random)))
-    circuits = []
+    rows = []
     for mi, m in enumerate(lengths):
         # one draw of m per stream reads the same values as m single draws
         draws = streams.integers(range(mi * n_random, (mi + 1) * n_random), pl.clifford_count(n), m)
         for row in np.column_stack([draws, pl.clifford_inverses(n, draws)]).tolist():
-            circuits.append(Circuit._unchecked(register, sum(map(element, row), ())))
+            rows.append([code for k in row for code in element(k)])
+    batch = Batch.of_rows(register, table, rows)
     if shots is not None:
-        count_streams = Streams(seed, (("rb-exec", i) for i in range(len(circuits))))
+        count_streams = Streams(seed, (("rb-exec", i) for i in range(len(batch))))
     points: list[DecayPoint] = []
-    for i, probs in enumerate(executor.probabilities(circuits)):
+    for i, probs in enumerate(executor.probabilities(batch)):
         if shots is None:
             survival, err = float(probs[0]), 0.0
         else:

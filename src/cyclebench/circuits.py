@@ -83,14 +83,16 @@ class Cycle:
         return tuple(g.qubits for g in self.gates if g.name == "CNOT")
 
     @classmethod
-    def _unchecked(cls, kind: str, gates: tuple[Gate, ...], qubits: tuple[int, ...]) -> "Cycle":
+    def _unchecked(cls, kind: str, gates: tuple[Gate, ...], qubits: tuple[int, ...],
+                   structure: tuple) -> "Cycle":
         """``Cycle(kind, gates)`` without its checks, for callers that place
-        gates of the right kind on the distinct, sorted labels ``qubits``."""
+        gates of the right kind on the distinct, sorted labels ``qubits`` and
+        pass the cycle's ``structure``, which many cycles may share."""
         cyc = object.__new__(cls)
         object.__setattr__(cyc, "kind", kind)
         object.__setattr__(cyc, "gates", gates)
         object.__setattr__(cyc, "qubits", qubits)
-        object.__setattr__(cyc, "structure", (kind, tuple(g.qubits for g in gates)))
+        object.__setattr__(cyc, "structure", structure)
         return cyc
 
 

@@ -13,14 +13,18 @@ Pauli channel of each gate, then damping (gate qubits for the gate's
 duration, idle qubits for the cycle duration).  Everything after the ideal
 unitary is one op list per cycle structure (``Executor._tail``).
 
-One kernel, ``Executor._run``, advances a stack of circuits of any
-structures and lengths, longest first, layer by layer, with one BLAS call of
-a single circuit's shape per circuit and op, so no state depends on its
-stack; layers of monomial cycles are signed permutations.  ``run`` and
-``advance`` call it with one circuit; ``probabilities``, the one batched
-entry point (CB and RB), sorts its circuits longest first once, runs them
-``CHUNK`` at a time and returns their outcome rows in input order, which
-``measured_expectation`` scores.
+Circuits reach the kernel as a :class:`Batch`: a table of distinct cycles
+and an integer grid of codes into it, one right-aligned row per circuit.
+One kernel, ``Executor._run``, advances a stack of such rows of any
+structures and lengths, longest first, one grid column (a layer of codes)
+at a time, with one BLAS call of a single circuit's shape per circuit and
+op, so no state depends on its stack.  A column of monomial codes is one
+gather of the flattened stack through per-code signed permutations, built
+once per call; any other column takes one ``_cycle_unitaries`` call per
+structure.  ``run`` and ``advance`` compile one circuit; ``probabilities``,
+the one batched entry point (CB and RB), sorts a batch's rows longest first
+once, runs them ``CHUNK`` at a time and returns their outcome rows in input
+order, which ``measured_expectation`` scores.
 """
 
 from __future__ import annotations
@@ -46,6 +50,71 @@ from .sim import (
 # Circuits per stack in ``Executor.probabilities``.  It bounds the transient
 # memory: a stack of 256 five-qubit density matrices is 4 MiB.
 CHUNK = 256
+
+
+class Batch:
+    """Circuits on one register in compiled form: a ``table`` of distinct
+    cycles and an integer ``codes`` grid (N, W) whose row i holds circuit i's
+    cycles as indices into the table, right-aligned behind -1 padding.
+
+    ``make_cb`` and ``run_rb`` fill the grid from their draws; ``Batch.of``
+    compiles a list of circuits.  The grid's shape and codes are checked
+    here, its register by the executor that runs it.
+    """
+
+    def __init__(self, register: Sequence[int], table: Sequence[Cycle], codes: np.ndarray):
+        self.register = tuple(register)
+        self.table = tuple(table)
+        self.codes = codes
+        if not isinstance(codes, np.ndarray) or codes.ndim != 2 or codes.dtype.kind not in "iu":
+            raise SimulationError("batch codes must be a 2-D integer array")
+        if codes.size and (codes.min() < -1 or codes.max() >= len(self.table)):
+            raise SimulationError(f"batch codes must lie in [-1, {len(self.table)})")
+        started = codes >= 0
+        if (started[:, :-1] & ~started[:, 1:]).any():
+            raise SimulationError("a batch row holds -1 after a code: padding must lead")
+
+    @classmethod
+    def of(cls, register: Sequence[int], circuits: Sequence[Circuit]) -> "Batch":
+        """``circuits`` on ``register``, each distinct cycle object one code,
+        in order of first appearance."""
+        register = tuple(register)
+        for circuit in circuits:
+            if tuple(circuit.qubits) != register:
+                raise SimulationError(
+                    f"circuit register {circuit.qubits} does not match batch register {register}"
+                )
+        # by id: the circuits hold their cycles alive
+        distinct = {id(c): c for circuit in circuits for c in circuit.cycles}
+        code_of = dict(zip(distinct, range(len(distinct))))
+        return cls.of_rows(register, distinct.values(),
+                           [[code_of[id(c)] for c in circuit.cycles] for circuit in circuits])
+
+    @classmethod
+    def of_rows(cls, register: Sequence[int], table: Sequence[Cycle],
+                rows: Sequence[Sequence[int]]) -> "Batch":
+        """The batch whose row i holds the codes ``rows[i]``."""
+        codes = np.full((len(rows), max(map(len, rows), default=0)), -1, dtype=np.int32)
+        for codes_row, row in zip(codes, rows):
+            codes_row[len(codes_row) - len(row):] = row
+        return cls(register, table, codes)
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def circuit(self, k: int) -> Circuit:
+        """Row k as a :class:`Circuit`."""
+        row = self.codes[k]
+        return Circuit._unchecked(self.register, tuple(map(self.table.__getitem__,
+                                                           row[row >= 0].tolist())))
+
+    def __eq__(self, other) -> bool:
+        """The same register and, row by row, equal circuits."""
+        if not isinstance(other, Batch):
+            return NotImplemented
+        return (self.register, len(self)) == (other.register, len(other)) and all(
+            self.circuit(k) == other.circuit(k) for k in range(len(self))
+        )
 
 
 class Executor:
@@ -105,18 +174,16 @@ class Executor:
         """Prepare ``initial`` (default |0...0>), with this model's
         preparation flips, and apply every cycle of ``circuit``."""
         state = self._zero_stack(1) if initial is None else self._stack_of(initial)
-        return _wrap(self._run([circuit], self._apply_tail(state, self._prep))[0])
+        return self._run_one(circuit, self._apply_tail(state, self._prep))
 
     def advance(self, state: State, circuit: Circuit) -> State:
         """Apply ``circuit``'s cycles to ``state``, without preparation:
         ``advance(run(a), b)`` equals ``run`` of a followed by b bit for bit."""
-        return _wrap(self._run([circuit], self._stack_of(state))[0])
+        return self._run_one(circuit, self._stack_of(state))
 
-    def _check_register(self, circuit: Circuit) -> None:
-        if tuple(circuit.qubits) != self.register:
-            raise SimulationError(
-                f"circuit register {circuit.qubits} does not match executor register"
-            )
+    def _run_one(self, circuit: Circuit, state: np.ndarray) -> State:
+        batch = Batch.of(self.register, [circuit])
+        return _wrap(self._run(_Plan(batch, state.shape[-1] != 1), batch.codes, state)[0])
 
     def _check_width(self, what: str, n: int) -> None:
         if n != self.n:
@@ -213,115 +280,104 @@ class Executor:
 
     # -- the kernel ----------------------------------------------------------
 
-    def _run(self, circuits: Sequence[Circuit], state: np.ndarray) -> np.ndarray:
-        """Apply each circuit's cycles to its row of a stack of initial states,
-        (b, d, d) densities or (b, d, 1) amplitudes, the circuits longest
-        first.  Aligned at their last cycle, the rows started at each layer
-        are a prefix ``[:a]``, which takes one ``_apply_layer``.  A pure stack
-        stays pure: only a model that introduces channels has Kraus ops."""
-        for circuit in circuits:
-            self._check_register(circuit)
-        lengths = [len(c.cycles) for c in circuits]
-        steps = max(lengths, default=0)
+    def _run(self, plan: "_Plan", grid: np.ndarray, state: np.ndarray) -> np.ndarray:
+        """Apply each row of a code ``grid`` to its row of a stack of initial
+        states, (b, d, d) densities or (b, d, 1) amplitudes, the rows longest
+        first.  Rows are right-aligned behind -1 padding, so the rows started
+        at each layer are a prefix ``[:a]``, which takes one
+        ``_apply_layer``.  A pure stack stays pure: only a model that
+        introduces channels has Kraus ops."""
         # each row's first layer, ascending; bisect, since numpy's first
         # search pages in up to 0.4 MB of kernels
-        starts = [steps - n for n in lengths]
-        layers = zip(*((None,) * (steps - n) + c.cycles for n, c in zip(lengths, circuits)))
+        starts = (grid < 0).sum(axis=1).tolist()
         # run and advance pass views of the caller's state
         state = state.copy()
-        # by cycle id, for this call (the circuits hold their cycles alive)
-        signed: dict[int, tuple | None] = {}
-        kept: dict[int, np.ndarray] = {}
-        for t, layer in enumerate(layers):
+        # unitaries kept for this stack (``_unitaries``)
+        kept = _Rows(len(plan.table))
+        for t, column in enumerate(np.ascontiguousarray(grid.T)):
             a = bisect_right(starts, t)
-            state[:a] = self._apply_layer(state[:a], layer[:a], signed, kept)
+            state[:a] = self._apply_layer(state[:a], column[:a], plan, kept)
         return state
 
-    def _apply_layer(self, state: np.ndarray, layer: tuple[Cycle, ...], signed: dict,
-                     kept: dict) -> np.ndarray:
-        """One cycle per row of a stack: its ideal unitary, then its
-        structure's tail.  ``signed`` caches ``cycle_permutation`` by cycle
-        id, and ``kept`` unitaries (``_unitaries``)."""
-        # distinct cycle objects (CB collections intern them) in order of first
-        # appearance, so lookups run in the same order on every run, and each
-        # row's slot among them when there are several
-        ids = list(map(id, layer))
-        distinct = dict(zip(ids, layer))
-        slot = None
-        if len(distinct) > 1:
-            slot_of = dict(zip(distinct, range(len(distinct))))
-            slot = np.fromiter(map(slot_of.__getitem__, ids), np.intp, len(ids))
-        structures = [c.structure for c in distinct.values()]
-        one = structures.count(structures[0]) == len(structures)
-        perms = []
-        for key, c in distinct.items():
-            if key not in signed:
-                signed[key] = cycle_permutation(c, self.register)
-            if signed[key] is None:
-                break
-            perms.append(signed[key])
-        if len(perms) == len(distinct):
-            state = self._permute(state, perms, slot)
+    def _apply_layer(self, state: np.ndarray, column: np.ndarray, plan: "_Plan",
+                     kept: "_Rows") -> np.ndarray:
+        """One cycle per row of a stack, by its code in ``column``: its ideal
+        unitary, then its structure's tail."""
+        structures = plan.structure[column]
+        one = bool((structures == structures[0]).all())
+        if self._signed(column, plan):
+            state = plan.permute(state, column)
         else:
-            state = _conjugate(state, self._unitaries(distinct, slot, one, kept))
+            state = _conjugate(state, self._unitaries(column, one, plan, kept))
         if one:
-            return self._apply_tail(state, self._tail(layer[0]))
-        # each structure's tail, looked up once, on its own rows
-        for s, c in dict(zip(structures, distinct.values())).items():
-            if tail := self._tail(c):
-                rows = np.flatnonzero(np.array([t == s for t in structures])[slot])
+            return self._apply_tail(state, self._structure_tail(plan, structures[0]))
+        # each structure's tail on its own rows
+        for s in dict.fromkeys(structures.tolist()):
+            if tail := self._structure_tail(plan, s):
+                rows = np.flatnonzero(structures == s)
                 state[rows] = self._apply_tail(state[rows], tail)
         return state
 
-    def _unitaries(self, distinct: dict, slot: np.ndarray | None, one: bool,
-                   kept: dict) -> np.ndarray:
-        """The ideal unitaries of a layer's ``distinct`` cycles, one matrix
-        or one per row, from one ``_cycle_unitaries`` call per structure.
+    def _structure_tail(self, plan: "_Plan", s: int) -> tuple:
+        """The tail of structure index ``s``, looked up once per call."""
+        tail = plan.tails[s]
+        if tail is None:
+            # its first code's cycle
+            tail = plan.tails[s] = self._tail(plan.table[int(np.argmax(plan.structure == s))])
+        return tail
 
-        ``kept`` holds, by cycle id, a layer's lone cycle and every cycle of a
-        layer of several structures (RB's few gate cycles).  A layer of one
-        structure, such as a C1-twirl layer of mostly new cycles, is built
-        whole and keeps none: merging kept ones in cost more than it saved."""
-        if slot is None:
-            (key, cyc), = distinct.items()
-            if key not in kept:
-                kept[key] = _cycle_unitaries([cyc.gates], self.register)[0]
-            return kept[key]
-        if one:
-            u = _cycle_unitaries([c.gates for c in distinct.values()], self.register)
-            return u if len(u) == len(slot) else u[slot]
-        groups: dict[tuple, list[int]] = {}
-        for key in distinct:
-            if key not in kept:
-                groups.setdefault(distinct[key].structure, []).append(key)
-        for keys in groups.values():
-            kept.update(zip(keys, _cycle_unitaries([distinct[k].gates for k in keys], self.register)))
-        return np.array([kept[key] for key in distinct])[slot]
+    def _signed(self, column: np.ndarray, plan: "_Plan") -> bool:
+        """Whether every cycle of ``column`` is monomial.  Codes not yet
+        classified are tried in row order until one is not; a monomial one
+        stores its signed permutation in ``plan``."""
+        known = plan.signed.row[column]
+        if known.min() >= 0:
+            return True
+        if (known == _NOT_MONOMIAL).any():
+            return False
+        for code in column[known < 0].tolist():
+            if plan.signed.row[code] >= 0:
+                continue
+            signed = cycle_permutation(plan.table[code], self.register)
+            if signed is None:
+                plan.signed.row[code] = _NOT_MONOMIAL
+                return False
+            plan.store(code, *signed)
+        return True
 
-    def _permute(self, state: np.ndarray, signed: list, slot: np.ndarray | None) -> np.ndarray:
-        """Monomial cycle unitaries as a gather and a phase multiply.
+    def _unitaries(self, column: np.ndarray, one: bool, plan: "_Plan",
+                   kept: "_Rows") -> np.ndarray:
+        """The ideal unitaries of a layer's cycles, one matrix or one per
+        row, from one ``_cycle_unitaries`` call per structure; ``one`` says
+        the layer has a single structure.
 
-        With ``U[i, perm[i]] = phase[i]`` the only nonzero of row i,
-        ``(U rho U^H)[i, j] = phase[i] rho[perm[i], perm[j]] conj(phase[j])``
-        and ``(U psi)[i] = phase[i] psi[perm[i]]``.  Each BLAS dot product of
-        the matmul path has a single nonzero term and unit-phase products are
-        exact, so every nonzero entry is bit-identical to it; only the sign
-        of an exact zero may differ.
-        """
-        b, dim = state.shape[:2]
-        perm = np.stack([p for p, _ in signed])
-        phase = np.stack([f for _, f in signed])
-        if state.shape[-1] != 1:
-            perm = (perm[:, :, None] * dim + perm[:, None, :]).reshape(len(signed), -1)
-            phase = (phase[:, :, None] * phase.conj()[:, None, :]).reshape(len(signed), -1)
-        flat = state.reshape(b, -1)
-        if len(signed) == 1:
-            out = flat.take(perm[0], axis=1) * phase[0]
-        else:
-            # one gather on the flattened stack: row r reads r * width + perm
-            rows = np.arange(0, flat.size, flat.shape[1])[:, None]
-            out = flat.take(perm[slot] + rows) * phase[slot]
-        return out.reshape(state.shape)
+        ``kept`` holds a layer's lone cycle and every cycle of a layer of
+        several structures (RB's few gate cycles).  A layer of one structure,
+        such as a C1-twirl layer of mostly new cycles, is built whole and
+        keeps none: merging kept ones in cost more than it saved."""
+        lone = bool((column == column[0]).all())
+        if lone or not one:
+            rows = kept.row[column]
+            if rows.min() < 0:
+                groups: dict[int, list[int]] = {}
+                for code in dict.fromkeys(column[rows < 0].tolist()):
+                    groups.setdefault(plan.structure[code], []).append(code)
+                for group in groups.values():
+                    for code, u in zip(group, _cycle_unitaries(
+                            [plan.table[c].gates for c in group], self.register)):
+                        kept.add(code, u)
+                rows = kept.row[column]
+            (u,) = kept.stacks
+            return u[rows[0]] if lone else u[rows]
+        codes = column.tolist()
+        # distinct codes in order of first appearance
+        distinct = dict.fromkeys(codes)
+        if len(distinct) == len(codes):
+            # every row's own cycle: built in row order, used without a gather
+            return _cycle_unitaries([plan.table[c].gates for c in codes], self.register)
+        u = _cycle_unitaries([plan.table[c].gates for c in distinct], self.register)
+        slot = {code: i for i, code in enumerate(distinct)}
+        return u[np.fromiter(map(slot.__getitem__, codes), np.intp, len(codes))]
 
     def _apply_tail(self, state: np.ndarray, tail: tuple) -> np.ndarray:
         """A tail's compiled ops on a stack."""
@@ -341,23 +397,35 @@ class Executor:
 
     # -- measurement -------------------------------------------------------
 
-    def probabilities(self, circuits: Sequence[Circuit]) -> np.ndarray:
-        """Outcome rows (N, 2^n) of ``circuits`` run from |0...0>, in input
-        order: each final state's Born probabilities, renormalised, then
-        through this model's readout confusion.
+    def probabilities(self, batch: Batch) -> np.ndarray:
+        """Outcome rows (N, 2^n) of the circuits of ``batch`` run from
+        |0...0>, in input order: each final state's Born probabilities,
+        renormalised, then through this model's readout confusion.
 
         The circuits run longest first, ``CHUNK`` at a time, which bounds
         memory; a chunk costs its first circuit's cycle count.  Each row is
-        bit-identical whatever the chunk size, and to ``run(circuits[i])``
+        bit-identical whatever the chunk size, and to ``run(batch.circuit(i))``
         read out alone.
         """
+        if not isinstance(batch, Batch):
+            raise SimulationError(
+                f"probabilities takes a Batch (Batch.of(register, circuits)), got {type(batch)}"
+            )
+        if batch.register != self.register:
+            raise SimulationError(
+                f"batch register {batch.register} does not match executor register"
+            )
+        codes = batch.codes
+        lengths = (codes >= 0).sum(axis=1).tolist()
         # Python's stable sort: numpy's first sort pages in about 0.3 MB
-        order = sorted(range(len(circuits)), key=lambda i: len(circuits[i].cycles), reverse=True)
-        out = np.empty((len(circuits), 2**self.n))
+        order = sorted(range(len(lengths)), key=lengths.__getitem__, reverse=True)
+        out = np.empty((len(lengths), 2**self.n))
+        plan = _Plan(batch, self.use_density)
         for lo in range(0, len(order), CHUNK):
             part = order[lo:lo + CHUNK]
             start = self._apply_tail(self._zero_stack(len(part)), self._prep)
-            out[part] = self._outcomes(self._run([circuits[i] for i in part], start))
+            grid = codes[part, codes.shape[1] - lengths[part[0]]:]
+            out[part] = self._outcomes(self._run(plan, grid, start))
         return out
 
     def _outcomes(self, stack: np.ndarray) -> np.ndarray:
@@ -423,3 +491,77 @@ def _conjugate(state: np.ndarray, u: np.ndarray) -> np.ndarray:
 def _wrap(state: np.ndarray) -> State:
     """One state of a stack as a :class:`DensityMatrix` or a :class:`StateVector`."""
     return DensityMatrix(state) if state.shape[-1] != 1 else StateVector(state[:, 0])
+
+
+class _Rows:
+    """Arrays stored by code: ``row[code]`` is the code's row in each of
+    ``stacks``, -1 until ``add``.  The stacks double as they fill; one row per
+    table code would be an allocation large enough to raise glibc's mmap
+    threshold when freed, and then heap pages pile up."""
+
+    def __init__(self, codes: int):
+        self.row = np.full(codes, -1, dtype=np.int32)
+        self.stacks: list[np.ndarray] = []
+        self.count = 0
+
+    def add(self, code: int, *values: np.ndarray) -> None:
+        if not self.stacks:
+            self.stacks = [np.empty((8, *v.shape), dtype=v.dtype) for v in values]
+        elif self.count == len(self.stacks[0]):
+            # np.resize repeats the rows, which later adds overwrite
+            self.stacks = [np.resize(a, (2 * self.count, *a.shape[1:])) for a in self.stacks]
+        for a, v in zip(self.stacks, values):
+            a[self.count] = v
+        self.row[code] = self.count
+        self.count += 1
+
+
+# the ``_Plan.signed`` row of a code whose cycle is not monomial
+_NOT_MONOMIAL = -2
+
+
+class _Plan:
+    """What one call learns about a batch's codes, in int32 arrays indexed
+    by code: each cycle's structure index, and whether it is monomial, with
+    its signed permutation in the form of the stack it acts on; and each
+    structure's tail once looked up."""
+
+    def __init__(self, batch: Batch, density: bool):
+        self.table = batch.table
+        index: dict[tuple, int] = {}
+        self.structure = np.fromiter(
+            (index.setdefault(c.structure, len(index)) for c in self.table), np.int32,
+            len(self.table),
+        )
+        self.tails: list[tuple | None] = [None] * len(index)
+        # (perm, phase) rows of monomial cycles, ``_NOT_MONOMIAL`` for others
+        self.signed = _Rows(len(self.table))
+        self.density = density
+
+    def store(self, code: int, perm: np.ndarray, phase: np.ndarray) -> None:
+        """Record cycle ``code``'s ``U[i, perm[i]] = phase[i]`` as a gather of
+        the flattened state: on a density, ``(U rho U^H)[i, j] =
+        phase[i] rho[perm[i], perm[j]] conj(phase[j])``."""
+        if self.density:
+            perm = perm[:, None] * len(perm) + perm[None, :]
+            phase = phase[:, None] * phase.conj()[None, :]
+        self.signed.add(code, perm.reshape(-1), phase.reshape(-1))
+
+    def permute(self, state: np.ndarray, column: np.ndarray) -> np.ndarray:
+        """Monomial cycle unitaries, one per row by its code, as one gather
+        of the flattened stack and a phase multiply.
+
+        Each BLAS dot product of the matmul path has a single nonzero term
+        and unit-phase products are exact, so every nonzero entry is
+        bit-identical to it; only the sign of an exact zero may differ.
+        """
+        flat = state.reshape(len(state), -1)
+        perm, phase = self.signed.stacks
+        rows = self.signed.row[column]
+        if (rows == rows[0]).all():
+            out = flat.take(perm[rows[0]], axis=1) * phase[rows[0]]
+        else:
+            # state row r reads r * width + perm
+            offsets = np.arange(0, flat.size, flat.shape[1])[:, None]
+            out = flat.take(perm[rows] + offsets) * phase[rows]
+        return out.reshape(state.shape)

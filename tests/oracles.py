@@ -369,6 +369,7 @@ def reference_make_cb(cycle, m_list, n_random, n_decays, twirl="pauli", seed=0,
     from cyclebench import pauli as pl
     from cyclebench.bench import CbCircuit, CbCollection, sample_decay_terms
     from cyclebench.circuits import Circuit, Cycle, Gate, propagate_through_cycles
+    from cyclebench.engine import Batch
     from cyclebench.pauli import PauliString
     from cyclebench.sim import rng_from
 
@@ -391,7 +392,7 @@ def reference_make_cb(cycle, m_list, n_random, n_decays, twirl="pauli", seed=0,
         ))
 
     decays = sample_decay_terms(n, n_decays, rng_from(seed, "decays"))
-    circuits = []
+    records, circuits = [], []
     index = 0
     for d_idx, prepared in enumerate(decays):
         prep = basis_cycle(prepared.letters, pl.c1_preparing)
@@ -408,14 +409,13 @@ def reference_make_cb(cycle, m_list, n_random, n_decays, twirl="pauli", seed=0,
                 measured = PauliString(
                     "".join("Z" if c != "I" else "I" for c in frame.letters), frame.sign
                 )
-                circuits.append(CbCircuit(
-                    circuit=Circuit(register, tuple([prep] + body + [inv])),
-                    prepared=prepared, measured=measured, m=m, index=index,
-                ))
+                records.append(CbCircuit(prepared=prepared, measured=measured, m=m, index=index))
+                circuits.append(Circuit(register, tuple([prep] + body + [inv])))
                 index += 1
     return CbCollection(
         cycle=cycle, register=tuple(register), twirl=twirl, m_list=tuple(m_list),
-        n_random=n_random, n_decays=len(decays), seed=seed, circuits=tuple(circuits),
+        n_random=n_random, n_decays=len(decays), seed=seed, circuits=tuple(records),
+        batch=Batch.of(register, circuits),
     )
 
 
@@ -511,7 +511,7 @@ def reference_execute_collection(coll, noise, shots):
     executor = Executor(coll.register, noise)
     points = []
     for cc in coll.circuits:
-        state = reference_run(executor, cc.circuit)
+        state = reference_run(executor, coll.batch.circuit(cc.index))
         x, err = measured_expectation(
             executor, state, cc.measured, shots, rng_from(coll.seed, "exec", cc.index)
         )

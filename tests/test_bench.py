@@ -44,8 +44,8 @@ class TestMakeCb:
         ms = {cc.m for cc in coll.circuits}
         assert ms == {2, 10, 22}
         # a length-m body holds m twirl cycles and m hard cycles plus prep/inversion
-        cc = coll.circuits[0]
-        assert len(cc.circuit.cycles) == 2 * cc.m + 2
+        for cc in coll.circuits:
+            assert len(coll.batch.circuit(cc.index).cycles) == 2 * cc.m + 2
 
     def test_noiseless_execution_returns_plus_one(self):
         coll = make_cb(CNOT01, (2, 4, 6), 4, 5, seed=7)
@@ -63,15 +63,8 @@ class TestMakeCb:
         b = make_cb(CNOT01, (2, 4, 6), 5, 6, twirl="c1", seed=9)
         assert len(a.circuits) == len(b.circuits)
         assert [cc.m for cc in a.circuits] == [cc.m for cc in b.circuits]
-        assert any(
-            ca.circuit != cb.circuit for ca, cb in zip(a.circuits, b.circuits)
-        )
-        names_b = {
-            g.name
-            for cc in b.circuits
-            for cyc in cc.circuit.cycles
-            for g in cyc.gates
-        }
+        assert any(a.batch.circuit(k) != b.batch.circuit(k) for k in range(len(a.circuits)))
+        names_b = {g.name for cyc in b.batch.table for g in cyc.gates}
         assert "C1" in names_b
 
     def test_c1_twirl_noiseless_self_inverting(self):
@@ -115,6 +108,18 @@ class TestMakeCb:
             CNOT01, (2, 4, 6), 2, 3, seed=1
         )
 
+    def test_numpy_lengths_are_stored_as_python_ints(self):
+        """A numpy ``m_list`` used to leave ``np.int64`` lengths in the
+        collection and in every point, whose repr then read ``np.int64(2)``."""
+        coll = make_cb(CNOT01, np.array([1, 2, 3]), 2, 2, seed=1)
+        assert coll == make_cb(CNOT01, (1, 2, 3), 2, 2, seed=1)
+        assert coll.m_list == (1, 2, 3) and all(type(m) is int for m in coll.m_list)
+        assert all(type(cc.m) is int and type(cc.index) is int for cc in coll.circuits)
+        for shots in (None, 16):
+            points = execute_collection(coll, None, shots)
+            assert all(list(map(type, p)) == [str, int, int, float, float] for p in points)
+            assert "np." not in repr(points)
+
     def test_rejects_register_above_max_qubits(self):
         with pytest.raises(ProtocolError):
             make_cb(CNOT01, (2, 4, 6), 4, 4, register=tuple(range(6)))
@@ -130,10 +135,11 @@ class TestMakeCb:
         """make_cb skips the per-object checks; what they derive must agree."""
         coll = make_cb(layout_cycles(2, 3), (0, 2, 5), 3, 4, twirl=twirl, seed=4,
                        register=(6, 7, 12, 11))
-        for cc in coll.circuits:
-            checked = Circuit(cc.circuit.qubits, cc.circuit.cycles)
-            assert checked == cc.circuit
-            for cyc in cc.circuit.cycles:
+        for k in range(len(coll.circuits)):
+            circuit = coll.batch.circuit(k)
+            checked = Circuit(circuit.qubits, circuit.cycles)
+            assert checked == circuit
+            for cyc in circuit.cycles:
                 rebuilt = Cycle(cyc.kind, cyc.gates)
                 assert (cyc.qubits, cyc.structure) == (rebuilt.qubits, rebuilt.structure)
 

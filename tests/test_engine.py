@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from cyclebench.bench import TWIRL_GROUPS, execute_collection, make_cb
 from cyclebench.circuits import Circuit, Cycle, Gate, _cycle_unitaries, cycle_permutation
 from cyclebench import engine, sim
-from cyclebench.engine import Executor
+from cyclebench.engine import Batch, Executor
 from cyclebench.noise import CrosstalkTerm, NoiseModel, confusion_from_scalar
 from cyclebench.pauli import PauliString
 from cyclebench.sim import DensityMatrix, SimulationError, StateVector, expectation_pauli
@@ -220,18 +220,32 @@ def _measure(ex, state, observable, shots, seed=0):
 def _run_states(ex, circuits):
     """Final states of ``circuits`` from |0...0>, in input order, as
     ``StateVector`` or ``DensityMatrix``: the kernel ``_run`` over prepared
-    zero stacks of the circuits sorted longest first, ``engine.CHUNK`` at a
-    time, so a stack can hold circuits of several lengths."""
+    zero stacks of the circuits' code rows sorted longest first,
+    ``engine.CHUNK`` at a time, so a stack can hold circuits of several
+    lengths."""
+    batch = Batch.of(ex.register, circuits)
+    plan = engine._Plan(batch, ex.use_density)
+    width = batch.codes.shape[1]
     order = sorted(range(len(circuits)), key=lambda i: len(circuits[i].cycles), reverse=True)
     states = [None] * len(circuits)
     for lo in range(0, len(order), engine.CHUNK):
         part = order[lo:lo + engine.CHUNK]
         start = ex._apply_tail(ex._zero_stack(len(part)), ex._prep)
-        stack = ex._run([circuits[i] for i in part], start)
+        grid = batch.codes[part, width - len(circuits[part[0]].cycles):]
+        stack = ex._run(plan, grid, start)
         assert len(stack) == len(part)
         for i, row in zip(part, stack):
             states[i] = engine._wrap(row)
     return states
+
+
+def _probabilities(ex, circuits):
+    return ex.probabilities(Batch.of(ex.register, circuits))
+
+
+def _circuits(coll):
+    """The circuits of a CB collection, in index order."""
+    return [coll.batch.circuit(k) for k in range(len(coll.batch))]
 
 
 def _stack_layers(circuits):
@@ -256,7 +270,7 @@ class TestPrepAndReadout:
     def test_sampling_uses_model_readout(self):
         noise = NoiseModel(readout={0: confusion_from_scalar(0.1)})
         ex = Executor((0,), noise)
-        probs = ex.probabilities([Circuit((0,), ())])[0]
+        probs = _probabilities(ex, [Circuit((0,), ())])[0]
         assert np.array_equal(probs, [0.9, 0.1])
         draws = np.random.default_rng(3).multinomial(200_000, probs)
         assert abs(draws[1] / 200_000 - 0.1) < 0.004
@@ -278,7 +292,7 @@ class TestPrepAndReadout:
         """One observable for three rows returned three points with shots and
         failed in ``zip`` without; too few streams failed deep in the loop."""
         ex = Executor((0, 1))
-        probs = ex.probabilities([Circuit((0, 1), ())] * 3)
+        probs = _probabilities(ex, [Circuit((0, 1), ())] * 3)
         streams = [sim.rng_from(k) for k in range(3)]
         with pytest.raises(SimulationError, match="1 observables for 3 outcome rows"):
             ex.measured_expectation(probs, [PauliString("ZZ")], shots, streams)
@@ -491,7 +505,7 @@ class TestBatchedExecution:
     @given(cb_cases())
     def test_states_and_points_match_reference(self, case):
         coll, noise = case
-        circuits = [cc.circuit for cc in coll.circuits]
+        circuits = _circuits(coll)
         ex = Executor(coll.register, noise)
         reference = [oracles.reference_run(ex, c) for c in circuits]
         for c, ref in zip(circuits, reference):
@@ -531,7 +545,7 @@ class TestBatchedExecution:
             Cycle("hard", (Gate("CNOT", (6, 7)),)), (0, 1, 3), 3, 3, "c1", seed=4,
             register=(11, 6, 7),
         )
-        circuits = [cc.circuit for cc in coll.circuits]
+        circuits = _circuits(coll)
         ex = Executor(coll.register, noise)
         monkeypatch.setattr(engine, "CHUNK", 5)
         got = _run_states(ex, circuits)
@@ -585,14 +599,14 @@ class TestBatchedExecution:
         calls = []
         monkeypatch.setattr(engine, "cycle_permutation",
                             lambda c, r: calls.append(id(c)) or cycle_permutation(c, r))
-        Executor((0, 1)).probabilities(circuits)
+        _probabilities(Executor((0, 1)), circuits)
         assert calls == [id(first), id(second)]
 
     def test_run_cycle_and_batched_path_read_the_same_tail(self, monkeypatch):
         """Changing the one tail list changes both paths alike."""
         noise = NoiseModel(pauli_errors={"cnot": {"XX": 0.05}}, t1={0: 40.0})
         coll = make_cb(Cycle("hard", (Gate("CNOT", (0, 1)),)), (0, 1, 2), 2, 2, seed=1)
-        circuits = [cc.circuit for cc in coll.circuits]
+        circuits = _circuits(coll)
         before = [Executor((0, 1), noise).run(c).entries for c in circuits]
 
         ry = np.array([[math.cos(0.3), -math.sin(0.3)], [math.sin(0.3), math.cos(0.3)]])
@@ -609,25 +623,27 @@ class TestBatchedExecution:
             changed += not np.allclose(ref, before[i])
         assert changed >= len(circuits) // 2
 
-    def test_each_structure_tail_is_looked_up_once_per_layer(self, monkeypatch):
-        """A C1-twirl collection has one tail lookup per structure, layer and
-        stack, however many distinct twirl cycles a layer holds: one in a
-        layer of equally long rows, two where a stack straddles two lengths
-        (the target beside the shorter rows' preparations)."""
+    def test_each_structure_tail_is_looked_up_once_per_call(self, monkeypatch):
+        """A C1-twirl collection has one tail lookup per structure and
+        ``probabilities`` call, however many distinct twirl cycles, layers
+        and stacks it runs, and though a stack that straddles two lengths
+        has layers of two structures (the target beside the shorter rows'
+        preparations)."""
         noise = NoiseModel(pauli_errors={"cnot": {"XX": 0.05}}, t1={0: 40.0})
         coll = make_cb(Cycle("hard", (Gate("CNOT", (0, 1)),)), (1, 3, 5), 6, 3,
                        twirl="c1", seed=3)
-        circuits = [cc.circuit for cc in coll.circuits]
+        circuits = _circuits(coll)
         calls = []
         original = Executor._tail
         monkeypatch.setattr(Executor, "_tail",
                             lambda self, cyc: calls.append(cyc) or original(self, cyc))
         for chunk in (engine.CHUNK, 7):
             monkeypatch.setattr(engine, "CHUNK", chunk)
-            calls.clear()
-            Executor((0, 1), noise).probabilities(circuits)
+            for batch in (coll.batch, Batch.of(coll.register, circuits)):
+                calls.clear()
+                Executor((0, 1), noise).probabilities(batch)
+                assert sorted(c.kind for c in calls) == ["easy", "hard"]
             layers = [layer for stack in _stack_layers(circuits) for layer in stack]
-            assert len(calls) == sum(len({c.structure for c in layer}) for layer in layers)
             assert any(len({c.structure for c in layer}) > 1 for layer in layers)
 
     def test_tails_are_interned_by_structure(self):
@@ -637,6 +653,102 @@ class TestBatchedExecution:
         b = Cycle("easy", (Gate("C1", (0,), 5), Gate("S", (1,))))
         assert ex._tail(a) is ex._tail(b)
         assert ex._tail(Cycle("hard", (Gate("CNOT", (0, 1)),))) is not ex._tail(a)
+
+
+# ---------------------------------------------------------------------------
+# Batches: a table of cycles and a right-aligned grid of codes into it
+
+@st.composite
+def batch_cases(draw):
+    """A batch built directly on 1-5 qubits: a table of easy and hard
+    cycles, some never used and some equal to another but a distinct
+    object, and 0-10 rows of 0-8 codes right-aligned behind -1 padding, with
+    empty rows, repeated codes and leading columns of padding alone; and no
+    model or a random one with every noise feature."""
+    n = draw(st.integers(1, 5))
+    register = tuple(draw(st.permutations(range(n + 2)))[:n])
+    table = []
+    for _ in range(draw(st.integers(1, 6))):
+        if table and draw(st.booleans()):
+            twin = draw(st.sampled_from(table))
+            table.append(Cycle(twin.kind, twin.gates))
+        elif n >= 2 and draw(st.booleans()):
+            order = draw(st.permutations(register))
+            table.append(Cycle("hard", tuple(Gate("CNOT", tuple(order[2 * i:2 * i + 2]))
+                                             for i in range(draw(st.integers(1, n // 2))))))
+        else:
+            qubits = draw(st.lists(st.sampled_from(register), unique=True))
+            picks = [draw(st.sampled_from(MONOMIAL_1Q + OTHER_1Q)) for _ in qubits]
+            table.append(Cycle("easy", tuple(Gate(g, (q,), p) for q, (g, p) in zip(qubits, picks))))
+    lengths = draw(st.lists(st.integers(0, 8), max_size=10))
+    width = max(lengths, default=0) + draw(st.integers(0, 2))
+    codes = np.full((len(lengths), width), -1, dtype=draw(st.sampled_from((np.int32, np.int64))))
+    for row, k in zip(codes, lengths):
+        row[width - k:] = draw(st.lists(st.integers(0, len(table) - 1), min_size=k, max_size=k))
+    pairs = sorted({g.qubits for c in table if c.kind == "hard" for g in c.gates})
+    return Batch(register, table, codes), draw(st.none() | noise_models(register, pairs))
+
+
+class TestBatch:
+    @settings(max_examples=60, deadline=None)
+    @given(batch_cases())
+    def test_probabilities_match_reference(self, case):
+        """Every outcome row of ``probabilities(batch)`` is the reference
+        readout of ``reference_run`` of its row's circuit, whatever the chunk
+        size."""
+        batch, noise = case
+        ex = Executor(batch.register, noise)
+        expected = np.reshape(
+            [oracles.reference_probabilities(ex, oracles.reference_run(ex, batch.circuit(k)))
+             for k in range(len(batch))],
+            (len(batch), 2**ex.n),
+        )
+        for chunk in (1, 7, 256):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(engine, "CHUNK", chunk)
+                assert np.array_equal(ex.probabilities(batch), expected)
+
+    def test_of_round_trip(self):
+        """``Batch.of`` gives each distinct cycle object one code, in order
+        of first appearance, and ``circuit(k)`` gives circuit k back."""
+        h, cnot = Cycle("easy", (Gate("H", (1,)),)), Cycle("hard", (Gate("CNOT", (1, 0)),))
+        twin = Cycle("easy", (Gate("H", (1,)),))
+        circuits = [Circuit((1, 0), (h, cnot, h)), Circuit((1, 0), ()),
+                    Circuit((1, 0), (twin,)), Circuit((1, 0), (cnot, cnot, twin, h))]
+        batch = Batch.of((1, 0), circuits)
+        assert len(batch) == 4 and batch.register == (1, 0)
+        assert [id(c) for c in batch.table] == [id(h), id(cnot), id(twin)]
+        assert batch.codes.dtype == np.int32
+        assert batch.codes.tolist() == [[-1, 0, 1, 0], [-1, -1, -1, -1],
+                                        [-1, -1, -1, 2], [1, 1, 2, 0]]
+        assert [batch.circuit(k) for k in range(4)] == circuits
+        assert batch == Batch((1, 0), (twin, cnot), np.array([[-1, 0, 1, 0], [-1, -1, -1, -1],
+                                                              [-1, -1, -1, 0], [1, 1, 0, 0]]))
+        assert batch != Batch.of((1, 0), circuits[:3])
+        assert Batch.of((0,), []).codes.shape == (0, 0)
+
+    @pytest.mark.parametrize("codes, message", [
+        (np.array([0, 1]), "2-D integer"),
+        (np.zeros((1, 2)), "2-D integer"),
+        (np.zeros((1, 2), dtype=bool), "2-D integer"),
+        ([[0, 1]], "2-D integer"),
+        (np.array([[0, 2]]), r"lie in \[-1, 2\)"),
+        (np.array([[-2, 0]]), r"lie in \[-1, 2\)"),
+        (np.array([[-1, 0], [0, -1]]), "padding must lead"),
+    ], ids=["1-D", "float", "bool", "list", "past-the-table", "below-padding", "-1-after-a-code"])
+    def test_rejects_bad_grids(self, codes, message):
+        table = (Cycle("easy", (Gate("X", (0,)),)), Cycle("hard", (Gate("CNOT", (0, 1)),)))
+        with pytest.raises(SimulationError, match=message):
+            Batch((0, 1), table, codes)
+
+    def test_rejects_other_registers(self):
+        batch = Batch.of((1, 0), [cnot_circuit((1, 0))])
+        with pytest.raises(SimulationError, match=r"batch register \(1, 0\) does not match"):
+            Executor((0, 1)).probabilities(batch)
+        with pytest.raises(SimulationError, match=r"circuit register \(0, 1\) does not match"):
+            Batch.of((1, 0), [cnot_circuit((0, 1))])
+        with pytest.raises(SimulationError, match="probabilities takes a Batch"):
+            Executor((0, 1)).probabilities([cnot_circuit((0, 1))])
 
 
 # ---------------------------------------------------------------------------
@@ -698,7 +810,7 @@ class TestMixedStacks:
         for chunk in (1, 7, 256):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(engine, "CHUNK", chunk)
-                got = ex.probabilities(circuits)
+                got = _probabilities(ex, circuits)
             assert got.shape == (len(circuits), 2 ** len(register))
             assert np.array_equal(got, expected)
 
@@ -731,7 +843,7 @@ class TestMixedStacks:
             for chunk in (1, 7, 256):
                 with pytest.MonkeyPatch.context() as mp:
                     mp.setattr(engine, "CHUNK", chunk)
-                    assert np.array_equal(ex.probabilities(circuits), expected)
+                    assert np.array_equal(_probabilities(ex, circuits), expected)
 
     def test_mixed_layer_of_new_cycles_of_one_structure(self):
         """A layer of several structures with three new cycles of one of
@@ -853,7 +965,7 @@ class TestMonomialLayers:
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(engine, "CHUNK", chunk)
                 got = _run_states(ex, circuits)
-                probs = ex.probabilities(circuits)
+                probs = _probabilities(ex, circuits)
             for state, ref in zip(got, reference, strict=True):
                 assert type(state) is type(ref)
                 assert np.array_equal(_final(state), _final(ref))
@@ -877,7 +989,7 @@ class TestMonomialLayers:
                            durations={"cnot": 100.0})
         target = Cycle("hard", (Gate("CNOT", (0, 1)),))
         coll = make_cb(target, (1, 2, 4), 4, 3, twirl=twirl, seed=2)
-        circuits = [cc.circuit for cc in coll.circuits]
+        circuits = _circuits(coll)
         ex = Executor(coll.register, noise)
         expected = [oracles.reference_probabilities(ex, oracles.reference_run(ex, c))
                     for c in circuits]
@@ -892,7 +1004,7 @@ class TestMonomialLayers:
         for chunk, stacks in ((engine.CHUNK, 1), (12, 0), (7, 2)):
             monkeypatch.setattr(engine, "CHUNK", chunk)
             looked_up.clear()
-            assert np.array_equal(ex.probabilities(circuits), expected)
+            assert np.array_equal(_probabilities(ex, circuits), expected)
             straddling = sum(
                 any(target in layer and any(cycle_permutation(c, ex.register) is None
                                             for c in layer) for layer in stack)
@@ -905,7 +1017,7 @@ class TestMonomialLayers:
             if twirl == "pauli":
                 assert names <= {"C1"}  # preparation and inversion layers only
             else:
-                twirl_cycles = {c.circuit.cycles[1].gates for c in coll.circuits if c.m}
+                twirl_cycles = {c.cycles[1].gates for c, cc in zip(circuits, coll.circuits) if cc.m}
                 assert twirl_cycles <= set(looked_up)
 
     def test_mixed_layer_of_monomial_cycles_skips_the_matmul(self, monkeypatch):
@@ -928,7 +1040,7 @@ class TestMonomialLayers:
             expected = [oracles.reference_probabilities(ex, oracles.reference_run(ex, c))
                         for c in circuits]
             looked_up.clear()
-            assert np.array_equal(ex.probabilities(circuits), expected)
+            assert np.array_equal(_probabilities(ex, circuits), expected)
             assert looked_up == []
 
 
@@ -965,7 +1077,7 @@ def test_cptp_check_rejects_transpose():
 def test_every_compiled_superop_is_cptp(case):
     register, circuits, noise = case
     ex = Executor(register, noise)
-    ex.probabilities(circuits)
+    _probabilities(ex, circuits)
     ex.run(circuits[0])
     for kind, op in ex._ops.values():
         if kind == "kraus":
