@@ -23,7 +23,7 @@ import numpy as np
 
 from . import pauli as pl
 from .circuits import Circuit, Cycle, Gate, cycle_frame_table
-from .engine import Batch, Executor
+from .engine import Batch, Executor, GateRows
 from .noise import NoiseModel
 from .pauli import PauliString
 from .sim import MAX_QUBITS, Streams, rng_from
@@ -185,7 +185,8 @@ def make_cb(
     distinct twirl draw, each distinct final frame's inversion) and each
     circuit is one row of codes in ``CbCollection.batch``, filled by array
     writes: a length's twirl codes come from one ``np.unique`` over its draw
-    keys, the inversion codes from one over all final frames.
+    keys, the inversion codes from one over all final frames.  The new
+    twirl draws are also the table's gate rows (``GateRows.block``).
     """
     if twirl not in TWIRL_GROUPS:
         raise ProtocolError(f"twirl must be one of {TWIRL_GROUPS}")
@@ -225,6 +226,11 @@ def make_cb(
     labels = tuple(sorted(register))
     # every easy cycle here holds one gate per register qubit, in register order
     structure = ("easy", tuple((q,) for q in register))
+    preparations = [_basis_cycle(p.letters, register, pl.c1_preparing) for p in decays]
+    # the table's gate rows, in table order; gate code a is alphabet entry a,
+    # so a twirl draw's picks are its row
+    gate_rows = GateRows(register, gates[0])
+    gate_rows.cycles((cycle, *preparations))
     twirls: list[Cycle] = []
     twirl_code: dict[int, int] = {}  # by draw key
     # codes: 0 the target, 1 + d decay term d's preparation, then the twirl
@@ -256,6 +262,7 @@ def make_cb(
         codes = np.fromiter((twirl_code.setdefault(k, len(twirl_code)) for k in keys.tolist()),
                             np.int32, len(keys))
         picks = flat[first[codes >= known]]
+        gate_rows.block(structure, picks)
         twirls += [Cycle._unchecked("easy", row, labels, structure)
                    for row in zip(*(g[picks[:, i]] for i, g in enumerate(gates)))]
         # each row: preparation, m times (twirl, cycle), inversion
@@ -270,8 +277,7 @@ def make_cb(
     grid[:, -1] = 1 + n_d + len(twirls) + inversion_codes
     inversions = [_basis_cycle(pl.pauli_letters(f, n), register, pl.c1_measuring)
                   for f in frames.tolist()]
-    table = (cycle, *(_basis_cycle(p.letters, register, pl.c1_preparing) for p in decays),
-             *twirls, *inversions)
+    gate_rows.cycles(inversions)
 
     # the inversion cycle maps each non-identity letter to +Z
     signed, _, observable_codes = np.unique(2 * final + (final_sign > 0), return_index=True,
@@ -290,7 +296,8 @@ def make_cb(
     ))
     return CbCollection(cycle=cycle, register=register, twirl=twirl, m_list=m_list,
                         n_random=n_random, n_decays=n_d, seed=seed, circuits=circuits,
-                        batch=Batch(register, table, grid))
+                        batch=Batch(register, (cycle, *preparations, *twirls, *inversions),
+                                    grid, gate_rows))
 
 
 def execute_collection(
@@ -534,6 +541,26 @@ class RbResult:
     error_rate_std: float
 
 
+@functools.lru_cache(maxsize=None)
+def _rb_words(n: int) -> tuple[tuple[tuple, ...], np.ndarray]:
+    """The gates (name, positions, param) of n-qubit RB, and each group
+    element's word as indices into them, -1 past its end: on one qubit
+    element k is the one gate C1 k, on two its canonical generator word.
+    Shared by every call with the same n, built on first use."""
+    if n == 1:
+        return (tuple(("C1", (0,), k) for k in range(pl.c1_count())),
+                np.arange(pl.c1_count(), dtype=np.int8)[:, None])
+    words = pl.clifford_group(n)[0]
+    code: dict[tuple, int] = {}
+    lengths = np.fromiter(map(len, words), np.intp, len(words))
+    table = np.full((len(words), int(lengths.max())), -1, dtype=np.int8)
+    table[np.arange(table.shape[1]) < lengths[:, None]] = np.fromiter(
+        (code.setdefault(spec, len(code)) for word in words for spec in word), np.int8,
+        int(lengths.sum()))
+    table.setflags(write=False)
+    return tuple((name, tuple(pos), None) for name, *pos in code), table
+
+
 def run_rb(
     qubits: Sequence[int],
     m_list: Sequence[int],
@@ -556,7 +583,7 @@ def run_rb(
     n = len(register)
     if n not in (1, 2):
         raise ProtocolError("randomized benchmarking supports 1 or 2 qubits only")
-    Circuit(register)  # distinct labels; every sequence below is built unchecked
+    Circuit(register)  # distinct labels, checked before any draw
     _check_lengths(m_list, n_random)
     if shots is not None:
         _check_integer("shots", shots, 1)
@@ -564,30 +591,21 @@ def run_rb(
     executor = Executor(register, noise)
     floor = 1.0 / 2**n
 
-    table: list[Cycle] = []
-
-    @functools.cache
-    def gate_code(name: str, *pos: int, param: int | None = None) -> int:
-        gate = Gate(name, tuple(register[p] for p in pos), param)
-        table.append(Cycle("hard" if name == "CNOT" else "easy", (gate,)))
-        return len(table) - 1
-
-    @functools.cache
-    def element(k: int) -> tuple[int, ...]:
-        """Element k as codes of one-gate cycles: one C1 (its index is k) on
-        one qubit, its word on two."""
-        if n == 1:
-            return (gate_code("C1", 0, param=k),)
-        return tuple(gate_code(*spec) for spec in pl.clifford_word(n, k))
-
+    specs, words = _rb_words(n)
+    table = [Cycle("hard" if name == "CNOT" else "easy",
+                   (Gate(name, tuple(register[p] for p in pos), param),))
+             for name, pos, param in specs]
     lengths = sorted(int(v) for v in m_list)
     streams = Streams(seed, (("rb", m, j) for m in lengths for j in range(n_random)))
-    rows = []
+    # each sequence's element words end to end, -1 past each word's end,
+    # right-aligned; Batch.of_rows drops the -1
+    rows = np.full((len(lengths) * n_random, (lengths[-1] + 1) * words.shape[1]), -1, np.int8)
     for mi, m in enumerate(lengths):
         # one draw of m per stream reads the same values as m single draws
         draws = streams.integers(range(mi * n_random, (mi + 1) * n_random), pl.clifford_count(n), m)
-        for row in np.column_stack([draws, pl.clifford_inverses(n, draws)]).tolist():
-            rows.append([code for k in row for code in element(k)])
+        elements = np.column_stack([draws, pl.clifford_inverses(n, draws)])
+        rows[mi * n_random:(mi + 1) * n_random, -(m + 1) * words.shape[1]:] = (
+            words[elements].reshape(n_random, -1))
     batch = Batch.of_rows(register, table, rows)
     if shots is not None:
         count_streams = Streams(seed, (("rb-exec", i) for i in range(len(batch))))

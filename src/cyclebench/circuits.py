@@ -52,7 +52,8 @@ class Gate:
         return "cnot" if self.name == "CNOT" else "single_qubit"
 
 
-@dataclass(frozen=True)
+# slots: a CB table holds about 10k twirl cycles
+@dataclass(frozen=True, slots=True)
 class Cycle:
     """One clock step of gates on pairwise-disjoint qubits."""
 
@@ -152,37 +153,55 @@ _BLOCK = 32
 
 @functools.lru_cache(maxsize=1024)
 def _cycle_unitary_cached(gates: tuple[Gate, ...], register: tuple[int, ...]) -> np.ndarray:
-    return _cycle_unitaries([gates], register)[0]
+    """One cycle's unitary from its gates, for callers that hold no batch
+    (the test oracles); ``perfbench`` reads this cache's counts."""
+    flat = _flat_matrices(gates)
+    positions = tuple(tuple(map(register.index, g.qubits)) for g in gates)
+    rows = np.arange(len(gates))[None]
+    return _cycle_unitaries(rows, (flat.real, flat.imag), positions, len(register))[0]
 
 
-def _cycle_unitaries(gate_rows: Sequence[tuple[Gate, ...]], register: tuple[int, ...]) -> np.ndarray:
-    """Unitaries of cycles that share one structure (the same gate qubits in
-    the same order), as a ``(b, 2^n, 2^n)`` stack.
+def _flat_matrices(gates: Sequence[Gate]) -> np.ndarray:
+    """``gate_matrix`` of each gate as one flat row, zero-padded to 16
+    entries: the gate stack of ``_cycle_unitaries``."""
+    flat = np.zeros((len(gates), 16), dtype=complex)
+    for row, g in zip(flat, gates):
+        row[:4 ** len(g.qubits)] = gate_matrix(g).reshape(-1)
+    return flat
 
-    Every entry is a single product of gate entries, taken in gate order, and
-    ``sim._scatter`` places it.  The build uses real arithmetic in separate
-    ufunc calls, ``re = mr*re - mi*im`` and ``im = mr*im + mi*re``, so each
-    real product is rounded on its own on every CPU; numpy's complex
-    multiply, ``np.kron`` and a BLAS matmul chain may fuse them, depending
-    on the kernel, and differ in the last bit.  CNOT entries are 0 and 1, so
-    hard-cycle products are exact.
+
+def _cycle_unitaries(rows: np.ndarray, mats: tuple[np.ndarray, np.ndarray],
+                     positions: tuple[tuple[int, ...], ...], n: int) -> np.ndarray:
+    """Unitaries of cycles that share one structure, gates at ``positions``
+    (register indices, one tuple per gate, all of one arity k), as a
+    ``(b, 2^n, 2^n)`` stack: row i of the ``(b, m)`` ``rows`` holds cycle
+    i's gates in order as codes into ``mats``, the real and imaginary parts
+    of flat gate matrices, at least 4^k columns wide.
+
+    Every entry is a single product of gate entries, taken in gate order.
+    The build uses real arithmetic in separate ufunc calls, ``re = mr*re -
+    mi*im`` and ``im = mr*im + mi*re``, so each real product is rounded on
+    its own on every CPU; numpy's complex multiply, ``np.kron`` and a BLAS
+    matmul chain may fuse them, depending on the kernel, and differ in the
+    last bit.  CNOT entries are 0 and 1, so hard-cycle products are exact.
+    When the gates cover the register every entry is a product, placed by
+    one gather (``_gather``); otherwise ``sim._scatter`` places the
+    products among zeros.
     """
-    b, m = len(gate_rows), len(gate_rows[0])
-    n = len(register)
+    b, m = rows.shape
     if m == 0:
         return np.repeat(np.eye(2**n, dtype=complex)[None], b, axis=0)
-    positions = tuple(tuple(map(register.index, g.qubits)) for g in gate_rows[0])
     k = len(positions[0])
-    # (m, b) codes of the distinct gate objects; their flat matrices as
-    # (codes, 4^k) rows
-    flat = [g for gates in gate_rows for g in gates]
-    ids = np.fromiter(map(id, flat), dtype=np.uintp, count=b * m)
-    _, first, code = np.unique(ids, return_index=True, return_inverse=True)
-    code = code.reshape(b, m).T
-    mats = np.stack([gate_matrix(flat[i]).reshape(4**k) for i in first.tolist()])
-    mr, mi = np.ascontiguousarray(mats.real), np.ascontiguousarray(mats.imag)
-    dest, src = _scatter(positions, n)
-    full = np.zeros((b, 4**n), dtype=complex)
+    mr, mi = (part[:, :4**k] for part in mats)
+    # (m, b): gate t of every cycle in row t
+    code = np.ascontiguousarray(rows.T)
+    cover = m * k == n
+    if cover:
+        order = _gather(positions, n)
+        full = np.empty((b, 4**n), dtype=complex)
+    else:
+        dest, src = _scatter(positions, n)
+        full = np.zeros((b, 4**n), dtype=complex)
     # (rows, 4^(k t)) partial products of a block of cycles, gate t's entry
     # index in front
     for lo in range(0, b, _BLOCK):
@@ -191,57 +210,38 @@ def _cycle_unitaries(gate_rows: Sequence[tuple[Gate, ...]], register: tuple[int,
         for c in codes[1:]:
             gr, gi, re, im = mr[c, :, None], mi[c, :, None], re[:, None], im[:, None]
             re, im = (gr * re - gi * im).reshape(len(c), -1), (gr * im + gi * re).reshape(len(c), -1)
-        full.real[lo:lo + _BLOCK, dest] = re[:, src]
-        full.imag[lo:lo + _BLOCK, dest] = im[:, src]
+        if cover:
+            full.real[lo:lo + _BLOCK] = re.take(order, axis=1)
+            full.imag[lo:lo + _BLOCK] = im.take(order, axis=1)
+        else:
+            full.real[lo:lo + _BLOCK, dest] = re[:, src]
+            full.imag[lo:lo + _BLOCK, dest] = im[:, src]
     return full.reshape(b, 2**n, 2**n)
+
+
+@functools.lru_cache(maxsize=256)
+def _gather(positions: tuple[tuple[int, ...], ...], n: int) -> np.ndarray:
+    """``sim._scatter`` inverted for gates that cover the register, where
+    it places every entry: ``U.flat = T[order]``."""
+    dest, src = _scatter(positions, n)
+    order = np.empty(4**n, dtype=np.intp)
+    order[dest] = src
+    order.setflags(write=False)
+    return order
 
 
 _UNIT_PHASES = np.array([1, -1, 1j, -1j])
 
 
 def _unit_monomial(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """``(perm, phase)`` with ``mat[i, perm[i]] = phase[i]`` the only nonzero
-    entry of row i and every phase a unit in {1, -1, 1j, -1j}; else None."""
-    perm = np.abs(mat).argmax(axis=1)
-    phase = mat[np.arange(len(mat)), perm]
-    if np.count_nonzero(mat) != len(mat) or not np.isin(phase, _UNIT_PHASES).all():
+    """``(perm, phase)`` with ``mat[..., i, perm[..., i]] = phase[..., i]``
+    the only nonzero entry of row i and every phase a unit in {1, -1, 1j,
+    -1j}, for one matrix or a stack of them; else None."""
+    perm = np.abs(mat).argmax(axis=-1)
+    phase = np.take_along_axis(mat, perm[..., None], axis=-1)[..., 0]
+    if np.count_nonzero(mat) != perm.size or not np.isin(phase, _UNIT_PHASES).all():
         return None
-    perm.setflags(write=False)
-    phase.setflags(write=False)
     return perm, phase
-
-
-@functools.lru_cache(maxsize=None)
-def _monomial_gates() -> frozenset[tuple]:
-    """(name, param) of every gate whose matrix passes ``_unit_monomial``:
-    C1 elements qualify by their computed matrix (I, S, Z and SDG do, the
-    X-like ones carry rounding from their H/S words and do not); RZ never."""
-    fixed = {(name, None): mat for name, mat in pl.GATE_MATRICES.items()}
-    c1 = {("C1", e.index): e.matrix for e in pl._c1_table()}
-    return frozenset(key for key, mat in {**fixed, **c1}.items() if _unit_monomial(mat) is not None)
-
-
-def is_monomial(gate: Gate) -> bool:
-    return (gate.name, gate.param) in _monomial_gates()
-
-
-@functools.lru_cache(maxsize=1024)
-def _cycle_permutation_cached(gates: tuple[Gate, ...], register: tuple[int, ...]):
-    return _unit_monomial(_cycle_unitary_cached(gates, register))
-
-
-def cycle_permutation(
-    cycle: Cycle, register: tuple[int, ...]
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """The cycle unitary as ``(perm, phase)``, ``U[i, perm[i]] = phase[i]``,
-    when every gate is monomial; None at the first gate that is not.
-
-    Products of monomial gates with unit phases are exact, so the pair
-    describes the cycle unitary entry for entry.
-    """
-    if not all(map(is_monomial, cycle.gates)):
-        return None
-    return _cycle_permutation_cached(cycle.gates, tuple(register))
 
 
 # ---------------------------------------------------------------------------

@@ -15,12 +15,15 @@ unitary is one op list per cycle structure (``Executor._tail``).
 
 Circuits reach the kernel as a :class:`Batch`: a table of distinct cycles
 and an integer grid of codes into it, one right-aligned row per circuit.
-One kernel, ``Executor._run``, advances a stack of such rows of any
-structures and lengths, longest first, one grid column (a layer of codes)
-at a time, with one BLAS call of a single circuit's shape per circuit and
-op, so no state depends on its stack.  A column of monomial codes is one
-gather of the flattened stack through per-code signed permutations, built
-once per call; any other column takes one ``_cycle_unitaries`` call per
+Each batch compiles its table once into integer rows (``GateRows``), per
+code a structure index and gate codes into a small stack of gate matrices,
+so no layer reads a ``Cycle`` or ``Gate``.  One kernel, ``Executor._run``,
+advances a stack of such rows of any structures and lengths, longest
+first, one grid column (a layer of codes) at a time, with one BLAS call of
+a single circuit's shape per circuit and op, so no state depends on its
+stack.  A column of monomial codes is one gather of the flattened stack
+through per-code signed permutations, read once per call off the codes'
+unitaries; any other column takes one ``Batch.unitaries`` build per
 structure.  ``run`` and ``advance`` compile one circuit; ``probabilities``,
 the one batched entry point (CB and RB), sorts a batch's rows longest first
 once, runs them ``CHUNK`` at a time and returns their outcome rows in input
@@ -30,11 +33,19 @@ order, which ``measured_expectation`` scores.
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .circuits import Circuit, Cycle, _cycle_unitaries, cycle_permutation
+from .circuits import (
+    _UNIT_PHASES,
+    Circuit,
+    Cycle,
+    Gate,
+    _cycle_unitaries,
+    _flat_matrices,
+    _unit_monomial,
+)
 from .noise import NoiseModel, coherent_overrotation, damping_channel, pauli_channel
 from .pauli import PauliString
 from .sim import (
@@ -52,18 +63,89 @@ from .sim import (
 CHUNK = 256
 
 
+def _distinct(register: Sequence[int]) -> tuple[int, ...]:
+    """``register`` as a tuple, checked to repeat no label."""
+    register = tuple(register)
+    if len(set(register)) != len(register):
+        repeated = next(q for q in register if register.count(q) > 1)
+        raise SimulationError(f"register label {repeated!r} is repeated in {register}")
+    return register
+
+
+class GateRows:
+    """A batch table as integers, one int32 row per cycle in table order:
+    the cycle's structure, an index into ``positions`` (each gate's register
+    positions), then its gates as codes into ``gates``, the distinct (name,
+    param) met so far, -1 past its last gate.
+
+    ``cycles`` derives the rows of ``Cycle`` objects and raises
+    ``SimulationError`` for an entry that is not one, or for a gate off the
+    register; ``block`` takes cycles of one structure whose gate codes a
+    producer already holds, such as ``make_cb``'s twirl draws, coded by the
+    ``gates`` given first.
+    """
+
+    def __init__(self, register: tuple[int, ...], gates: Iterable[Gate] = ()):
+        self.register = register
+        self.positions: list[tuple[tuple[int, ...], ...]] = []
+        self.gates: list[Gate] = []
+        self.blocks: list[np.ndarray] = []
+        self._structures: dict[tuple, int] = {}
+        self._codes: dict[tuple, int] = {}
+        for g in gates:
+            self._code(g)
+
+    def cycles(self, cycles: Iterable[Cycle]) -> None:
+        rows = []
+        for c in cycles:
+            if not isinstance(c, Cycle):
+                raise SimulationError(f"a batch table holds {c!r}, not a Cycle")
+            rows.append([self._structure(c.structure), *map(self._code, c.gates)]
+                        + [-1] * (len(self.register) - len(c.gates)))
+        self.blocks.append(np.array(rows, dtype=np.int32).reshape(-1, 1 + len(self.register)))
+
+    def block(self, structure: tuple, gates: np.ndarray) -> None:
+        s = self._structure(structure)
+        self.blocks.append(np.column_stack((np.full(len(gates), s), gates)).astype(np.int32))
+
+    def _structure(self, structure: tuple) -> int:
+        if structure not in self._structures:
+            outside = sorted({q for gate in structure[1] for q in gate} - set(self.register))
+            if outside:
+                raise SimulationError(
+                    f"a batch cycle uses qubits {outside} outside the register {self.register}"
+                )
+            self._structures[structure] = len(self.positions)
+            self.positions.append(tuple(tuple(map(self.register.index, gate))
+                                        for gate in structure[1]))
+        return self._structures[structure]
+
+    def _code(self, gate: Gate) -> int:
+        key = gate.name, gate.param
+        if key not in self._codes:
+            self._codes[key] = len(self.gates)
+            self.gates.append(gate)
+        return self._codes[key]
+
+
 class Batch:
     """Circuits on one register in compiled form: a ``table`` of distinct
     cycles and an integer ``codes`` grid (N, W) whose row i holds circuit i's
     cycles as indices into the table, right-aligned behind -1 padding.
 
-    ``make_cb`` and ``run_rb`` fill the grid from their draws; ``Batch.of``
-    compiles a list of circuits.  The grid's shape and codes are checked
-    here, its register by the executor that runs it.
+    The kernel reads the table as ``GateRows``, and one cycle per structure
+    for its noise tail: per code its ``structure`` and ``gates`` row of
+    codes into ``mats``, the (real, imaginary) parts of flat gate matrices,
+    and whether it is ``monomial``, which holds iff each of its gate
+    matrices has one unit-phase entry per row; per structure its gate
+    ``positions``.  ``make_cb`` hands over its rows, with its twirl draws as
+    gate codes; any other table is compiled here.  The register, the table
+    and the grid are checked here.
     """
 
-    def __init__(self, register: Sequence[int], table: Sequence[Cycle], codes: np.ndarray):
-        self.register = tuple(register)
+    def __init__(self, register: Sequence[int], table: Sequence[Cycle], codes: np.ndarray,
+                 rows: GateRows | None = None):
+        self.register = _distinct(register)
         self.table = tuple(table)
         self.codes = codes
         if not isinstance(codes, np.ndarray) or codes.ndim != 2 or codes.dtype.kind not in "iu":
@@ -73,6 +155,21 @@ class Batch:
         started = codes >= 0
         if (started[:, :-1] & ~started[:, 1:]).any():
             raise SimulationError("a batch row holds -1 after a code: padding must lead")
+        if rows is None:
+            rows = GateRows(self.register)
+            rows.cycles(self.table)
+        compiled = np.concatenate(rows.blocks)
+        if len(compiled) != len(self.table):
+            raise SimulationError(f"{len(compiled)} gate rows for {len(self.table)} cycles")
+        self.structure, self.gates = compiled[:, 0], compiled[:, 1:]
+        self.positions = rows.positions
+        flat = _flat_matrices(rows.gates)
+        self.mats = np.ascontiguousarray(flat.real), np.ascontiguousarray(flat.imag)
+        nonzero = flat != 0
+        unit = ((nonzero.sum(axis=1) == [2 ** len(g.qubits) for g in rows.gates])
+                & (np.isin(flat, _UNIT_PHASES) | ~nonzero).all(axis=1))
+        # -1 past a cycle's last gate reads the appended True
+        self.monomial = np.append(unit, True)[self.gates].all(axis=1)
 
     @classmethod
     def of(cls, register: Sequence[int], circuits: Sequence[Circuit]) -> "Batch":
@@ -87,16 +184,24 @@ class Batch:
         # by id: the circuits hold their cycles alive
         distinct = {id(c): c for circuit in circuits for c in circuit.cycles}
         code_of = dict(zip(distinct, range(len(distinct))))
-        return cls.of_rows(register, distinct.values(),
-                           [[code_of[id(c)] for c in circuit.cycles] for circuit in circuits])
+        width = max((len(circuit.cycles) for circuit in circuits), default=0)
+        codes = np.full((len(circuits), width), -1, dtype=np.int32)
+        for row, circuit in zip(codes, circuits):
+            row[width - len(circuit.cycles):] = [code_of[id(c)] for c in circuit.cycles]
+        return cls(register, distinct.values(), codes)
 
     @classmethod
-    def of_rows(cls, register: Sequence[int], table: Sequence[Cycle],
-                rows: Sequence[Sequence[int]]) -> "Batch":
-        """The batch whose row i holds the codes ``rows[i]``."""
-        codes = np.full((len(rows), max(map(len, rows), default=0)), -1, dtype=np.int32)
-        for codes_row, row in zip(codes, rows):
-            codes_row[len(codes_row) - len(row):] = row
+    def of_rows(cls, register: Sequence[int], table: Sequence[Cycle], rows: np.ndarray) -> "Batch":
+        """The batch whose row i holds the codes of ``rows[i]`` in order,
+        its -1 entries dropped wherever they fall."""
+        kept = rows >= 0
+        lengths = kept.sum(axis=1)
+        width = int(lengths.max(initial=0))
+        codes = np.full((len(rows), width), -1, dtype=np.int32)
+        # each kept code's column, counted back from the end of its row
+        column = kept.cumsum(axis=1, dtype=np.int32)
+        column += (width - 1 - lengths)[:, None]
+        codes[kept.nonzero()[0], column[kept]] = rows[kept]
         return cls(register, table, codes)
 
     def __len__(self) -> int:
@@ -107,6 +212,15 @@ class Batch:
         row = self.codes[k]
         return Circuit._unchecked(self.register, tuple(map(self.table.__getitem__,
                                                            row[row >= 0].tolist())))
+
+    def unitaries(self, codes: Sequence[int]) -> np.ndarray:
+        """The unitaries of table ``codes``, all of one structure, as a stack."""
+        return _cycle_unitaries(*self._operands(codes))
+
+    def _operands(self, codes: Sequence[int]) -> tuple:
+        """``_cycle_unitaries``' arguments for ``codes``."""
+        positions = self.positions[self.structure[codes[0]]]
+        return self.gates[codes, :len(positions)], self.mats, positions, len(self.register)
 
     def __eq__(self, other) -> bool:
         """The same register and, row by row, equal circuits."""
@@ -121,7 +235,7 @@ class Executor:
     """Runs circuits on a fixed register under one noise model."""
 
     def __init__(self, register: tuple[int, ...], noise: NoiseModel | None = None):
-        self.register = tuple(register)
+        self.register = _distinct(register)
         self.n = len(self.register)
         if self.n > MAX_QUBITS:
             raise SimulationError(f"registers are limited to {MAX_QUBITS} qubits")
@@ -293,7 +407,7 @@ class Executor:
         # run and advance pass views of the caller's state
         state = state.copy()
         # unitaries kept for this stack (``_unitaries``)
-        kept = _Rows(len(plan.table))
+        kept = _Rows(len(plan.batch.table))
         for t, column in enumerate(np.ascontiguousarray(grid.T)):
             a = bisect_right(starts, t)
             state[:a] = self._apply_layer(state[:a], column[:a], plan, kept)
@@ -303,9 +417,10 @@ class Executor:
                      kept: "_Rows") -> np.ndarray:
         """One cycle per row of a stack, by its code in ``column``: its ideal
         unitary, then its structure's tail."""
-        structures = plan.structure[column]
+        batch = plan.batch
+        structures = batch.structure[column]
         one = bool((structures == structures[0]).all())
-        if self._signed(column, plan):
+        if batch.monomial[column].all():
             state = plan.permute(state, column)
         else:
             state = _conjugate(state, self._unitaries(column, one, plan, kept))
@@ -323,49 +438,27 @@ class Executor:
         tail = plan.tails[s]
         if tail is None:
             # its first code's cycle
-            tail = plan.tails[s] = self._tail(plan.table[int(np.argmax(plan.structure == s))])
+            first = int(np.argmax(plan.batch.structure == s))
+            tail = plan.tails[s] = self._tail(plan.batch.table[first])
         return tail
-
-    def _signed(self, column: np.ndarray, plan: "_Plan") -> bool:
-        """Whether every cycle of ``column`` is monomial.  Codes not yet
-        classified are tried in row order until one is not; a monomial one
-        stores its signed permutation in ``plan``."""
-        known = plan.signed.row[column]
-        if known.min() >= 0:
-            return True
-        if (known == _NOT_MONOMIAL).any():
-            return False
-        for code in column[known < 0].tolist():
-            if plan.signed.row[code] >= 0:
-                continue
-            signed = cycle_permutation(plan.table[code], self.register)
-            if signed is None:
-                plan.signed.row[code] = _NOT_MONOMIAL
-                return False
-            plan.store(code, *signed)
-        return True
 
     def _unitaries(self, column: np.ndarray, one: bool, plan: "_Plan",
                    kept: "_Rows") -> np.ndarray:
         """The ideal unitaries of a layer's cycles, one matrix or one per
-        row, from one ``_cycle_unitaries`` call per structure; ``one`` says
+        row, from one ``Batch.unitaries`` build per structure; ``one`` says
         the layer has a single structure.
 
         ``kept`` holds a layer's lone cycle and every cycle of a layer of
         several structures (RB's few gate cycles).  A layer of one structure,
         such as a C1-twirl layer of mostly new cycles, is built whole and
         keeps none: merging kept ones in cost more than it saved."""
+        batch = plan.batch
         lone = bool((column == column[0]).all())
         if lone or not one:
             rows = kept.row[column]
             if rows.min() < 0:
-                groups: dict[int, list[int]] = {}
-                for code in dict.fromkeys(column[rows < 0].tolist()):
-                    groups.setdefault(plan.structure[code], []).append(code)
-                for group in groups.values():
-                    for code, u in zip(group, _cycle_unitaries(
-                            [plan.table[c].gates for c in group], self.register)):
-                        kept.add(code, u)
+                for group in _by_structure(batch, column[rows < 0]):
+                    kept.add(group, batch.unitaries(group))
                 rows = kept.row[column]
             (u,) = kept.stacks
             return u[rows[0]] if lone else u[rows]
@@ -374,8 +467,8 @@ class Executor:
         distinct = dict.fromkeys(codes)
         if len(distinct) == len(codes):
             # every row's own cycle: built in row order, used without a gather
-            return _cycle_unitaries([plan.table[c].gates for c in codes], self.register)
-        u = _cycle_unitaries([plan.table[c].gates for c in distinct], self.register)
+            return batch.unitaries(column)
+        u = batch.unitaries(list(distinct))
         slot = {code: i for i, code in enumerate(distinct)}
         return u[np.fromiter(map(slot.__getitem__, codes), np.intp, len(codes))]
 
@@ -493,6 +586,15 @@ def _wrap(state: np.ndarray) -> State:
     return DensityMatrix(state) if state.shape[-1] != 1 else StateVector(state[:, 0])
 
 
+def _by_structure(batch: Batch, codes: np.ndarray) -> list[list[int]]:
+    """The distinct ``codes`` in order of first appearance, grouped by
+    structure."""
+    groups: dict[int, list[int]] = {}
+    for code in dict.fromkeys(codes.tolist()):
+        groups.setdefault(int(batch.structure[code]), []).append(code)
+    return list(groups.values())
+
+
 class _Rows:
     """Arrays stored by code: ``row[code]`` is the code's row in each of
     ``stacks``, -1 until ``add``.  The stacks double as they fill; one row per
@@ -504,48 +606,45 @@ class _Rows:
         self.stacks: list[np.ndarray] = []
         self.count = 0
 
-    def add(self, code: int, *values: np.ndarray) -> None:
+    def add(self, codes: list[int], *values: np.ndarray) -> None:
+        """Store row i of each of ``values`` as code ``codes[i]``'s."""
+        end = self.count + len(codes)
+        size = len(self.stacks[0]) if self.stacks else 8
+        while size < end:
+            size *= 2
         if not self.stacks:
-            self.stacks = [np.empty((8, *v.shape), dtype=v.dtype) for v in values]
-        elif self.count == len(self.stacks[0]):
+            self.stacks = [np.empty((size, *v.shape[1:]), dtype=v.dtype) for v in values]
+        elif size > len(self.stacks[0]):
             # np.resize repeats the rows, which later adds overwrite
-            self.stacks = [np.resize(a, (2 * self.count, *a.shape[1:])) for a in self.stacks]
+            self.stacks = [np.resize(a, (size, *a.shape[1:])) for a in self.stacks]
         for a, v in zip(self.stacks, values):
-            a[self.count] = v
-        self.row[code] = self.count
-        self.count += 1
-
-
-# the ``_Plan.signed`` row of a code whose cycle is not monomial
-_NOT_MONOMIAL = -2
+            a[self.count:end] = v
+        self.row[codes] = np.arange(self.count, end)
+        self.count = end
 
 
 class _Plan:
-    """What one call learns about a batch's codes, in int32 arrays indexed
-    by code: each cycle's structure index, and whether it is monomial, with
-    its signed permutation in the form of the stack it acts on; and each
-    structure's tail once looked up."""
+    """What one call learns about a batch, indexed by code: the signed
+    permutations of its monomial cycles, in the form of the stack they act
+    on, built as they are first met; and each structure's tail once looked
+    up."""
 
     def __init__(self, batch: Batch, density: bool):
-        self.table = batch.table
-        index: dict[tuple, int] = {}
-        self.structure = np.fromiter(
-            (index.setdefault(c.structure, len(index)) for c in self.table), np.int32,
-            len(self.table),
-        )
-        self.tails: list[tuple | None] = [None] * len(index)
-        # (perm, phase) rows of monomial cycles, ``_NOT_MONOMIAL`` for others
-        self.signed = _Rows(len(self.table))
+        self.batch = batch
+        self.tails: list[tuple | None] = [None] * len(batch.positions)
+        self.signed = _Rows(len(batch.table))
         self.density = density
 
-    def store(self, code: int, perm: np.ndarray, phase: np.ndarray) -> None:
-        """Record cycle ``code``'s ``U[i, perm[i]] = phase[i]`` as a gather of
-        the flattened state: on a density, ``(U rho U^H)[i, j] =
+    def store(self, codes: list[int]) -> None:
+        """Record the ``U[i, perm[i]] = phase[i]`` of each monomial cycle of
+        ``codes``, all of one structure, read off its built unitary, as a
+        gather of the flattened state: on a density, ``(U rho U^H)[i, j] =
         phase[i] rho[perm[i], perm[j]] conj(phase[j])``."""
+        perm, phase = _unit_monomial(_cycle_unitaries(*self.batch._operands(codes)))
         if self.density:
-            perm = perm[:, None] * len(perm) + perm[None, :]
-            phase = phase[:, None] * phase.conj()[None, :]
-        self.signed.add(code, perm.reshape(-1), phase.reshape(-1))
+            perm = perm[:, :, None] * perm.shape[1] + perm[:, None, :]
+            phase = phase[:, :, None] * phase.conj()[:, None, :]
+        self.signed.add(codes, perm.reshape(len(codes), -1), phase.reshape(len(codes), -1))
 
     def permute(self, state: np.ndarray, column: np.ndarray) -> np.ndarray:
         """Monomial cycle unitaries, one per row by its code, as one gather
@@ -555,9 +654,13 @@ class _Plan:
         and unit-phase products are exact, so every nonzero entry is
         bit-identical to it; only the sign of an exact zero may differ.
         """
+        rows = self.signed.row[column]
+        if rows.min() < 0:
+            for group in _by_structure(self.batch, column[rows < 0]):
+                self.store(group)
+            rows = self.signed.row[column]
         flat = state.reshape(len(state), -1)
         perm, phase = self.signed.stacks
-        rows = self.signed.row[column]
         if (rows == rows[0]).all():
             out = flat.take(perm[rows[0]], axis=1) * phase[rows[0]]
         else:

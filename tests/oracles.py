@@ -157,11 +157,11 @@ def depolarizing_channel(lam: float, n_qubits: int):
 def circuit_unitary(circuit) -> np.ndarray:
     """Dense unitary of the whole circuit, cycle unitaries composed in time
     order."""
-    from cyclebench.circuits import _cycle_unitaries
+    from cyclebench.circuits import _cycle_unitary_cached
 
     u = np.eye(2**circuit.n_qubits, dtype=complex)
     for cyc in circuit.cycles:
-        u = _cycle_unitaries([cyc.gates], circuit.qubits)[0] @ u
+        u = _cycle_unitary_cached(cyc.gates, circuit.qubits) @ u
     return u
 
 
@@ -425,7 +425,7 @@ def reference_run(executor, circuit, initial=None, prepare=True):
     compiled op of the executor's tail as its own matrix product, Kraus ops as
     one superoperator matvec on vec(rho).  ``prepare=False`` skips the
     preparation flips, as ``executor.advance`` does."""
-    from cyclebench.circuits import _cycle_unitaries
+    from cyclebench.circuits import _cycle_unitary_cached
     from cyclebench.sim import DensityMatrix, StateVector
 
     dim = 2**executor.n
@@ -456,7 +456,7 @@ def reference_run(executor, circuit, initial=None, prepare=True):
     if prepare:
         state = apply(state, executor._prep)
     for cyc in circuit.cycles:
-        state = conjugate(state, _cycle_unitaries([cyc.gates], executor.register)[0])
+        state = conjugate(state, _cycle_unitary_cached(cyc.gates, executor.register))
         state = apply(state, executor._tail(cyc))
     return StateVector(state) if state.ndim == 1 else DensityMatrix(state)
 
@@ -519,27 +519,19 @@ def reference_execute_collection(coll, noise, shots):
     return points
 
 
-def reference_run_rb(qubits, m_list, n_random, noise, shots, seed=0, resamples=200, label=""):
-    """``run_rb`` one sequence at a time: m draws of stream ``(seed, "rb", m,
-    j)``, the inverse of the expanded gate list from ``clifford_inverse``
-    (one qubit) or ``clifford_inverse_word`` (two), the circuit run by
-    ``reference_run`` and read out by ``reference_probabilities``, and the
-    counts of sequence i drawn from stream ``(seed, "rb-exec", i)``.
-    Returns the result and the points it was fitted to."""
-    import math
-
+def reference_rb_sequences(qubits, m_list, n_random, seed=0):
+    """``run_rb``'s sequences one at a time, as ``Circuit``s of one-gate
+    cycles, lengths ascending: m draws of stream ``(seed, "rb", m, j)``, each
+    element one C1 (one qubit) or its ``clifford_word`` (two), then the
+    inverse of the expanded gate list from ``clifford_inverse`` (one qubit)
+    or ``clifford_inverse_word`` (two)."""
     from cyclebench import pauli as pl
-    from cyclebench.bench import (
-        DecayPoint, InfidelityEstimate, RbResult, fit_decay, rb_to_process_infidelity,
-    )
     from cyclebench.circuits import Circuit, Cycle, Gate
-    from cyclebench.engine import Executor
     from cyclebench.sim import rng_from
 
     register = tuple(qubits)
     n = len(register)
-    executor = Executor(register, noise)
-    points = []
+    sequences = []
     for m in sorted(m_list):
         for j in range(n_random):
             logical = []
@@ -553,19 +545,40 @@ def reference_run_rb(qubits, m_list, n_random, noise, shots, seed=0, resamples=2
             else:
                 inverse_word = pl.clifford_inverse_word(n, logical)
                 logical.extend((name, tuple(pos), None) for name, *pos in inverse_word)
-            cycles = tuple(
+            sequences.append(Circuit(register, tuple(
                 Cycle("hard" if name == "CNOT" else "easy",
                       (Gate(name, tuple(register[p] for p in pos), param),))
                 for name, pos, param in logical
-            )
-            probs = reference_probabilities(executor, reference_run(executor, Circuit(register, cycles)))
-            if shots is None:
-                survival, err = float(probs[0]), 0.0
-            else:
-                counts = rng_from(seed, "rb-exec", len(points)).multinomial(shots, probs)
-                survival = int(counts[0]) / shots
-                err = math.sqrt(max(0.0, survival * (1 - survival)) / shots)
-            points.append(DecayPoint("survival", m, len(points), survival - 1.0 / 2**n, err))
+            )))
+    return sequences
+
+
+def reference_run_rb(qubits, m_list, n_random, noise, shots, seed=0, resamples=200, label=""):
+    """``run_rb`` one sequence at a time: each of ``reference_rb_sequences``
+    run by ``reference_run`` and read out by ``reference_probabilities``, and
+    the counts of sequence i drawn from stream ``(seed, "rb-exec", i)``.
+    Returns the result and the points it was fitted to."""
+    import math
+
+    from cyclebench.bench import (
+        DecayPoint, InfidelityEstimate, RbResult, fit_decay, rb_to_process_infidelity,
+    )
+    from cyclebench.engine import Executor
+    from cyclebench.sim import rng_from
+
+    n = len(qubits)
+    executor = Executor(tuple(qubits), noise)
+    points = []
+    for circuit in reference_rb_sequences(qubits, m_list, n_random, seed):
+        m = sorted(m_list)[len(points) // n_random]
+        probs = reference_probabilities(executor, reference_run(executor, circuit))
+        if shots is None:
+            survival, err = float(probs[0]), 0.0
+        else:
+            counts = rng_from(seed, "rb-exec", len(points)).multinomial(shots, probs)
+            survival = int(counts[0]) / shots
+            err = math.sqrt(max(0.0, survival * (1 - survival)) / shots)
+        points.append(DecayPoint("survival", m, len(points), survival - 1.0 / 2**n, err))
     fit = fit_decay(points, resamples=resamples, seed=seed, pauli="survival")
     d = 2**n
     r, e_f = rb_to_process_infidelity(d, p=fit.decay)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cyclebench import bench, engine
+from cyclebench import pauli as pl
 from cyclebench.bench import (
     DecayFit,
     DecayPoint,
@@ -582,6 +583,32 @@ class TestRunRb:
         monkeypatch.setattr(bench, "Streams", no_draws)
         with pytest.raises(CircuitError, match="distinct"):
             run_rb((3, 3), (1, 2, 4), 2, None, 8)
+
+    @pytest.mark.parametrize("qubits", [(0,), (3, 5)])
+    def test_batch_holds_the_element_words(self, monkeypatch, qubits):
+        """The rows gathered from the shared word table are the sequences
+        the per-sequence loop builds, a length-0 one (on two qubits, an
+        empty row) included."""
+        batches = []
+        original = engine.Executor.probabilities
+        monkeypatch.setattr(engine.Executor, "probabilities",
+                            lambda self, batch: batches.append(batch) or original(self, batch))
+        run_rb(qubits, (0, 3, 7), 4, None, shots=None, seed=5)
+        (batch,) = batches
+        assert batch == engine.Batch.of(qubits, oracles.reference_rb_sequences(qubits, (0, 3, 7),
+                                                                               4, seed=5))
+
+    def test_word_table_is_built_once_per_width(self):
+        run_rb((0, 1), (1, 2, 4), 2, None, shots=None, seed=1)
+        before = bench._rb_words.cache_info()
+        run_rb((2, 3), (1, 2, 4), 2, None, shots=None, seed=2)
+        after = bench._rb_words.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+        specs, words = bench._rb_words(2)
+        assert not words.flags.writeable
+        for k in range(pl.clifford_count(2)):
+            assert [specs[c] for c in words[k] if c >= 0] == [
+                (name, tuple(pos), None) for name, *pos in pl.clifford_word(2, k)]
 
 
 def _rb_models():

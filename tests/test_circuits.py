@@ -11,18 +11,18 @@ from cyclebench.circuits import (
     Cycle,
     Gate,
     TfimParams,
-    _cycle_unitaries,
+    _cycle_unitary_cached,
+    _unit_monomial,
     build_tfim_circuit,
     build_tfim_step,
-    cycle_permutation,
     hard_cycle_ids_per_step,
-    is_monomial,
     layout_cycles,
     layout_qubits,
     occupation,
     propagate_pauli,
 )
 from cyclebench import pauli as pl
+from cyclebench.engine import Batch
 from cyclebench.pauli import NonCliffordGateError, PauliString
 from cyclebench.sim import StateVector
 
@@ -249,7 +249,21 @@ class TestPropagation:
             )
 
 
+def _table(cycles, register) -> Batch:
+    """A batch whose table is ``cycles``, compiled to gate codes, and no rows."""
+    return Batch(register, cycles, np.empty((0, 0), dtype=np.int32))
+
+
+def _built(cycles, register) -> np.ndarray:
+    """The unitaries of ``cycles``, all of one structure, built from gate
+    codes as the engine builds a layer."""
+    return _table(cycles, register).unitaries(list(range(len(cycles))))
+
+
 class TestCyclePermutation:
+    """A code is monomial iff all its gate matrices are; its signed
+    permutation is read off its unitary."""
+
     def test_monomial_c1_elements_are_the_exact_ones(self):
         """A C1 element is monomial exactly when its computed matrix has one
         nonzero per row, each in {1, -1, 1j, -1j}: the identity, S, Z, SDG."""
@@ -259,7 +273,9 @@ class TestCyclePermutation:
             and set(e.matrix[e.matrix != 0].tolist()) <= {1, -1, 1j, -1j}
         }
         assert exact == {0, 2, 5, 10}
-        assert {k for k in range(pl.c1_count()) if is_monomial(Gate("C1", (0,), k))} == exact
+        batch = _table([Cycle("easy", (Gate("C1", (0,), k),)) for k in range(pl.c1_count())], (0,))
+        assert set(np.flatnonzero(batch.monomial).tolist()) == exact
+        assert {e.index for e in pl._c1_table() if _unit_monomial(e.matrix) is not None} == exact
 
     @pytest.mark.parametrize("seed", range(6))
     def test_describes_the_cycle_unitary_exactly(self, seed):
@@ -276,11 +292,11 @@ class TestCyclePermutation:
                 cycle = Cycle("easy", tuple(
                     Gate(names[k][0], (q,), names[k][1]) for q, k in zip(order, picks)
                 ))
-            perm, phase = cycle_permutation(cycle, register)
-            u = _cycle_unitaries([cycle.gates], register)[0]
-            expected = np.zeros_like(u)
+            assert _table([cycle], register).monomial.tolist() == [True]
+            (perm,), (phase,) = _unit_monomial(_built([cycle], register))
+            expected = np.zeros((8, 8), dtype=complex)
             expected[np.arange(8), perm] = phase
-            assert np.array_equal(u, expected)
+            assert np.array_equal(oracles.reference_cycle_unitary(cycle, register), expected)
             assert sorted(perm.tolist()) == list(range(8))
 
     @pytest.mark.parametrize(
@@ -288,7 +304,8 @@ class TestCyclePermutation:
     )
     def test_none_for_other_gates(self, gate):
         cycle = Cycle("easy", (Gate("X", (0,)), gate))
-        assert cycle_permutation(cycle, (0, 1)) is None
+        assert _table([cycle], (0, 1)).monomial.tolist() == [False]
+        assert _unit_monomial(_built([cycle], (0, 1))[0]) is None
 
 
 # every one-qubit gate the package builds: the 24 C1 elements, the fixed
@@ -323,18 +340,18 @@ class TestEasyCycleUnitaries:
             Cycle("easy", (Gate(a, (0,), pa), Gate(b, (1,), pb)))
             for a, pa in ONE_QUBIT_GATES for b, pb in ONE_QUBIT_GATES
         ]
-        batched = _cycle_unitaries([c.gates for c in cycles], register)
+        batched = _built(cycles, register)
         for cyc, u in zip(cycles, batched):
             expected = oracles.reference_cycle_unitary(cyc, register)
             assert np.array_equal(u, expected), cyc
-            assert np.array_equal(_cycle_unitaries([cyc.gates], register)[0], expected), cyc
+            assert np.array_equal(_cycle_unitary_cached(cyc.gates, register), expected), cyc
 
     @settings(max_examples=80, deadline=None)
     @given(easy_cycles())
     def test_matches_the_chain(self, case):
         cyc, register = case
         expected = oracles.reference_cycle_unitary(cyc, register)
-        assert np.array_equal(_cycle_unitaries([cyc.gates], register)[0], expected)
+        assert np.array_equal(_built([cyc], register)[0], expected)
 
     @pytest.mark.parametrize("size", [1, 7, 70, 256])
     def test_batched_equals_per_cycle(self, size):
@@ -345,16 +362,17 @@ class TestEasyCycleUnitaries:
         for order in ((5, 2, 9, 4), (4, 2, 5), (9,)):
             batch = [Cycle("easy", tuple(gates[q][k] for q, k in zip(order, picks)))
                      for picks in rng.integers(len(ONE_QUBIT_GATES), size=(size, len(order)))]
-            stack = _cycle_unitaries([c.gates for c in batch], register)
+            stack = _built(batch, register)
             assert stack.shape == (len(batch), 16, 16)
             for cyc, u in zip(batch, stack):
-                assert np.array_equal(u, _cycle_unitaries([cyc.gates], register)[0])
+                assert np.array_equal(u, _built([cyc], register)[0])
                 assert np.array_equal(u, oracles.reference_cycle_unitary(cyc, register))
 
     def test_empty_cycle_is_identity(self):
         cyc = Cycle("easy", ())
-        assert np.array_equal(_cycle_unitaries([()], (3, 1))[0], np.eye(4))
-        assert np.array_equal(_cycle_unitaries([(), ()], (3, 1)), np.stack([np.eye(4)] * 2))
+        assert np.array_equal(_built([cyc], (3, 1))[0], np.eye(4))
+        assert np.array_equal(_built([cyc, cyc], (3, 1)), np.stack([np.eye(4)] * 2))
+        assert np.array_equal(_cycle_unitary_cached((), (3, 1)), np.eye(4))
 
 
 @st.composite
@@ -369,6 +387,38 @@ def hard_cycles(draw, max_qubits=5):
     return Cycle("hard", gates), register
 
 
+class TestCodeBuiltUnitaries:
+    """A layer's unitaries come from gate codes into a batch's gate stack;
+    structures whose gates cover the register are placed by one gather,
+    the rest scattered among zeros.  Both must equal the BLAS-free oracle."""
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_full_cover_and_idle_structures(self, n):
+        """Easy cycles on every qubit and on all but one, the first of each
+        all RZ; CNOT cycles on as many pairs as fit and on one pair; 34
+        cycles per structure, two blocks of the build."""
+        rng = np.random.default_rng(n)
+        register = tuple(int(q) for q in rng.permutation(2 * n)[:n])
+        busy = [int(q) for q in rng.permutation(register)]
+        rz = ONE_QUBIT_GATES.index(("RZ", -1.7))
+        for kind, qubits in [("easy", busy), ("easy", busy[:-1]),
+                             ("hard", busy[:n - n % 2]), ("hard", busy[:2])]:
+            if kind == "hard" and n < 2:
+                continue
+            cycles = []
+            for t in range(34):
+                if kind == "hard":
+                    gates = [Gate("CNOT", (a, b)) for a, b in zip(qubits[::2], qubits[1::2])]
+                else:
+                    picks = [rz] * len(qubits) if t == 0 else rng.integers(len(ONE_QUBIT_GATES),
+                                                                           size=len(qubits))
+                    gates = [Gate(ONE_QUBIT_GATES[k][0], (q,), ONE_QUBIT_GATES[k][1])
+                             for q, k in zip(qubits, picks)]
+                cycles.append(Cycle(kind, tuple(gates)))
+            for cyc, u in zip(cycles, _built(cycles, register), strict=True):
+                assert np.array_equal(u, oracles.reference_cycle_unitary(cyc, register)), cyc
+
+
 class TestHardCycleUnitaries:
     """Hard cycles take the same product build and scatter as easy ones; CNOT
     entries are 0 and 1, so the result is the oracle's exactly."""
@@ -378,6 +428,6 @@ class TestHardCycleUnitaries:
     def test_matches_the_chain(self, case):
         cyc, register = case
         expected = oracles.reference_cycle_unitary(cyc, register)
-        assert np.array_equal(_cycle_unitaries([cyc.gates], register)[0], expected)
-        stack = _cycle_unitaries([cyc.gates, cyc.gates], register)
-        assert np.array_equal(stack, np.stack([expected] * 2))
+        assert np.array_equal(_built([cyc], register)[0], expected)
+        assert np.array_equal(_built([cyc, cyc], register), np.stack([expected] * 2))
+        assert np.array_equal(_cycle_unitary_cached(cyc.gates, register), expected)

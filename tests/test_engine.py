@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclebench.bench import TWIRL_GROUPS, execute_collection, make_cb
-from cyclebench.circuits import Circuit, Cycle, Gate, _cycle_unitaries, cycle_permutation
+from cyclebench.circuits import Circuit, Cycle, Gate, _cycle_unitary_cached, _unit_monomial
 from cyclebench import engine, sim
 from cyclebench.engine import Batch, Executor
 from cyclebench.noise import CrosstalkTerm, NoiseModel, confusion_from_scalar
@@ -246,6 +246,16 @@ def _probabilities(ex, circuits):
 def _circuits(coll):
     """The circuits of a CB collection, in index order."""
     return [coll.batch.circuit(k) for k in range(len(coll.batch))]
+
+
+def _spy_builds(monkeypatch):
+    """The gates of every cycle whose unitary ``Batch.unitaries`` builds,
+    the dense path of a layer, in build order."""
+    built = []
+    original = Batch.unitaries
+    monkeypatch.setattr(Batch, "unitaries", lambda self, codes: built.extend(
+        self.table[c].gates for c in codes) or original(self, codes))
+    return built
 
 
 def _stack_layers(circuits):
@@ -589,18 +599,19 @@ class TestBatchedExecution:
                     assert np.array_equal(_final(ex.run(c)), ref)
 
     def test_layer_cycles_are_met_in_order_of_first_appearance(self, monkeypatch):
-        """A layer's distinct cycles are looked up in the order the circuits
-        hold them, not by memory address, so the permutation and unitary
-        caches see the same sequence on every run."""
+        """A layer's distinct monomial cycles are built in one call per
+        structure, in the order the circuits hold them, not by memory
+        address."""
         pair = [Cycle("easy", (Gate("X", (0,)), Gate("Z", (1,)))),
                 Cycle("easy", (Gate("Y", (0,)), Gate("X", (1,))))]
         first, second = sorted(pair, key=id, reverse=True)
         circuits = [Circuit((0, 1), (c,)) for c in (first, second, first, second)]
         calls = []
-        monkeypatch.setattr(engine, "cycle_permutation",
-                            lambda c, r: calls.append(id(c)) or cycle_permutation(c, r))
+        original = engine._Plan.store
+        monkeypatch.setattr(engine._Plan, "store", lambda self, codes: calls.append(
+            [id(self.batch.table[c]) for c in codes]) or original(self, codes))
         _probabilities(Executor((0, 1)), circuits)
-        assert calls == [id(first), id(second)]
+        assert calls == [[id(first), id(second)]]
 
     def test_run_cycle_and_batched_path_read_the_same_tail(self, monkeypatch):
         """Changing the one tail list changes both paths alike."""
@@ -749,6 +760,72 @@ class TestBatch:
             Batch.of((1, 0), [cnot_circuit((0, 1))])
         with pytest.raises(SimulationError, match="probabilities takes a Batch"):
             Executor((0, 1)).probabilities([cnot_circuit((0, 1))])
+
+    def test_rejects_repeated_register_labels(self):
+        """A repeated label would let two positions share a qubit."""
+        with pytest.raises(SimulationError, match=r"register label 0 is repeated in \(0, 0\)"):
+            Executor((0, 0))
+        with pytest.raises(SimulationError, match=r"register label 2 is repeated"):
+            Batch((1, 2, 2), (), np.empty((0, 0), dtype=np.int32))
+        with pytest.raises(SimulationError, match=r"register label 2 is repeated"):
+            Batch.of((2, 2), [])
+
+    @pytest.mark.parametrize("entry, message", [
+        (Cycle("easy", (Gate("X", (0,)), Gate("Z", (2,)))),
+         r"uses qubits \[2\] outside the register \(0, 1\)"),
+        (Cycle("hard", (Gate("CNOT", (5, 1)),)), r"uses qubits \[5\] outside the register"),
+        ("X", "a batch table holds 'X', not a Cycle"),
+        (Gate("X", (0,)), "not a Cycle"),
+    ], ids=["easy-off-register", "hard-off-register", "str", "gate"])
+    def test_rejects_bad_table_entries_at_construction(self, entry, message):
+        """Every table entry is compiled when the batch is made, so a bad
+        one fails there, even if no row uses it."""
+        table = (Cycle("easy", (Gate("X", (0,)),)), entry)
+        with pytest.raises(SimulationError, match=message):
+            Batch((0, 1), table, np.array([[0, 0]]))
+
+
+class TestGateRows:
+    """The integer form of a batch table, which the kernel reads instead of
+    its cycles."""
+
+    @staticmethod
+    def _collection(twirl):
+        # the target leaves qubit 2 idle; the twirls cover the register
+        return make_cb(Cycle("hard", (Gate("CNOT", (1, 0)),)), (0, 1, 3), 4, 3, twirl=twirl,
+                       seed=7, register=(0, 1, 2))
+
+    @staticmethod
+    def _resolved(batch):
+        """Each code's gate matrices, in gate order, NaN past its last gate."""
+        mats = batch.mats[0] + 1j * batch.mats[1]
+        return np.where((batch.gates >= 0)[..., None], mats[batch.gates], np.nan)
+
+    @pytest.mark.parametrize("twirl", TWIRL_GROUPS)
+    def test_make_cb_rows_equal_derived_rows(self, twirl):
+        """``make_cb``'s rows, its twirl draws taken as gate codes, say what
+        rows compiled from its table's cycles say."""
+        coll = self._collection(twirl)
+        made = coll.batch
+        derived = Batch(made.register, made.table, made.codes)
+        assert np.array_equal(made.structure, derived.structure)
+        assert made.positions == derived.positions
+        assert np.array_equal(self._resolved(made), self._resolved(derived), equal_nan=True)
+        assert np.array_equal(made.monomial, derived.monomial)
+        assert np.array_equal(Executor(made.register).probabilities(made),
+                              Executor(made.register).probabilities(derived))
+
+    @pytest.mark.parametrize("twirl", TWIRL_GROUPS)
+    def test_monomial_flags_match_the_built_unitaries(self, twirl):
+        batch = self._collection(twirl).batch
+        flags = []
+        for s in range(len(batch.positions)):
+            codes = np.flatnonzero(batch.structure == s)
+            assert np.array_equal(batch.monomial[codes], [
+                _unit_monomial(u) is not None for u in batch.unitaries(codes)])
+            flags += batch.monomial[codes].tolist()
+        # both kinds of code occur: the CNOT is monomial, some C1 rotations are not
+        assert set(flags) == {True, False}
 
 
 # ---------------------------------------------------------------------------
@@ -993,11 +1070,7 @@ class TestMonomialLayers:
         ex = Executor(coll.register, noise)
         expected = [oracles.reference_probabilities(ex, oracles.reference_run(ex, c))
                     for c in circuits]
-        looked_up = []
-        monkeypatch.setattr(
-            engine, "_cycle_unitaries",
-            lambda rows, r: looked_up.extend(rows) or _cycle_unitaries(rows, r),
-        )
+        looked_up = _spy_builds(monkeypatch)
         # stacks that take the matmul path for the CNOT: the default holds all
         # 36 circuits in one stack; 12 cuts the stacks at the length blocks
         # and 7 inside them
@@ -1006,8 +1079,8 @@ class TestMonomialLayers:
             looked_up.clear()
             assert np.array_equal(_probabilities(ex, circuits), expected)
             straddling = sum(
-                any(target in layer and any(cycle_permutation(c, ex.register) is None
-                                            for c in layer) for layer in stack)
+                any(target in layer and any(_unit_monomial(_cycle_unitary_cached(
+                    c.gates, ex.register)) is None for c in layer) for layer in stack)
                 for stack in _stack_layers(circuits)
             )
             assert looked_up.count(target.gates) == straddling
@@ -1028,11 +1101,7 @@ class TestMonomialLayers:
         z = Cycle("easy", (Gate("Z", (1,)),))
         circuits = [Circuit((0, 1), cycles) for cycles in
                     ((xs, cnot, z), (cnot, xs), (z, cnot), (xs,))]
-        looked_up = []
-        monkeypatch.setattr(
-            engine, "_cycle_unitaries",
-            lambda rows, r: looked_up.extend(rows) or _cycle_unitaries(rows, r),
-        )
+        looked_up = _spy_builds(monkeypatch)
         noise = NoiseModel(pauli_errors={"cnot": {"XZ": 0.03}}, t1={0: 50.0},
                            durations={"cnot": 100.0, "single_qubit": 20.0})
         for model in (None, noise):
