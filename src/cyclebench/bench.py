@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
+from itertools import groupby
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -327,43 +329,13 @@ def execute_collection(
 # ---------------------------------------------------------------------------
 # Exponential decay fitting
 
-def _aggregate(points: Sequence[DecayPoint]) -> tuple[np.ndarray, np.ndarray, list, list]:
-    """Lengths, their mean expectations, and each length's expectations and shot errors."""
-    by_m: dict[int, tuple[list, list]] = {}
-    for p in points:
-        xs, errs = by_m.setdefault(int(p.m), ([], []))
-        xs.append(float(p.expectation))
-        errs.append(p.shot_error)
-    lengths = sorted(by_m)
-    groups = [np.array(by_m[m][0]) for m in lengths]
-    means = np.array([g.mean() for g in groups])
-    return np.array(lengths, dtype=float), means, groups, [np.array(by_m[m][1]) for m in lengths]
-
-
-def _group_weights(groups: list[np.ndarray], shot_errs: list[np.ndarray]) -> np.ndarray:
-    """Inverse-variance weights per sequence length."""
-    sig = np.zeros(len(groups))
-    for i, (g, se) in enumerate(zip(groups, shot_errs)):
-        k = len(g)
-        empirical = g.std(ddof=1) / math.sqrt(k) if k > 1 else 0.0
-        propagated = math.sqrt(float(np.sum(se**2))) / k
-        sig[i] = max(empirical, propagated)
-    if np.all(sig <= 0):
-        return np.ones(len(groups))
-    floor = max(1e-12, 0.05 * sig[sig > 0].min())
-    return 1.0 / np.maximum(sig, floor) ** 2
-
-
-def _fit_rows(ms: np.ndarray, means: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _fit_rows(ms: np.ndarray, means: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vectorised A * p^m fit: log-linear seed plus one Gauss-Newton pass.
 
-    ``means`` has shape (rows, len(ms)); returns (A, p) per row, p clipped to
-    [0, 1].  Rows with fewer than two positive means fall back to a neutral
-    seed before the Gauss-Newton step.
+    ``means`` and the weights ``w`` have shape (rows, len(ms)); returns
+    (A, p) per row, p clipped to [0, 1].  Rows with fewer than two positive
+    means fall back to a neutral seed before the Gauss-Newton step.
     """
-    means = np.atleast_2d(means)
-    w = np.broadcast_to(weights, means.shape).astype(float)
-
     pos = means > 1e-12
     wl = np.where(pos, w, 0.0)
     logs = np.log(np.where(pos, means, 1.0))
@@ -382,12 +354,11 @@ def _fit_rows(ms: np.ndarray, means: np.ndarray, weights: np.ndarray) -> tuple[n
     # one Gauss-Newton refinement on all points, negative means included
     pm = p[:, None] ** ms
     resid = means - a[:, None] * pm
-    ja = pm
     jp = a[:, None] * ms * p[:, None] ** np.maximum(ms - 1, 0.0)
-    saa = (w * ja * ja).sum(axis=1)
-    sap = (w * ja * jp).sum(axis=1)
+    saa = (w * pm * pm).sum(axis=1)
+    sap = (w * pm * jp).sum(axis=1)
     spp = (w * jp * jp).sum(axis=1)
-    ra = (w * ja * resid).sum(axis=1)
+    ra = (w * pm * resid).sum(axis=1)
     rp = (w * jp * resid).sum(axis=1)
     det = saa * spp - sap * sap
     ok = np.abs(det) > 1e-30
@@ -399,57 +370,88 @@ def _fit_rows(ms: np.ndarray, means: np.ndarray, weights: np.ndarray) -> tuple[n
     return a, p
 
 
-def fit_decay(
-    points: Iterable[DecayPoint | tuple],
-    resamples: int = 200,
-    seed: int = 0,
-    pauli: str | None = None,
-) -> DecayFit:
+def _fit_pass(points, resamples: int, seed: int, one_term=False, pauli=None) -> list[DecayFit]:
+    """``fit_all_decays``, or with ``one_term`` ``fit_decay``."""
+    _check_integer("resamples", resamples, error=FitError)
+    if resamples == 1 or resamples < 0:
+        raise FitError(f"resamples must be 0 (no bootstrap) or an integer >= 2, got {resamples!r}")
+    columns = list(zip(*points, strict=True))
+    if len(columns) != len(DecayPoint._fields):
+        raise FitError("points need the five DecayPoint fields" if columns else "no points to fit")
+    terms, ms, _, xs, errs = columns
+    if any(t is bool or not issubclass(t, (int, np.integer)) for t in set(map(type, ms))) or min(ms) < 0:
+        raise FitError("sequence lengths m must be integers >= 0")
+    if one_term and (len(set(terms)) > 1 or pauli not in (None, terms[0])):
+        raise FitError(f"fit_decay fits one decay term, {pauli!r} if given; got {sorted(set(terms))}")
+    keys = list(zip(terms, ms))
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    xs, errs = np.array(xs, dtype=float)[order], np.array(errs, dtype=float)[order]
+    if not (np.isfinite(xs).all() and ((errs >= 0) & (errs < np.inf)).all()):
+        raise FitError("expectations must be finite, and shot errors finite and >= 0")
+
+    blocks: dict[tuple, list] = {}  # (lengths, t // 4) -> (term, rows, weights)
+    lo = 0
+    # ((term, m), group size) in the order the stable sort put the points
+    by_term = groupby(sorted(Counter(keys).items()), key=lambda group: group[0][0])
+    for t, (term, groups) in enumerate(by_term):
+        lengths = [(m, k) for (_, m), k in groups]
+        if len(lengths) < 3:
+            raise FitError(f"need at least three distinct sequence lengths, got {len(lengths)}")
+        boot = resamples if max(k for _, k in lengths) > 1 else 0
+        rng = rng_from(seed, "bootstrap", term) if boot else None
+        # row 0 the mean per length, then one row per bootstrap resample
+        rows = np.empty((1 + boot, len(lengths)))
+        sig = np.empty(len(lengths))
+        for i, (_, k) in enumerate(lengths):
+            g, se = xs[lo:lo + k], errs[lo:lo + k]
+            lo += k
+            rows[0, i] = g.mean()
+            empirical = g.std(ddof=1) / math.sqrt(k) if k > 1 else 0.0
+            sig[i] = max(empirical, math.sqrt(float(np.sum(se**2))) / k)
+            if boot:
+                rows[1:, i] = g[rng.integers(0, k, size=(boot, k))].mean(axis=1)
+        if not (rows[0] > 0).any():
+            raise FitError("all mean expectations are non-positive; decay unresolvable")
+        # inverse-variance weights, floored at 5% of the smallest positive sigma
+        weights = (1.0 / np.maximum(sig, max(1e-12, 0.05 * sig[sig > 0].min())) ** 2
+                   if (sig > 0).any() else np.ones(len(sig)))
+        # one _fit_rows call per four terms of one set of lengths keeps its temporaries small
+        blocks.setdefault((tuple(m for m, _ in lengths), t // 4), []).append((term, rows, weights))
+
+    fits = []
+    for (lengths, _), entries in blocks.items():
+        counts = [len(rows) for _, rows, _ in entries]
+        a, p = _fit_rows(np.array(lengths, dtype=float),
+                         np.concatenate([rows for _, rows, _ in entries]),
+                         np.repeat([w for _, _, w in entries], counts, axis=0))
+        for (term, _, _), at, count in zip(entries, np.cumsum(counts) - counts, counts):
+            decay_std = float(p[at + 1:at + count].std(ddof=1)) if count > 1 else 0.0
+            fits.append(DecayFit(term, float(a[at]), float(p[at]), decay_std))
+    return sorted(fits, key=lambda fit: fit.pauli)
+
+
+def fit_decay(points: Iterable[DecayPoint | tuple], resamples: int = 200, seed: int = 0,
+              pauli: str | None = None) -> DecayFit:
     """Weighted least-squares fit of x(m) = A * p^m with bootstrap errors.
 
     The seed fit is log-linear on the positive per-length means; one
     Gauss-Newton pass refines (A, p) on all points.  ``decay_std`` comes from
     a nonparametric bootstrap that resamples circuits within each length.
+    ``fit_all_decays``'s pass and checks, for one term (``pauli`` if given).
     """
-    _check_integer("resamples", resamples, error=FitError)
-    if resamples == 1 or resamples < 0:
-        raise FitError(f"resamples must be 0 (no bootstrap) or an integer >= 2, got {resamples!r}")
-    pts = [DecayPoint(*p) for p in points]
-    if not pts:
-        raise FitError("no points to fit")
-    if pauli is None:
-        pauli = pts[0].pauli
-    ms, means, groups, shot_errs = _aggregate(pts)
-    if len(ms) < 3:
-        raise FitError(f"need at least three distinct sequence lengths, got {len(ms)}")
-    if np.all(means <= 0):
-        raise FitError("all mean expectations are non-positive; decay unresolvable")
-    weights = _group_weights(groups, shot_errs)
-
-    a, p = _fit_rows(ms, means, weights)
-    amplitude, decay = float(a[0]), float(p[0])
-
-    if resamples > 0 and max(len(g) for g in groups) > 1:
-        rng = rng_from(seed, "bootstrap", pauli)
-        boot_means = np.empty((resamples, len(ms)))
-        for i, g in enumerate(groups):
-            idx = rng.integers(0, len(g), size=(resamples, len(g)))
-            boot_means[:, i] = g[idx].mean(axis=1)
-        _, boot_p = _fit_rows(ms, boot_means, weights)
-        decay_std = float(boot_p.std(ddof=1))
-    else:
-        decay_std = 0.0
-    return DecayFit(pauli=pauli, amplitude=amplitude, decay=decay, decay_std=decay_std)
+    return _fit_pass(points, resamples, seed, one_term=True, pauli=pauli)[0]
 
 
-def fit_all_decays(points: Sequence[DecayPoint], resamples: int = 200, seed: int = 0) -> list[DecayFit]:
-    by_pauli: dict[str, list[DecayPoint]] = {}
-    for p in points:
-        by_pauli.setdefault(p.pauli, []).append(p)
-    return [
-        fit_decay(by_pauli[s], resamples=resamples, seed=seed, pauli=s)
-        for s in sorted(by_pauli)
-    ]
+def fit_all_decays(points: Iterable[tuple], resamples: int = 200, seed: int = 0) -> list[DecayFit]:
+    """``fit_decay`` of every decay term in ``points``, in sorted order, in
+    one pass: the points (DecayPoints or tuples, in any order) are read once,
+    checked, and stably sorted by (term, m), so each length's points are one
+    slice; every term's point and bootstrap rows share a ``_fit_rows`` call.
+    FitError for no points, an m not an integer >= 0, a non-finite or
+    negative shot error, a non-finite expectation, ``resamples`` not 0 or
+    >= 2, and the first term in sorted order that cannot be fitted.
+    """
+    return _fit_pass(points, resamples, seed)
 
 
 # ---------------------------------------------------------------------------

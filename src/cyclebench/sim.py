@@ -137,16 +137,14 @@ class Streams:
     shared: indexing again rekeys it, so use each stream before the next.
     """
 
-    _EMPTY = np.zeros(4, dtype=np.uint64)
-
     def __init__(self, seed: int, paths: Iterable[Sequence[int | str]]):
         self._keys = stream_keys(seed, paths)
         self._rng = np.random.Generator(np.random.Philox(key=0))
-        # one state dict, rekeyed per stream: the setter copies what it reads
+        # one state dict, rekeyed per stream; the setter copies it, Python ints fastest
         self._state = {
             "bit_generator": "Philox",
-            "state": {"counter": self._EMPTY, "key": None},
-            "buffer": self._EMPTY,
+            "state": {"counter": [0, 0, 0, 0], "key": None},
+            "buffer": [0, 0, 0, 0],
             "buffer_pos": 4,
             "has_uint32": 0,
             "uinteger": 0,
@@ -156,7 +154,7 @@ class Streams:
         return len(self._keys)
 
     def __getitem__(self, i: int) -> np.random.Generator:
-        self._state["state"]["key"] = self._keys[i]
+        self._state["state"]["key"] = self._keys[i].tolist()
         self._rng.bit_generator.state = self._state
         return self._rng
 

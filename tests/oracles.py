@@ -556,13 +556,12 @@ def reference_rb_sequences(qubits, m_list, n_random, seed=0):
 def reference_run_rb(qubits, m_list, n_random, noise, shots, seed=0, resamples=200, label=""):
     """``run_rb`` one sequence at a time: each of ``reference_rb_sequences``
     run by ``reference_run`` and read out by ``reference_probabilities``, and
-    the counts of sequence i drawn from stream ``(seed, "rb-exec", i)``.
-    Returns the result and the points it was fitted to."""
+    the counts of sequence i drawn from stream ``(seed, "rb-exec", i)``, and
+    the survivals fitted by ``reference_fit_decay``.  Returns the result and
+    the points it was fitted to."""
     import math
 
-    from cyclebench.bench import (
-        DecayPoint, InfidelityEstimate, RbResult, fit_decay, rb_to_process_infidelity,
-    )
+    from cyclebench.bench import DecayPoint, InfidelityEstimate, RbResult, rb_to_process_infidelity
     from cyclebench.engine import Executor
     from cyclebench.sim import rng_from
 
@@ -579,7 +578,7 @@ def reference_run_rb(qubits, m_list, n_random, noise, shots, seed=0, resamples=2
             survival = int(counts[0]) / shots
             err = math.sqrt(max(0.0, survival * (1 - survival)) / shots)
         points.append(DecayPoint("survival", m, len(points), survival - 1.0 / 2**n, err))
-    fit = fit_decay(points, resamples=resamples, seed=seed, pauli="survival")
+    fit = reference_fit_decay(points, resamples=resamples, seed=seed, pauli="survival")
     d = 2**n
     r, e_f = rb_to_process_infidelity(d, p=fit.decay)
     r_std = (d - 1) / d * fit.decay_std
@@ -661,3 +660,82 @@ def reference_simulate_occupations(config, model):
             rows.append((step, step * config.tfim.dt, site,
                          occupation(noisy, site), occupation(ideal, site)))
     return rows
+
+
+def _reference_aggregate(points):
+    """Lengths, their mean expectations, and each length's expectations and shot errors."""
+    by_m = {}
+    for p in points:
+        xs, errs = by_m.setdefault(int(p.m), ([], []))
+        xs.append(float(p.expectation))
+        errs.append(p.shot_error)
+    lengths = sorted(by_m)
+    groups = [np.array(by_m[m][0]) for m in lengths]
+    means = np.array([g.mean() for g in groups])
+    return np.array(lengths, dtype=float), means, groups, [np.array(by_m[m][1]) for m in lengths]
+
+
+def _reference_group_weights(groups, shot_errs):
+    """Inverse-variance weights per sequence length."""
+    import math
+
+    sig = np.zeros(len(groups))
+    for i, (g, se) in enumerate(zip(groups, shot_errs)):
+        k = len(g)
+        empirical = g.std(ddof=1) / math.sqrt(k) if k > 1 else 0.0
+        propagated = math.sqrt(float(np.sum(se**2))) / k
+        sig[i] = max(empirical, propagated)
+    if np.all(sig <= 0):
+        return np.ones(len(groups))
+    floor = max(1e-12, 0.05 * sig[sig > 0].min())
+    return 1.0 / np.maximum(sig, floor) ** 2
+
+
+def reference_fit_decay(points, resamples=200, seed=0, pauli=None):
+    """``bench.fit_decay`` one term at a time: the points aggregated per
+    length in a Python loop, one ``_fit_rows`` call for the point row and
+    one for the bootstrap rows, a fresh ``(seed, "bootstrap", pauli)``
+    stream per term.  Every point is fitted as term ``pauli`` (the first
+    point's if None), whatever its own label."""
+    from cyclebench.bench import DecayFit, DecayPoint, FitError, _check_integer, _fit_rows
+    from cyclebench.sim import rng_from
+
+    _check_integer("resamples", resamples, error=FitError)
+    if resamples == 1 or resamples < 0:
+        raise FitError(f"resamples must be 0 (no bootstrap) or an integer >= 2, got {resamples!r}")
+    pts = [DecayPoint(*p) for p in points]
+    if not pts:
+        raise FitError("no points to fit")
+    if pauli is None:
+        pauli = pts[0].pauli
+    ms, means, groups, shot_errs = _reference_aggregate(pts)
+    if len(ms) < 3:
+        raise FitError(f"need at least three distinct sequence lengths, got {len(ms)}")
+    if np.all(means <= 0):
+        raise FitError("all mean expectations are non-positive; decay unresolvable")
+    weights = _reference_group_weights(groups, shot_errs)
+
+    a, p = _fit_rows(ms, means[None], weights[None])
+    amplitude, decay = float(a[0]), float(p[0])
+
+    if resamples > 0 and max(len(g) for g in groups) > 1:
+        rng = rng_from(seed, "bootstrap", pauli)
+        boot_means = np.empty((resamples, len(ms)))
+        for i, g in enumerate(groups):
+            idx = rng.integers(0, len(g), size=(resamples, len(g)))
+            boot_means[:, i] = g[idx].mean(axis=1)
+        _, boot_p = _fit_rows(ms, boot_means, np.broadcast_to(weights, boot_means.shape))
+        decay_std = float(boot_p.std(ddof=1))
+    else:
+        decay_std = 0.0
+    return DecayFit(pauli=pauli, amplitude=amplitude, decay=decay, decay_std=decay_std)
+
+
+def reference_fit_all_decays(points, resamples=200, seed=0):
+    """``bench.fit_all_decays`` as one ``reference_fit_decay`` per term, the
+    terms in sorted order, each term's points in input order."""
+    by_pauli = {}
+    for p in points:
+        by_pauli.setdefault(p[0], []).append(p)
+    return [reference_fit_decay(by_pauli[s], resamples=resamples, seed=seed, pauli=s)
+            for s in sorted(by_pauli)]

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cyclebench import bench, engine
 from cyclebench import pauli as pl
@@ -330,6 +332,126 @@ class TestFitDecay:
             if abs(fit.decay - dec) <= 3 * fit.decay_std:
                 hits += 1
         assert hits >= 495, f"coverage {hits}/500"
+
+
+    def test_one_term_fit_reads_plain_tuples(self):
+        pts = [("X", m, i, 0.9**m + 0.01 * i, 0.01) for m in (2, 4, 6) for i in range(3)]
+        assert fit_all_decays(pts) == [fit_decay(pts)] == [fit_decay(map(DecayPoint._make, pts))]
+
+    @pytest.mark.parametrize("resamples", [0, 1, 200])
+    def test_no_points_rejected(self, resamples):
+        with pytest.raises(FitError):
+            fit_all_decays([], resamples=resamples)
+        with pytest.raises(FitError):
+            fit_decay([], resamples=resamples)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_expectation_rejected(self, bad):
+        pts = [DecayPoint("X", m, i, 0.9**m, 0.01) for m in (2, 4, 6) for i in range(3)]
+        pts[4] = pts[4]._replace(expectation=bad)
+        with pytest.raises(FitError, match="expectations must be finite"):
+            fit_decay(pts)
+        with pytest.raises(FitError, match="expectations must be finite"):
+            fit_all_decays(pts)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_shot_error_rejected(self, bad):
+        pts = [DecayPoint("X", m, i, 0.9**m, 0.01) for m in (2, 4, 6) for i in range(3)]
+        pts[2] = pts[2]._replace(shot_error=bad)
+        with pytest.raises(FitError, match="shot errors finite"):
+            fit_decay(pts)
+
+    def test_negative_shot_error_rejected(self):
+        pts = [DecayPoint("X", m, i, 0.9**m, 0.01) for m in (2, 4, 6) for i in range(3)]
+        pts[0] = pts[0]._replace(shot_error=-0.01)
+        with pytest.raises(FitError, match="shot errors finite"):
+            fit_all_decays(pts)
+
+    @pytest.mark.parametrize("bad", [3.7, 4.0, np.float64(4.0), "4"])
+    def test_non_integer_m_rejected(self, bad):
+        pts = [DecayPoint("X", m, i, 0.9**m, 0.01) for m in (2, 4, 6) for i in range(3)]
+        pts[3] = pts[3]._replace(m=bad)
+        with pytest.raises(FitError, match="must be integers"):
+            fit_decay(pts)
+
+    def test_bool_m_rejected(self):
+        pts = [DecayPoint("X", m, i, 0.9**m, 0.01) for m in (1, 4, 6) for i in range(3)]
+        pts[0] = pts[0]._replace(m=True)
+        with pytest.raises(FitError, match="must be integers"):
+            fit_all_decays(pts)
+
+    def test_negative_m_rejected(self):
+        pts = [DecayPoint("X", m, i, 0.9**m, 0.01) for m in (-2, 4, 6) for i in range(3)]
+        with pytest.raises(FitError, match="integers >= 0"):
+            fit_decay(pts)
+
+    def test_numpy_integer_m_accepted(self):
+        pts = [DecayPoint("X", m, i, 0.9**m + 0.01 * i, 0.01) for m in (2, 4, 6) for i in range(3)]
+        assert fit_decay([p._replace(m=np.int64(p.m)) for p in pts]) == fit_decay(pts)
+
+    def test_mixed_terms_rejected_by_fit_decay(self):
+        pts = [DecayPoint(s, m, i, 0.9**m, 0.01) for s in ("XX", "ZZ") for m in (2, 4, 6)
+               for i in range(3)]
+        with pytest.raises(FitError, match="one decay term"):
+            fit_decay(pts)
+        assert [f.pauli for f in fit_all_decays(pts)] == ["XX", "ZZ"]
+
+    def test_other_term_label_rejected_by_fit_decay(self):
+        pts = [DecayPoint("XX", m, i, 0.9**m, 0.01) for m in (2, 4, 6) for i in range(3)]
+        with pytest.raises(FitError, match="one decay term"):
+            fit_decay(pts, pauli="ZZ")
+        assert fit_decay(pts, pauli="XX") == fit_decay(pts)
+
+
+PAULIS_2Q = [a + b for a in "IXYZ" for b in "IXYZ"][1:]
+
+
+@st.composite
+def _decay_tables(draw):
+    """Points of 1-6 decay terms, each on its own 2-5 lengths (two raise
+    FitError), in ragged groups of 1-6 circuits; a term's expectations all
+    positive, mixed or all non-positive; shot errors often zero."""
+    points = []
+    for term in draw(st.lists(st.sampled_from(PAULIS_2Q), min_size=1, max_size=6, unique=True)):
+        low, high = draw(st.sampled_from([(0.05, 1.0)] * 3 + [(-0.5, 1.0)] * 2 + [(-0.5, 0.0)]))
+        n_lengths = draw(st.sampled_from([2, 3, 3, 4, 4, 5, 5, 5]))
+        for m in draw(st.lists(st.integers(0, 40), min_size=n_lengths, max_size=n_lengths,
+                               unique=True)):
+            for _ in range(draw(st.integers(1, 6))):
+                x = draw(st.floats(low, high))
+                err = draw(st.sampled_from([0.0, 0.0, 1e-3, 0.05]))
+                points.append((term, m, len(points), x, err))
+    return draw(st.permutations(points))
+
+
+def _fit_outcome(fit, *args, **kwargs):
+    """Each fit's term and the reprs of its three numbers, or the FitError."""
+    try:
+        fits = fit(*args, **kwargs)
+    except FitError as exc:
+        return "FitError", str(exc)
+    return [(f.pauli, repr(f.amplitude), repr(f.decay), repr(f.decay_std))
+            for f in (fits if isinstance(fits, list) else [fits])]
+
+
+class TestFitMatchesReference:
+    """``fit_all_decays`` and ``fit_decay`` against
+    ``oracles.reference_fit_decay``, the per-term loop the one fit pass
+    replaced: the same fits bit for bit, or the same FitError."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_decay_tables(), st.sampled_from([0, 2, 200]), st.integers(0, 2**32),
+           st.sampled_from(["tuples", "points", "mixed"]))
+    def test_same_fits_or_error(self, table, resamples, seed, form):
+        if form != "tuples":
+            table = [DecayPoint(*p) if form == "points" or i % 2 else p
+                     for i, p in enumerate(table)]
+        assert _fit_outcome(fit_all_decays, table, resamples=resamples, seed=seed) == \
+            _fit_outcome(oracles.reference_fit_all_decays, table, resamples=resamples, seed=seed)
+        for term in {p[0] for p in table}:
+            points = [p for p in table if p[0] == term]
+            assert _fit_outcome(fit_decay, points, resamples=resamples, seed=seed) == \
+                _fit_outcome(oracles.reference_fit_decay, points, resamples=resamples, seed=seed)
 
 
 class TestEstimator:

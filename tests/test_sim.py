@@ -306,12 +306,18 @@ def test_rekeyed_draws_equal_fresh_streams(seed, paths, odd_words):
         assert np.array_equal(rng.integers(0, 24, size=5), fresh.integers(0, 24, size=5))
         probs = np.array([0.5, 0.25, 0.125, 0.125])
         assert np.array_equal(rng.multinomial(97, probs), fresh.multinomial(97, probs))
+        assert np.array_equal(rng.random(odd_words), fresh.random(odd_words))
         # leave half a 64-bit word cached (each draw below takes one 32-bit
-        # word): the next stream must not see it
+        # word) and Philox's 4-word block part-used (each random() takes one
+        # 64-bit word): the next stream must see neither
         rng.integers(0, 4, size=2 * odd_words - 1)
         if rng.bit_generator.state["has_uint32"] == 0:
             rng.integers(0, 4)
+        rng.random()
+        if rng.bit_generator.state["buffer_pos"] == 4:
+            rng.random()
         assert rng.bit_generator.state["has_uint32"] == 1
+        assert rng.bit_generator.state["buffer_pos"] < 4
     # a second pass over the same streams repeats them
     for i, path in enumerate(paths):
         assert np.array_equal(
