@@ -54,6 +54,10 @@ class DecayPoint(NamedTuple):
     shot_error: float
 
 
+# a DecayPoint from one tuple, without the namedtuple's Python-level __new__
+_point = functools.partial(tuple.__new__, DecayPoint)
+
+
 @dataclass(frozen=True)
 class DecayFit:
     """Fitted A * p^m for one Pauli decay term."""
@@ -182,18 +186,20 @@ def make_cb(
     deterministic in ``seed``: stream ``(seed, "twirl", d, m, j)`` feeds
     circuit j of decay term d at length m.  Each length is one array pass
     over every decay term: ``Streams.integers`` draws its twirls and the
-    frames advance together as integer Pauli indices.  The collection's
-    cycles form one table (the target, each decay term's preparation, each
+    frames advance together as integer Pauli indices.  The collection is
+    one batch of gate rows (the target, each decay term's preparation, each
     distinct twirl draw, each distinct final frame's inversion) and each
     circuit is one row of codes in ``CbCollection.batch``, filled by array
     writes: a length's twirl codes come from one ``np.unique`` over its draw
-    keys, the inversion codes from one over all final frames.  The new
-    twirl draws are also the table's gate rows (``GateRows.block``).
+    keys, the inversion codes from one over all final frames.  A new twirl
+    draw's picks are its gate row (``GateRows.block``); no ``Cycle`` is
+    built for it.
     """
     if twirl not in TWIRL_GROUPS:
         raise ProtocolError(f"twirl must be one of {TWIRL_GROUPS}")
     _check_lengths(m_list, n_random)
     _check_integer("n_decays", n_decays, 1)
+    _check_integer("seed", seed, 0)
     m_list = tuple(map(int, m_list))
     if register is None:
         register = cycle.qubits
@@ -201,8 +207,7 @@ def make_cb(
     n = len(register)
     if n > MAX_QUBITS:
         raise ProtocolError(f"registers are limited to {MAX_QUBITS} qubits, got {n}")
-    # the one register check; every cycle built below sits on its labels, so
-    # twirl cycles skip their own checks
+    # distinct labels, holding the target
     Circuit(register, (cycle,))
     try:
         hard = cycle_frame_table(cycle, register)
@@ -221,22 +226,16 @@ def make_cb(
     streams = Streams(seed, (
         ("twirl", d_idx, m, j) for d_idx in range(n_d) for m in m_list for j in range(n_random)
     ))
-    # interned per call: one Gate per (qubit, twirl index), one Cycle per
-    # distinct twirl draw and per distinct final frame
-    gates = [np.array([Gate(name, (q,), param) for name, param in alphabet], dtype=object)
-             for q in register]
-    labels = tuple(sorted(register))
     # every easy cycle here holds one gate per register qubit, in register order
     structure = ("easy", tuple((q,) for q in register))
-    preparations = [_basis_cycle(p.letters, register, pl.c1_preparing) for p in decays]
-    # the table's gate rows, in table order; gate code a is alphabet entry a,
+    # the batch's gate rows, in code order; gate code a is alphabet entry a,
     # so a twirl draw's picks are its row
-    gate_rows = GateRows(register, gates[0])
-    gate_rows.cycles((cycle, *preparations))
-    twirls: list[Cycle] = []
+    gate_rows = GateRows(register, (Gate(name, register[:1], param) for name, param in alphabet))
+    gate_rows.cycles((cycle, *(_basis_cycle(p.letters, register, pl.c1_preparing)
+                               for p in decays)))
     twirl_code: dict[int, int] = {}  # by draw key
     # codes: 0 the target, 1 + d decay term d's preparation, then the twirl
-    # cycles, then the inversions; each row right-aligned behind -1
+    # draws, then the inversions; each row right-aligned behind -1
     width = 2 * max(m_list) + 2
     grid = np.full((len(streams), width), -1, dtype=np.int32)
     final = np.empty(len(streams), dtype=np.int64)
@@ -256,17 +255,13 @@ def make_cb(
             sign *= hard.sign[frame]
             frame = hard.image[frame]
         final[rows], final_sign[rows] = frame, sign
-        # this length's twirl codes, new draws numbered in key order, and
-        # their cycles built with one zip over the per-qubit gates
+        # this length's twirl codes, new draws numbered in key order
         flat = draws.reshape(-1, n)
         keys, first, inverse = np.unique(flat @ draw_place, return_index=True, return_inverse=True)
         known = len(twirl_code)
         codes = np.fromiter((twirl_code.setdefault(k, len(twirl_code)) for k in keys.tolist()),
                             np.int32, len(keys))
-        picks = flat[first[codes >= known]]
-        gate_rows.block(structure, picks)
-        twirls += [Cycle._unchecked("easy", row, labels, structure)
-                   for row in zip(*(g[picks[:, i]] for i, g in enumerate(gates)))]
+        gate_rows.block(structure, flat[first[codes >= known]])
         # each row: preparation, m times (twirl, cycle), inversion
         lo = width - 2 * m - 2
         grid[rows, lo] = 1 + rows // (n_m * n_random)
@@ -276,10 +271,9 @@ def make_cb(
     # return_index makes np.unique a stable sort: numpy's default sort would
     # page in about 0.3 MB of kernels that nothing else uses
     frames, _, inversion_codes = np.unique(final, return_index=True, return_inverse=True)
-    grid[:, -1] = 1 + n_d + len(twirls) + inversion_codes
-    inversions = [_basis_cycle(pl.pauli_letters(f, n), register, pl.c1_measuring)
-                  for f in frames.tolist()]
-    gate_rows.cycles(inversions)
+    grid[:, -1] = 1 + n_d + len(twirl_code) + inversion_codes
+    gate_rows.cycles(_basis_cycle(pl.pauli_letters(f, n), register, pl.c1_measuring)
+                     for f in frames.tolist())
 
     # the inversion cycle maps each non-identity letter to +Z
     signed, _, observable_codes = np.unique(2 * final + (final_sign > 0), return_index=True,
@@ -298,8 +292,7 @@ def make_cb(
     ))
     return CbCollection(cycle=cycle, register=register, twirl=twirl, m_list=m_list,
                         n_random=n_random, n_decays=n_d, seed=seed, circuits=circuits,
-                        batch=Batch(register, (cycle, *preparations, *twirls, *inversions),
-                                    grid, gate_rows))
+                        batch=Batch(register, gate_rows, grid))
 
 
 def execute_collection(
@@ -322,7 +315,7 @@ def execute_collection(
         executor.probabilities(coll.batch),
         [cc.measured for cc in coll.circuits], shots, streams,
     )
-    return [DecayPoint(cc.prepared.letters, cc.m, cc.index, x, err)
+    return [_point((cc.prepared.letters, cc.m, cc.index, x, err))
             for cc, x, err in zip(coll.circuits, xs, errs, strict=True)]
 
 
@@ -373,6 +366,7 @@ def _fit_rows(ms: np.ndarray, means: np.ndarray, w: np.ndarray) -> tuple[np.ndar
 def _fit_pass(points, resamples: int, seed: int, one_term=False, pauli=None) -> list[DecayFit]:
     """``fit_all_decays``, or with ``one_term`` ``fit_decay``."""
     _check_integer("resamples", resamples, error=FitError)
+    _check_integer("seed", seed, 0, FitError)
     if resamples == 1 or resamples < 0:
         raise FitError(f"resamples must be 0 (no bootstrap) or an integer >= 2, got {resamples!r}")
     columns = list(zip(*points, strict=True))
@@ -587,6 +581,7 @@ def run_rb(
         raise ProtocolError("randomized benchmarking supports 1 or 2 qubits only")
     Circuit(register)  # distinct labels, checked before any draw
     _check_lengths(m_list, n_random)
+    _check_integer("seed", seed, 0)
     if shots is not None:
         _check_integer("shots", shots, 1)
         shots = int(shots)  # a numpy integer would make every survival a numpy float

@@ -35,24 +35,31 @@ class Gate:
     def __post_init__(self):
         object.__setattr__(self, "qubits", tuple(self.qubits))
         if self.name == "CNOT":
-            if len(self.qubits) != 2:
-                raise CircuitError("CNOT takes exactly two qubits")
+            if len(self.qubits) != 2 or self.qubits[0] == self.qubits[1]:
+                raise CircuitError(f"CNOT takes two distinct qubits, got {self.qubits}")
         elif self.name in SINGLE_QUBIT_GATES:
             if len(self.qubits) != 1:
                 raise CircuitError(f"{self.name} takes exactly one qubit")
-            if self.name == "RZ" and self.param is None:
-                raise CircuitError("RZ needs an angle")
-            if self.name == "C1" and self.param is None:
-                raise CircuitError("C1 needs a table index")
         else:
             raise CircuitError(f"unknown gate {self.name!r}")
+        p = self.param
+        # bool is an int subclass
+        integer = isinstance(p, (int, np.integer)) and not isinstance(p, bool)
+        if self.name == "C1":
+            if not (integer and 0 <= p < pl.c1_count()):
+                raise CircuitError(f"C1 takes a table index in [0, {pl.c1_count()}), got {p!r}")
+        elif self.name == "RZ":
+            if not ((integer or isinstance(p, (float, np.floating))) and math.isfinite(p)):
+                raise CircuitError(f"RZ takes a finite real angle, got {p!r}")
+        elif p is not None:
+            raise CircuitError(f"{self.name} takes no parameter, got {p!r}")
 
     @property
     def gate_class(self) -> str:
         return "cnot" if self.name == "CNOT" else "single_qubit"
 
 
-# slots: a CB table holds about 10k twirl cycles
+# slots: Batch.circuit derives a Cycle for every code of the row it returns
 @dataclass(frozen=True, slots=True)
 class Cycle:
     """One clock step of gates on pairwise-disjoint qubits."""
@@ -83,19 +90,6 @@ class Cycle:
     def cnot_pairs(self) -> tuple[tuple[int, int], ...]:
         return tuple(g.qubits for g in self.gates if g.name == "CNOT")
 
-    @classmethod
-    def _unchecked(cls, kind: str, gates: tuple[Gate, ...], qubits: tuple[int, ...],
-                   structure: tuple) -> "Cycle":
-        """``Cycle(kind, gates)`` without its checks, for callers that place
-        gates of the right kind on the distinct, sorted labels ``qubits`` and
-        pass the cycle's ``structure``, which many cycles may share."""
-        cyc = object.__new__(cls)
-        object.__setattr__(cyc, "kind", kind)
-        object.__setattr__(cyc, "gates", gates)
-        object.__setattr__(cyc, "qubits", qubits)
-        object.__setattr__(cyc, "structure", structure)
-        return cyc
-
 
 @dataclass(frozen=True)
 class Circuit:
@@ -118,15 +112,6 @@ class Circuit:
     @property
     def n_qubits(self) -> int:
         return len(self.qubits)
-
-    @classmethod
-    def _unchecked(cls, qubits: tuple[int, ...], cycles: tuple[Cycle, ...]) -> "Circuit":
-        """``Circuit(qubits, cycles)`` without its checks, for callers that
-        checked the register and every distinct cycle against it once."""
-        circuit = object.__new__(cls)
-        object.__setattr__(circuit, "qubits", qubits)
-        object.__setattr__(circuit, "cycles", cycles)
-        return circuit
 
 
 # ---------------------------------------------------------------------------

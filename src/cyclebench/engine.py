@@ -13,11 +13,11 @@ Pauli channel of each gate, then damping (gate qubits for the gate's
 duration, idle qubits for the cycle duration).  Everything after the ideal
 unitary is one op list per cycle structure (``Executor._tail``).
 
-Circuits reach the kernel as a :class:`Batch`: a table of distinct cycles
-and an integer grid of codes into it, one right-aligned row per circuit.
-Each batch compiles its table once into integer rows (``GateRows``), per
-code a structure index and gate codes into a small stack of gate matrices,
-so no layer reads a ``Cycle`` or ``Gate``.  One kernel, ``Executor._run``,
+Circuits reach the kernel as a :class:`Batch`, which is its gate rows
+(``GateRows``): per code a structure index and gate codes into a small
+stack of gate matrices, and an integer grid of codes, one right-aligned row
+per circuit.  No layer reads a ``Cycle`` or ``Gate``; ``Batch.circuit``
+derives them for tests and callers that ask.  One kernel, ``Executor._run``,
 advances a stack of such rows of any structures and lengths, longest
 first, one grid column (a layer of codes) at a time, with one BLAS call of
 a single circuit's shape per circuit and op, so no state depends on its
@@ -73,23 +73,25 @@ def _distinct(register: Sequence[int]) -> tuple[int, ...]:
 
 
 class GateRows:
-    """A batch table as integers, one int32 row per cycle in table order:
-    the cycle's structure, an index into ``positions`` (each gate's register
+    """A batch's table as integers, one int32 row per code in table order:
+    the code's structure, an index into ``structures`` (each a cycle kind
+    and its gates' qubits) and ``positions`` (the same gates' register
     positions), then its gates as codes into ``gates``, the distinct (name,
     param) met so far, -1 past its last gate.
 
-    ``cycles`` derives the rows of ``Cycle`` objects and raises
+    ``cycles`` appends the rows of ``Cycle`` objects and raises
     ``SimulationError`` for an entry that is not one, or for a gate off the
-    register; ``block`` takes cycles of one structure whose gate codes a
+    register; ``block`` appends codes of one structure whose gate codes a
     producer already holds, such as ``make_cb``'s twirl draws, coded by the
     ``gates`` given first.
     """
 
     def __init__(self, register: tuple[int, ...], gates: Iterable[Gate] = ()):
         self.register = register
+        self.structures: list[tuple] = []
         self.positions: list[tuple[tuple[int, ...], ...]] = []
         self.gates: list[Gate] = []
-        self.blocks: list[np.ndarray] = []
+        self.blocks = [np.empty((0, 1 + len(register)), dtype=np.int32)]
         self._structures: dict[tuple, int] = {}
         self._codes: dict[tuple, int] = {}
         for g in gates:
@@ -115,7 +117,8 @@ class GateRows:
                 raise SimulationError(
                     f"a batch cycle uses qubits {outside} outside the register {self.register}"
                 )
-            self._structures[structure] = len(self.positions)
+            self._structures[structure] = len(self.structures)
+            self.structures.append(structure)
             self.positions.append(tuple(tuple(map(self.register.index, gate))
                                         for gate in structure[1]))
         return self._structures[structure]
@@ -129,40 +132,37 @@ class GateRows:
 
 
 class Batch:
-    """Circuits on one register in compiled form: a ``table`` of distinct
-    cycles and an integer ``codes`` grid (N, W) whose row i holds circuit i's
-    cycles as indices into the table, right-aligned behind -1 padding.
+    """Circuits on one register in compiled form: ``rows``, the gate rows of
+    its distinct cycles (``GateRows``), and an integer ``codes`` grid (N, W)
+    whose row i holds circuit i's cycles as codes into them, right-aligned
+    behind -1 padding.  A batch is its gate rows: ``cycle`` and ``circuit``
+    derive ``Cycle`` and ``Circuit`` objects from them.
 
-    The kernel reads the table as ``GateRows``, and one cycle per structure
-    for its noise tail: per code its ``structure`` and ``gates`` row of
+    The kernel reads, per code, its ``structure`` and its ``gates`` row of
     codes into ``mats``, the (real, imaginary) parts of flat gate matrices,
     and whether it is ``monomial``, which holds iff each of its gate
-    matrices has one unit-phase entry per row; per structure its gate
-    ``positions``.  ``make_cb`` hands over its rows, with its twirl draws as
-    gate codes; any other table is compiled here.  The register, the table
-    and the grid are checked here.
+    matrices has one unit-phase entry per row; and per structure its
+    ``rows.structures`` tuple for the noise tail and its ``rows.positions``.
+    ``make_cb`` builds its rows from its draws; ``of`` and ``of_rows``
+    compile cycles.  The register and the grid are checked here.
     """
 
-    def __init__(self, register: Sequence[int], table: Sequence[Cycle], codes: np.ndarray,
-                 rows: GateRows | None = None):
+    def __init__(self, register: Sequence[int], rows: GateRows, codes: np.ndarray):
         self.register = _distinct(register)
-        self.table = tuple(table)
+        if rows.register != self.register:
+            raise SimulationError(f"gate rows on {rows.register} for a batch on {self.register}")
+        self.rows = rows
         self.codes = codes
+        self._cycles: dict[int, Cycle] = {}
+        compiled = np.concatenate(rows.blocks)
         if not isinstance(codes, np.ndarray) or codes.ndim != 2 or codes.dtype.kind not in "iu":
             raise SimulationError("batch codes must be a 2-D integer array")
-        if codes.size and (codes.min() < -1 or codes.max() >= len(self.table)):
-            raise SimulationError(f"batch codes must lie in [-1, {len(self.table)})")
+        if codes.size and (codes.min() < -1 or codes.max() >= len(compiled)):
+            raise SimulationError(f"batch codes must lie in [-1, {len(compiled)})")
         started = codes >= 0
         if (started[:, :-1] & ~started[:, 1:]).any():
             raise SimulationError("a batch row holds -1 after a code: padding must lead")
-        if rows is None:
-            rows = GateRows(self.register)
-            rows.cycles(self.table)
-        compiled = np.concatenate(rows.blocks)
-        if len(compiled) != len(self.table):
-            raise SimulationError(f"{len(compiled)} gate rows for {len(self.table)} cycles")
         self.structure, self.gates = compiled[:, 0], compiled[:, 1:]
-        self.positions = rows.positions
         flat = _flat_matrices(rows.gates)
         self.mats = np.ascontiguousarray(flat.real), np.ascontiguousarray(flat.imag)
         nonzero = flat != 0
@@ -188,12 +188,12 @@ class Batch:
         codes = np.full((len(circuits), width), -1, dtype=np.int32)
         for row, circuit in zip(codes, circuits):
             row[width - len(circuit.cycles):] = [code_of[id(c)] for c in circuit.cycles]
-        return cls(register, distinct.values(), codes)
+        return cls.of_rows(register, distinct.values(), codes)
 
     @classmethod
     def of_rows(cls, register: Sequence[int], table: Sequence[Cycle], rows: np.ndarray) -> "Batch":
-        """The batch whose row i holds the codes of ``rows[i]`` in order,
-        its -1 entries dropped wherever they fall."""
+        """The batch of the cycles ``table`` whose row i holds the codes of
+        ``rows[i]`` in order, its -1 entries dropped wherever they fall."""
         kept = rows >= 0
         lengths = kept.sum(axis=1)
         width = int(lengths.max(initial=0))
@@ -202,16 +202,28 @@ class Batch:
         column = kept.cumsum(axis=1, dtype=np.int32)
         column += (width - 1 - lengths)[:, None]
         codes[kept.nonzero()[0], column[kept]] = rows[kept]
-        return cls(register, table, codes)
+        gate_rows = GateRows(tuple(register))
+        gate_rows.cycles(table)
+        return cls(register, gate_rows, codes)
 
     def __len__(self) -> int:
         return len(self.codes)
 
+    def cycle(self, code: int) -> Cycle:
+        """Code ``code`` as a :class:`Cycle`, derived once per batch, so
+        the circuits of ``circuit`` share one object per code."""
+        cyc = self._cycles.get(code)
+        if cyc is None:
+            kind, qubits = self.rows.structures[self.structure[code]]
+            gates = map(self.rows.gates.__getitem__, self.gates[code, :len(qubits)].tolist())
+            cyc = self._cycles[code] = Cycle(kind, tuple(Gate(g.name, q, g.param)
+                                                         for g, q in zip(gates, qubits)))
+        return cyc
+
     def circuit(self, k: int) -> Circuit:
         """Row k as a :class:`Circuit`."""
         row = self.codes[k]
-        return Circuit._unchecked(self.register, tuple(map(self.table.__getitem__,
-                                                           row[row >= 0].tolist())))
+        return Circuit(self.register, tuple(map(self.cycle, row[row >= 0].tolist())))
 
     def unitaries(self, codes: Sequence[int]) -> np.ndarray:
         """The unitaries of table ``codes``, all of one structure, as a stack."""
@@ -219,7 +231,7 @@ class Batch:
 
     def _operands(self, codes: Sequence[int]) -> tuple:
         """``_cycle_unitaries``' arguments for ``codes``."""
-        positions = self.positions[self.structure[codes[0]]]
+        positions = self.rows.positions[self.structure[codes[0]]]
         return self.gates[codes, :len(positions)], self.mats, positions, len(self.register)
 
     def __eq__(self, other) -> bool:
@@ -297,7 +309,8 @@ class Executor:
 
     def _run_one(self, circuit: Circuit, state: np.ndarray) -> State:
         batch = Batch.of(self.register, [circuit])
-        return _wrap(self._run(_Plan(batch, state.shape[-1] != 1), batch.codes, state)[0])
+        plan = _Plan(batch, state.shape[-1] != 1, self._tail)
+        return _wrap(self._run(plan, batch.codes, state)[0])
 
     def _check_width(self, what: str, n: int) -> None:
         if n != self.n:
@@ -324,41 +337,41 @@ class Executor:
     def _positions(self, qubits: tuple[int, ...]) -> tuple[int, ...]:
         return tuple(self.register.index(q) for q in qubits)
 
-    def _tail(self, cyc: Cycle) -> tuple:
-        """The noise ops that follow ``cyc``'s ideal unitary, in order.
+    def _tail(self, structure: tuple) -> tuple:
+        """The noise ops that follow the ideal unitary of a cycle of
+        ``structure``, its kind and each gate's qubits, in order.
 
         Each op is ``("unitary", U)`` or ``("kraus", S)`` with the matrix
-        already embedded in the register.  The tail depends only on the cycle
-        kind and on each gate's (is-CNOT, qubits); the kind fixes is-CNOT
-        (hard cycles hold only CNOTs, easy ones none), so tails are interned
-        by kind and gate qubits: twirl draws that differ only in their
-        single-qubit gates share one tail.
+        already embedded in the register.  A tail depends on nothing else,
+        since the kind fixes each gate's class (hard cycles hold only CNOTs,
+        easy ones none): twirl draws that differ only in their single-qubit
+        gates share one tail.
         """
         if self.noise is None:
             return ()
-        tail = self._tails.get(cyc.structure)
+        tail = self._tails.get(structure)
         if tail is None:
-            tail = self._tails[cyc.structure] = self._build_tail(cyc)
+            tail = self._tails[structure] = self._build_tail(structure)
         return tail
 
-    def _build_tail(self, cyc: Cycle) -> tuple:
+    def _build_tail(self, structure: tuple) -> tuple:
+        kind, gates = structure
+        hard = kind == "hard"
+        gate_class = "cnot" if hard else "single_qubit"
         noise = self.noise
         ops = []
-        # coherent over-rotation riding on each CNOT
-        for g in cyc.gates:
-            if g.name != "CNOT":
-                continue
-            rot = noise.rotation_for_pair(g.qubits)
-            if rot is not None and rot[1] != 0.0:
-                axis, angle = rot
-                ops.append(self._unitary(
-                    ("rot", axis, angle), self._positions(g.qubits),
-                    lambda: coherent_overrotation(axis, angle),
-                ))
-
-        # spectator crosstalk during hard cycles
-        if cyc.kind == "hard":
-            fired = {frozenset(p) for p in cyc.cnot_pairs()}
+        if hard:
+            # coherent over-rotation riding on each CNOT
+            for pair in gates:
+                rot = noise.rotation_for_pair(pair)
+                if rot is not None and rot[1] != 0.0:
+                    axis, angle = rot
+                    ops.append(self._unitary(
+                        ("rot", axis, angle), self._positions(pair),
+                        lambda: coherent_overrotation(axis, angle),
+                    ))
+            # spectator crosstalk
+            fired = {frozenset(pair) for pair in gates}
             for term in noise.crosstalk:
                 if frozenset(term.pair) in fired and term.spectator in self.register:
                     ops.append(self._unitary(
@@ -368,23 +381,21 @@ class Executor:
                     ))
 
         # stochastic Pauli errors per gate
-        for g in cyc.gates:
-            pair = g.qubits if g.name == "CNOT" else None
-            probs = noise.gate_pauli_probs(g.gate_class, pair)
+        for qubits in gates:
+            pair = qubits if hard else None
+            probs = noise.gate_pauli_probs(gate_class, pair)
             if probs and any(p > 0 for p in probs.values()):
                 ops.append(self._kraus(
-                    ("pauli", g.gate_class, pair), self._positions(g.qubits),
+                    ("pauli", gate_class, pair), self._positions(qubits),
                     lambda: pauli_channel(probs),
                 ))
 
         # damping: gate qubits for the gate duration, idle for the cycle
-        cycle_dur = max((noise.duration(g.gate_class) for g in cyc.gates), default=0.0)
-        busy = {}
-        for g in cyc.gates:
-            for q in g.qubits:
-                busy[q] = noise.duration(g.gate_class)
+        gate_dur = noise.duration(gate_class)
+        cycle_dur = gate_dur if gates else 0.0
+        busy = {q for qubits in gates for q in qubits}
         for i, q in enumerate(self.register):
-            dur = busy.get(q, cycle_dur)
+            dur = gate_dur if q in busy else cycle_dur
             if dur > 0 and (q in noise.t1 or q in noise.t2):
                 ops.append(self._kraus(
                     ("damp", q, dur), (i,),
@@ -407,7 +418,7 @@ class Executor:
         # run and advance pass views of the caller's state
         state = state.copy()
         # unitaries kept for this stack (``_unitaries``)
-        kept = _Rows(len(plan.batch.table))
+        kept = _Rows(len(plan.batch.structure))
         for t, column in enumerate(np.ascontiguousarray(grid.T)):
             a = bisect_right(starts, t)
             state[:a] = self._apply_layer(state[:a], column[:a], plan, kept)
@@ -425,22 +436,13 @@ class Executor:
         else:
             state = _conjugate(state, self._unitaries(column, one, plan, kept))
         if one:
-            return self._apply_tail(state, self._structure_tail(plan, structures[0]))
+            return self._apply_tail(state, plan.tails[structures[0]])
         # each structure's tail on its own rows
         for s in dict.fromkeys(structures.tolist()):
-            if tail := self._structure_tail(plan, s):
+            if tail := plan.tails[s]:
                 rows = np.flatnonzero(structures == s)
                 state[rows] = self._apply_tail(state[rows], tail)
         return state
-
-    def _structure_tail(self, plan: "_Plan", s: int) -> tuple:
-        """The tail of structure index ``s``, looked up once per call."""
-        tail = plan.tails[s]
-        if tail is None:
-            # its first code's cycle
-            first = int(np.argmax(plan.batch.structure == s))
-            tail = plan.tails[s] = self._tail(plan.batch.table[first])
-        return tail
 
     def _unitaries(self, column: np.ndarray, one: bool, plan: "_Plan",
                    kept: "_Rows") -> np.ndarray:
@@ -513,7 +515,7 @@ class Executor:
         # Python's stable sort: numpy's first sort pages in about 0.3 MB
         order = sorted(range(len(lengths)), key=lengths.__getitem__, reverse=True)
         out = np.empty((len(lengths), 2**self.n))
-        plan = _Plan(batch, self.use_density)
+        plan = _Plan(batch, self.use_density, self._tail)
         for lo in range(0, len(order), CHUNK):
             part = order[lo:lo + CHUNK]
             start = self._apply_tail(self._zero_stack(len(part)), self._prep)
@@ -626,13 +628,13 @@ class _Rows:
 class _Plan:
     """What one call learns about a batch, indexed by code: the signed
     permutations of its monomial cycles, in the form of the stack they act
-    on, built as they are first met; and each structure's tail once looked
-    up."""
+    on, built as they are first met; and each structure's ``tail``, looked
+    up once."""
 
-    def __init__(self, batch: Batch, density: bool):
+    def __init__(self, batch: Batch, density: bool, tail):
         self.batch = batch
-        self.tails: list[tuple | None] = [None] * len(batch.positions)
-        self.signed = _Rows(len(batch.table))
+        self.tails = list(map(tail, batch.rows.structures))
+        self.signed = _Rows(len(batch.structure))
         self.density = density
 
     def store(self, codes: list[int]) -> None:

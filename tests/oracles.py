@@ -457,7 +457,7 @@ def reference_run(executor, circuit, initial=None, prepare=True):
         state = apply(state, executor._prep)
     for cyc in circuit.cycles:
         state = conjugate(state, _cycle_unitary_cached(cyc.gates, executor.register))
-        state = apply(state, executor._tail(cyc))
+        state = apply(state, executor._tail(cyc.structure))
     return StateVector(state) if state.ndim == 1 else DensityMatrix(state)
 
 

@@ -21,7 +21,7 @@ from cyclebench.bench import (
     run_rb,
 )
 from cyclebench.circuits import (
-    Circuit, CircuitError, Cycle, Gate, layout_cycles, propagate_pauli,
+    CircuitError, Cycle, Gate, layout_cycles, propagate_pauli,
 )
 from cyclebench.noise import (
     CrosstalkTerm, NoiseModel, confusion_from_scalar, depolarizing_pauli_probs,
@@ -67,7 +67,8 @@ class TestMakeCb:
         assert len(a.circuits) == len(b.circuits)
         assert [cc.m for cc in a.circuits] == [cc.m for cc in b.circuits]
         assert any(a.batch.circuit(k) != b.batch.circuit(k) for k in range(len(a.circuits)))
-        names_b = {g.name for cyc in b.batch.table for g in cyc.gates}
+        names_b = {g.name for code in range(len(b.batch.structure))
+                   for g in b.batch.cycle(code).gates}
         assert "C1" in names_b
 
     def test_c1_twirl_noiseless_self_inverting(self):
@@ -123,6 +124,16 @@ class TestMakeCb:
             assert all(list(map(type, p)) == [str, int, int, float, float] for p in points)
             assert "np." not in repr(points)
 
+    def test_rejects_cnot_on_one_qubit(self):
+        """Such a cycle used to give a collection on the register (0,)."""
+        with pytest.raises(CircuitError, match="CNOT takes two distinct qubits"):
+            make_cb(Cycle("hard", (Gate("CNOT", (0, 0)),)), (2, 4, 6), 4, 4)
+
+    @pytest.mark.parametrize("seed", [1.5, True, -1, "1"])
+    def test_rejects_bad_seed_at_entry(self, seed):
+        with pytest.raises(ProtocolError, match="seed must be"):
+            make_cb(CNOT01, (2, 4, 6), 2, 2, seed=seed)
+
     def test_rejects_register_above_max_qubits(self):
         with pytest.raises(ProtocolError):
             make_cb(CNOT01, (2, 4, 6), 4, 4, register=tuple(range(6)))
@@ -132,19 +143,6 @@ class TestMakeCb:
             make_cb(Cycle("hard", (Gate("CNOT", (1, 3)),)), (2, 4, 6), 4, 4, register=(0, 1, 2))
         with pytest.raises(CircuitError, match="register labels must be distinct"):
             make_cb(CNOT01, (2, 4, 6), 4, 4, register=(0, 1, 1))
-
-    @pytest.mark.parametrize("twirl", ["pauli", "c1"])
-    def test_unchecked_cycles_and_circuits_match_checked_ones(self, twirl):
-        """make_cb skips the per-object checks; what they derive must agree."""
-        coll = make_cb(layout_cycles(2, 3), (0, 2, 5), 3, 4, twirl=twirl, seed=4,
-                       register=(6, 7, 12, 11))
-        for k in range(len(coll.circuits)):
-            circuit = coll.batch.circuit(k)
-            checked = Circuit(circuit.qubits, circuit.cycles)
-            assert checked == circuit
-            for cyc in circuit.cycles:
-                rebuilt = Cycle(cyc.kind, cyc.gates)
-                assert (cyc.qubits, cyc.structure) == (rebuilt.qubits, rebuilt.structure)
 
     @pytest.mark.parametrize("twirl", ["pauli", "c1"])
     @pytest.mark.parametrize(
@@ -293,6 +291,14 @@ class TestFitDecay:
             fit_decay(pts, resamples=resamples)
         with pytest.raises(FitError, match="resamples"):
             fit_all_decays(pts, resamples=resamples)
+
+    @pytest.mark.parametrize("seed", [1.5, True, -1, "1"])
+    def test_bad_seed_rejected_at_entry(self, seed):
+        pts = [DecayPoint("X", m, i, 0.9**m, 0.01) for m in (2, 4, 6) for i in range(3)]
+        with pytest.raises(FitError, match="seed must be"):
+            fit_decay(pts, seed=seed)
+        with pytest.raises(FitError, match="seed must be"):
+            fit_all_decays(pts, seed=seed)
 
     def test_numpy_integer_bootstrap_size_accepted(self):
         pts = [DecayPoint("X", m, i, 0.9**m, 0.01) for m in (2, 4, 6) for i in range(3)]
@@ -650,6 +656,11 @@ class TestRunRb:
     def test_rejects_bad_shots(self, shots):
         with pytest.raises(ProtocolError, match="shots"):
             run_rb((0,), (2, 4, 8), 2, None, shots=shots)
+
+    @pytest.mark.parametrize("seed", [1.5, True, -1, "1"])
+    def test_rejects_bad_seed_at_entry(self, seed):
+        with pytest.raises(ProtocolError, match="seed must be"):
+            run_rb((0,), (2, 4, 8), 2, None, shots=10, seed=seed)
 
     @pytest.mark.parametrize("qubits, shots", [((0,), 64), ((0,), None), ((3, 5), 64)])
     def test_streams_feed_the_same_sequences(self, monkeypatch, qubits, shots):

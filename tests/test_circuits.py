@@ -44,6 +44,10 @@ class TestTypes:
         assert cyc.qubits == (0, 2, 5, 7)
         assert cyc == Cycle("hard", cyc.gates)
 
+    def test_cnot_on_one_qubit_is_rejected(self):
+        with pytest.raises(CircuitError, match=r"CNOT takes two distinct qubits, got \(0, 0\)"):
+            Gate("CNOT", (0, 0))
+
     def test_circuit_register_check(self):
         cyc = Cycle("hard", (Gate("CNOT", (6, 7)),))
         Circuit((6, 7, 12, 11), (cyc,))
@@ -62,6 +66,24 @@ class TestTypes:
             Gate("RZ", (0,))
         with pytest.raises(CircuitError):
             Gate("WIBBLE", (0,))
+
+    @pytest.mark.parametrize("name, param", [
+        ("C1", 2.5), ("C1", 2.0), ("C1", True), ("C1", "3"), ("C1", -1), ("C1", 24), ("C1", None),
+        ("RZ", "a"), ("RZ", math.nan), ("RZ", math.inf), ("RZ", 1j), ("RZ", False), ("RZ", None),
+        ("X", 3), ("H", 0.5), ("I", False),
+    ])
+    def test_gate_params_are_checked_at_construction(self, name, param):
+        """C1 takes an integer index below ``c1_count()``, RZ a finite real
+        angle, every other gate no parameter."""
+        with pytest.raises(CircuitError, match=name):
+            Gate(name, (0,), param)
+
+    @pytest.mark.parametrize("name, param", [
+        ("C1", 0), ("C1", 23), ("C1", np.int64(5)), ("RZ", 0), ("RZ", -0.7),
+        ("RZ", np.float64(1.5)), ("RZ", np.int32(2)), ("X", None),
+    ])
+    def test_gate_params_in_range_are_accepted(self, name, param):
+        assert Gate(name, (0,), param).param is param
 
 
 class TestLayouts:
@@ -250,8 +272,8 @@ class TestPropagation:
 
 
 def _table(cycles, register) -> Batch:
-    """A batch whose table is ``cycles``, compiled to gate codes, and no rows."""
-    return Batch(register, cycles, np.empty((0, 0), dtype=np.int32))
+    """A batch whose codes are ``cycles``, compiled to gate rows, and no grid rows."""
+    return Batch.of_rows(register, cycles, np.empty((0, 0), dtype=np.int32))
 
 
 def _built(cycles, register) -> np.ndarray:

@@ -11,9 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclebench.bench import TWIRL_GROUPS, execute_collection, make_cb
-from cyclebench.circuits import Circuit, Cycle, Gate, _cycle_unitary_cached, _unit_monomial
+from cyclebench.circuits import (
+    Circuit, CircuitError, Cycle, Gate, _cycle_unitary_cached, _unit_monomial,
+)
 from cyclebench import engine, sim
-from cyclebench.engine import Batch, Executor
+from cyclebench.engine import Batch, Executor, GateRows
 from cyclebench.noise import CrosstalkTerm, NoiseModel, confusion_from_scalar
 from cyclebench.pauli import PauliString
 from cyclebench.sim import DensityMatrix, SimulationError, StateVector, expectation_pauli
@@ -224,7 +226,7 @@ def _run_states(ex, circuits):
     ``engine.CHUNK`` at a time, so a stack can hold circuits of several
     lengths."""
     batch = Batch.of(ex.register, circuits)
-    plan = engine._Plan(batch, ex.use_density)
+    plan = engine._Plan(batch, ex.use_density, ex._tail)
     width = batch.codes.shape[1]
     order = sorted(range(len(circuits)), key=lambda i: len(circuits[i].cycles), reverse=True)
     states = [None] * len(circuits)
@@ -248,13 +250,20 @@ def _circuits(coll):
     return [coll.batch.circuit(k) for k in range(len(coll.batch))]
 
 
+def _gate_rows(register, table):
+    """``table``'s cycles compiled to the gate rows of a batch on ``register``."""
+    rows = GateRows(tuple(register))
+    rows.cycles(table)
+    return rows
+
+
 def _spy_builds(monkeypatch):
     """The gates of every cycle whose unitary ``Batch.unitaries`` builds,
     the dense path of a layer, in build order."""
     built = []
     original = Batch.unitaries
     monkeypatch.setattr(Batch, "unitaries", lambda self, codes: built.extend(
-        self.table[c].gates for c in codes) or original(self, codes))
+        self.cycle(c).gates for c in codes) or original(self, codes))
     return built
 
 
@@ -609,9 +618,9 @@ class TestBatchedExecution:
         calls = []
         original = engine._Plan.store
         monkeypatch.setattr(engine._Plan, "store", lambda self, codes: calls.append(
-            [id(self.batch.table[c]) for c in codes]) or original(self, codes))
+            [self.batch.cycle(c) for c in codes]) or original(self, codes))
         _probabilities(Executor((0, 1)), circuits)
-        assert calls == [[id(first), id(second)]]
+        assert calls == [[first, second]]
 
     def test_run_cycle_and_batched_path_read_the_same_tail(self, monkeypatch):
         """Changing the one tail list changes both paths alike."""
@@ -623,7 +632,8 @@ class TestBatchedExecution:
         ry = np.array([[math.cos(0.3), -math.sin(0.3)], [math.sin(0.3), math.cos(0.3)]])
         extra = ("unitary", oracles.embed(ry.astype(complex), (1,), 2))
         original = Executor._tail
-        monkeypatch.setattr(Executor, "_tail", lambda self, cyc: original(self, cyc) + (extra,))
+        monkeypatch.setattr(Executor, "_tail",
+                            lambda self, structure: original(self, structure) + (extra,))
         ex = Executor((0, 1), noise)
         batched = _run_states(ex, circuits)
         changed = 0
@@ -647,13 +657,14 @@ class TestBatchedExecution:
         calls = []
         original = Executor._tail
         monkeypatch.setattr(Executor, "_tail",
-                            lambda self, cyc: calls.append(cyc) or original(self, cyc))
+                            lambda self, structure: calls.append(structure)
+                            or original(self, structure))
         for chunk in (engine.CHUNK, 7):
             monkeypatch.setattr(engine, "CHUNK", chunk)
             for batch in (coll.batch, Batch.of(coll.register, circuits)):
                 calls.clear()
                 Executor((0, 1), noise).probabilities(batch)
-                assert sorted(c.kind for c in calls) == ["easy", "hard"]
+                assert sorted(kind for kind, _ in calls) == ["easy", "hard"]
             layers = [layer for stack in _stack_layers(circuits) for layer in stack]
             assert any(len({c.structure for c in layer}) > 1 for layer in layers)
 
@@ -662,8 +673,9 @@ class TestBatchedExecution:
         ex = Executor((0, 1), noise)
         a = Cycle("easy", (Gate("X", (0,)), Gate("H", (1,))))
         b = Cycle("easy", (Gate("C1", (0,), 5), Gate("S", (1,))))
-        assert ex._tail(a) is ex._tail(b)
-        assert ex._tail(Cycle("hard", (Gate("CNOT", (0, 1)),))) is not ex._tail(a)
+        assert ex._tail(a.structure) is ex._tail(b.structure)
+        hard = Cycle("hard", (Gate("CNOT", (0, 1)),))
+        assert ex._tail(hard.structure) is not ex._tail(a.structure)
 
 
 # ---------------------------------------------------------------------------
@@ -697,7 +709,8 @@ def batch_cases(draw):
     for row, k in zip(codes, lengths):
         row[width - k:] = draw(st.lists(st.integers(0, len(table) - 1), min_size=k, max_size=k))
     pairs = sorted({g.qubits for c in table if c.kind == "hard" for g in c.gates})
-    return Batch(register, table, codes), draw(st.none() | noise_models(register, pairs))
+    return (Batch(register, _gate_rows(register, table), codes),
+            draw(st.none() | noise_models(register, pairs)))
 
 
 class TestBatch:
@@ -728,13 +741,15 @@ class TestBatch:
                     Circuit((1, 0), (twin,)), Circuit((1, 0), (cnot, cnot, twin, h))]
         batch = Batch.of((1, 0), circuits)
         assert len(batch) == 4 and batch.register == (1, 0)
-        assert [id(c) for c in batch.table] == [id(h), id(cnot), id(twin)]
+        assert len(batch.structure) == 3
+        assert [batch.cycle(code) for code in range(3)] == [h, cnot, twin]
         assert batch.codes.dtype == np.int32
         assert batch.codes.tolist() == [[-1, 0, 1, 0], [-1, -1, -1, -1],
                                         [-1, -1, -1, 2], [1, 1, 2, 0]]
         assert [batch.circuit(k) for k in range(4)] == circuits
-        assert batch == Batch((1, 0), (twin, cnot), np.array([[-1, 0, 1, 0], [-1, -1, -1, -1],
-                                                              [-1, -1, -1, 0], [1, 1, 0, 0]]))
+        assert batch == Batch.of_rows((1, 0), (twin, cnot),
+                                      np.array([[-1, 0, 1, 0], [-1, -1, -1, -1],
+                                                [-1, -1, -1, 0], [1, 1, 0, 0]]))
         assert batch != Batch.of((1, 0), circuits[:3])
         assert Batch.of((0,), []).codes.shape == (0, 0)
 
@@ -750,7 +765,7 @@ class TestBatch:
     def test_rejects_bad_grids(self, codes, message):
         table = (Cycle("easy", (Gate("X", (0,)),)), Cycle("hard", (Gate("CNOT", (0, 1)),)))
         with pytest.raises(SimulationError, match=message):
-            Batch((0, 1), table, codes)
+            Batch((0, 1), _gate_rows((0, 1), table), codes)
 
     def test_rejects_other_registers(self):
         batch = Batch.of((1, 0), [cnot_circuit((1, 0))])
@@ -760,13 +775,21 @@ class TestBatch:
             Batch.of((1, 0), [cnot_circuit((0, 1))])
         with pytest.raises(SimulationError, match="probabilities takes a Batch"):
             Executor((0, 1)).probabilities([cnot_circuit((0, 1))])
+        with pytest.raises(SimulationError, match=r"gate rows on \(0, 1\) for a batch on \(1, 0\)"):
+            Batch((1, 0), GateRows((0, 1)), np.empty((0, 0), dtype=np.int32))
+
+    def test_cnot_on_one_qubit_fails_before_run(self):
+        """Such a circuit used to reach the kernel and fail there with a
+        TypeError."""
+        with pytest.raises(CircuitError, match="CNOT takes two distinct qubits"):
+            Executor((0, 1)).run(Circuit((0, 1), (Cycle("hard", (Gate("CNOT", (0, 0)),)),)))
 
     def test_rejects_repeated_register_labels(self):
         """A repeated label would let two positions share a qubit."""
         with pytest.raises(SimulationError, match=r"register label 0 is repeated in \(0, 0\)"):
             Executor((0, 0))
         with pytest.raises(SimulationError, match=r"register label 2 is repeated"):
-            Batch((1, 2, 2), (), np.empty((0, 0), dtype=np.int32))
+            Batch((1, 2, 2), GateRows((1, 2, 2)), np.empty((0, 0), dtype=np.int32))
         with pytest.raises(SimulationError, match=r"register label 2 is repeated"):
             Batch.of((2, 2), [])
 
@@ -782,7 +805,7 @@ class TestBatch:
         one fails there, even if no row uses it."""
         table = (Cycle("easy", (Gate("X", (0,)),)), entry)
         with pytest.raises(SimulationError, match=message):
-            Batch((0, 1), table, np.array([[0, 0]]))
+            Batch.of_rows((0, 1), table, np.array([[0, 0]]))
 
 
 class TestGateRows:
@@ -801,17 +824,29 @@ class TestGateRows:
         mats = batch.mats[0] + 1j * batch.mats[1]
         return np.where((batch.gates >= 0)[..., None], mats[batch.gates], np.nan)
 
+    @staticmethod
+    def _cells(batch):
+        """Per grid cell, row by row, its code's structure tuple, positions,
+        resolved gate matrices and monomial flag."""
+        codes = batch.codes[batch.codes >= 0]
+        structures = batch.structure[codes].tolist()
+        return ([batch.rows.structures[s] for s in structures],
+                [batch.rows.positions[s] for s in structures],
+                TestGateRows._resolved(batch)[codes], batch.monomial[codes])
+
     @pytest.mark.parametrize("twirl", TWIRL_GROUPS)
-    def test_make_cb_rows_equal_derived_rows(self, twirl):
-        """``make_cb``'s rows, its twirl draws taken as gate codes, say what
-        rows compiled from its table's cycles say."""
-        coll = self._collection(twirl)
-        made = coll.batch
-        derived = Batch(made.register, made.table, made.codes)
-        assert np.array_equal(made.structure, derived.structure)
-        assert made.positions == derived.positions
-        assert np.array_equal(self._resolved(made), self._resolved(derived), equal_nan=True)
-        assert np.array_equal(made.monomial, derived.monomial)
+    def test_derived_circuits_compile_to_the_same_rows(self, twirl):
+        """``make_cb``'s rows, its twirl draws taken as gate codes, say cell
+        for cell what ``Batch.of`` compiles from the circuits derived from
+        them, and both run to the same outcome rows bit for bit."""
+        made = self._collection(twirl).batch
+        derived = Batch.of(made.register, [made.circuit(k) for k in range(len(made))])
+        assert made.codes.shape == derived.codes.shape
+        assert np.array_equal(made.codes < 0, derived.codes < 0)
+        (s1, p1, g1, m1), (s2, p2, g2, m2) = self._cells(made), self._cells(derived)
+        assert s1 == s2 and p1 == p2
+        assert np.array_equal(g1, g2, equal_nan=True)
+        assert np.array_equal(m1, m2)
         assert np.array_equal(Executor(made.register).probabilities(made),
                               Executor(made.register).probabilities(derived))
 
@@ -819,7 +854,7 @@ class TestGateRows:
     def test_monomial_flags_match_the_built_unitaries(self, twirl):
         batch = self._collection(twirl).batch
         flags = []
-        for s in range(len(batch.positions)):
+        for s in range(len(batch.rows.positions)):
             codes = np.flatnonzero(batch.structure == s)
             assert np.array_equal(batch.monomial[codes], [
                 _unit_monomial(u) is not None for u in batch.unitaries(codes)])
