@@ -2,32 +2,27 @@
 
 An :class:`Executor` binds a register and a noise model, compiles every noise
 op the model implies for that register once, as a matrix embedded in the
-register, and then runs circuits as pure functions of (circuit, seed).
-Noiseless circuits run on statevectors; as soon as the model introduces any
-non-unitary channel the run switches to density matrices.  Coherent-only
-noise (over-rotations, crosstalk) stays on the statevector path.
+register, and runs circuits as pure functions of (circuit, seed): on
+statevectors, or on density matrices as soon as the model introduces a
+non-unitary channel (coherent-only noise, over-rotations and crosstalk,
+stays on statevectors).  Per cycle it applies the ideal cycle unitary, then
+coherent CNOT rotations, then crosstalk rotations (hard cycles only), then
+each gate's stochastic Pauli channel, then damping (gate qubits for the
+gate's duration, idle qubits for the cycle's): after the unitary, one op
+list per cycle structure, its tail (``Executor._tail``).
 
-Per cycle the engine applies: the ideal cycle unitary, then coherent CNOT
-rotations, then crosstalk rotations (hard cycles only), then the stochastic
-Pauli channel of each gate, then damping (gate qubits for the gate's
-duration, idle qubits for the cycle duration).  Everything after the ideal
-unitary is one op list per cycle structure (``Executor._tail``).
-
-Circuits reach the kernel as a :class:`Batch`, which is its gate rows
-(``GateRows``): per code a structure index and gate codes into a small
-stack of gate matrices, and an integer grid of codes, one right-aligned row
-per circuit.  No layer reads a ``Cycle`` or ``Gate``; ``Batch.circuit``
-derives them for tests and callers that ask.  One kernel, ``Executor._run``,
-advances a stack of such rows of any structures and lengths, longest
-first, one grid column (a layer of codes) at a time, with one BLAS call of
-a single circuit's shape per circuit and op, so no state depends on its
-stack.  A column of monomial codes is one gather of the flattened stack
-through per-code signed permutations, read once per call off the codes'
-unitaries; any other column takes one ``Batch.unitaries`` build per
-structure.  ``run`` and ``advance`` compile one circuit; ``probabilities``,
-the one batched entry point (CB and RB), sorts a batch's rows longest first
-once, runs them ``CHUNK`` at a time and returns their outcome rows in input
-order, which ``measured_expectation`` scores.
+Circuits reach the kernel as a :class:`Batch`, its gate rows (``GateRows``)
+and an integer grid of codes into them, one right-aligned row per circuit.
+One kernel, ``Executor._run``, advances a stack of rows longest first, one
+grid column (a layer of codes) at a time, with one BLAS call of a single
+circuit's shape per circuit and op, so no state depends on its stack.  What
+a call learns on the way has one owner, the call's ``_Plan``: each
+structure's tail, and by code, through one lookup, each monomial cycle's
+signed permutation and the unitary of each cycle met in a layer of several
+structures.  ``run`` and ``advance`` compile one circuit; ``probabilities``,
+the one batched entry point (CB and RB), runs a batch's rows ``CHUNK`` at a
+time, longest first, and returns their outcome rows in input order, which
+``measured_expectation`` scores.
 """
 
 from __future__ import annotations
@@ -107,12 +102,29 @@ class GateRows:
         self.blocks.append(np.array(rows, dtype=np.int32).reshape(-1, 1 + len(self.register)))
 
     def block(self, structure: tuple, gates: np.ndarray) -> None:
-        s = self._structure(structure)
-        self.blocks.append(np.column_stack((np.full(len(gates), s), gates)).astype(np.int32))
+        s, hard = self._structure(structure), structure[0] == "hard"
+        if not (isinstance(gates, np.ndarray) and gates.dtype.kind in "iu"
+                and gates.shape[1:] == (len(structure[1]),)):
+            raise SimulationError(f"a block of {structure} takes one integer column per gate")
+        cnot = np.array([g.name == "CNOT" for g in self.gates])
+        if gates.size and (gates.min() < 0 or gates.max() >= len(cnot)):
+            raise SimulationError(f"block gate codes must lie in [0, {len(cnot)})")
+        # with _structure's check of the positions, this checks each gate's arity
+        if (cnot[gates] != hard).any():
+            raise SimulationError(f"{structure} holds a CNOT in an easy cycle or another gate in "
+                                  "a hard one")
+        pad = np.full((len(gates), len(self.register) - gates.shape[1]), -1)
+        self.blocks.append(np.column_stack((np.full(len(gates), s), gates, pad)).astype(np.int32))
 
     def _structure(self, structure: tuple) -> int:
         if structure not in self._structures:
-            outside = sorted({q for gate in structure[1] for q in gate} - set(self.register))
+            kind, gates = structure
+            used = [q for gate in gates for q in gate]
+            if (kind not in ("easy", "hard") or len(set(used)) < len(used)
+                    or any(len(g) != 1 + (kind == "hard") for g in gates)):
+                raise SimulationError(f"{structure} is not an easy cycle of one-qubit gates or a "
+                                      "hard one of qubit pairs, on distinct qubits")
+            outside = sorted(set(used) - set(self.register))
             if outside:
                 raise SimulationError(
                     f"a batch cycle uses qubits {outside} outside the register {self.register}"
@@ -227,12 +239,9 @@ class Batch:
 
     def unitaries(self, codes: Sequence[int]) -> np.ndarray:
         """The unitaries of table ``codes``, all of one structure, as a stack."""
-        return _cycle_unitaries(*self._operands(codes))
-
-    def _operands(self, codes: Sequence[int]) -> tuple:
-        """``_cycle_unitaries``' arguments for ``codes``."""
         positions = self.rows.positions[self.structure[codes[0]]]
-        return self.gates[codes, :len(positions)], self.mats, positions, len(self.register)
+        return _cycle_unitaries(self.gates[codes, :len(positions)], self.mats, positions,
+                                len(self.register))
 
     def __eq__(self, other) -> bool:
         """The same register and, row by row, equal circuits."""
@@ -255,7 +264,6 @@ class Executor:
         self.use_density = noise is not None and noise.introduces_channels(self.register)
         # (op key, positions) -> ("unitary", U) or ("kraus", superoperator)
         self._ops: dict = {}
-        self._tails: dict = {}
         self._parity: dict = {}
         self._readout = None
         self._prep: tuple = ()
@@ -334,27 +342,18 @@ class Executor:
             return np.outer(state.amplitudes, state.amplitudes.conj())[None]
         return state.amplitudes.reshape(1, -1, 1)
 
-    def _positions(self, qubits: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(self.register.index(q) for q in qubits)
-
     def _tail(self, structure: tuple) -> tuple:
         """The noise ops that follow the ideal unitary of a cycle of
         ``structure``, its kind and each gate's qubits, in order.
 
-        Each op is ``("unitary", U)`` or ``("kraus", S)`` with the matrix
-        already embedded in the register.  A tail depends on nothing else,
-        since the kind fixes each gate's class (hard cycles hold only CNOTs,
-        easy ones none): twirl draws that differ only in their single-qubit
-        gates share one tail.
+        Each op is ``("unitary", U)`` or ``("kraus", S)``, compiled once per
+        executor with the matrix already embedded in the register.  A tail
+        depends on nothing else, since the kind fixes each gate's class (hard
+        cycles hold only CNOTs, easy ones none): twirl draws that differ only
+        in their single-qubit gates share one tail.
         """
         if self.noise is None:
             return ()
-        tail = self._tails.get(structure)
-        if tail is None:
-            tail = self._tails[structure] = self._build_tail(structure)
-        return tail
-
-    def _build_tail(self, structure: tuple) -> tuple:
         kind, gates = structure
         hard = kind == "hard"
         gate_class = "cnot" if hard else "single_qubit"
@@ -367,7 +366,7 @@ class Executor:
                 if rot is not None and rot[1] != 0.0:
                     axis, angle = rot
                     ops.append(self._unitary(
-                        ("rot", axis, angle), self._positions(pair),
+                        ("rot", axis, angle), tuple(map(self.register.index, pair)),
                         lambda: coherent_overrotation(axis, angle),
                     ))
             # spectator crosstalk
@@ -376,7 +375,7 @@ class Executor:
                 if frozenset(term.pair) in fired and term.spectator in self.register:
                     ops.append(self._unitary(
                         ("rot", "ZZ", term.angle),
-                        self._positions((term.pair[0], term.spectator)),
+                        (self.register.index(term.pair[0]), self.register.index(term.spectator)),
                         lambda: coherent_overrotation("ZZ", term.angle),
                     ))
 
@@ -386,7 +385,7 @@ class Executor:
             probs = noise.gate_pauli_probs(gate_class, pair)
             if probs and any(p > 0 for p in probs.values()):
                 ops.append(self._kraus(
-                    ("pauli", gate_class, pair), self._positions(qubits),
+                    ("pauli", gate_class, pair), tuple(map(self.register.index, qubits)),
                     lambda: pauli_channel(probs),
                 ))
 
@@ -417,15 +416,12 @@ class Executor:
         starts = (grid < 0).sum(axis=1).tolist()
         # run and advance pass views of the caller's state
         state = state.copy()
-        # unitaries kept for this stack (``_unitaries``)
-        kept = _Rows(len(plan.batch.structure))
         for t, column in enumerate(np.ascontiguousarray(grid.T)):
             a = bisect_right(starts, t)
-            state[:a] = self._apply_layer(state[:a], column[:a], plan, kept)
+            state[:a] = self._apply_layer(state[:a], column[:a], plan)
         return state
 
-    def _apply_layer(self, state: np.ndarray, column: np.ndarray, plan: "_Plan",
-                     kept: "_Rows") -> np.ndarray:
+    def _apply_layer(self, state: np.ndarray, column: np.ndarray, plan: "_Plan") -> np.ndarray:
         """One cycle per row of a stack, by its code in ``column``: its ideal
         unitary, then its structure's tail."""
         batch = plan.batch
@@ -434,7 +430,7 @@ class Executor:
         if batch.monomial[column].all():
             state = plan.permute(state, column)
         else:
-            state = _conjugate(state, self._unitaries(column, one, plan, kept))
+            state = _conjugate(state, plan.unitaries(column, one))
         if one:
             return self._apply_tail(state, plan.tails[structures[0]])
         # each structure's tail on its own rows
@@ -443,36 +439,6 @@ class Executor:
                 rows = np.flatnonzero(structures == s)
                 state[rows] = self._apply_tail(state[rows], tail)
         return state
-
-    def _unitaries(self, column: np.ndarray, one: bool, plan: "_Plan",
-                   kept: "_Rows") -> np.ndarray:
-        """The ideal unitaries of a layer's cycles, one matrix or one per
-        row, from one ``Batch.unitaries`` build per structure; ``one`` says
-        the layer has a single structure.
-
-        ``kept`` holds a layer's lone cycle and every cycle of a layer of
-        several structures (RB's few gate cycles).  A layer of one structure,
-        such as a C1-twirl layer of mostly new cycles, is built whole and
-        keeps none: merging kept ones in cost more than it saved."""
-        batch = plan.batch
-        lone = bool((column == column[0]).all())
-        if lone or not one:
-            rows = kept.row[column]
-            if rows.min() < 0:
-                for group in _by_structure(batch, column[rows < 0]):
-                    kept.add(group, batch.unitaries(group))
-                rows = kept.row[column]
-            (u,) = kept.stacks
-            return u[rows[0]] if lone else u[rows]
-        codes = column.tolist()
-        # distinct codes in order of first appearance
-        distinct = dict.fromkeys(codes)
-        if len(distinct) == len(codes):
-            # every row's own cycle: built in row order, used without a gather
-            return batch.unitaries(column)
-        u = batch.unitaries(list(distinct))
-        slot = {code: i for i, code in enumerate(distinct)}
-        return u[np.fromiter(map(slot.__getitem__, codes), np.intp, len(codes))]
 
     def _apply_tail(self, state: np.ndarray, tail: tuple) -> np.ndarray:
         """A tail's compiled ops on a stack."""
@@ -588,15 +554,6 @@ def _wrap(state: np.ndarray) -> State:
     return DensityMatrix(state) if state.shape[-1] != 1 else StateVector(state[:, 0])
 
 
-def _by_structure(batch: Batch, codes: np.ndarray) -> list[list[int]]:
-    """The distinct ``codes`` in order of first appearance, grouped by
-    structure."""
-    groups: dict[int, list[int]] = {}
-    for code in dict.fromkeys(codes.tolist()):
-        groups.setdefault(int(batch.structure[code]), []).append(code)
-    return list(groups.values())
-
-
 class _Rows:
     """Arrays stored by code: ``row[code]`` is the code's row in each of
     ``stacks``, -1 until ``add``.  The stacks double as they fill; one row per
@@ -626,27 +583,43 @@ class _Rows:
 
 
 class _Plan:
-    """What one call learns about a batch, indexed by code: the signed
-    permutations of its monomial cycles, in the form of the stack they act
-    on, built as they are first met; and each structure's ``tail``, looked
-    up once."""
+    """What one ``run``, ``advance`` or ``probabilities`` call learns about a
+    batch, kept until it returns: each structure's ``tail``, built when the
+    plan is made, and two stores by code, filled as codes are first met: the
+    signed permutation of each monomial cycle, in the form of the stack it
+    acts on, and the unitary of each cycle met in a layer of several
+    structures."""
 
     def __init__(self, batch: Batch, density: bool, tail):
         self.batch = batch
+        self.density = density
         self.tails = list(map(tail, batch.rows.structures))
         self.signed = _Rows(len(batch.structure))
-        self.density = density
+        self.kept = _Rows(len(batch.structure))
 
-    def store(self, codes: list[int]) -> None:
-        """Record the ``U[i, perm[i]] = phase[i]`` of each monomial cycle of
-        ``codes``, all of one structure, read off its built unitary, as a
-        gather of the flattened state: on a density, ``(U rho U^H)[i, j] =
-        phase[i] rho[perm[i], perm[j]] conj(phase[j])``."""
-        perm, phase = _unit_monomial(_cycle_unitaries(*self.batch._operands(codes)))
+    def _rows(self, store: _Rows, column: np.ndarray, build) -> np.ndarray:
+        """``store``'s row for each code of ``column``.  The codes it lacks
+        are built first, one ``Batch.unitaries`` call per structure in order
+        of first appearance, and stored as ``build`` of their unitaries."""
+        rows = store.row[column]
+        if rows.min() < 0:
+            groups: dict[int, list[int]] = {}
+            for code in dict.fromkeys(column[rows < 0].tolist()):
+                groups.setdefault(int(self.batch.structure[code]), []).append(code)
+            for codes in groups.values():
+                store.add(codes, *build(self.batch.unitaries(codes)))
+            rows = store.row[column]
+        return rows
+
+    def _signed(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The ``U[i, perm[i]] = phase[i]`` of each monomial unitary of ``u``
+        as a gather of the flattened state: on a density, ``(U rho U^H)[i, j]
+        = phase[i] rho[perm[i], perm[j]] conj(phase[j])``."""
+        perm, phase = _unit_monomial(u)
         if self.density:
             perm = perm[:, :, None] * perm.shape[1] + perm[:, None, :]
             phase = phase[:, :, None] * phase.conj()[:, None, :]
-        self.signed.add(codes, perm.reshape(len(codes), -1), phase.reshape(len(codes), -1))
+        return perm.reshape(len(u), -1), phase.reshape(len(u), -1)
 
     def permute(self, state: np.ndarray, column: np.ndarray) -> np.ndarray:
         """Monomial cycle unitaries, one per row by its code, as one gather
@@ -656,11 +629,7 @@ class _Plan:
         and unit-phase products are exact, so every nonzero entry is
         bit-identical to it; only the sign of an exact zero may differ.
         """
-        rows = self.signed.row[column]
-        if rows.min() < 0:
-            for group in _by_structure(self.batch, column[rows < 0]):
-                self.store(group)
-            rows = self.signed.row[column]
+        rows = self._rows(self.signed, column, self._signed)
         flat = state.reshape(len(state), -1)
         perm, phase = self.signed.stacks
         if (rows == rows[0]).all():
@@ -670,3 +639,25 @@ class _Plan:
             offsets = np.arange(0, flat.size, flat.shape[1])[:, None]
             out = flat.take(perm[rows] + offsets) * phase[rows]
         return out.reshape(state.shape)
+
+    def unitaries(self, column: np.ndarray, one: bool) -> np.ndarray:
+        """The ideal unitaries of a layer's cycles, one per row; ``one`` says
+        the layer has a single structure.
+
+        A layer of several structures (RB's few gate cycles, the CB target
+        beside shorter rows' preparations) reads the unitaries kept for the
+        call.  A layer of one structure, such as a C1-twirl layer of mostly
+        new cycles, builds its distinct cycles in one call and keeps none:
+        merging kept ones in cost more than it saved."""
+        if not one:
+            rows = self._rows(self.kept, column, lambda u: (u,))
+            return self.kept.stacks[0][rows]
+        codes = column.tolist()
+        # distinct codes in order of first appearance
+        distinct = dict.fromkeys(codes)
+        if len(distinct) == len(codes):
+            # every row's own cycle: built in row order, used without a gather
+            return self.batch.unitaries(column)
+        u = self.batch.unitaries(list(distinct))
+        slot = {code: i for i, code in enumerate(distinct)}
+        return u[np.fromiter(map(slot.__getitem__, codes), np.intp, len(codes))]

@@ -277,8 +277,11 @@ class NoiseModel:
             if np.any(np.abs(m.sum(axis=1) - 1.0) > 1e-12):
                 raise NoiseModelError(f"readout({q}) rows do not sum to 1")
         for cls, probs in self.pauli_errors.items():
-            if cls not in (SINGLE_QUBIT, CNOT) and not re.fullmatch(r"cnot:\d+-\d+", cls):
+            pair = re.fullmatch(r"cnot:(\d+)-(\d+)", cls)
+            if cls not in (SINGLE_QUBIT, CNOT) and not pair:
                 raise NoiseModelError(f"unknown gate class {cls!r} in pauli_errors")
+            if pair and int(pair[1]) == int(pair[2]):
+                raise NoiseModelError(f"pauli_errors class {cls!r} pairs a qubit with itself")
             total, n = 0.0, 1 if cls == SINGLE_QUBIT else 2
             for letters, p in probs.items():
                 if not (math.isfinite(p) and p >= 0):
@@ -298,17 +301,20 @@ class NoiseModel:
             if not 0 <= p <= 1:
                 raise NoiseModelError(f"prep flip({q}) = {p} outside [0, 1]")
         for key, (axis, angle) in self.cnot_rotation.items():
-            if key != "*" and not re.fullmatch(r"\d+-\d+", key):
+            pair = re.fullmatch(r"(\d+)-(\d+)", key)
+            if key != "*" and not pair:
                 raise NoiseModelError(f"cnot_rotation key {key!r} is neither '*' nor 'a-b'")
+            if pair and int(pair[1]) == int(pair[2]):
+                raise NoiseModelError(f"cnot_rotation key {key!r} pairs a qubit with itself")
             if not re.fullmatch(r"[+-]?[IXYZ]{2}", axis) or axis.endswith("II"):
                 raise NoiseModelError(f"cnot_rotation({key}) axis {axis!r} is not a 2-qubit "
                                       "non-identity Pauli string")
             if not math.isfinite(angle):
                 raise NoiseModelError(f"cnot_rotation({key}) angle = {angle} must be finite")
         for term in self.crosstalk:
-            if len(term.pair) != 2 or term.spectator in term.pair:
-                raise NoiseModelError(f"crosstalk pair {term.pair} must be two qubits other "
-                                      f"than the spectator {term.spectator}")
+            if len(term.pair) != 2 or term.pair[0] == term.pair[1] or term.spectator in term.pair:
+                raise NoiseModelError(f"crosstalk pair {term.pair} must be two qubits, distinct "
+                                      f"and other than the spectator {term.spectator}")
             if not math.isfinite(term.angle):
                 raise NoiseModelError(
                     f"crosstalk({term.pair}, {term.spectator}) angle = {term.angle} must be finite"

@@ -365,7 +365,8 @@ def reference_clifford_inverse_word(n: int, gates, group=None):
 def reference_make_cb(cycle, m_list, n_random, n_decays, twirl="pauli", seed=0,
                       register=None):
     """CB collection built cycle by cycle, with m draws of n twirl indices
-    per stream and the frame pushed through propagate_through_cycles."""
+    per stream and the frame pushed through propagate_through_cycles, and
+    the ``Circuit`` objects it was built from, in index order."""
     from cyclebench import pauli as pl
     from cyclebench.bench import CbCircuit, CbCollection, sample_decay_terms
     from cyclebench.circuits import Circuit, Cycle, Gate, propagate_through_cycles
@@ -416,7 +417,7 @@ def reference_make_cb(cycle, m_list, n_random, n_decays, twirl="pauli", seed=0,
         cycle=cycle, register=tuple(register), twirl=twirl, m_list=tuple(m_list),
         n_random=n_random, n_decays=len(decays), seed=seed, circuits=tuple(records),
         batch=Batch.of(register, circuits),
-    )
+    ), circuits
 
 
 def reference_run(executor, circuit, initial=None, prepare=True):

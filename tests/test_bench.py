@@ -34,6 +34,11 @@ import oracles
 CNOT01 = layout_cycles(1, 2)
 
 
+def _derived(coll):
+    """The circuits that a collection's batch derives from its gate rows."""
+    return [coll.batch.circuit(k) for k in range(len(coll.batch))]
+
+
 class TestMakeCb:
     def test_collection_shape_and_metadata(self):
         coll = make_cb(CNOT01, (2, 10, 22), 48, 16, seed=3)
@@ -162,8 +167,10 @@ class TestMakeCb:
         for seed, n_random in ((0, 3), (1, 3), (2, 3), (3, 1)):
             args = (cycle, (0, 1, 3, 5), n_random, 4)
             got = make_cb(*args, twirl=twirl, seed=seed, register=register)
-            ref = oracles.reference_make_cb(*args, twirl=twirl, seed=seed, register=register)
+            ref, circuits = oracles.reference_make_cb(*args, twirl=twirl, seed=seed,
+                                                      register=register)
             assert got == ref
+            assert _derived(got) == circuits
 
     @pytest.mark.parametrize("twirl", ["pauli", "c1"])
     def test_cb2q_shape_matches_string_reference(self, twirl):
@@ -171,7 +178,9 @@ class TestMakeCb:
         up to 22), with fewer circuits per length."""
         args = (CNOT01, (2, 10, 22), 6, 16)
         got = make_cb(*args, twirl=twirl, seed=11)
-        assert got == oracles.reference_make_cb(*args, twirl=twirl, seed=11)
+        ref, circuits = oracles.reference_make_cb(*args, twirl=twirl, seed=11)
+        assert got == ref
+        assert _derived(got) == circuits
 
     def test_rejects_repeated_length(self):
         """A repeat would build each of its circuits twice from one stream."""

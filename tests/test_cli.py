@@ -693,6 +693,17 @@ def test_readme_config_is_the_benchmark_config(monkeypatch):
     assert repr(config_from_dict(readme)) == repr(bench)
 
 
+def test_readme_config_with_a_one_qubit_crosstalk_pair_returns_one(tmp_path, capsys):
+    """The README's config with its crosstalk pair on one qubit loaded and
+    ran, though no CNOT could fire the term."""
+    cfg = tiny_readme_config()
+    cfg["out"] = str(tmp_path / "out")
+    cfg["noise"]["crosstalk"][0]["pair"] = [7, 7]
+    assert main(["cb", "--config", str(write_config(tmp_path, cfg))]) == 1
+    assert "crosstalk pair (7, 7)" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @settings(max_examples=120, deadline=None)
 @given(st.sampled_from(list(leaf_paths(tiny_readme_config()))), st.sampled_from(MUTATIONS))
 def test_mutated_config_fails_at_load_or_simulates(path, mutation):

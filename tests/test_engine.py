@@ -258,12 +258,27 @@ def _gate_rows(register, table):
 
 
 def _spy_builds(monkeypatch):
-    """The gates of every cycle whose unitary ``Batch.unitaries`` builds,
-    the dense path of a layer, in build order."""
-    built = []
-    original = Batch.unitaries
-    monkeypatch.setattr(Batch, "unitaries", lambda self, codes: built.extend(
-        self.cycle(c).gates for c in codes) or original(self, codes))
+    """The gates of every cycle whose unitary ``Batch.unitaries`` builds for
+    ``_Plan.unitaries``, the matmul path of a layer, in build order; the
+    builds that ``_Plan.permute`` reads signed permutations off are not
+    counted."""
+    built, inside = [], []
+    build, matmul_path = Batch.unitaries, engine._Plan.unitaries
+
+    def spy_build(self, codes):
+        if inside:
+            built.extend(self.cycle(c).gates for c in codes)
+        return build(self, codes)
+
+    def spy_matmul_path(self, column, one):
+        inside.append(column)
+        try:
+            return matmul_path(self, column, one)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(Batch, "unitaries", spy_build)
+    monkeypatch.setattr(engine._Plan, "unitaries", spy_matmul_path)
     return built
 
 
@@ -560,7 +575,7 @@ class TestBatchedExecution:
             crosstalk=(CrosstalkTerm((6, 7), 11, 0.2),),
             prep_flip={7: 0.02},
         )
-        coll = oracles.reference_make_cb(
+        coll, _ = oracles.reference_make_cb(
             Cycle("hard", (Gate("CNOT", (6, 7)),)), (0, 1, 3), 3, 3, "c1", seed=4,
             register=(11, 6, 7),
         )
@@ -616,9 +631,9 @@ class TestBatchedExecution:
         first, second = sorted(pair, key=id, reverse=True)
         circuits = [Circuit((0, 1), (c,)) for c in (first, second, first, second)]
         calls = []
-        original = engine._Plan.store
-        monkeypatch.setattr(engine._Plan, "store", lambda self, codes: calls.append(
-            [self.batch.cycle(c) for c in codes]) or original(self, codes))
+        original = Batch.unitaries
+        monkeypatch.setattr(Batch, "unitaries", lambda self, codes: calls.append(
+            [self.cycle(c) for c in codes]) or original(self, codes))
         _probabilities(Executor((0, 1)), circuits)
         assert calls == [[first, second]]
 
@@ -669,13 +684,17 @@ class TestBatchedExecution:
             assert any(len({c.structure for c in layer}) > 1 for layer in layers)
 
     def test_tails_are_interned_by_structure(self):
+        """Cycles of one structure get equal tails whose ops are the same
+        compiled objects; another structure gets other ops."""
         noise = NoiseModel(pauli_errors={"cnot": {"XX": 0.05}, "single_qubit": {"Z": 0.01}})
         ex = Executor((0, 1), noise)
         a = Cycle("easy", (Gate("X", (0,)), Gate("H", (1,))))
         b = Cycle("easy", (Gate("C1", (0,), 5), Gate("S", (1,))))
-        assert ex._tail(a.structure) is ex._tail(b.structure)
-        hard = Cycle("hard", (Gate("CNOT", (0, 1)),))
-        assert ex._tail(hard.structure) is not ex._tail(a.structure)
+        tail = ex._tail(a.structure)
+        assert len(tail) == 2
+        assert all(p is q for p, q in zip(tail, ex._tail(b.structure), strict=True))
+        hard = ex._tail(Cycle("hard", (Gate("CNOT", (0, 1)),)).structure)
+        assert len(hard) == 1 and all(hard[0] is not op for op in tail)
 
 
 # ---------------------------------------------------------------------------
@@ -862,6 +881,41 @@ class TestGateRows:
         # both kinds of code occur: the CNOT is monomial, some C1 rotations are not
         assert set(flags) == {True, False}
 
+    @pytest.mark.parametrize("structure, gates, message", [
+        (("weird", ((0,),)), np.array([[0]]), "not an easy cycle"),
+        (("easy", ((0,), (0,))), np.array([[0, 0]]), "on distinct qubits"),
+        (("hard", ((0, 1),)), np.array([[0]]), "another gate in a hard one"),
+        (("easy", ((0,),)), np.array([[2]]), "a CNOT in an easy cycle"),
+        (("easy", ((0, 1),)), np.array([[2]]), "one-qubit gates"),
+        (("hard", ((0,),)), np.array([[2]]), "qubit pairs"),
+        (("easy", ((0,), (1,))), np.array([[0]]), "one integer column per gate"),
+        (("easy", ((0,),)), np.array([0]), "one integer column per gate"),
+        (("easy", ((0,),)), np.array([[0.0]]), "one integer column per gate"),
+        (("easy", ((0,),)), [[0]], "one integer column per gate"),
+        (("easy", ((0,),)), np.array([[5]]), r"lie in \[0, 3\)"),
+        (("easy", ((0,),)), np.array([[-3]]), r"lie in \[0, 3\)"),
+    ], ids=["kind", "overlap", "hard-non-cnot", "easy-cnot", "pair-in-easy", "cnot-on-one",
+            "short-row", "1-D", "float", "list", "code-5", "code-minus-3"])
+    def test_block_rejects_malformed_rows(self, structure, gates, message):
+        """``Batch(register, rows, codes)`` is public and ``block`` is how a
+        producer hands rows over: each of these used to fail deep in the
+        kernel (IndexError, TypeError, ValueError) or run silently."""
+        rows = GateRows((0, 1), (Gate("X", (0,)), Gate("H", (0,)), Gate("CNOT", (0, 1))))
+        with pytest.raises(SimulationError, match=message):
+            rows.block(structure, gates)
+
+    def test_block_narrower_than_the_register(self):
+        """A block's rows are padded to the register with -1; they used to
+        fail at ``Batch`` with a ValueError."""
+        rows = GateRows((0, 1, 2), (Gate("X", (0,)), Gate("H", (0,))))
+        rows.block(("easy", ((2,),)), np.array([[1], [0]]))
+        batch = Batch((0, 1, 2), rows, np.array([[0, 1]]))
+        circuit = Circuit((0, 1, 2), (Cycle("easy", (Gate("H", (2,)),)),
+                                      Cycle("easy", (Gate("X", (2,)),))))
+        assert batch.circuit(0) == circuit
+        assert np.array_equal(Executor((0, 1, 2)).probabilities(batch),
+                              _probabilities(Executor((0, 1, 2)), [circuit]))
+
 
 # ---------------------------------------------------------------------------
 # Circuits of any structures and lengths in one stack
@@ -973,6 +1027,32 @@ class TestMixedStacks:
             ex = Executor((0, 1), model)
             for state, c in zip(_run_states(ex, circuits), circuits, strict=True):
                 assert np.array_equal(_final(state), _final(oracles.reference_run(ex, c)))
+
+    def test_kept_unitaries_live_for_the_whole_call(self, monkeypatch):
+        """Every layer of every stack of seven here mixes two structures and
+        holds a cycle that is not monomial, so it reads the unitaries kept
+        for the call: each cycle's unitary is built once per
+        ``probabilities`` call, not once per stack."""
+        h0 = Cycle("easy", (Gate("H", (0,)),))
+        rz1 = Cycle("easy", (Gate("RZ", (1,), 0.3),))
+        cnot = Cycle("hard", (Gate("CNOT", (0, 1)),))
+        circuits = [Circuit((0, 1), (h0, cnot, rz1) if i % 2 else (rz1, h0, cnot))
+                    for i in range(20)]
+        monkeypatch.setattr(engine, "CHUNK", 7)
+        stacks = list(_stack_layers(circuits))
+        assert len(stacks) == 3
+        assert all(len({c.structure for c in layer}) == 2 for stack in stacks for layer in stack)
+        built = []
+        original = Batch.unitaries
+        monkeypatch.setattr(Batch, "unitaries", lambda self, codes: built.extend(
+            self.cycle(c) for c in codes) or original(self, codes))
+        ex = Executor((0, 1), NoiseModel(pauli_errors={"cnot": {"XZ": 0.03}}))
+        expected = [oracles.reference_probabilities(ex, oracles.reference_run(ex, c))
+                    for c in circuits]
+        for _ in range(2):
+            built.clear()
+            assert np.array_equal(_probabilities(ex, circuits), expected)
+            assert len(built) == 3 and set(built) == {h0, rz1, cnot}
 
 
 # ---------------------------------------------------------------------------
@@ -1096,7 +1176,8 @@ class TestMonomialLayers:
         layers keep the matmul path.  A stack that straddles two lengths has
         layers that mix the CNOT with the shorter rows' preparations: one that
         also holds a cycle that is not monomial takes the matmul path, so the
-        CNOT's unitary is built there, once per stack."""
+        CNOT's unitary is built there, once per call however many stacks
+        straddle."""
         noise = NoiseModel(pauli_errors={"cnot": {"XZ": 0.03}}, t1={0: 50.0},
                            durations={"cnot": 100.0})
         target = Cycle("hard", (Gate("CNOT", (0, 1)),))
@@ -1118,7 +1199,7 @@ class TestMonomialLayers:
                     c.gates, ex.register)) is None for c in layer) for layer in stack)
                 for stack in _stack_layers(circuits)
             )
-            assert looked_up.count(target.gates) == straddling
+            assert looked_up.count(target.gates) == min(straddling, 1)
             assert straddling == stacks
             names = {g.name for gates in looked_up if gates != target.gates for g in gates}
             assert "CNOT" not in names

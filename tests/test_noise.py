@@ -256,6 +256,22 @@ class TestNoiseModel:
             NoiseModel(**kwargs)
 
     @pytest.mark.parametrize(
+        "kwargs, named",
+        [
+            ({"crosstalk": (CrosstalkTerm((3, 3), 1, 0.1),)}, "crosstalk pair (3, 3)"),
+            ({"cnot_rotation": {"2-2": ("ZZ", 0.05)}}, "cnot_rotation key '2-2'"),
+            ({"cnot_rotation": {"*": ("ZZ", 0.05), "1-01": ("XI", 0.1)}}, "key '1-01'"),
+            ({"pauli_errors": {"cnot:4-4": {"ZZ": 0.01}}}, "class 'cnot:4-4'"),
+        ],
+        ids=["crosstalk", "rotation", "rotation-leading-zero", "pauli-class"],
+    )
+    def test_rejects_cnot_terms_on_one_qubit(self, kwargs, named):
+        """A CNOT takes two distinct qubits, so none of these terms could
+        ever fire; each used to be accepted."""
+        with pytest.raises(NoiseModelError, match=re.escape(named)):
+            NoiseModel(**kwargs)
+
+    @pytest.mark.parametrize(
         "data, named",
         [
             ({"readout": {0: 0.1}}, "readout in noise"),
