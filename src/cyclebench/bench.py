@@ -131,12 +131,6 @@ def _twirl_alphabet(twirl: str) -> tuple[tuple[tuple[str, int | None], ...], np.
     return alphabet, image, sign
 
 
-def _basis_cycle(letters: str, register: tuple[int, ...], c1) -> Cycle:
-    """One easy cycle of the C1 element ``c1`` gives each letter: the
-    preparation (``pl.c1_preparing``) or the inversion (``pl.c1_measuring``)."""
-    return Cycle("easy", tuple(Gate("C1", (register[i],), c1(c)) for i, c in enumerate(letters)))
-
-
 def _check_integer(what: str, v, least: int | None = None, error=ProtocolError) -> None:
     if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
         raise error(f"{what} must be an integer, got {v!r}")
@@ -190,10 +184,11 @@ def make_cb(
     one batch of gate rows (the target, each decay term's preparation, each
     distinct twirl draw, each distinct final frame's inversion) and each
     circuit is one row of codes in ``CbCollection.batch``, filled by array
-    writes: a length's twirl codes come from one ``np.unique`` over its draw
-    keys, the inversion codes from one over all final frames.  A new twirl
-    draw's picks are its gate row (``GateRows.block``); no ``Cycle`` is
-    built for it.
+    writes: a length's twirl codes come from one ``np.unique`` over the draw
+    keys seen so far and its own, the inversion codes from one over all
+    final frames.  A new twirl draw's picks are its gate row
+    (``GateRows.block``), and so are the preparations and inversions: no
+    ``Cycle`` is built but the target.
     """
     if twirl not in TWIRL_GROUPS:
         raise ProtocolError(f"twirl must be one of {TWIRL_GROUPS}")
@@ -229,18 +224,23 @@ def make_cb(
     # every easy cycle here holds one gate per register qubit, in register order
     structure = ("easy", tuple((q,) for q in register))
     # the batch's gate rows, in code order; gate code a is alphabet entry a,
-    # so a twirl draw's picks are its row
-    gate_rows = GateRows(register, (Gate(name, register[:1], param) for name, param in alphabet))
-    gate_rows.cycles((cycle, *(_basis_cycle(p.letters, register, pl.c1_preparing)
-                               for p in decays)))
-    twirl_code: dict[int, int] = {}  # by draw key
+    # so a twirl draw's picks are its row, and the C1 element of each letter's
+    # preparation and inversion follow (letter code -> gate code)
+    basis = [("C1", c1(c)) for c1 in (pl.c1_preparing, pl.c1_measuring) for c in pl.LETTERS]
+    named = list(dict.fromkeys((*alphabet, *basis)))
+    gate_rows = GateRows(register, (Gate(name, register[:1], param) for name, param in named))
+    preparing, measuring = np.array(list(map(named.index, basis))).reshape(2, len(pl.LETTERS))
+    prepared = np.array([pl.pauli_index(p.letters) for p in decays])
+    gate_rows.cycles((cycle,))
+    gate_rows.block(structure, preparing[letter_codes[prepared]])
+    seen = np.empty(0, dtype=np.int64)  # twirl draw keys, in code order
     # codes: 0 the target, 1 + d decay term d's preparation, then the twirl
     # draws, then the inversions; each row right-aligned behind -1
     width = 2 * max(m_list) + 2
     grid = np.full((len(streams), width), -1, dtype=np.int32)
     final = np.empty(len(streams), dtype=np.int64)
     final_sign = np.empty(len(streams), dtype=np.int64)
-    start = np.repeat([pl.pauli_index(p.letters) for p in decays], n_random)
+    start = np.repeat(prepared, n_random)
     for mi, m in enumerate(m_list):
         rows = ((np.arange(n_d)[:, None] * n_m + mi) * n_random + np.arange(n_random)).ravel()
         # one draw of m * n per stream reads the same values as m draws of n
@@ -255,34 +255,35 @@ def make_cb(
             sign *= hard.sign[frame]
             frame = hard.image[frame]
         final[rows], final_sign[rows] = frame, sign
-        # this length's twirl codes, new draws numbered in key order
+        # this length's twirl codes: a seen key's first index is its code,
+        # and new keys are numbered in key order after the seen ones
         flat = draws.reshape(-1, n)
-        keys, first, inverse = np.unique(flat @ draw_place, return_index=True, return_inverse=True)
-        known = len(twirl_code)
-        codes = np.fromiter((twirl_code.setdefault(k, len(twirl_code)) for k in keys.tolist()),
-                            np.int32, len(keys))
-        gate_rows.block(structure, flat[first[codes >= known]])
+        known = len(seen)
+        keys, first, inverse = np.unique(np.concatenate((seen, flat @ draw_place)),
+                                         return_index=True, return_inverse=True)
+        new = first >= known
+        gate_rows.block(structure, flat[first[new] - known])
+        seen = np.concatenate((seen, keys[new]))
+        first[new] = np.arange(known, len(seen))
         # each row: preparation, m times (twirl, cycle), inversion
         lo = width - 2 * m - 2
         grid[rows, lo] = 1 + rows // (n_m * n_random)
-        grid[rows, lo + 1:-1:2] = (1 + n_d + codes[inverse]).reshape(len(rows), m)
+        grid[rows, lo + 1:-1:2] = (1 + n_d + first[inverse[known:]]).reshape(len(rows), m)
         grid[rows, lo + 2:-1:2] = 0
 
     # return_index makes np.unique a stable sort: numpy's default sort would
     # page in about 0.3 MB of kernels that nothing else uses
     frames, _, inversion_codes = np.unique(final, return_index=True, return_inverse=True)
-    grid[:, -1] = 1 + n_d + len(twirl_code) + inversion_codes
-    gate_rows.cycles(_basis_cycle(pl.pauli_letters(f, n), register, pl.c1_measuring)
-                     for f in frames.tolist())
+    grid[:, -1] = 1 + n_d + len(seen) + inversion_codes
+    gate_rows.block(structure, measuring[letter_codes[frames]])
 
-    # the inversion cycle maps each non-identity letter to +Z
-    signed, _, observable_codes = np.unique(2 * final + (final_sign > 0), return_index=True,
+    # the inversion cycle maps each non-identity letter to +Z, so a circuit
+    # measures the Z/I string of its final frame's support (at most 2^n)
+    measured = (letter_codes[final] > 0) @ (3 * place)
+    signed, _, observable_codes = np.unique(2 * measured + (final_sign > 0), return_index=True,
                                             return_inverse=True)
-    observables = [
-        PauliString("".join("I" if c == "I" else "Z" for c in pl.pauli_letters(k >> 1, n)),
-                    1 if k & 1 else -1)
-        for k in signed.tolist()
-    ]
+    observables = [PauliString(pl.pauli_letters(k >> 1, n), 1 if k & 1 else -1)
+                   for k in signed.tolist()]
     circuits = tuple(map(
         CbCircuit,
         [p for p in decays for _ in range(n_m * n_random)],

@@ -131,9 +131,38 @@ def gate_matrix(gate: Gate) -> np.ndarray:
     return pl.GATE_MATRICES[gate.name]
 
 
-# cycles per block of _cycle_unitaries: its temporaries (64 KB at n = 4) stay
-# under glibc's 128 KB mmap threshold and reuse heap pages instead of faulting
-_BLOCK = 32
+def _block(n: int) -> int:
+    """Cycles per block of ``_cycle_unitaries`` on n qubits: temporaries of
+    at most 64 KB, under glibc's 128 KB mmap threshold, reuse heap pages."""
+    return max(1, 8192 // 4**n)
+
+
+class _Rows:
+    """Arrays stored by code: ``row[code]`` is the code's row in each of
+    ``stacks``, -1 until ``add``.  The stacks double as they fill; one row per
+    code would be an allocation large enough to raise glibc's mmap threshold
+    when freed, and then heap pages pile up."""
+
+    def __init__(self, codes: int):
+        self.row = np.full(codes, -1, dtype=np.int32)
+        self.stacks: list[np.ndarray] = []
+        self.count = 0
+
+    def add(self, codes: list[int], *values: np.ndarray) -> None:
+        """Store row i of each of ``values`` as code ``codes[i]``'s."""
+        end = self.count + len(codes)
+        size = len(self.stacks[0]) if self.stacks else 8
+        while size < end:
+            size *= 2
+        if not self.stacks:
+            self.stacks = [np.empty((size, *v.shape[1:]), dtype=v.dtype) for v in values]
+        elif size > len(self.stacks[0]):
+            # np.resize repeats the rows, which later adds overwrite
+            self.stacks = [np.resize(a, (size, *a.shape[1:])) for a in self.stacks]
+        for a, v in zip(self.stacks, values):
+            a[self.count:end] = v
+        self.row[codes] = np.arange(self.count, end)
+        self.count = end
 
 
 @functools.lru_cache(maxsize=1024)
@@ -156,7 +185,8 @@ def _flat_matrices(gates: Sequence[Gate]) -> np.ndarray:
 
 
 def _cycle_unitaries(rows: np.ndarray, mats: tuple[np.ndarray, np.ndarray],
-                     positions: tuple[tuple[int, ...], ...], n: int) -> np.ndarray:
+                     positions: tuple[tuple[int, ...], ...], n: int,
+                     pairs: _Rows | None = None) -> np.ndarray:
     """Unitaries of cycles that share one structure, gates at ``positions``
     (register indices, one tuple per gate, all of one arity k), as a
     ``(b, 2^n, 2^n)`` stack: row i of the ``(b, m)`` ``rows`` holds cycle
@@ -169,9 +199,12 @@ def _cycle_unitaries(rows: np.ndarray, mats: tuple[np.ndarray, np.ndarray],
     its own on every CPU; numpy's complex multiply, ``np.kron`` and a BLAS
     matmul chain may fuse them, depending on the kernel, and differ in the
     last bit.  CNOT entries are 0 and 1, so hard-cycle products are exact.
-    When the gates cover the register every entry is a product, placed by
-    one gather (``_gather``); otherwise ``sim._scatter`` places the
-    products among zeros.
+    A row of two one-qubit gates or more starts from the product of its
+    first two, kept in ``pairs`` (a fresh store if None) by the pair code
+    ``g0 * len(mats[0]) + g1`` and built by the same ``_times`` when first
+    met; other rows start from their first gate.  When the gates cover the
+    register every entry is a product, placed by one gather (``_gather``);
+    otherwise ``sim._scatter`` places the products among zeros.
     """
     b, m = rows.shape
     if m == 0:
@@ -180,6 +213,14 @@ def _cycle_unitaries(rows: np.ndarray, mats: tuple[np.ndarray, np.ndarray],
     mr, mi = (part[:, :4**k] for part in mats)
     # (m, b): gate t of every cycle in row t
     code = np.ascontiguousarray(rows.T)
+    first, start, sr, si = 1, code[0], mr, mi
+    if k == 1 and m > 1:
+        pairs = _Rows(len(mr) ** 2) if pairs is None else pairs
+        pair = code[0] * len(mr) + code[1]
+        if new := list(dict.fromkeys(pair[pairs.row[pair] < 0].tolist())):
+            g0, g1 = np.divmod(new, len(mr))
+            pairs.add(new, *_times(mr, mi, g1, mr[g0], mi[g0]))
+        first, start, (sr, si) = 2, pairs.row[pair], pairs.stacks
     cover = m * k == n
     if cover:
         order = _gather(positions, n)
@@ -189,19 +230,27 @@ def _cycle_unitaries(rows: np.ndarray, mats: tuple[np.ndarray, np.ndarray],
         full = np.zeros((b, 4**n), dtype=complex)
     # (rows, 4^(k t)) partial products of a block of cycles, gate t's entry
     # index in front
-    for lo in range(0, b, _BLOCK):
-        codes = code[:, lo:lo + _BLOCK]
-        re, im = mr[codes[0]], mi[codes[0]]
-        for c in codes[1:]:
-            gr, gi, re, im = mr[c, :, None], mi[c, :, None], re[:, None], im[:, None]
-            re, im = (gr * re - gi * im).reshape(len(c), -1), (gr * im + gi * re).reshape(len(c), -1)
+    step = _block(n)
+    for lo in range(0, b, step):
+        block = slice(lo, lo + step)
+        re, im = sr[start[block]], si[start[block]]
+        for c in code[first:, block]:
+            re, im = _times(mr, mi, c, re, im)
         if cover:
-            full.real[lo:lo + _BLOCK] = re.take(order, axis=1)
-            full.imag[lo:lo + _BLOCK] = im.take(order, axis=1)
+            full.real[block] = re.take(order, axis=1)
+            full.imag[block] = im.take(order, axis=1)
         else:
-            full.real[lo:lo + _BLOCK, dest] = re[:, src]
-            full.imag[lo:lo + _BLOCK, dest] = im[:, src]
+            full.real[block, dest] = re[:, src]
+            full.imag[block, dest] = im[:, src]
     return full.reshape(b, 2**n, 2**n)
+
+
+def _times(mr: np.ndarray, mi: np.ndarray, c: np.ndarray, re: np.ndarray,
+           im: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row i of the partial products ``(re, im)`` times each entry of gate
+    ``c[i]``, that gate's entry index in front."""
+    gr, gi, re, im = mr[c, :, None], mi[c, :, None], re[:, None], im[:, None]
+    return (gr * re - gi * im).reshape(len(c), -1), (gr * im + gi * re).reshape(len(c), -1)
 
 
 @functools.lru_cache(maxsize=256)

@@ -19,7 +19,8 @@ circuit's shape per circuit and op, so no state depends on its stack.  What
 a call learns on the way has one owner, the call's ``_Plan``: each
 structure's tail, and by code, through one lookup, each monomial cycle's
 signed permutation and the unitary of each cycle met in a layer of several
-structures.  ``run`` and ``advance`` compile one circuit; ``probabilities``,
+structures, and by pair code each two-gate product that starts an easy
+cycle's unitary.  ``run`` and ``advance`` compile one circuit; ``probabilities``,
 the one batched entry point (CB and RB), runs a batch's rows ``CHUNK`` at a
 time, longest first, and returns their outcome rows in input order, which
 ``measured_expectation`` scores.
@@ -39,6 +40,7 @@ from .circuits import (
     Gate,
     _cycle_unitaries,
     _flat_matrices,
+    _Rows,
     _unit_monomial,
 )
 from .noise import NoiseModel, coherent_overrotation, damping_channel, pauli_channel
@@ -237,11 +239,12 @@ class Batch:
         row = self.codes[k]
         return Circuit(self.register, tuple(map(self.cycle, row[row >= 0].tolist())))
 
-    def unitaries(self, codes: Sequence[int]) -> np.ndarray:
-        """The unitaries of table ``codes``, all of one structure, as a stack."""
+    def unitaries(self, codes: Sequence[int], pairs: _Rows | None = None) -> np.ndarray:
+        """The unitaries of table ``codes``, all of one structure, as a stack,
+        easy cycles started from the two-gate products in ``pairs``."""
         positions = self.rows.positions[self.structure[codes[0]]]
         return _cycle_unitaries(self.gates[codes, :len(positions)], self.mats, positions,
-                                len(self.register))
+                                len(self.register), pairs)
 
     def __eq__(self, other) -> bool:
         """The same register and, row by row, equal circuits."""
@@ -510,6 +513,9 @@ class Executor:
         expectation through the readout confusion (an infinite-shot
         surrogate) with zero shot error.
         """
+        integer = isinstance(shots, (int, np.integer)) and not isinstance(shots, bool)
+        if not (shots is None or integer and shots >= 1):
+            raise SimulationError(f"shots must be None or an integer >= 1, got {shots!r}")
         if len(observables) != len(probs):
             raise SimulationError(f"{len(observables)} observables for {len(probs)} outcome rows")
         if shots is not None and len(streams or ()) != len(probs):
@@ -554,41 +560,14 @@ def _wrap(state: np.ndarray) -> State:
     return DensityMatrix(state) if state.shape[-1] != 1 else StateVector(state[:, 0])
 
 
-class _Rows:
-    """Arrays stored by code: ``row[code]`` is the code's row in each of
-    ``stacks``, -1 until ``add``.  The stacks double as they fill; one row per
-    table code would be an allocation large enough to raise glibc's mmap
-    threshold when freed, and then heap pages pile up."""
-
-    def __init__(self, codes: int):
-        self.row = np.full(codes, -1, dtype=np.int32)
-        self.stacks: list[np.ndarray] = []
-        self.count = 0
-
-    def add(self, codes: list[int], *values: np.ndarray) -> None:
-        """Store row i of each of ``values`` as code ``codes[i]``'s."""
-        end = self.count + len(codes)
-        size = len(self.stacks[0]) if self.stacks else 8
-        while size < end:
-            size *= 2
-        if not self.stacks:
-            self.stacks = [np.empty((size, *v.shape[1:]), dtype=v.dtype) for v in values]
-        elif size > len(self.stacks[0]):
-            # np.resize repeats the rows, which later adds overwrite
-            self.stacks = [np.resize(a, (size, *a.shape[1:])) for a in self.stacks]
-        for a, v in zip(self.stacks, values):
-            a[self.count:end] = v
-        self.row[codes] = np.arange(self.count, end)
-        self.count = end
-
-
 class _Plan:
     """What one ``run``, ``advance`` or ``probabilities`` call learns about a
     batch, kept until it returns: each structure's ``tail``, built when the
-    plan is made, and two stores by code, filled as codes are first met: the
-    signed permutation of each monomial cycle, in the form of the stack it
-    acts on, and the unitary of each cycle met in a layer of several
-    structures."""
+    plan is made, and three stores, filled as they are first met: by code
+    the signed permutation of each monomial cycle, in the form of the stack
+    it acts on, and the unitary of each cycle met in a layer of several
+    structures; by pair code each two-gate product ``_cycle_unitaries``
+    starts an easy cycle from."""
 
     def __init__(self, batch: Batch, density: bool, tail):
         self.batch = batch
@@ -596,6 +575,7 @@ class _Plan:
         self.tails = list(map(tail, batch.rows.structures))
         self.signed = _Rows(len(batch.structure))
         self.kept = _Rows(len(batch.structure))
+        self.pairs = _Rows(len(batch.rows.gates) ** 2)
 
     def _rows(self, store: _Rows, column: np.ndarray, build) -> np.ndarray:
         """``store``'s row for each code of ``column``.  The codes it lacks
@@ -607,7 +587,7 @@ class _Plan:
             for code in dict.fromkeys(column[rows < 0].tolist()):
                 groups.setdefault(int(self.batch.structure[code]), []).append(code)
             for codes in groups.values():
-                store.add(codes, *build(self.batch.unitaries(codes)))
+                store.add(codes, *build(self.batch.unitaries(codes, self.pairs)))
             rows = store.row[column]
         return rows
 
@@ -657,7 +637,7 @@ class _Plan:
         distinct = dict.fromkeys(codes)
         if len(distinct) == len(codes):
             # every row's own cycle: built in row order, used without a gather
-            return self.batch.unitaries(column)
-        u = self.batch.unitaries(list(distinct))
+            return self.batch.unitaries(column, self.pairs)
+        u = self.batch.unitaries(list(distinct), self.pairs)
         slot = {code: i for i, code in enumerate(distinct)}
         return u[np.fromiter(map(slot.__getitem__, codes), np.intp, len(codes))]

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .bench import InfidelityEstimate
+from .bench import InfidelityEstimate, _check_integer
 
 QUALITY_THRESHOLD = 0.5
 
@@ -54,16 +54,18 @@ def _compose(per_step: Sequence[tuple[float, float]], steps: Sequence[int], sour
     Factors with identical (infidelity, sigma) are treated as repeats of one
     underlying estimate, i.e. fully correlated, when propagating sigma.
     """
-    for e, _ in per_step:
+    for e, s in per_step:
         if not 0 <= e <= 1:
             raise QcapError(f"infidelity {e} outside [0, 1]")
+        if not 0 <= s < math.inf:
+            raise QcapError(f"sigma {s} must be finite and non-negative")
+    for n in steps:
+        _check_integer("a step count", n, 0, QcapError)
     grouped: dict[tuple[float, float], int] = {}
     for factor in per_step:
         grouped[factor] = grouped.get(factor, 0) + 1
     bounds, sigmas = [], []
     for n in steps:
-        if n < 0:
-            raise QcapError("step counts must be non-negative")
         log_prod = 0.0
         zero_factor = False
         for (e, _), count in grouped.items():

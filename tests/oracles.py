@@ -420,6 +420,67 @@ def reference_make_cb(cycle, m_list, n_random, n_decays, twirl="pauli", seed=0,
     ), circuits
 
 
+def reference_cb_batch(cycle, m_list, n_random, n_decays, twirl="pauli", seed=0,
+                       register=None):
+    """The batch ``make_cb`` builds, from ``reference_make_cb``'s circuits,
+    its gate rows compiled cycle by cycle with ``GateRows.cycles`` (the twirl
+    alphabet's gates coded first) and its twirl draws interned through a
+    dict: code 0 the target, 1 + d decay term d's preparation cycle, then per
+    length in ``m_list`` order the new draws in order of their key (alphabet
+    indices, qubit 0 most significant), then one inversion cycle per
+    distinct final frame, in frame index order."""
+    from cyclebench import pauli as pl
+    from cyclebench.circuits import Cycle, Gate, propagate_through_cycles
+    from cyclebench.engine import Batch, GateRows
+
+    coll, circuits = reference_make_cb(cycle, m_list, n_random, n_decays, twirl, seed, register)
+    register = coll.register
+    n = len(register)
+    if twirl == "pauli":
+        alphabet = [(c, None) for c in pl.LETTERS]
+    else:
+        alphabet = [("C1", k) for k in range(pl.c1_count())]
+
+    def basis_cycle(letters, c1):
+        return Cycle("easy", tuple(Gate("C1", (q,), c1(c)) for q, c in zip(register, letters)))
+
+    gate_rows = GateRows(register, (Gate(name, register[:1], param) for name, param in alphabet))
+    decays = list(dict.fromkeys(cc.prepared for cc in coll.circuits))
+    gate_rows.cycles([cycle, *(basis_cycle(p.letters, pl.c1_preparing) for p in decays)])
+    twirl_code, cycle_of, keys = {}, {}, []  # keys: per circuit, its twirl draws' keys
+    for m in m_list:
+        seen = set()
+        for k, cc in enumerate(coll.circuits):
+            if cc.m == m:
+                row = []
+                for c in circuits[k].cycles[1:-1:2]:
+                    key = 0
+                    for g in c.gates:
+                        key = key * len(alphabet) + alphabet.index((g.name, g.param))
+                    cycle_of.setdefault(key, c)
+                    row.append(key)
+                keys.append((k, row))
+                seen.update(row)
+        for key in sorted(seen - twirl_code.keys()):
+            twirl_code[key] = len(twirl_code)
+            gate_rows.cycles([cycle_of[key]])
+    frames = [pl.pauli_index(propagate_through_cycles(c.cycles[1:-1], cc.prepared,
+                                                      register).letters)
+              for cc, c in zip(coll.circuits, circuits)]
+    inversion = {f: i for i, f in enumerate(sorted(set(frames)))}
+    gate_rows.cycles(basis_cycle(pl.pauli_letters(f, n), pl.c1_measuring) for f in inversion)
+    width = 2 * max(m_list) + 2
+    grid = np.full((len(circuits), width), -1, dtype=np.int32)
+    for k, row in keys:
+        cc = coll.circuits[k]
+        grid[k, width - 2 * cc.m - 2:] = (
+            [1 + decays.index(cc.prepared)]
+            + [code for key in row for code in (1 + len(decays) + twirl_code[key], 0)]
+            + [1 + len(decays) + len(twirl_code) + inversion[frames[k]]]
+        )
+    return Batch(register, gate_rows, grid)
+
+
 def reference_run(executor, circuit, initial=None, prepare=True):
     """``executor.run(circuit, initial)`` one circuit and one op at a time:
     each cycle's unitary as a dense ``U rho U^H`` (or ``U psi``), then each

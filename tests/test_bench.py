@@ -182,6 +182,35 @@ class TestMakeCb:
         assert got == ref
         assert _derived(got) == circuits
 
+    @pytest.mark.parametrize("twirl", ["pauli", "c1"])
+    @pytest.mark.parametrize("cycle, register, m_list", [
+        (CNOT01, None, (2, 10, 22)),
+        (layout_cycles(1, 3), (0, 1, 2), (0, 1, 3, 5)),
+        (layout_cycles(1, 1), None, (2, 4, 16)),
+        (Cycle("hard", (Gate("CNOT", (0, 1)), Gate("CNOT", (4, 3)))), (0, 1, 2, 3, 4), (1, 2, 4)),
+    ])
+    def test_gate_rows_equal_the_dict_interned_reference(self, cycle, register, m_list, twirl):
+        """The basis changes as gate-code rows and the twirl codes from one
+        ``np.unique`` over seen and new draw keys give the batch that
+        cycle-by-cycle compilation and dict interning give: the same code
+        grid, structure per code, gate matrices per code and monomial flags."""
+        for seed in range(3):
+            args = (cycle, m_list, 4, 6)
+            got = make_cb(*args, twirl=twirl, seed=seed, register=register).batch
+            ref = oracles.reference_cb_batch(*args, twirl=twirl, seed=seed, register=register)
+            assert np.array_equal(got.codes, ref.codes)
+            assert got.rows.structures == ref.rows.structures
+            assert np.array_equal(got.structure, ref.structure)
+            assert np.array_equal(got.monomial, ref.monomial)
+            named = [[[(b.rows.gates[g].name, b.rows.gates[g].param) for g in row if g >= 0]
+                      for row in b.gates.tolist()] for b in (got, ref)]
+            assert named[0] == named[1]
+            # -1 past a row's last gate reads the last matrix of each stack
+            assert np.array_equal(got.gates < 0, ref.gates < 0)
+            assert all(np.array_equal(np.where(got.gates[..., None] < 0, 0, a[got.gates]),
+                                      np.where(ref.gates[..., None] < 0, 0, b[ref.gates]))
+                       for a, b in zip(got.mats, ref.mats))
+
     def test_rejects_repeated_length(self):
         """A repeat would build each of its circuits twice from one stream."""
         with pytest.raises(ProtocolError, match="repeats a sequence length"):

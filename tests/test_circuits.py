@@ -11,7 +11,9 @@ from cyclebench.circuits import (
     Cycle,
     Gate,
     TfimParams,
+    _block,
     _cycle_unitary_cached,
+    _Rows,
     _unit_monomial,
     build_tfim_circuit,
     build_tfim_step,
@@ -398,6 +400,25 @@ class TestEasyCycleUnitaries:
 
 
 @st.composite
+def easy_stacks(draw):
+    """An ``easy_cycles`` cycle and up to two more on its qubits in its gate
+    order, some gates RZ at any angle, and a stack of codes into them one
+    build block long, give or take a few cycles."""
+    first, register = draw(easy_cycles())
+    qubits = [g.qubits[0] for g in first.gates]
+    pick = st.one_of(st.sampled_from(ONE_QUBIT_GATES),
+                     st.floats(-7, 7, allow_nan=False).map(lambda t: ("RZ", t)))
+    table = [first] + [
+        Cycle("easy", tuple(Gate(name, (q,), param) for q, (name, param) in zip(
+            qubits, draw(st.lists(pick, min_size=len(qubits), max_size=len(qubits))))))
+        for _ in range(draw(st.integers(0, 2)))
+    ]
+    size = _block(len(register)) + draw(st.integers(-2, 3))
+    codes = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).integers(len(table), size=size)
+    return table, register, codes.tolist()
+
+
+@st.composite
 def hard_cycles(draw, max_qubits=5):
     """A hard cycle on a permuted register of 2-5 labels: one CNOT, or two on
     disjoint pairs when there are four labels or more, in random order."""
@@ -417,8 +438,8 @@ class TestCodeBuiltUnitaries:
     @pytest.mark.parametrize("n", range(1, 6))
     def test_full_cover_and_idle_structures(self, n):
         """Easy cycles on every qubit and on all but one, the first of each
-        all RZ; CNOT cycles on as many pairs as fit and on one pair; 34
-        cycles per structure, two blocks of the build."""
+        all RZ; CNOT cycles on as many pairs as fit and on one pair; one
+        block of the build and two cycles more per structure."""
         rng = np.random.default_rng(n)
         register = tuple(int(q) for q in rng.permutation(2 * n)[:n])
         busy = [int(q) for q in rng.permutation(register)]
@@ -428,7 +449,7 @@ class TestCodeBuiltUnitaries:
             if kind == "hard" and n < 2:
                 continue
             cycles = []
-            for t in range(34):
+            for t in range(_block(n) + 2):
                 if kind == "hard":
                     gates = [Gate("CNOT", (a, b)) for a, b in zip(qubits[::2], qubits[1::2])]
                 else:
@@ -439,6 +460,22 @@ class TestCodeBuiltUnitaries:
                 cycles.append(Cycle(kind, tuple(gates)))
             for cyc, u in zip(cycles, _built(cycles, register), strict=True):
                 assert np.array_equal(u, oracles.reference_cycle_unitary(cyc, register)), cyc
+
+    @settings(max_examples=60, deadline=None)
+    @given(easy_stacks())
+    def test_stacks_across_a_block_boundary(self, case):
+        """Stacks around the build's block size, through one store of
+        two-gate products: a second build reads the products the first
+        stored and is bit-identical to it and to the oracle."""
+        table, register, codes = case
+        batch = _table(table, register)
+        expected = [oracles.reference_cycle_unitary(c, register) for c in table]
+        pairs = _Rows(len(batch.rows.gates) ** 2)
+        for _ in range(2):
+            stack = batch.unitaries(codes, pairs)
+            assert stack.shape == (len(codes), 2 ** len(register), 2 ** len(register))
+            for code, u in zip(codes, stack):
+                assert np.array_equal(u, expected[code])
 
 
 class TestHardCycleUnitaries:

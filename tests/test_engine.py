@@ -265,10 +265,10 @@ def _spy_builds(monkeypatch):
     built, inside = [], []
     build, matmul_path = Batch.unitaries, engine._Plan.unitaries
 
-    def spy_build(self, codes):
+    def spy_build(self, codes, *pairs):
         if inside:
             built.extend(self.cycle(c).gates for c in codes)
-        return build(self, codes)
+        return build(self, codes, *pairs)
 
     def spy_matmul_path(self, column, one):
         inside.append(column)
@@ -335,6 +335,23 @@ class TestPrepAndReadout:
                 ex.measured_expectation(probs, [PauliString("ZZ")] * 3, shots, streams[:2])
             with pytest.raises(SimulationError, match="0 streams for 3 outcome rows"):
                 ex.measured_expectation(probs, [PauliString("ZZ")] * 3, shots)
+
+    @pytest.mark.parametrize("shots", [2.5, True, 0, -3, np.float64(4.0), "8"])
+    def test_measured_expectation_rejects_bad_shots(self, shots):
+        """Shots are None or an integer >= 1, checked at entry: 2.5 drew two
+        counts and divided by 2.5, so a noiseless -1 read -0.8; True ran one
+        shot; 0 returned NaN; -3 failed inside numpy."""
+        ex = Executor((0,))
+        probs = _probabilities(ex, [Circuit((0,), (Cycle("easy", (Gate("X", (0,)),)),))])
+        with pytest.raises(SimulationError, match="shots must be None or an integer >= 1"):
+            ex.measured_expectation(probs, [PauliString("Z")], shots, [sim.rng_from(0)])
+
+    @pytest.mark.parametrize("shots", [None, 1, 5, np.int64(5), np.uint8(3)])
+    def test_measured_expectation_takes_integer_shots(self, shots):
+        ex = Executor((0,))
+        probs = _probabilities(ex, [Circuit((0,), (Cycle("easy", (Gate("X", (0,)),)),))])
+        assert ex.measured_expectation(probs, [PauliString("Z")], shots,
+                                       [sim.rng_from(0)]) == ([-1.0], [0.0])
 
     def test_measured_expectation_rejects_xy(self):
         ex = Executor((0, 1))
@@ -632,8 +649,8 @@ class TestBatchedExecution:
         circuits = [Circuit((0, 1), (c,)) for c in (first, second, first, second)]
         calls = []
         original = Batch.unitaries
-        monkeypatch.setattr(Batch, "unitaries", lambda self, codes: calls.append(
-            [self.cycle(c) for c in codes]) or original(self, codes))
+        monkeypatch.setattr(Batch, "unitaries", lambda self, codes, *pairs: calls.append(
+            [self.cycle(c) for c in codes]) or original(self, codes, *pairs))
         _probabilities(Executor((0, 1)), circuits)
         assert calls == [[first, second]]
 
@@ -1044,8 +1061,8 @@ class TestMixedStacks:
         assert all(len({c.structure for c in layer}) == 2 for stack in stacks for layer in stack)
         built = []
         original = Batch.unitaries
-        monkeypatch.setattr(Batch, "unitaries", lambda self, codes: built.extend(
-            self.cycle(c) for c in codes) or original(self, codes))
+        monkeypatch.setattr(Batch, "unitaries", lambda self, codes, *pairs: built.extend(
+            self.cycle(c) for c in codes) or original(self, codes, *pairs))
         ex = Executor((0, 1), NoiseModel(pauli_errors={"cnot": {"XZ": 0.03}}))
         expected = [oracles.reference_probabilities(ex, oracles.reference_run(ex, c))
                     for c in circuits]
@@ -1053,6 +1070,43 @@ class TestMixedStacks:
             built.clear()
             assert np.array_equal(_probabilities(ex, circuits), expected)
             assert len(built) == 3 and set(built) == {h0, rz1, cnot}
+
+
+    def test_two_gate_products_are_built_once_per_call(self, monkeypatch):
+        """Each easy cycle's unitary starts from the product of its first two
+        gates, stored by the call's plan: over stacks of seven, layers of one
+        structure and of several, and monomial layers, each pair of a cycle
+        the call meets is built once per ``probabilities`` call, and the
+        outcome rows stay what they were."""
+        coll = make_cb(Cycle("hard", (Gate("CNOT", (0, 1)),)), (1, 2, 5), 3, 4, twirl="c1",
+                       seed=5, register=(0, 1, 2))
+        batch = coll.batch
+        ex = Executor((0, 1, 2), NoiseModel(cnot_rotation={"*": ("ZZ", 0.3)}))
+        expected = ex.probabilities(batch)
+        width = len(batch.rows.gates)
+        used = np.unique(batch.codes[batch.codes >= 0])
+        easy = used[[batch.rows.structures[s][0] == "easy" for s in batch.structure[used]]]
+        pairs = set((batch.gates[easy, 0] * width + batch.gates[easy, 1]).tolist())
+        plans, added = [], []
+        init, add = engine._Plan.__init__, engine._Rows.add
+
+        def spy_init(self, *args):
+            init(self, *args)
+            plans.append(self)
+
+        def spy_add(self, codes, *values):
+            if self is plans[-1].pairs:
+                added.extend(codes)
+            add(self, codes, *values)
+
+        monkeypatch.setattr(engine._Plan, "__init__", spy_init)
+        monkeypatch.setattr(engine._Rows, "add", spy_add)
+        monkeypatch.setattr(engine, "CHUNK", 7)
+        for calls in (1, 2):
+            added.clear()
+            assert np.array_equal(ex.probabilities(batch), expected)
+            assert len(plans) == calls
+            assert sorted(added) == sorted(pairs)
 
 
 # ---------------------------------------------------------------------------

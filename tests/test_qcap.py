@@ -1,3 +1,6 @@
+import math
+
+import numpy as np
 import pytest
 
 from cyclebench.bench import InfidelityEstimate
@@ -46,6 +49,26 @@ class TestRbCurve:
             qcap_rb_curve([0.01], d=3, steps=[1])
         with pytest.raises(QcapError):
             qcap_rb_curve([0.01], d=4, steps=[-1])
+
+    @pytest.mark.parametrize("steps", [[1.5, 2], [True], [1, False], [2.0], ["3"], [-1]])
+    def test_rejects_step_counts_that_are_not_integers_at_least_zero(self, steps):
+        """1.5 steps reported the bound for 1.5 under step 1, and True read
+        as step 1."""
+        with pytest.raises(QcapError, match="a step count must be"):
+            qcap_rb_curve([0.01], d=4, steps=steps)
+        with pytest.raises(QcapError, match="a step count must be"):
+            qcap_cb_curve({1: est(0.01)}, [1], steps=steps)
+
+    @pytest.mark.parametrize("sigma", [-0.5, math.nan, math.inf, -math.inf])
+    def test_rejects_negative_or_non_finite_sigmas(self, sigma):
+        """A negative sigma came out squared as a positive one, NaN as NaN."""
+        with pytest.raises(QcapError, match="must be finite and non-negative"):
+            qcap_rb_curve([0.01], d=4, steps=[1], rate_sigmas=[sigma])
+
+    def test_numpy_integer_steps(self):
+        curve = qcap_rb_curve([0.01], d=4, steps=np.arange(3))
+        assert curve == qcap_rb_curve([0.01], d=4, steps=[0, 1, 2])
+        assert curve.steps == (0, 1, 2)
 
     @pytest.mark.parametrize("sigmas", [[0.001], [0.001] * 4, []])
     def test_rejects_sigmas_of_another_length(self, sigmas):
